@@ -16,7 +16,7 @@ import random
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ParseError
+from .errors import ConsistencyError, ParseError
 from .gaussian import GaussianRational, I, ONE
 from .galois import (enumerate_outer_galois_points, galois_generator,
                      is_outer_galois_point, linear_auto)
@@ -61,8 +61,7 @@ def _emit(payload: Dict, lines: List[str], fmt: str) -> None:
 
 
 def _limits(args: argparse.Namespace) -> SolverLimits:
-    return SolverLimits(max_eliminant_degree=args.max_eliminant_degree,
-                        max_candidates=args.max_candidates)
+    return SolverLimits(max_eliminant_degree=args.max_eliminant_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +291,7 @@ def _demo_checks(seed: int) -> List[Tuple[str, bool, str]]:
 
     rng = random.Random(seed)
     a = _random_invertible(rng)
-    fa = _pullback(fermat, a)
+    fa = substitute_linear(fermat, a)
     p = ProjPoint(a.inverse().apply([1, 0, 0, 0]))
     cov = is_outer_galois_point(fa, p)
     checks.append(("covariance spot check (seeded): conjugated point stays Galois",
@@ -307,10 +306,6 @@ def _random_invertible(rng: random.Random) -> Matrix:
         m = Matrix(4, 4, entries)
         if not m.det().is_zero():
             return m
-
-
-def _pullback(f: HomPoly, m: Matrix) -> HomPoly:
-    return substitute_linear(f, m)
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -330,6 +325,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
 # Argument parsing.
 # ---------------------------------------------------------------------------
 
+SURFACE_HELP = ("quartic in X, Y, Z, W, or @file; write -- before a surface "
+                "that begins with '-'")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quartic-galois",
@@ -337,18 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "surfaces and order-4 automorphisms of quartic K3s.")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--max-eliminant-degree", type=int, default=24)
-    parser.add_argument("--max-candidates", type=int, default=20000)
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized demo spot checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("smooth", help="exact smoothness verdict for a quartic")
-    p.add_argument("surface")
+    p.add_argument("surface", help=SURFACE_HELP)
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("galois", help="test or enumerate outer Galois points")
     p.add_argument("mode", choices=("test", "find"))
-    p.add_argument("surface")
+    p.add_argument("surface", help=SURFACE_HELP)
     p.add_argument("--point", help="colon-separated homogeneous coordinates")
     p.add_argument("--candidate", action="append",
                    help="extra candidate point for find (repeatable)")
@@ -356,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("auto", help="analyze a surface automorphism")
     p.add_argument("mode", choices=("fixed-locus", "classify", "character"))
-    p.add_argument("surface")
+    p.add_argument("surface", help=SURFACE_HELP)
     p.add_argument("--matrix", required=True,
                    help="16 whitespace-separated Q(i) entries, row-major")
     p.set_defaults(func=cmd_auto)
@@ -393,6 +391,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -152,9 +152,6 @@ class CurveSection:
         self.genus = genus
         self.point_count = point_count
 
-    def is_curve(self) -> bool:
-        return self.kind in ("plane-quartic", "line-in-surface")
-
     def __repr__(self) -> str:
         return (f"CurveSection(kind={self.kind}, genus={self.genus}, "
                 f"smooth={self.smooth}, points={self.point_count})")

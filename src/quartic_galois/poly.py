@@ -466,16 +466,6 @@ def partials(f: HomPoly) -> List[HomPoly]:
     return out
 
 
-def directional_derivative(f: HomPoly, p: Sequence) -> HomPoly:
-    """sum_k p_k * df/dx_k, the first polar of f at p."""
-    vals = [GaussianRational.coerce(x) for x in p]
-    out = HomPoly.zero(f.nvars, f.degree - 1, f.names)
-    for k, d in enumerate(partials(f)):
-        if not vals[k].is_zero():
-            out = out + d.scale(vals[k])
-    return out
-
-
 class XDecomposition:
     """f written as sum of c_k * (chart variable)**(d-k).
 
@@ -576,14 +566,6 @@ def squarefree_profile(f: HomPoly) -> List[int]:
     if e > 0:
         profile.extend(univariate.multiplicity_profile(g))
     return sorted(profile)
-
-
-def binary_to_univariate(f: HomPoly) -> List[GaussianRational]:
-    """Coefficient list of f(t, 1) indexed by power of t."""
-    if f.nvars != 2:
-        raise ValueError("expected a binary form")
-    d = f.degree
-    return univariate.trim([f.coeff((j, d - j)) for j in range(d + 1)])
 
 
 def euler_check(f: HomPoly) -> bool:

@@ -8,12 +8,15 @@ derivatives has rank at most 1 identically, i.e. all 2x2 minors vanish
 as forms.  Since the second partials of the polar are bilinear in P
 and x, every minor coefficient is a quadratic form in P: the search
 space is cut out by a system of quadrics, which this module solves by
-exact linear reduction, iterated resultants and certified extraction
-of Gaussian-rational roots.
+exact linear reduction and iterated resultants.  The univariate
+eliminants and fibers go to univariate.gaussian_roots, which finds
+candidate roots modulo a split prime, lifts and reconstructs them, and
+keeps only those that vanish under exact evaluation over Q(i).
 
 Completeness is tracked honestly: a report is marked complete only
 when every eliminant in the chain splits into linear factors over
-Q(i), so that no complex solution can have been missed.
+Q(i), counted by exactly verified roots, so that no complex solution
+can have been missed whatever the modular step proposed.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ Exponent = Tuple[int, ...]
 class SolverLimits:
     """Resource caps; exceeding any of them downgrades completeness."""
     max_eliminant_degree: int = 24
-    max_candidates: int = 20000
-    factor_budget: int = 200000
     max_pair_polys: int = 10
 
 
@@ -313,8 +314,7 @@ def solve_affine(polys: List[MPoly], nvars: int,
         assert g is not None
         if univariate.degree(g) <= 0:
             return [], True
-        roots, split = univariate.gaussian_roots(
-            g, limits.max_candidates, limits.factor_budget)
+        roots, split = univariate.gaussian_roots(g)
         sols = [(r,) for r in roots]
         return sols, split
 
@@ -362,8 +362,7 @@ def solve_affine(polys: List[MPoly], nvars: int,
             g = univariate.gcd(g, u)
         if univariate.degree(g) <= 0:
             continue
-        roots, split = univariate.gaussian_roots(
-            g, limits.max_candidates, limits.factor_budget)
+        roots, split = univariate.gaussian_roots(g)
         complete = complete and split
         for r in roots:
             cand = q + (r,)

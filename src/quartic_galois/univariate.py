@@ -3,14 +3,15 @@
 A polynomial is a list of GaussianRational coefficients indexed by
 power, with no trailing zeros (the zero polynomial is the empty list).
 These helpers back the squarefree analysis of binary forms and the
-exact root extraction used by the Galois-point search.
+root extraction used by the Galois-point search: modular candidates,
+each verified by exact evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from random import Random
+from typing import List, Optional, Tuple
 
 from .gaussian import ZERO, ONE, GaussianRational
 
@@ -154,12 +155,10 @@ def multiplicity_profile(p: Poly) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian integers: support for exact rational-root extraction.
+# Gaussian integers and polynomials over Z/p: modular root extraction.
 # ---------------------------------------------------------------------------
 
 GInt = Tuple[int, int]  # a + b*i with integer a, b
-
-_GI_UNITS: Tuple[GInt, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 def _gi_mul(x: GInt, y: GInt) -> GInt:
@@ -171,7 +170,7 @@ def _gi_norm(x: GInt) -> int:
 
 
 def _gi_divmod(x: GInt, y: GInt) -> Tuple[GInt, GInt]:
-    # nearest-integer division: remainder norm < norm(y)
+    # nearest-integer division: remainder norm <= norm(y) / 2
     n = _gi_norm(y)
     pr = x[0] * y[0] + x[1] * y[1]
     pi = x[1] * y[0] - x[0] * y[1]
@@ -195,85 +194,6 @@ def _gi_div_exact(x: GInt, y: GInt) -> Optional[GInt]:
     return None
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic below 3.3e24 for this base set
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int, budget: int) -> Optional[int]:
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 20):
-        x = y = 2
-        d = 1
-        steps = 0
-        while d == 1 and steps < budget:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-            steps += 1
-        if 1 < d < n:
-            return d
-    return None
-
-
-def _factor_int(n: int, budget: int = 200000) -> Optional[Dict[int, int]]:
-    """Prime factorization of n > 0, or None if the budget is exceeded."""
-    out: Dict[int, int] = {}
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        f = None
-        for p in (2, 3, 5, 7, 11, 13):
-            if m % p == 0:
-                f = p
-                break
-        if f is None:
-            i, limit = 17, 100000
-            while i * i <= m and i <= limit:
-                if m % i == 0:
-                    f = i
-                    break
-                i += 2
-        if f is None and m < 10**10:
-            # fully trial-divided below the limit squared
-            out[m] = out.get(m, 0) + 1
-            continue
-        if f is None:
-            f = _pollard_rho(m, budget)
-        if f is None:
-            return None
-        stack.append(f)
-        stack.append(m // f)
-    return out
-
-
 def _sqrt_minus_one_mod(p: int) -> int:
     # p prime, p % 4 == 1
     for a in range(2, p):
@@ -284,62 +204,9 @@ def _sqrt_minus_one_mod(p: int) -> int:
 
 
 def _gaussian_prime_above(p: int) -> GInt:
-    # p % 4 == 1: returns pi with norm(pi) == p
+    # p % 4 == 1: returns pi with norm(pi) == p, dividing s + i
     s = _sqrt_minus_one_mod(p)
     return _gi_gcd((p, 0), (s, 1))
-
-
-def _factor_gaussian(z: GInt, budget: int = 200000) -> Optional[List[Tuple[GInt, int]]]:
-    """Factor a nonzero Gaussian integer into primes, up to a unit."""
-    n = _gi_norm(z)
-    if n == 1:
-        return []
-    nf = _factor_int(n, budget)
-    if nf is None:
-        return None
-    out: List[Tuple[GInt, int]] = []
-    rem = z
-    for p in sorted(nf):
-        if p == 2:
-            pi = (1, 1)
-            cands = [pi]
-        elif p % 4 == 3:
-            cands = [(p, 0)]
-        else:
-            pi = _gaussian_prime_above(p)
-            cands = [pi, (pi[0], -pi[1])]
-        for c in cands:
-            e = 0
-            while True:
-                q = _gi_div_exact(rem, c)
-                if q is None:
-                    break
-                rem = q
-                e += 1
-            if e:
-                out.append((c, e))
-    if _gi_norm(rem) != 1:
-        return None
-    return out
-
-
-def _gaussian_divisors(z: GInt, cap: int, budget: int = 200000) -> Optional[List[GInt]]:
-    """All divisors of z up to units, or None if infeasible."""
-    fac = _factor_gaussian(z, budget)
-    if fac is None:
-        return None
-    divisors: List[GInt] = [(1, 0)]
-    for pi, e in fac:
-        new: List[GInt] = []
-        power: GInt = (1, 0)
-        for _ in range(e + 1):
-            for d in divisors:
-                new.append(_gi_mul(d, power))
-                if len(new) > cap:
-                    return None
-            power = _gi_mul(power, pi)
-        divisors = new
-    return divisors
 
 
 def _clear_denominators(p: Poly) -> List[GInt]:
@@ -360,30 +227,171 @@ def _clear_denominators(p: Poly) -> List[GInt]:
     return out  # type: ignore[return-value]
 
 
-_SMALL_CANDIDATES = None
+# Dense polynomials over Z/m as int lists indexed by power, no trailing zeros.
+
+def _fp_add(a: List[int], b: List[int], m: int) -> List[int]:
+    out = [((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)) % m
+           for k in range(max(len(a), len(b)))]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def _small_candidates() -> List[GaussianRational]:
-    global _SMALL_CANDIDATES
-    if _SMALL_CANDIDATES is None:
-        vals = []
-        rats = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3, 4)]
-        for a in rats:
-            for b in rats:
-                vals.append(GaussianRational(a, b))
-        seen = set()
-        out = []
-        for v in vals:
-            k = (v.re, v.im)
-            if k not in seen:
-                seen.add(k)
-                out.append(v)
-        _SMALL_CANDIDATES = out
-    return _SMALL_CANDIDATES
+def _fp_divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
+    r = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(r) - db)
+    while len(r) > db:
+        c = r[-1] * inv % p
+        shift = len(r) - 1 - db
+        q[shift] = c
+        for k in range(db):
+            r[shift + k] = (r[shift + k] - c * b[k]) % p
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return q, r
 
 
-def gaussian_roots(p: Poly, max_candidates: int = 20000,
-                   factor_budget: int = 200000) -> Tuple[List[GaussianRational], bool]:
+def _fp_gcd(a: List[int], b: List[int], p: int) -> List[int]:
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _fp_powmod(base: List[int], e: int, f: List[int], p: int) -> List[int]:
+    """base**e modulo f, over Z/p."""
+    out, base = [1], _fp_divmod(base, f, p)[1]
+    while e:
+        if e & 1:
+            out = _fp_mulmod(out, base, f, p)
+        base = _fp_mulmod(base, base, f, p)
+        e >>= 1
+    return out
+
+
+def _fp_mulmod(a: List[int], b: List[int], f: List[int], p: int) -> List[int]:
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _fp_divmod(_fp_add(prod, [], p), f, p)[1]
+
+
+def _fp_eval(a: List[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _fp_derivative(a: List[int]) -> List[int]:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _fp_roots(f: List[int], p: int) -> List[int]:
+    """Roots in Z/p of a squarefree f: gcd(f, x^p - x) is the product of
+    the linear factors, split by Cantor-Zassenhaus.  The splitting draws
+    from Random(p), so the work done is a function of the input."""
+    rng = Random(p)
+    linear = _fp_gcd(f, _fp_add(_fp_powmod([0, 1], p, f, p), [0, -1], p), p)
+    roots: List[int] = []
+    stack = [linear]
+    while stack:
+        g = stack.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        if len(g) <= 2:
+            continue
+        while True:
+            h = _fp_powmod([rng.randrange(p), 1], (p - 1) // 2, g, p)
+            d = _fp_gcd(g, _fp_add(h, [-1], p), p)
+            if 1 < len(d) < len(g):
+                break
+        stack += [d, _fp_divmod(g, d, p)[0]]
+    return roots
+
+
+def _hensel_lift(f: List[int], r: int, p: int, k: int) -> int:
+    """Newton-lift a simple root r of f mod p to a root mod p**k, k a
+    power of two; f's coefficients must be correct mod p**k."""
+    df = _fp_derivative(f)
+    m = p
+    while m < p ** k:
+        m *= m
+        r = (r - _fp_eval(f, r, m) * pow(_fp_eval(df, r, m), -1, m)) % m
+    return r
+
+
+def _good_prime(ints: List[GInt]) -> Tuple[int, int]:
+    """The first split prime p = 1 (mod 4) above 10^4 at which f stays
+    squarefree of the same degree mod pi, with the image of i in Z[i]/pi.
+
+    A squarefree f has nonzero discriminant, so only finitely many primes
+    are skipped.  p ~ 10^4 is prime-tested by trial division."""
+    p = 10001
+    while True:
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            i_mod = -_sqrt_minus_one_mod(p) % p  # pi divides s + i
+            fbar = _fp_add([a + b * i_mod for a, b in ints], [], p)
+            if (len(fbar) == len(ints)
+                    and len(_fp_gcd(fbar, _fp_derivative(fbar), p)) == 1):
+                return p, i_mod
+        p += 4
+
+
+def _rational_reconstructions(r: int, m: GInt, bound: int):
+    """Pairs (u, v) with u = r*v mod m and both norms at most bound, from
+    the half-extended Euclidean algorithm in Z[i] on (m, r)."""
+    r0, r1 = m, _gi_divmod((r, 0), m)[1]
+    t0, t1 = (0, 0), (1, 0)
+    while r1 != (0, 0):
+        if _gi_norm(r1) <= bound and _gi_norm(t1) <= bound:
+            yield r1, t1
+        q, rem = _gi_divmod(r0, r1)
+        qt = _gi_mul(q, t1)
+        r0, r1 = r1, rem
+        t0, t1 = t1, (t0[0] - qt[0], t0[1] - qt[1])
+
+
+def _modular_root_candidates(ints: List[GInt]) -> List[GaussianRational]:
+    """Q(i) root candidates of a squarefree Z[i] polynomial of degree >= 2
+    with nonzero constant term: the roots mod a split prime pi, lifted
+    mod pi^k and reconstructed.  Candidates are not verified here."""
+    p, i_mod = _good_prime(ints)
+    pi = _gaussian_prime_above(p)
+    # A root u/v in lowest terms has u | a_0 and v | a_d (Gaussian
+    # rational-root theorem), so N(u), N(v) <= height.  Every (r_j, t_j)
+    # of the remainder sequence on (pi^k, r) satisfies
+    # |r_{j-1}| |t_j| <= (2 + sqrt 2) |pi^k|, since the remainders shrink
+    # by at least sqrt 2 and the |t_j| grow (Hurwitz continued fractions).
+    # At the first j with |r_j| <= sqrt((2 + sqrt 2) |pi^k|) this bounds
+    # |u t_j - v r_j| below |pi^k| once p^k > 16 (2 + sqrt 2)^2 height^2
+    # (about 187 height^2); that difference is divisible by pi^k, so it
+    # is 0 and u/v = r_j/t_j.  256 covers the constant.
+    height = max(_gi_norm(ints[0]), _gi_norm(ints[-1]))
+    k = 1
+    while p ** k <= 256 * height * height:
+        k *= 2
+    modulus = p ** k
+    i_lift = _hensel_lift([1, 0, 1], i_mod, p, k)
+    f = [(a + b * i_lift) % modulus for a, b in ints]
+    pik: GInt = (1, 0)
+    for _ in range(k):
+        pik = _gi_mul(pik, pi)
+    out: List[GaussianRational] = []
+    for r in _fp_roots([c % p for c in f], p):
+        lifted = _hensel_lift(f, r, p, k)
+        for u, v in _rational_reconstructions(lifted, pik, height):
+            out.append(GaussianRational(u[0], u[1]) / GaussianRational(v[0], v[1]))
+    return out
+
+
+def gaussian_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
     """All roots of p lying in Q(i), with a certificate flag.
 
     Returns (roots, fully_split).  fully_split is True only when the
@@ -392,12 +400,14 @@ def gaussian_roots(p: Poly, max_candidates: int = 20000,
     over Q(i).  Roots are reported once each (multiplicity dropped) in
     canonical order.
 
-    The search is exact: squarefree reduction, then the rational-root
-    theorem over the Gaussian integers (divisor enumeration of the
-    extreme coefficients), with degree-at-most-2 factors finished by the
-    exact quadratic formula.  When integer factorization exceeds its
-    budget the function still returns any roots it found, with
-    fully_split=False.
+    Each squarefree factor is solved modularly: its roots mod a split
+    prime p = 1 (mod 4) of good reduction are found by gcd(f, x^p - x)
+    and Cantor-Zassenhaus splitting, Hensel-lifted past a height bound
+    that covers every Q(i) root, and turned back into Gaussian rationals
+    by rational reconstruction in Z[i].  The modular step only proposes
+    candidates: a root is returned only after exact evaluation over Q(i)
+    gives zero, and fully_split counts verified roots against the degree,
+    so the certificate never rests on the prime or the bound.
     """
     if not p:
         raise ValueError("zero polynomial")
@@ -414,7 +424,7 @@ def gaussian_roots(p: Poly, max_candidates: int = 20000,
     sf_pairs = squarefree_decomposition(work) if degree(work) > 0 else []
     residual_fully_split = True
     for factor, _m in sf_pairs:
-        froots, fsplit = _roots_squarefree(factor, max_candidates, factor_budget)
+        froots, fsplit = _roots_squarefree(factor)
         for r in froots:
             if r not in roots:
                 roots.append(r)
@@ -423,67 +433,14 @@ def gaussian_roots(p: Poly, max_candidates: int = 20000,
     return roots, residual_fully_split
 
 
-def _roots_squarefree(p: Poly, max_candidates: int,
-                      factor_budget: int) -> Tuple[List[GaussianRational], bool]:
+def _roots_squarefree(p: Poly) -> Tuple[List[GaussianRational], bool]:
     d = degree(p)
     if d <= 0:
         return [], True
     if d == 1:
         return [-p[0] / p[1]], True
-    if d == 2:
-        return _quadratic_roots(p)
     roots: List[GaussianRational] = []
-    work = list(p)
-    # cheap screen on small values keeps the divisor enumeration short
-    for cand in _small_candidates():
-        while degree(work) > 2 and eval_poly(work, cand).is_zero():
+    for cand in _modular_root_candidates(_clear_denominators(p)):
+        if cand not in roots and eval_poly(p, cand).is_zero():
             roots.append(cand)
-            work = divmod_poly(work, [-cand, ONE])[0]
-    if degree(work) <= 2:
-        sub_roots, split = _roots_squarefree(work, max_candidates, factor_budget)
-        return roots + sub_roots, split
-    ints = _clear_denominators(work)
-    lead = ints[-1]
-    const = ints[0]
-    if const == (0, 0):
-        # zero root was already stripped by the caller of gaussian_roots
-        return roots, False
-    num_divs = _gaussian_divisors(const, max_candidates, factor_budget)
-    den_divs = _gaussian_divisors(lead, max_candidates, factor_budget)
-    if num_divs is None or den_divs is None:
-        return roots, False
-    if len(num_divs) * len(den_divs) * 4 > 40 * max_candidates:
-        return roots, False
-    seen = set()
-    for a in num_divs:
-        for b in den_divs:
-            base = GaussianRational(Fraction(a[0]), Fraction(a[1])) / GaussianRational(
-                Fraction(b[0]), Fraction(b[1]))
-            for u in _GI_UNITS:
-                cand = base * GaussianRational(u[0], u[1])
-                key = (cand.re, cand.im)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if eval_poly(work, cand).is_zero():
-                    roots.append(cand)
-                    work = divmod_poly(work, [-cand, ONE])[0]
-                    if degree(work) <= 2:
-                        sub_roots, split = _roots_squarefree(
-                            work, max_candidates, factor_budget)
-                        return roots + sub_roots, split
-    return roots, degree(work) == 0
-
-
-def _quadratic_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
-    from .gaussian import gaussian_sqrt
-    c, b, a = p[0], p[1], p[2]
-    disc = b * b - GaussianRational(4) * a * c
-    s = gaussian_sqrt(disc)
-    if s is None:
-        # irrational pair of roots: none lie in Q(i), certified
-        return [], False
-    two_a = GaussianRational(2) * a
-    r1 = (-b + s) / two_a
-    r2 = (-b - s) / two_a
-    return ([r1] if r1 == r2 else [r1, r2]), True
+    return roots, len(roots) == d

@@ -1,6 +1,8 @@
 import json
 
+from quartic_galois import cli
 from quartic_galois.cli import main
+from quartic_galois.errors import ConsistencyError
 
 FERMAT = "X^4+Y^4+Z^4+W^4"
 FORM1 = "X^4+Y^4+Z^4+W^4+Y^2*Z*W"
@@ -189,3 +191,17 @@ def test_galois_find_with_candidate(capsys):
 def test_demo_seed_variation(capsys):
     code, out, _ = run(capsys, "--seed", "3", "demo")
     assert code == 0 and "FAIL" not in out
+
+
+def test_consistency_error_is_reported_without_traceback(capsys, monkeypatch):
+    def broken(args):
+        raise ConsistencyError("postcondition failed")
+    monkeypatch.setattr(cli, "cmd_smooth", broken)
+    code, _, err = run(capsys, "smooth", FERMAT)
+    assert code == 1
+    assert err == "internal error: postcondition failed\n"
+
+
+def test_surface_beginning_with_minus(capsys):
+    code, out, _ = run(capsys, "smooth", "--", "-X^4+Y^4+Z^4+W^4")
+    assert code == 0 and "smooth: yes" in out

@@ -288,6 +288,22 @@ def test_enumerate_conjugated_fermat():
     assert set(rep.point_list()) == moved
 
 
+def test_enumerate_generic_coordinates():
+    # Fermat pulled back by a height-3 matrix: the eliminants' roots have
+    # large denominators, and the search must still prove completeness
+    rng = random.Random(7)
+    while True:
+        a = Matrix(4, 4, [GR(rng.randint(-3, 3), rng.randint(-3, 3))
+                          for _ in range(16)])
+        if not a.det().is_zero():
+            break
+    rep = enumerate_outer_galois_points(substitute_linear(FERMAT, a))
+    moved = {ProjPoint(a.inverse().apply([1 if t == k else 0 for t in range(4)]))
+             for k in range(4)}
+    assert rep.completeness == "proved-complete"
+    assert sorted(rep.point_list(), key=str) == sorted(moved, key=str)
+
+
 def test_enumerate_rejects_singular():
     with pytest.raises(SingularSurfaceError):
         enumerate_outer_galois_points(parse_poly("X^4+Y^4+Z^4", 4))

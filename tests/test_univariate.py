@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -109,3 +110,40 @@ def test_gaussian_roots_with_multiplicity_and_zero():
 def test_gaussian_roots_rejects_zero():
     with pytest.raises(ValueError):
         uv.gaussian_roots([])
+
+
+# A degree-4 eliminant from the search on a GL4(Z[i]) conjugate of the
+# Fermat quartic: its roots have denominators far too large for a
+# rational-root divisor search.
+CONJ_ROOTS = [GR(F(210, 391), F(95, 391)), GR(F(1924, 4981), F(-532, 4981)),
+              GR(F(1987, 2813), F(615, 2813)), GR(F(7679, 12802), F(-3117, 12802))]
+
+# The leading coefficient of the cleared polynomial is 10009*10037*10061,
+# so the degree drops at the first three split primes above 10^4; the
+# roots 5 and 5 + 10069 collide at the fourth.
+BAD_PRIME_ROOTS = [GR(F(1, 10009)), GR(F(2, 10037), F(1, 10037)),
+                   GR(F(3, 10061)), GR(5), GR(5 + 10069)]
+
+
+@pytest.mark.parametrize("roots, cofactor", [
+    (CONJ_ROOTS, None),
+    (CONJ_ROOTS, poly(-2, 0, 1)),
+    (BAD_PRIME_ROOTS, None),
+    (BAD_PRIME_ROOTS, poly(1, 1, 1)),
+], ids=["conj-eliminant", "conj-eliminant-times-x2-2", "bad-primes",
+        "bad-primes-times-quadratic"])
+def test_gaussian_roots_modular_extraction(roots, cofactor):
+    p = from_roots(*roots)
+    if cofactor is not None:
+        p = uv.mul(p, cofactor)
+    got, split = uv.gaussian_roots(p)
+    assert set(got) == set(roots) and len(got) == len(roots)
+    assert split == (cofactor is None)
+    assert all(uv.eval_poly(p, r).is_zero() for r in got)
+    assert uv.gaussian_roots(p) == (got, split)
+
+
+def test_modular_extraction_skips_bad_primes():
+    ints = uv._clear_denominators(from_roots(*BAD_PRIME_ROOTS))
+    assert ints[-1] == (10009 * 10037 * 10061, 0)
+    assert uv._good_prime(ints)[0] == 10093

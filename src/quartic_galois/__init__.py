@@ -30,7 +30,6 @@ from .k3 import (AutomorphismType, FixedLocusReport, GramMatrix2,
                  isolated_point_formula, moduli_dimension, npns_moduli_dim,
                  reduce_gram, serialize_classification, solve_m,
                  symplectic_character, transform_gram)
-from .solver import SolverLimits
 
 __version__ = "0.1.0"
 
@@ -42,7 +41,7 @@ __all__ = [
     "MAX_OUTER_GALOIS_COUNT", "MAX_OUTER_GALOIS_TRANSCENDENTAL_GRAM",
     "MINUS_I", "MINUS_ONE", "NoMatchingTypeError", "NPNS_ROWS", "ONE",
     "ParseError", "ProjPoint", "PURELY_NS_ROWS", "SINGULAR_K3_PICARD_NUMBER",
-    "SingularSurfaceError", "SolverLimits", "SurfaceNotPreservedError",
+    "SingularSurfaceError", "SurfaceNotPreservedError",
     "UnnormalizedAutomorphismError", "XDecomposition", "ZERO",
     "adapted_basis", "centralizer_dimension", "classify",
     "eigen_decompose_order4", "enumerate_outer_galois_points", "euler_check",

@@ -29,7 +29,6 @@ from .k3 import (GramMatrix2, MAX_OUTER_GALOIS_TRANSCENDENTAL_GRAM,
 from .linalg import Matrix, centralizer_dimension, parse_matrix
 from .poly import (HomPoly, ProjPoint, parse_point, parse_poly,
                    substitute_linear)
-from .solver import SolverLimits
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -58,10 +57,6 @@ def _emit(payload: Dict, lines: List[str], fmt: str) -> None:
     else:
         for line in lines:
             print(line)
-
-
-def _limits(args: argparse.Namespace) -> SolverLimits:
-    return SolverLimits(max_eliminant_degree=args.max_eliminant_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +94,7 @@ def cmd_galois(args: argparse.Namespace) -> int:
         return EXIT_OK if verdict else EXIT_NEGATIVE
     # find
     extra = [parse_point(_read_arg(c)) for c in (args.candidate or [])]
-    report = enumerate_outer_galois_points(f, extra, _limits(args))
+    report = enumerate_outer_galois_points(f, extra)
     payload = {"command": "galois-find", **report.to_dict()}
     if report.normal_form == "form-3" and len(report.points) == 4:
         payload["singular_k3"] = {
@@ -109,8 +104,10 @@ def cmd_galois(args: argparse.Namespace) -> int:
         }
     lines = [f"surface: {f}",
              f"normal form: {report.normal_form}",
-             f"completeness: {report.completeness}",
-             f"outer Galois points found: {len(report.points)}"]
+             f"completeness: {report.completeness}"]
+    if report.reason is not None:
+        lines.append(f"reason: {report.reason}")
+    lines.append(f"outer Galois points found: {len(report.points)}")
     for p, gen in report.points:
         lines.append(f"  point {p}")
         lines.extend("    " + "  ".join(str(gen.matrix[i, j]) for j in range(4))
@@ -335,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact toolkit for outer Galois points of smooth quartic "
                     "surfaces and order-4 automorphisms of quartic K3s.")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--max-eliminant-degree", type=int, default=24)
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized demo spot checks")
     sub = parser.add_subparsers(dest="command", required=True)

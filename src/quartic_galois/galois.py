@@ -33,11 +33,11 @@ from .geometry import is_smooth_plane_quartic, is_smooth_surface
 from .linalg import Matrix
 from .poly import (HomPoly, ProjPoint, squarefree_profile, substitute_linear,
                    x_decompose)
-from .solver import (DEFAULT_LIMITS, SolverLimits, cube_locus_quadrics,
-                     solve_projective)
+from .solver import cube_locus_quadrics, solve_projective
 
 PROVED_COMPLETE = "proved-complete"
 CANDIDATES_ONLY = "candidates-only"
+UNRECOGNIZED_FORM = "unrecognized-form"
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,26 @@ def linear_auto(f: HomPoly, m: Matrix) -> LinearAuto:
 
 @dataclass
 class GaloisReport:
-    """Outcome of a Galois-point test or search."""
+    """Outcome of a Galois-point test or search.
+
+    reason is None when the list of points is proved complete, and says
+    why it is not otherwise: "hilbert-not-stable", "points-not-recovered"
+    (see the solver module) or "unrecognized-form".
+    """
     surface: HomPoly
     points: List[Tuple[ProjPoint, LinearAuto]]
-    completeness: str
     normal_form: str
+    reason: Optional[str] = None
+
+    @property
+    def completeness(self) -> str:
+        return PROVED_COMPLETE if self.reason is None else CANDIDATES_ONLY
 
     def point_list(self) -> List[ProjPoint]:
         return [p for p, _g in self.points]
 
     def to_dict(self) -> Dict:
-        return {
+        out = {
             "surface": str(self.surface),
             "normal_form": self.normal_form,
             "completeness": self.completeness,
@@ -101,6 +110,9 @@ class GaloisReport:
                 for p, g in self.points
             ],
         }
+        if self.reason is not None:
+            out["reason"] = self.reason
+        return out
 
 
 @lru_cache(maxsize=256)
@@ -136,6 +148,25 @@ def _chart_coefficients(f: HomPoly, p: ProjPoint,
     return x_decompose(fb, 0).c
 
 
+def _is_split_chart(c: List[HomPoly]) -> bool:
+    """The two identities of the module docstring on chart coefficients."""
+    c0 = c[0].coeff((0, 0, 0))
+    eight_c0 = GaussianRational(8) * c0
+    if c[2].scale(eight_c0) != (c[1] * c[1]).scale(3):
+        return False
+    lhs = c[3].scale(eight_c0 * c0)
+    rhs = (c[1] * c[2]).scale(GaussianRational(4) * c0) - c[1] * c[1] * c[1]
+    return lhs == rhs
+
+
+def _check_off_surface(f: HomPoly, p: ProjPoint, check_smooth: bool) -> None:
+    if check_smooth:
+        _require_smooth(f)
+    if f.eval(p.coords).is_zero():
+        raise InnerPointError(
+            "point lies on the surface: inner Galois points are out of scope")
+
+
 def is_outer_galois_point(f: HomPoly, p: ProjPoint, *,
                           check_smooth: bool = True,
                           basis: Optional[Matrix] = None) -> bool:
@@ -144,20 +175,8 @@ def is_outer_galois_point(f: HomPoly, p: ProjPoint, *,
     The verdict does not depend on the basis completion; a specific one
     may be supplied to exercise exactly that covariance.
     """
-    if check_smooth:
-        _require_smooth(f)
-    if f.eval(p.coords).is_zero():
-        raise InnerPointError(
-            "point lies on the surface: inner Galois points are out of scope")
-    c = _chart_coefficients(f, p, basis)
-    c0 = c[0].coeff((0, 0, 0))
-    eight_c0 = GaussianRational(8) * c0
-    first = c[2].scale(eight_c0) == (c[1] * c[1]).scale(3)
-    if not first:
-        return False
-    lhs = c[3].scale(eight_c0 * c0)
-    rhs = (c[1] * c[2]).scale(GaussianRational(4) * c0) - c[1] * c[1] * c[1]
-    return lhs == rhs
+    _check_off_surface(f, p, check_smooth)
+    return _is_split_chart(_chart_coefficients(f, p, basis))
 
 
 def galois_generator(f: HomPoly, p: ProjPoint, *,
@@ -168,10 +187,20 @@ def galois_generator(f: HomPoly, p: ProjPoint, *,
     it is conjugated back to the original coordinates and the exact
     relation f(M x) == multiplier * f is re-verified.
     """
-    if not is_outer_galois_point(f, p, check_smooth=check_smooth):
+    _check_off_surface(f, p, check_smooth)
+    gen = _generator_or_none(f, p)
+    if gen is None:
         raise ValueError(f"{p} is not an outer Galois point of this quartic")
+    return gen
+
+
+def _generator_or_none(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
+    """The Galois generator at p (off the surface), or None when p is not
+    an outer Galois point; the chart expansion is computed once."""
     b = adapted_basis(p)
     c = _chart_coefficients(f, p, basis=b)
+    if not _is_split_chart(c):
+        return None
     c0 = c[0].coeff((0, 0, 0))
     ell = c[1].scale(ONE / (GaussianRational(4) * c0))
     shear_row = [ONE]
@@ -244,25 +273,14 @@ def _verified_pairs(f: HomPoly, candidates: Sequence[ProjPoint]
         seen.add(p)
         if f.eval(p.coords).is_zero():
             continue
-        if is_outer_galois_point(f, p, check_smooth=False):
-            out.append((p, galois_generator(f, p, check_smooth=False)))
+        gen = _generator_or_none(f, p)
+        if gen is not None:
+            out.append((p, gen))
     out.sort(key=lambda pg: pg[0].sort_key())
     return out
 
 
-def _extra_points_on_wall(f: HomPoly, sub_form: HomPoly, rest: Sequence[int],
-                          limits: SolverLimits) -> Tuple[List[ProjPoint], bool]:
-    """Galois candidates inside the coordinate subspace spanned by the
-    non-split variables: the polar-cube locus of the complement form."""
-    quadrics = cube_locus_quadrics(sub_form)
-    if not quadrics:
-        return [], False
-    sols, complete = solve_projective(quadrics, sub_form.nvars, limits)
-    return [_lift_point(s, rest) for s in sols], complete
-
-
-def recognize_normal_form(f: HomPoly,
-                          limits: SolverLimits = DEFAULT_LIMITS) -> GaloisReport:
+def recognize_normal_form(f: HomPoly) -> GaloisReport:
     """Syntactic recognition of the three split normal forms.
 
     Detects, up to variable permutation, the monomial-support patterns
@@ -285,29 +303,23 @@ def recognize_normal_form(f: HomPoly,
         pairs = _verified_pairs(f, [_coordinate_point(v) for v in range(4)])
         if len(pairs) != 4:
             raise ConsistencyError("split form lost a coordinate Galois point")
-        return GaloisReport(f, pairs, PROVED_COMPLETE, "form-3")
-    if p == 2:
+        return GaloisReport(f, pairs, "form-3")
+    if p in (1, 2):
         sub = _complement_form(f, split)
-        if squarefree_profile(sub) != [1, 1, 1, 1]:
+        if p == 2 and squarefree_profile(sub) != [1, 1, 1, 1]:
             raise ConsistencyError(
                 "smooth split quartic with a repeated binary factor")
-        extra, complete = _extra_points_on_wall(f, sub, rest, limits)
-        pairs = _verified_pairs(
-            f, [_coordinate_point(v) for v in split] + extra)
-        status = PROVED_COMPLETE if complete else CANDIDATES_ONLY
-        return GaloisReport(f, pairs, status, "form-2")
-    if p == 1:
-        sub = _complement_form(f, split)
-        if not is_smooth_plane_quartic(sub):
+        if p == 1 and not is_smooth_plane_quartic(sub):
             raise ConsistencyError(
                 "smooth split quartic with singular complementary curve")
-        extra, complete = _extra_points_on_wall(f, sub, rest, limits)
-        pairs = _verified_pairs(
-            f, [_coordinate_point(v) for v in split] + extra)
-        status = PROVED_COMPLETE if complete else CANDIDATES_ONLY
-        return GaloisReport(f, pairs, status, "form-1")
+        # the remaining candidates lie on the wall spanned by the
+        # non-split variables: the polar-cube locus of the complement
+        sols, reason = solve_projective(cube_locus_quadrics(sub), sub.nvars)
+        pairs = _verified_pairs(f, [_coordinate_point(v) for v in split]
+                                + [_lift_point(s, rest) for s in sols])
+        return GaloisReport(f, pairs, f"form-{p}", reason)
     pairs = _verified_pairs(f, [_coordinate_point(v) for v in range(4)])
-    return GaloisReport(f, pairs, CANDIDATES_ONLY, "unrecognized")
+    return GaloisReport(f, pairs, "unrecognized", UNRECOGNIZED_FORM)
 
 
 def _form_label(f: HomPoly) -> str:
@@ -317,34 +329,32 @@ def _form_label(f: HomPoly) -> str:
 
 def enumerate_outer_galois_points(
         f: HomPoly,
-        extra_candidates: Sequence[ProjPoint] = (),
-        limits: SolverLimits = DEFAULT_LIMITS) -> GaloisReport:
+        extra_candidates: Sequence[ProjPoint] = ()) -> GaloisReport:
     """Search for every outer Galois point of a smooth quartic.
 
-    The polar-cube locus is cut out by quadrics in the point
-    coordinates; these are solved exactly chart by chart.  The four
-    coordinate points and any user candidates are always tested as
-    well, so the returned points are correct even when the solver
-    cannot certify completeness.  The report is proved-complete only
-    when the elimination chain certifies that no complex solution was
-    missed; a proved-complete point count outside {0, 1, 2, 4} is
-    impossible for smooth quartics and raises ConsistencyError.
+    The outer Galois points are among the zeros of the cube-locus
+    quadrics, which solver.solve_projective finds by a modular search:
+    zeros mod p from the Macaulay matrices, lifted and reconstructed in
+    Q(i), each kept only as an exact zero.  Those zeros, the four
+    coordinate points and any user candidates are then tested exactly
+    for the Galois property and given their verified generators, so
+    every reported point is correct whatever the search proved.  The
+    report is proved-complete only when the solver's Hilbert-function
+    count certifies that no complex zero was missed; otherwise it is
+    candidates-only with the solver's reason.  A proved-complete point
+    count outside {0, 1, 2, 4} is impossible for smooth quartics and
+    raises ConsistencyError.
     """
     if f.nvars != 4 or f.degree != 4:
         raise ValueError("expected a quartic form in 4 variables")
     _require_smooth(f)
-    quadrics = cube_locus_quadrics(f)
-    if quadrics:
-        sols, complete = solve_projective(quadrics, 4, limits)
-    else:
-        sols, complete = [], False
+    sols, reason = solve_projective(cube_locus_quadrics(f), 4)
     candidates = list(sols)
     candidates.extend(_coordinate_point(v) for v in range(4))
     candidates.extend(extra_candidates)
     pairs = _verified_pairs(f, candidates)
-    status = PROVED_COMPLETE if complete else CANDIDATES_ONLY
-    if status == PROVED_COMPLETE and len(pairs) not in (0, 1, 2, 4):
+    if reason is None and len(pairs) not in (0, 1, 2, 4):
         raise ConsistencyError(
             f"certified search returned {len(pairs)} Galois points; "
             "only 0, 1, 2 or 4 are possible for a smooth quartic")
-    return GaloisReport(f, pairs, status, _form_label(f))
+    return GaloisReport(f, pairs, _form_label(f), reason)

@@ -364,14 +364,20 @@ def _residue(v: GaussianRational, p: int, s: int, cache: Dict) -> int:
     return r
 
 
-def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    n, m = a.shape
-    r = 0
-    for c in range(m):
-        if r == n:
+def _echelon_mod_p(a: np.ndarray, p: int, reduced: bool = False) -> List[int]:
+    """Row-reduce a in place modulo p and return its pivot columns.
+
+    Pivots are scaled to 1 and cleared below; with reduced=True they are
+    cleared above as well, which gives the reduced row echelon form.
+    Entries must lie in [0, p) with p < 2**31, so int64 products cannot
+    overflow.
+    """
+    pivots: List[int] = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        if r == a.shape[0]:
             break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -379,13 +385,13 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), p - 2, p)
         a[r, c:] = (a[r, c:] * inv) % p
-        below = np.nonzero(a[r + 1:, c])[0]
-        if below.size:
-            rows = below + r + 1
+        rows = np.nonzero(a[:, c] if reduced else a[r + 1:, c])[0]
+        rows = rows[rows != r] if reduced else rows + r + 1
+        if rows.size:
             factors = a[rows, c][:, None]
             a[rows, c:] = (a[rows, c:] - factors * a[r, c:][None, :]) % p
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
 
 
 def prove_full_column_rank(rows: List[SparseRow], ncols: int) -> bool:
@@ -406,7 +412,7 @@ def prove_full_column_rank(rows: List[SparseRow], ncols: int) -> bool:
                     a[i, c] = _residue(v, p, s, cache)
         except _BadPrime:
             continue
-        if _rank_mod_p(a, p) == ncols:
+        if len(_echelon_mod_p(a, p)) == ncols:
             return True
     return sparse_rank(rows) == ncols
 

@@ -1,4 +1,4 @@
-"""Exact solver for the Galois-point search.
+"""Modular search for the points whose polar is a perfect cube.
 
 A point P (off the surface) is an outer Galois point of a smooth
 quartic f exactly when the first polar of f at P is a nonzero perfect
@@ -7,454 +7,342 @@ cube condition on a cubic form C is that its matrix of second partial
 derivatives has rank at most 1 identically, i.e. all 2x2 minors vanish
 as forms.  Since the second partials of the polar are bilinear in P
 and x, every minor coefficient is a quadratic form in P: the search
-space is cut out by a system of quadrics, which this module solves by
-exact linear reduction and iterated resultants.  The univariate
-eliminants and fibers go to univariate.gaussian_roots, which finds
-candidate roots modulo a split prime, lifts and reconstructs them, and
-keeps only those that vanish under exact evaluation over Q(i).
+space is the common zero set of a system of quadrics over Z[i].
 
-Completeness is tracked honestly: a report is marked complete only
-when every eliminant in the chain splits into linear factors over
-Q(i), counted by exactly verified roots, so that no complex solution
-can have been missed whatever the modular step proposed.
+The system is solved by one modular computation whose completeness is
+certified by counting.  Modulo a Gaussian prime pi above a prime
+p = 1 (mod 4), the Macaulay matrices of the quadrics give the Hilbert
+function H_p at degrees 4 and 5; when they agree, the zeros mod p are
+the joint eigenvectors of the multiplication maps on the degree-4 part
+of the quotient ring (Auzinger-Stetter).  Each zero is Newton-lifted
+pi-adically, reconstructed in Q(i), and kept only when it is an exact
+zero of every quadric, so no point rests on the modular step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+import math
+from itertools import combinations, combinations_with_replacement
+from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .gaussian import ZERO, ONE, GaussianRational
-from .linalg import sparse_rref
-from .poly import HomPoly, ProjPoint, monomials, partials
-from . import univariate
+from .linalg import Matrix, _CERT_PRIMES, _CERT_ROOTS, _echelon_mod_p
+from .poly import HomPoly, ProjPoint, monomials
+from .univariate import (GInt, Poly, _clear_denominators, _fp_roots, _gi_gcd,
+                         _gi_mul, _rational_reconstructions, degree)
 
-Exponent = Tuple[int, ...]
+# a quadratic form with Z[i] coefficients: (a, b), a <= b, -> coeff of P_a P_b
+Quadric = Dict[Tuple[int, int], GInt]
 
+HILBERT_NOT_STABLE = "hilbert-not-stable"
+POINTS_NOT_RECOVERED = "points-not-recovered"
 
-@dataclass(frozen=True)
-class SolverLimits:
-    """Resource caps; exceeding any of them downgrades completeness."""
-    max_eliminant_degree: int = 24
-    max_pair_polys: int = 10
-
-
-DEFAULT_LIMITS = SolverLimits()
-
-
-class MPoly:
-    """Sparse multivariate polynomial over Q(i), not necessarily homogeneous."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: Dict[Exponent, GaussianRational]):
-        self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
-
-    @staticmethod
-    def const(nvars: int, value) -> "MPoly":
-        v = GaussianRational.coerce(value)
-        return MPoly(nvars, {(0,) * nvars: v})
-
-    @staticmethod
-    def variable(nvars: int, k: int) -> "MPoly":
-        e = [0] * nvars
-        e[k] = 1
-        return MPoly(nvars, {tuple(e): ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
-    def const_value(self) -> GaussianRational:
-        return self.terms.get((0,) * self.nvars, ZERO)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, var: int) -> int:
-        return max((e[var] for e in self.terms), default=0)
-
-    def __add__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MPoly(self.nvars, out)
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "MPoly":
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other: "MPoly") -> "MPoly":
-        out: Dict[Exponent, GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MPoly(self.nvars, out)
-
-    def scale(self, c) -> "MPoly":
-        c = GaussianRational.coerce(c)
-        return MPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    def eval_full(self, values: Sequence[GaussianRational]) -> GaussianRational:
-        acc = ZERO
-        for e, c in self.terms.items():
-            t = c
-            for v, k in zip(values, e):
-                if k:
-                    t = t * v ** k
-            acc = acc + t
-        return acc
-
-    def partial_eval(self, var: int, value: GaussianRational) -> "MPoly":
-        """Substitute a constant for one variable and drop it."""
-        out: Dict[Exponent, GaussianRational] = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            coeff = c if k == 0 else c * value ** k
-            if coeff.is_zero():
-                continue
-            ne = e[:var] + e[var + 1:]
-            s = out.get(ne, ZERO) + coeff
-            if s.is_zero():
-                out.pop(ne, None)
-            else:
-                out[ne] = s
-        return MPoly(self.nvars - 1, out)
-
-    def as_univariate(self, var: int) -> List["MPoly"]:
-        """Coefficients in the chosen variable; entries live in nvars-1 vars."""
-        d = self.degree_in(var)
-        buckets: List[Dict[Exponent, GaussianRational]] = [{} for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            ne = e[:var] + e[var + 1:]
-            buckets[e[var]][ne] = buckets[e[var]].get(ne, ZERO) + c
-        return [MPoly(self.nvars - 1, b) for b in buckets]
-
-    def substitute_affine(self, var: int, expr: "MPoly") -> "MPoly":
-        """Replace the variable by an expression in the remaining variables."""
-        coeffs = self.as_univariate(var)
-        acc = MPoly(self.nvars - 1, {})
-        for c in reversed(coeffs):
-            acc = acc * expr + c
-        return acc
-
-    def univariate_coeffs(self) -> List[GaussianRational]:
-        if self.nvars != 1:
-            raise ValueError("not univariate")
-        d = self.total_degree()
-        out = [ZERO] * (d + 1)
-        for e, c in self.terms.items():
-            out[e[0]] = c
-        return univariate.trim(out)
-
-    def canonical_key(self):
-        items = sorted(self.terms.items())
-        if not items:
-            return ()
-        lead = items[-1][1]
-        return tuple((e, (c / lead).re, (c / lead).im) for e, c in items)
-
-    def __repr__(self) -> str:
-        return f"MPoly({self.nvars} vars, {len(self.terms)} terms)"
+# p-adic precision cap, as a power of p; a zero whose reconstruction
+# needs more is not recovered, which can only cost completeness
+_MAX_PRECISION = 128
 
 
 # ---------------------------------------------------------------------------
 # The quadric system cutting out points with perfect-cube polars.
 # ---------------------------------------------------------------------------
 
-def cube_locus_quadrics(f: HomPoly) -> List[MPoly]:
-    """Quadratic forms in P whose common zeros are exactly the points P
-    where the first polar sum_l P_l df/dx_l is a cube of a linear form
-    (possibly zero).
+def cube_locus_quadrics(f: HomPoly) -> List[Quadric]:
+    """Quadratic forms in P, with Z[i] coefficients, whose common zeros
+    are exactly the points P where the first polar sum_l P_l df/dx_l is
+    a cube of a linear form (possibly zero).
 
-    Built from the 2x2 minors of the second-derivative matrix of the
-    polar, reduced to a linearly independent basis.
+    They are the coefficients of the 2x2 minors of the Hessian of the
+    polar, computed from the fourth-derivative tensor of f with its
+    denominators cleared; exact duplicates are dropped.
     """
     n = f.nvars
-    grads = partials(f)
-    second = [partials(g) for g in grads]
-    third = [[partials(h) for h in row] for row in second]
-    # hx[i][j][m] = linear form in P: coefficient of x_m in the (i,j)
-    # second partial of the polar at P
-    hx: List[List[List[MPoly]]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            per_x = []
-            for m in range(n):
-                e_m = tuple(1 if t == m else 0 for t in range(n))
-                terms: Dict[Exponent, GaussianRational] = {}
-                for l in range(n):
-                    c = third[i][j][l].coeff(e_m)
-                    if not c.is_zero():
-                        pe = tuple(1 if t == l else 0 for t in range(n))
-                        terms[pe] = terms.get(pe, ZERO) + c
-                per_x.append(MPoly(n, terms))
-            row.append(per_x)
-        hx.append(row)
+    coeffs = dict(zip(f.terms, _clear_denominators(list(f.terms.values()))))
 
-    quadrics: List[MPoly] = []
-    seen = set()
-    for i, j in combinations(range(n), 2):
-        for k, l in combinations(range(n), 2):
-            # minor rows (i, j), columns (k, l): H_ik H_jl - H_il H_jk,
-            # split by x-monomial
-            for m in range(n):
-                for p in range(m, n):
-                    if m == p:
-                        q = hx[i][k][m] * hx[j][l][m] - hx[i][l][m] * hx[j][k][m]
-                    else:
-                        q = (hx[i][k][m] * hx[j][l][p] + hx[i][k][p] * hx[j][l][m]
-                             - hx[i][l][m] * hx[j][k][p] - hx[i][l][p] * hx[j][k][m])
-                    if q.is_zero():
-                        continue
-                    key = q.canonical_key()
-                    if key not in seen:
-                        seen.add(key)
-                        quadrics.append(q)
-    return _reduce_quadrics(quadrics, n)
+    def fourth(idx: Sequence[int]) -> GInt:
+        e = tuple(idx.count(v) for v in range(n))
+        a, b = coeffs.get(e, (0, 0))
+        scale = math.prod(math.factorial(k) for k in e)
+        return (a * scale, b * scale)
+
+    # hx[i][j][m]: the coefficient of x_m in the (i, j) second partial
+    # of the polar, a linear form in P given by its nonzero (l, coeff)
+    hx = [[[[(l, c) for l in range(n) if (c := fourth((i, j, m, l))) != (0, 0)]
+            for m in range(n)] for j in range(n)] for i in range(n)]
+
+    unique: Dict[tuple, Quadric] = {}
+    # the Hessian is symmetric, so minor (rows a, cols b) == minor (b, a)
+    for (i, j), (k, l) in combinations_with_replacement(
+            list(combinations(range(n), 2)), 2):
+        for m in range(n):
+            for s in range(m, n):
+                # coefficient of x_m x_s in H_ik H_jl - H_il H_jk
+                q: Quadric = {}
+                for u, v, sign in ((hx[i][k], hx[j][l], 1),
+                                   (hx[i][l], hx[j][k], -1)):
+                    _add_product(q, u[m], v[s], sign)
+                    if m != s:
+                        _add_product(q, u[s], v[m], sign)
+                key = tuple(sorted(t for t in q.items() if t[1] != (0, 0)))
+                if key:
+                    unique.setdefault(key, dict(key))
+    return list(unique.values())
 
 
-def _reduce_quadrics(quadrics: List[MPoly], n: int) -> List[MPoly]:
-    basis_monomials = monomials(n, 2)
-    index = {e: k for k, e in enumerate(basis_monomials)}
-    rows = []
-    for q in quadrics:
-        row = {index[e]: c for e, c in q.terms.items()}
-        rows.append(row)
-    rref = sparse_rref(rows)
-    out = []
-    for lead in sorted(rref):
-        terms = {basis_monomials[c]: v for c, v in rref[lead].items()}
-        out.append(MPoly(n, terms))
-    return out
+def _add_product(q: Quadric, u: List[Tuple[int, GInt]],
+                 v: List[Tuple[int, GInt]], sign: int) -> None:
+    """q += sign * (u . P) * (v . P) for sparse linear forms u, v."""
+    for a, ua in u:
+        for b, vb in v:
+            c = _gi_mul(ua, vb)
+            ab = (a, b) if a <= b else (b, a)
+            old = q.get(ab, (0, 0))
+            q[ab] = (old[0] + sign * c[0], old[1] + sign * c[1])
 
 
 # ---------------------------------------------------------------------------
-# Exact system solving.
+# The modular search and its certificate.
 # ---------------------------------------------------------------------------
 
-def _dedupe(polys: List[MPoly]) -> List[MPoly]:
-    seen = set()
-    out = []
-    for p in polys:
-        k = p.canonical_key()
-        if k not in seen:
-            seen.add(k)
-            out.append(p)
-    return out
+def solve_projective(quadrics: List[Quadric], nvars: int
+                     ) -> Tuple[List[ProjPoint], Optional[str]]:
+    """The Q(i)-points of P^(nvars-1) where every quadric vanishes.
 
+    Returns (points, reason): every point is an exact zero of the whole
+    system, and reason is None exactly when the list is proved to hold
+    every complex zero; otherwise it is HILBERT_NOT_STABLE or
+    POINTS_NOT_RECOVERED.
 
-def solve_affine(polys: List[MPoly], nvars: int,
-                 limits: SolverLimits = DEFAULT_LIMITS
-                 ) -> Tuple[List[Tuple[GaussianRational, ...]], bool]:
-    """All Q(i)-solutions of the system, with a completeness certificate.
-
-    The second component is True only when the elimination chain proves
-    that the returned list contains every complex solution (each
-    eliminant splits over Q(i) and no fiber is infinite).
+    Certificate.  Let I be the ideal of the quadrics over Q(i), H its
+    Hilbert function, H_p that of their reductions modulo a Gaussian
+    prime pi | p, and N the number of distinct exact zeros found.  The
+    list is complete when H_p(4) = H_p(5) = N <= 4:
+      - the Macaulay matrices mod pi are reductions of the Z[i] ones,
+        and rank can only drop under reduction, so H(d) <= H_p(d);
+      - N distinct points impose independent conditions on forms of
+        degree >= N - 1, so H(d) >= N for d >= 3;
+      - hence H(4) = H(5) = N with 4 >= N, which is maximal growth in
+        Macaulay's sense; since I is generated in degree 2 <= 4,
+        Gotzmann persistence gives H(d) = N for all d >= 4, so V(I) is
+        a scheme of degree N and has no complex point beyond the N found.
+    When the count does not close, the next prime of _CERT_PRIMES is
+    tried; points found at any prime are kept, since each is exact.
+    Random choices come from Random(p), so the output is deterministic.
     """
-    polys = _dedupe([p for p in polys if not p.is_zero()])
-    for p in polys:
-        if p.is_constant():
-            return [], True
-    if nvars == 0:
-        return [()], True
-    if not polys:
-        # nothing constrains the variables: positive-dimensional
-        return [], False
+    found: List[ProjPoint] = []
+    reason: Optional[str] = HILBERT_NOT_STABLE
+    for p in _CERT_PRIMES:
+        s = _CERT_ROOTS[p]
+        pi = _gi_gcd((p, 0), (s, 1))          # i = -s (mod pi)
+        h4, h5, zeros = _zeros_mod_p(quadrics, nvars, p, -s % p)
+        for z in zeros:
+            point = _lift(quadrics, z, p, -s % p, pi)
+            if point is not None and point not in found:
+                found.append(point)
+        stable = h4 == h5 <= 4
+        if stable and h4 == len(found):
+            reason = None
+            break
+        reason = POINTS_NOT_RECOVERED if stable else HILBERT_NOT_STABLE
+    found.sort(key=lambda q: q.sort_key())
+    return found, reason
 
-    # use exact linear relations first
-    for idx, p in enumerate(polys):
-        if p.total_degree() == 1:
-            coeffs = [p.terms.get(tuple(1 if t == v else 0 for t in range(nvars)), ZERO)
-                      for v in range(nvars)]
-            pivot = next(v for v in range(nvars) if not coeffs[v].is_zero())
-            c0 = p.const_value()
-            # pivot = -(c0 + sum_{j != pivot} c_j x_j) / c_pivot
-            expr_terms: Dict[Exponent, GaussianRational] = {}
-            if not c0.is_zero():
-                expr_terms[(0,) * (nvars - 1)] = -c0 / coeffs[pivot]
-            for j in range(nvars):
-                if j == pivot or coeffs[j].is_zero():
-                    continue
-                nj = j if j < pivot else j - 1
-                e = tuple(1 if t == nj else 0 for t in range(nvars - 1))
-                expr_terms[e] = -coeffs[j] / coeffs[pivot]
-            expr = MPoly(nvars - 1, expr_terms)
-            reduced = [q.substitute_affine(pivot, expr)
-                       for k, q in enumerate(polys) if k != idx]
-            sub_sols, complete = solve_affine(reduced, nvars - 1, limits)
-            lifted = []
-            for s in sub_sols:
-                v = expr.eval_full(s)
-                lifted.append(s[:pivot] + (v,) + s[pivot:])
-            return lifted, complete
 
-    if nvars == 1:
-        g: Optional[List[GaussianRational]] = None
-        for p in polys:
-            u = p.univariate_coeffs()
-            g = u if g is None else univariate.gcd(g, u)
-        assert g is not None
-        if univariate.degree(g) <= 0:
-            return [], True
-        roots, split = univariate.gaussian_roots(g)
-        sols = [(r,) for r in roots]
-        return sols, split
-
-    # eliminate the last variable by resultants
-    last = nvars - 1
-    base = [p.partial_eval(last, ZERO) for p in polys if p.degree_in(last) == 0]
-    active = [p for p in polys if p.degree_in(last) > 0]
-    if not active:
-        sub_sols, sub_complete = solve_affine(base, nvars - 1, limits)
-        if not sub_sols and sub_complete:
-            return [], True
-        return [], False
-
-    eliminants: List[MPoly] = list(base)
-    degree_ok = True
-    for p, q in combinations(active[:limits.max_pair_polys], 2):
-        r = resultant(p, q, last)
-        if r.is_zero():
+def _zeros_mod_p(quadrics: List[Quadric], n: int, p: int, i_p: int
+                 ) -> Tuple[int, int, List[List[int]]]:
+    """(H_p(4), H_p(5), zeros mod p).  The zeros are recovered only when
+    the two values agree: then multiplication by a generic linear form
+    l0 maps the degree-4 part of the quotient onto the degree-5 part,
+    and M_t = l0^-1 x_t acts on it with the evaluation functional of
+    each zero P as a left eigenvector of eigenvalue x_t(P) / l0(P)."""
+    pairs = list(combinations_with_replacement(range(n), 2))
+    gens = np.array([[_residue(q.get(ab, (0, 0)), i_p, p) for ab in pairs]
+                     for q in quadrics], dtype=np.int64).reshape(-1, len(pairs))
+    basis = gens[:len(_echelon_mod_p(gens, p))]
+    mac4, index4 = _macaulay(basis, n, 4)
+    piv4 = _echelon_mod_p(mac4, p)
+    rref5, index5 = _macaulay(basis, n, 5)
+    piv5 = _echelon_mod_p(rref5, p, reduced=True)
+    h4 = len(index4) - len(piv4)
+    h5 = len(index5) - len(piv5)
+    if h4 != h5 or h4 == 0:
+        return h4, h5, []
+    # normal forms of the degree-5 monomials in the standard monomials
+    std5 = [c for c in range(len(index5)) if c not in set(piv5)]
+    nf = np.zeros((h5, len(index5)), dtype=np.int64)
+    nf[range(h5), std5] = 1
+    for r, c in enumerate(piv5):
+        nf[:, c] = -rref5[r, std5] % p
+    std4 = [e for e, c in index4.items() if c not in set(piv4)]
+    mult = [nf[:, [index5[tuple(a + (t == v) for v, a in enumerate(b))]
+                   for b in std4]] for t in range(n)]
+    rng = Random(p)
+    l0 = sum(rng.randrange(1, p) * x % p for x in mult) % p
+    aug = np.concatenate([l0] + mult, axis=1)
+    if _echelon_mod_p(aug, p, reduced=True) != list(range(h4)):
+        return h4, h5, []
+    ms = [aug[:, (t + 1) * h4:(t + 2) * h4].tolist() for t in range(n)]
+    r = [rng.randrange(p) for _ in range(n)]
+    a = [[sum(r[t] * ms[t][i][j] for t in range(n)) % p for j in range(h4)]
+         for i in range(h4)]
+    zeros = []
+    for lam in _fp_roots(_charpoly_mod_p(a, p), p):
+        # the left eigenvectors w of a for lam: the kernel of (a - lam)^T
+        left = np.array([[(a[j][i] - (i == j) * lam) % p for j in range(h4)]
+                         for i in range(h4)], dtype=np.int64)
+        pivots = _echelon_mod_p(left, p, reduced=True)
+        if len(pivots) != h4 - 1:
             continue
-        if r.total_degree() > limits.max_eliminant_degree:
-            degree_ok = False
+        free = min(set(range(h4)) - set(pivots))
+        w = [int(c == free) for c in range(h4)]
+        for row, c in enumerate(pivots):
+            w[c] = -int(left[row, free]) % p
+        zeros.append([sum(w[i] * m[i][free] for i in range(h4)) % p for m in ms])
+    return h4, h5, zeros
+
+
+def _macaulay(basis: np.ndarray, n: int, d: int
+              ) -> Tuple[np.ndarray, Dict[Tuple[int, ...], int]]:
+    """The degree-d Macaulay matrix of the quadrics given as rows over
+    the pairs a <= b: one row per quadric and monomial of degree d - 2."""
+    index = {e: k for k, e in enumerate(monomials(n, d))}
+    shifts = monomials(n, d - 2)
+    mac = np.zeros((len(basis) * len(shifts), len(index)), dtype=np.int64)
+    for k, e in enumerate(shifts):
+        where = [index[tuple(x + (t == a) + (t == b) for t, x in enumerate(e))]
+                 for a, b in combinations_with_replacement(range(n), 2)]
+        mac[k * len(basis):(k + 1) * len(basis), where] = basis
+    return mac, index
+
+
+def _residue(c: GInt, i_m: int, m: int) -> int:
+    return (c[0] + c[1] * i_m) % m
+
+
+def _charpoly_mod_p(a: List[List[int]], p: int) -> Poly:
+    """det(x I - a) mod p, low degree first, by Faddeev-LeVerrier
+    (valid since p exceeds the size of a)."""
+    h = len(a)
+    coeffs = [0] * h + [1]
+    m = [[0] * h for _ in range(h)]
+    for k in range(1, h + 1):
+        m = [[(sum(a[i][l] * m[l][j] for l in range(h))
+               + (i == j) * coeffs[h - k + 1]) % p for j in range(h)]
+             for i in range(h)]
+        trace = sum(a[i][l] * m[l][i] for i in range(h) for l in range(h))
+        coeffs[h - k] = -trace * pow(k, -1, p) % p
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
+# Lifting a zero mod p to an exact zero over Q(i).
+# ---------------------------------------------------------------------------
+
+def _lift(quadrics: List[Quadric], zero: List[int], p: int, i_p: int,
+          pi: GInt) -> Optional[ProjPoint]:
+    """The exact zero of the system that reduces to the given zero mod
+    pi, or None.  In the chart of its first nonzero coordinate, the zero
+    is Newton-lifted mod p^(2^j) on n-1 quadrics whose Jacobian is
+    invertible mod p; each coordinate is reconstructed in Q(i), and the
+    point is returned once two successive precisions agree and it is an
+    exact zero of every quadric."""
+    n = len(zero)
+    chart = next(t for t in range(n) if zero[t])
+    x = [v * pow(zero[chart], -1, p) % p for v in zero]
+    free = [t for t in range(n) if t != chart]
+    if any(_evaluate(q, x, i_p, p) for q in quadrics):
+        return None
+    # the pivot columns of the transposed Jacobian: the first n - 1
+    # quadrics with independent gradients mod p
+    jac = np.array([_gradient(q, x, i_p, p, free) for q in quadrics],
+                   dtype=np.int64).reshape(-1, n - 1)
+    chosen = [quadrics[k] for k in _echelon_mod_p(jac.T, p)]
+    if len(chosen) < n - 1:
+        return None
+    m, i_m, pik = p, i_p, pi
+    prev = _reconstruct(x, free, pik, m)
+    for _ in range(_MAX_PRECISION.bit_length() - 1):
+        m2 = m * m
+        i_m = (i_m - (i_m * i_m + 1) * pow(2 * i_m, -1, m2)) % m2
+        m, pik = m2, _gi_mul(pik, pik)
+        delta = _solve_mod([_gradient(q, x, i_m, m, free) for q in chosen],
+                           [_evaluate(q, x, i_m, m) for q in chosen], m)
+        for t, dt in zip(free, delta):
+            x[t] = (x[t] - dt) % m
+        cur = _reconstruct(x, free, pik, m)
+        if cur is not None and cur == prev:
+            coords = list(cur)
+            coords.insert(chart, ONE)
+            if _is_exact_zero(quadrics, coords):
+                return ProjPoint(coords)
+        prev = cur
+    return None
+
+
+def _evaluate(q: Quadric, x: List[int], i_m: int, m: int) -> int:
+    return sum(_residue(c, i_m, m) * x[a] * x[b] for (a, b), c in q.items()) % m
+
+
+def _gradient(q: Quadric, x: List[int], i_m: int, m: int,
+              free: List[int]) -> List[int]:
+    return [sum(_residue(c, i_m, m) * ((a == t) * x[b] + (b == t) * x[a])
+                for (a, b), c in q.items()) % m for t in free]
+
+
+def _solve_mod(a: List[List[int]], b: List[int], m: int) -> List[int]:
+    """The solution of a y = b mod m, for a square a invertible mod m."""
+    n = len(a)
+    rows = [list(r) + [v] for r, v in zip(a, b)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if math.gcd(rows[r][c], m) == 1)
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], -1, m)
+        rows[c] = [v * inv % m for v in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [(v - rows[r][c] * w) % m
+                           for v, w in zip(rows[r], rows[c])]
+    return [row[n] for row in rows]
+
+
+def _reconstruct(x: List[int], free: List[int], pik: GInt, m: int
+                 ) -> Optional[Tuple[GaussianRational, ...]]:
+    """Each free coordinate as u/v with N(u), N(v) <= sqrt(m)/16, from
+    its residue mod pi^k (m = p^k); None if some coordinate has none."""
+    bound = math.isqrt(m >> 8)
+    out = []
+    for t in free:
+        if x[t] == 0:
+            out.append(ZERO)
             continue
-        eliminants.append(r)
-
-    proj_sols, proj_complete = solve_affine(eliminants, nvars - 1, limits)
-    complete = proj_complete and degree_ok
-    sols: List[Tuple[GaussianRational, ...]] = []
-    for q in proj_sols:
-        fibers = []
-        all_vanish = True
-        for p in active:
-            reduced = p
-            for var in range(nvars - 2, -1, -1):
-                reduced = reduced.partial_eval(var, q[var])
-            u = reduced.univariate_coeffs()
-            if u:
-                all_vanish = False
-                fibers.append(u)
-        if all_vanish:
-            # the whole fiber line solves the active system
-            complete = False
-            continue
-        g = fibers[0]
-        for u in fibers[1:]:
-            g = univariate.gcd(g, u)
-        if univariate.degree(g) <= 0:
-            continue
-        roots, split = univariate.gaussian_roots(g)
-        complete = complete and split
-        for r in roots:
-            cand = q + (r,)
-            if all(p.eval_full(cand).is_zero() for p in polys):
-                sols.append(cand)
-    # dedupe
-    seen = set()
-    unique = []
-    for s in sols:
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
-    return unique, complete
+        uv = next(_rational_reconstructions(x[t], pik, bound), None)
+        if uv is None:
+            return None
+        u, v = uv
+        out.append(GaussianRational(*u) / GaussianRational(*v))
+    return tuple(out)
 
 
-def resultant(p: MPoly, q: MPoly, var: int) -> MPoly:
-    """Sylvester resultant of p and q with respect to one variable."""
-    a = p.as_univariate(var)
-    b = q.as_univariate(var)
-    m = len(a) - 1
-    n = len(b) - 1
-    nv = p.nvars - 1
-    if m < 1 or n < 1:
-        raise ValueError("resultant needs positive degree in the variable")
-    size = m + n
-    zero = MPoly(nv, {})
-    mat = [[zero] * size for _ in range(size)]
-    for r in range(n):
-        for k in range(m + 1):
-            mat[r][r + k] = a[m - k]
-    for r in range(m):
-        for k in range(n + 1):
-            mat[n + r][r + k] = b[n - k]
-    return _det_dp(mat, nv)
+def _is_exact_zero(quadrics: List[Quadric],
+                   coords: List[GaussianRational]) -> bool:
+    """Every quadric vanishes at the point, checked in Z[i] after
+    clearing the coordinates' denominators."""
+    x = _clear_denominators(coords)
+    for q in quadrics:
+        terms = [_gi_mul(c, _gi_mul(x[a], x[b])) for (a, b), c in q.items()]
+        if sum(t[0] for t in terms) or sum(t[1] for t in terms):
+            return False
+    return True
 
 
-def _det_dp(mat: List[List[MPoly]], nv: int) -> MPoly:
-    """Determinant of a small matrix of polynomials, expanding by rows
-    with memoization over the set of unused columns."""
-    k = len(mat)
-    memo: Dict[int, MPoly] = {}
-    full = (1 << k) - 1
-
-    def rec(mask: int) -> MPoly:
-        if mask == 0:
-            return MPoly.const(nv, 1)
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        r = k - bin(mask).count("1")
-        acc = MPoly(nv, {})
-        sign = 1
-        mm = mask
-        while mm:
-            low = mm & (-mm)
-            c = low.bit_length() - 1
-            entry = mat[r][c]
-            if not entry.is_zero():
-                sub = rec(mask ^ low)
-                term = entry * sub
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-            mm ^= low
-        memo[mask] = acc
-        return acc
-
-    return rec(full)
-
-
-def solve_projective(quadrics: List[MPoly], nvars: int,
-                     limits: SolverLimits = DEFAULT_LIMITS
-                     ) -> Tuple[List[ProjPoint], bool]:
-    """All Q(i)-points of projective space satisfying the system, chart
-    by chart (first nonzero coordinate scaled to 1), with the combined
-    completeness certificate."""
-    points: List[ProjPoint] = []
-    complete = True
-    for chart in range(nvars):
-        reduced = []
-        for q in quadrics:
-            p = q
-            # variables below the chart vanish, the chart variable is 1;
-            # eliminate from highest index down so indices stay valid
-            p = p.partial_eval(chart, ONE)
-            for v in range(chart - 1, -1, -1):
-                p = p.partial_eval(v, ZERO)
-            reduced.append(p)
-        unknowns = nvars - chart - 1
-        sols, comp = solve_affine(reduced, unknowns, limits)
-        complete = complete and comp
-        for s in sols:
-            coords = [ZERO] * chart + [ONE] + list(s)
-            points.append(ProjPoint(coords))
-    points.sort(key=lambda p: p.sort_key())
-    return points, complete
+def resultant(p: Poly, q: Poly) -> GaussianRational:
+    """Sylvester resultant of two nonzero univariate Q(i) polynomials
+    (coefficient lists, lowest degree first)."""
+    if not p or not q:
+        raise ValueError("resultant of the zero polynomial")
+    m, n = degree(p), degree(q)
+    rows = [[ZERO] * r + p[::-1] + [ZERO] * (n - 1 - r) for r in range(n)]
+    rows += [[ZERO] * r + q[::-1] + [ZERO] * (m - 1 - r) for r in range(m)]
+    return Matrix.from_rows(rows).det() if rows else ONE

@@ -205,3 +205,18 @@ def test_consistency_error_is_reported_without_traceback(capsys, monkeypatch):
 def test_surface_beginning_with_minus(capsys):
     code, out, _ = run(capsys, "smooth", "--", "-X^4+Y^4+Z^4+W^4")
     assert code == 0 and "smooth: yes" in out
+
+
+def test_galois_find_reason_on_candidates_only(capsys):
+    # Fermat over Q(i, sqrt 2): two of the four points are irrational
+    surface = "2*X^4+24*X^2*Y^2+8*Y^4+Z^4+W^4"
+    code, payload, _ = run_json(capsys, "galois", "find", surface)
+    assert code == 0
+    assert payload["completeness"] == "candidates-only"
+    assert payload["reason"] == "points-not-recovered"
+    code, out, _ = run(capsys, "galois", "find", surface)
+    assert "completeness: candidates-only\nreason: points-not-recovered\n" in out
+    _, payload, _ = run_json(capsys, "galois", "find", FERMAT)
+    assert "reason" not in payload
+    _, out, _ = run(capsys, "galois", "find", FERMAT)
+    assert "reason:" not in out

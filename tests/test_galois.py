@@ -10,6 +10,7 @@ from quartic_galois.gaussian import I, ONE, ZERO
 from quartic_galois.galois import (adapted_basis, enumerate_outer_galois_points,
                                    galois_generator, is_outer_galois_point,
                                    linear_auto, recognize_normal_form)
+from quartic_galois import solver
 from quartic_galois.geometry import eigen_decompose_order4
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import (ProjPoint, parse_poly, substitute_linear,
@@ -212,6 +213,7 @@ def test_recognize_unrecognized():
     rep = recognize_normal_form(h)
     assert rep.normal_form == "unrecognized"
     assert rep.completeness == "candidates-only"
+    assert rep.reason == "unrecognized-form"
     assert rep.point_list() == []
 
 
@@ -288,20 +290,49 @@ def test_enumerate_conjugated_fermat():
     assert set(rep.point_list()) == moved
 
 
-def test_enumerate_generic_coordinates():
-    # Fermat pulled back by a height-3 matrix: the eliminants' roots have
-    # large denominators, and the search must still prove completeness
+@pytest.mark.parametrize("height", [1, 3, 6], ids=["conj1", "conj3", "conj6"])
+def test_enumerate_generic_coordinates(height):
+    # Fermat pulled back by a matrix with entries a+bi, |a|, |b| <= height:
+    # the moved points have large denominators, and the search must
+    # still prove completeness
     rng = random.Random(7)
     while True:
-        a = Matrix(4, 4, [GR(rng.randint(-3, 3), rng.randint(-3, 3))
-                          for _ in range(16)])
+        a = Matrix(4, 4, [GR(rng.randint(-height, height),
+                             rng.randint(-height, height)) for _ in range(16)])
         if not a.det().is_zero():
             break
     rep = enumerate_outer_galois_points(substitute_linear(FERMAT, a))
     moved = {ProjPoint(a.inverse().apply([1 if t == k else 0 for t in range(4)]))
              for k in range(4)}
     assert rep.completeness == "proved-complete"
+    assert rep.reason is None
     assert sorted(rep.point_list(), key=str) == sorted(moved, key=str)
+
+
+def test_enumerate_retries_next_prime():
+    # modulo the first certificate prime this is Fermat, whose four
+    # points do not lift to zeros of the true system; the count closes
+    # only at the next prime
+    h = parse_poly("X^4+Y^4+Z^4+W^4+2130706433*X*Y*Z*W", 4)
+    p = solver._CERT_PRIMES[0]
+    assert p == 2130706433
+    h4, h5, zeros = solver._zeros_mod_p(solver.cube_locus_quadrics(h), 4, p,
+                                        -solver._CERT_ROOTS[p] % p)
+    assert (h4, h5, len(zeros)) == (4, 4, 4)
+    rep = enumerate_outer_galois_points(h)
+    assert rep.point_list() == []
+    assert rep.completeness == "proved-complete"
+
+
+def test_enumerate_irrational_points_not_recovered():
+    # 2X^4+24X^2Y^2+8Y^4 = (X+sqrt2 Y)^4 + (X-sqrt2 Y)^4: Fermat in
+    # coordinates over Q(i, sqrt 2), so two of its four points are not
+    # Q(i)-rational and the count cannot close
+    f = parse_poly("2*X^4+24*X^2*Y^2+8*Y^4+Z^4+W^4", 4)
+    rep = enumerate_outer_galois_points(f)
+    assert rep.completeness == "candidates-only"
+    assert rep.reason == "points-not-recovered"
+    assert rep.point_list() == [E4, E3]
 
 
 def test_enumerate_rejects_singular():
@@ -318,20 +349,45 @@ def test_proved_complete_counts():
             assert len(rep.points) in (0, 1, 2, 4)
 
 
-def test_enumerate_downgrades_on_solver_limits():
-    # a conjugated surface needs the resultant chain; capping the
-    # eliminant degree must downgrade completeness, never fake it
-    from quartic_galois.solver import SolverLimits
-    rng = random.Random(5)
-    a = rand_invertible(rng)
-    fa = substitute_linear(FERMAT, a)
+def _conjugate_5():
+    a = rand_invertible(random.Random(5))
+    return substitute_linear(FERMAT, a)
+
+
+def test_enumerate_downgrades_on_lost_point(monkeypatch):
+    # a zero that fails to lift must downgrade completeness, never fake it
+    fa = _conjugate_5()
     full = enumerate_outer_galois_points(fa)
-    capped = enumerate_outer_galois_points(
-        fa, limits=SolverLimits(max_eliminant_degree=1))
     assert full.completeness == "proved-complete"
     assert len(full.points) == 4
+    lost = full.point_list()[0]
+    lift = solver._lift
+
+    def drop_one(*args):
+        point = lift(*args)
+        return None if point == lost else point
+
+    monkeypatch.setattr(solver, "_lift", drop_one)
+    capped = enumerate_outer_galois_points(fa)
     assert capped.completeness == "candidates-only"
-    assert {p for p, _g in capped.points} <= {p for p, _g in full.points}
+    assert capped.reason == "points-not-recovered"
+    assert set(capped.point_list()) == set(full.point_list()) - {lost}
+
+
+def test_enumerate_ignores_bogus_modular_zero(monkeypatch):
+    # a wrong zero mod p is neither reported nor counted
+    fa = _conjugate_5()
+    zeros_mod_p = solver._zeros_mod_p
+
+    def with_bogus(*args):
+        h4, h5, zeros = zeros_mod_p(*args)
+        return h4, h5, zeros + [[1, 2, 3, 4]]
+
+    monkeypatch.setattr(solver, "_zeros_mod_p", with_bogus)
+    rep = enumerate_outer_galois_points(fa)
+    assert rep.completeness == "proved-complete"
+    assert len(rep.points) == 4
+    assert all(is_outer_galois_point(fa, p) for p in rep.point_list())
 
 
 def test_shear_produces_split_form():

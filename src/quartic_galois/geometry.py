@@ -1,13 +1,21 @@
 """Exact projective geometry predicates for quartics.
 
-Smoothness is decided by one exact rank computation: if forms
-f_1..f_n of degree 3 in n variables have no common projective zero
-they form a regular sequence, so the quotient ring vanishes in degrees
-above 3*(n-1) and the degree-(3*(n-1)+1) graded piece of the ideal they
-generate must be the full space of forms of that degree.  Conversely a
-common zero supports a point evaluation that kills the graded piece.
-The rank of the corresponding multiplication (Macaulay) matrix is
-therefore full exactly when the zero set is empty.
+Smoothness is decided on the Jacobian ideal.  If forms f_1..f_n of
+degree 3 in n variables have no common projective zero they form a
+regular sequence, so the quotient ring vanishes in degrees above
+3*(n-1) and the graded piece of degree D = 3*(n-1)+1 (10 for surfaces,
+7 for plane quartics) of the ideal they generate is the full space of
+forms of degree D.  Conversely a common zero supports a point
+evaluation that kills the graded piece.  The rank of the degree-D
+multiplication (Macaulay) matrix is therefore full exactly when the
+zero set is empty.  The verdict takes up to three steps:
+  1. a full-rank image of the matrix modulo a prime p proves smooth;
+  2. at the first prime whose image is deficient, the common zeros of
+     the partials mod p are found with the solver's zero finder, and
+     each is reconstructed in Q(i) at that prime; one that is an exact
+     common zero of the partials proves singular (by Euler's identity it
+     lies on the quartic);
+  3. otherwise the next prime, and at the end exact elimination.
 """
 
 from __future__ import annotations
@@ -16,9 +24,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateInputError, UnnormalizedAutomorphismError
 from .gaussian import FOURTH_ROOTS, GaussianRational
-from .linalg import Matrix, SparseRow, prove_full_column_rank
+from .linalg import (Matrix, SparseRow, _CERT_PIS, _CERT_ROOTS,
+                     prove_full_column_rank)
 from .poly import (HomPoly, ProjPoint, monomials, partials,
                    squarefree_profile, substitute_linear)
+from .solver import _reconstruct, _zeros_mod_p
+from .univariate import _clear_denominators
 
 SubspaceBasis = Sequence[Union[ProjPoint, Sequence]]
 
@@ -51,14 +62,36 @@ def jacobian_ideal_is_irrelevant(f: HomPoly, margin: int = 0) -> bool:
     """True iff the partials of f have no common projective zero.
 
     Tested at degree 3*(nvars-1)+1 (+margin); both settings of margin
-    must agree for smooth input, which the test suite checks.
+    must agree for smooth input, which the test suite checks.  A
+    deficient modular image is followed by one search for an exact
+    singular point (_singular_point) before the exact fallback.
     """
     gens = partials(f)
     if any(g.is_zero() for g in gens):
         return False
     target = (f.degree - 1) * (f.nvars - 1) + 1 + margin
     rows, ncols = macaulay_rows(gens, target)
-    return prove_full_column_rank(rows, ncols)
+    return prove_full_column_rank(
+        rows, ncols, lambda p: _singular_point(gens, target, p) is not None)
+
+
+def _singular_point(gens: List[HomPoly], target: int, p: int
+                    ) -> Optional[ProjPoint]:
+    """An exact common zero of the forms gens (the partials of a
+    quartic), or None.  The zeros mod p of their ideal, read off at the
+    degrees (target - 1, target), are reconstructed in Q(i) at the single
+    prime p, modulo the Gaussian prime of the package's reduction; the
+    first one at which every form vanishes exactly is returned."""
+    coeffs = iter(_clear_denominators([c for g in gens for c in g.terms.values()]))
+    forms = [{tuple(v for v, e in enumerate(exp) for _ in range(e)): next(coeffs)
+              for exp in g.terms} for g in gens]
+    _, _, zeros = _zeros_mod_p(forms, gens[0].nvars, p, _CERT_ROOTS[p],
+                               k=gens[0].degree, d=target - 1)
+    for z in zeros:
+        coords = _reconstruct(z, _CERT_PIS[p], p)
+        if coords is not None and all(g.eval(coords).is_zero() for g in gens):
+            return ProjPoint(coords)
+    return None
 
 
 def is_smooth_surface(f: HomPoly, margin: int = 0) -> bool:

@@ -16,7 +16,9 @@ function H_p at degrees 4 and 5; when they agree, the zeros mod p are
 the joint eigenvectors of the multiplication maps on the degree-4 part
 of the quotient ring (Auzinger-Stetter).  Each zero is Newton-lifted
 pi-adically, reconstructed in Q(i), and kept only when it is an exact
-zero of every quadric, so no point rests on the modular step.
+zero of every quadric, so no point rests on the modular step.  The zero
+finder takes forms of any degree: the smoothness test of the geometry
+module runs it on the partials of a quartic to find a singular point.
 """
 
 from __future__ import annotations
@@ -29,13 +31,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .gaussian import ZERO, ONE, GaussianRational
-from .linalg import Matrix, _CERT_PRIMES, _CERT_ROOTS, _echelon_mod_p
+from .linalg import (Matrix, _CERT_PIS, _CERT_PRIMES, _CERT_ROOTS,
+                     _echelon_mod_p)
 from .poly import HomPoly, ProjPoint, monomials
-from .univariate import (GInt, Poly, _clear_denominators, _fp_roots, _gi_gcd,
-                         _gi_mul, _rational_reconstructions, degree)
+from .univariate import (GInt, Poly, _clear_denominators, _fp_roots, _gi_mul,
+                         _rational_reconstructions, degree)
 
-# a quadratic form with Z[i] coefficients: (a, b), a <= b, -> coeff of P_a P_b
-Quadric = Dict[Tuple[int, int], GInt]
+# a form with Z[i] coefficients: sorted variable indices (a, b, ...) ->
+# coefficient of P_a P_b ...; a quadric's keys are the pairs a <= b
+Form = Dict[Tuple[int, ...], GInt]
+Quadric = Form
 
 HILBERT_NOT_STABLE = "hilbert-not-stable"
 POINTS_NOT_RECOVERED = "points-not-recovered"
@@ -134,11 +139,9 @@ def solve_projective(quadrics: List[Quadric], nvars: int
     found: List[ProjPoint] = []
     reason: Optional[str] = HILBERT_NOT_STABLE
     for p in _CERT_PRIMES:
-        s = _CERT_ROOTS[p]
-        pi = _gi_gcd((p, 0), (s, 1))          # i = -s (mod pi)
-        h4, h5, zeros = _zeros_mod_p(quadrics, nvars, p, -s % p)
+        h4, h5, zeros = _zeros_mod_p(quadrics, nvars, p, _CERT_ROOTS[p])
         for z in zeros:
-            point = _lift(quadrics, z, p, -s % p, pi)
+            point = _lift(quadrics, z, p, _CERT_ROOTS[p], _CERT_PIS[p])
             if point is not None and point not in found:
                 found.append(point)
         stable = h4 == h5 <= 4
@@ -150,70 +153,75 @@ def solve_projective(quadrics: List[Quadric], nvars: int
     return found, reason
 
 
-def _zeros_mod_p(quadrics: List[Quadric], n: int, p: int, i_p: int
-                 ) -> Tuple[int, int, List[List[int]]]:
-    """(H_p(4), H_p(5), zeros mod p).  The zeros are recovered only when
-    the two values agree: then multiplication by a generic linear form
-    l0 maps the degree-4 part of the quotient onto the degree-5 part,
-    and M_t = l0^-1 x_t acts on it with the evaluation functional of
-    each zero P as a left eigenvector of eigenvalue x_t(P) / l0(P)."""
-    pairs = list(combinations_with_replacement(range(n), 2))
-    gens = np.array([[_residue(q.get(ab, (0, 0)), i_p, p) for ab in pairs]
-                     for q in quadrics], dtype=np.int64).reshape(-1, len(pairs))
+def _zeros_mod_p(forms: List[Form], n: int, p: int, i_p: int, k: int = 2,
+                 d: int = 4) -> Tuple[int, int, List[List[int]]]:
+    """(H_p(d), H_p(d+1), zeros mod p) of the ideal of forms of degree k
+    in n variables, reduced by i -> i_p.  The zeros are recovered only
+    when the two values agree: then multiplication by a generic linear
+    form l0 maps the degree-d part of the quotient onto the degree-(d+1)
+    part, and the maps M_t = l0^-1 x_t on the degree-d part commute.  The
+    evaluation functional of a zero P, and the functionals supported at P
+    when P is not reduced, span the left generalised eigenspace on which
+    each M_t has the one eigenvalue x_t(P) / l0(P).  So for each root lam
+    of the characteristic polynomial of a generic combination a of the
+    M_t, the left kernel V of a - lam is invariant under every M_t, and
+    P = (trace(M_t|V) / dim V)_t; the common factor dim V is dropped."""
+    cols = {e: c for c, e in enumerate(monomials(n, k))}
+    gens = np.zeros((len(forms), len(cols)), dtype=np.int64)
+    for row, form in enumerate(forms):
+        for key, c in form.items():
+            gens[row, cols[tuple(key.count(v) for v in range(n))]] = _residue(c, i_p, p)
     basis = gens[:len(_echelon_mod_p(gens, p))]
-    mac4, index4 = _macaulay(basis, n, 4)
-    piv4 = _echelon_mod_p(mac4, p)
-    rref5, index5 = _macaulay(basis, n, 5)
-    piv5 = _echelon_mod_p(rref5, p, reduced=True)
-    h4 = len(index4) - len(piv4)
-    h5 = len(index5) - len(piv5)
-    if h4 != h5 or h4 == 0:
-        return h4, h5, []
-    # normal forms of the degree-5 monomials in the standard monomials
-    std5 = [c for c in range(len(index5)) if c not in set(piv5)]
-    nf = np.zeros((h5, len(index5)), dtype=np.int64)
-    nf[range(h5), std5] = 1
-    for r, c in enumerate(piv5):
-        nf[:, c] = -rref5[r, std5] % p
-    std4 = [e for e, c in index4.items() if c not in set(piv4)]
-    mult = [nf[:, [index5[tuple(a + (t == v) for v, a in enumerate(b))]
-                   for b in std4]] for t in range(n)]
+    mac, index = _macaulay(basis, n, k, d)
+    piv = set(_echelon_mod_p(mac, p))
+    del mac  # peak memory: the degree-(d+1) matrix is the larger one
+    rref1, index1 = _macaulay(basis, n, k, d + 1)
+    piv1 = _echelon_mod_p(rref1, p, reduced=True)
+    h, h1 = len(index) - len(piv), len(index1) - len(piv1)
+    if h != h1 or h == 0:
+        return h, h1, []
+    # normal forms of the degree-(d+1) monomials in the standard monomials
+    std1 = sorted(set(range(len(index1))) - set(piv1))
+    nf = np.zeros((h, len(index1)), dtype=np.int64)
+    nf[range(h), std1] = 1
+    for r, c in enumerate(piv1):
+        nf[:, c] = -rref1[r, std1] % p
+    std = [e for e, c in index.items() if c not in piv]
+    mult = [nf[:, [index1[tuple(a + (t == v) for v, a in enumerate(b))]
+                   for b in std]] for t in range(n)]
     rng = Random(p)
     l0 = sum(rng.randrange(1, p) * x % p for x in mult) % p
     aug = np.concatenate([l0] + mult, axis=1)
-    if _echelon_mod_p(aug, p, reduced=True) != list(range(h4)):
-        return h4, h5, []
-    ms = [aug[:, (t + 1) * h4:(t + 2) * h4].tolist() for t in range(n)]
-    r = [rng.randrange(p) for _ in range(n)]
-    a = [[sum(r[t] * ms[t][i][j] for t in range(n)) % p for j in range(h4)]
-         for i in range(h4)]
+    if _echelon_mod_p(aug, p, reduced=True) != list(range(h)):
+        return h, h1, []
+    ms = [aug[:, (t + 1) * h:(t + 2) * h] for t in range(n)]
+    a = sum(rng.randrange(p) * m % p for m in ms) % p
     zeros = []
     for lam in _fp_roots(_charpoly_mod_p(a, p), p):
-        # the left eigenvectors w of a for lam: the kernel of (a - lam)^T
-        left = np.array([[(a[j][i] - (i == j) * lam) % p for j in range(h4)]
-                         for i in range(h4)], dtype=np.int64)
+        # a basis of V: the row w_f is 1 at its free column f, 0 at the others
+        left = (a.T - lam * np.eye(h, dtype=np.int64)) % p
         pivots = _echelon_mod_p(left, p, reduced=True)
-        if len(pivots) != h4 - 1:
-            continue
-        free = min(set(range(h4)) - set(pivots))
-        w = [int(c == free) for c in range(h4)]
-        for row, c in enumerate(pivots):
-            w[c] = -int(left[row, free]) % p
-        zeros.append([sum(w[i] * m[i][free] for i in range(h4)) % p for m in ms])
-    return h4, h5, zeros
+        free = sorted(set(range(h)) - set(pivots))
+        v = np.zeros((len(free), h), dtype=np.int64)
+        v[range(len(free)), free] = 1
+        v[:, pivots] = -left[:len(pivots), free].T % p
+        # (v M_t)[:, free] is the matrix of M_t|V in that basis
+        zeros.append([int(np.trace(_matmul_mod_p(v, m[:, free], p))) % p
+                      for m in ms])
+    return h, h1, zeros
 
 
-def _macaulay(basis: np.ndarray, n: int, d: int
+def _macaulay(basis: np.ndarray, n: int, k: int, d: int
               ) -> Tuple[np.ndarray, Dict[Tuple[int, ...], int]]:
-    """The degree-d Macaulay matrix of the quadrics given as rows over
-    the pairs a <= b: one row per quadric and monomial of degree d - 2."""
-    index = {e: k for k, e in enumerate(monomials(n, d))}
-    shifts = monomials(n, d - 2)
+    """The degree-d Macaulay matrix of forms of degree k given as rows
+    over monomials(n, k): one row per form and monomial of degree d - k."""
+    index = {e: c for c, e in enumerate(monomials(n, d))}
+    shifts = monomials(n, d - k)
     mac = np.zeros((len(basis) * len(shifts), len(index)), dtype=np.int64)
-    for k, e in enumerate(shifts):
-        where = [index[tuple(x + (t == a) + (t == b) for t, x in enumerate(e))]
-                 for a, b in combinations_with_replacement(range(n), 2)]
-        mac[k * len(basis):(k + 1) * len(basis), where] = basis
+    for r, e in enumerate(shifts):
+        where = [index[tuple(x + y for x, y in zip(e, g))]
+                 for g in monomials(n, k)]
+        mac[r * len(basis):(r + 1) * len(basis), where] = basis
     return mac, index
 
 
@@ -221,18 +229,22 @@ def _residue(c: GInt, i_m: int, m: int) -> int:
     return (c[0] + c[1] * i_m) % m
 
 
-def _charpoly_mod_p(a: List[List[int]], p: int) -> Poly:
+def _matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for entries in [0, p), p < 2**31, inner size < 2**15:
+    a is split into 16-bit halves, so no int64 sum overflows."""
+    return (((a >> 16) @ b % p << 16) + (a & 0xFFFF) @ b) % p
+
+
+def _charpoly_mod_p(a: np.ndarray, p: int) -> Poly:
     """det(x I - a) mod p, low degree first, by Faddeev-LeVerrier
     (valid since p exceeds the size of a)."""
     h = len(a)
     coeffs = [0] * h + [1]
-    m = [[0] * h for _ in range(h)]
+    m = np.eye(h, dtype=np.int64)
     for k in range(1, h + 1):
-        m = [[(sum(a[i][l] * m[l][j] for l in range(h))
-               + (i == j) * coeffs[h - k + 1]) % p for j in range(h)]
-             for i in range(h)]
-        trace = sum(a[i][l] * m[l][i] for i in range(h) for l in range(h))
-        coeffs[h - k] = -trace * pow(k, -1, p) % p
+        am = _matmul_mod_p(a, m, p)
+        coeffs[h - k] = -int(np.trace(am)) * pow(k, -1, p) % p
+        m = (am + coeffs[h - k] * np.eye(h, dtype=np.int64)) % p
     return coeffs
 
 
@@ -262,7 +274,7 @@ def _lift(quadrics: List[Quadric], zero: List[int], p: int, i_p: int,
     if len(chosen) < n - 1:
         return None
     m, i_m, pik = p, i_p, pi
-    prev = _reconstruct(x, free, pik, m)
+    prev = _reconstruct(x, pik, m)
     for _ in range(_MAX_PRECISION.bit_length() - 1):
         m2 = m * m
         i_m = (i_m - (i_m * i_m + 1) * pow(2 * i_m, -1, m2)) % m2
@@ -271,12 +283,9 @@ def _lift(quadrics: List[Quadric], zero: List[int], p: int, i_p: int,
                            [_evaluate(q, x, i_m, m) for q in chosen], m)
         for t, dt in zip(free, delta):
             x[t] = (x[t] - dt) % m
-        cur = _reconstruct(x, free, pik, m)
-        if cur is not None and cur == prev:
-            coords = list(cur)
-            coords.insert(chart, ONE)
-            if _is_exact_zero(quadrics, coords):
-                return ProjPoint(coords)
+        cur = _reconstruct(x, pik, m)
+        if cur is not None and cur == prev and _is_exact_zero(quadrics, cur):
+            return ProjPoint(cur)
         prev = cur
     return None
 
@@ -307,22 +316,25 @@ def _solve_mod(a: List[List[int]], b: List[int], m: int) -> List[int]:
     return [row[n] for row in rows]
 
 
-def _reconstruct(x: List[int], free: List[int], pik: GInt, m: int
-                 ) -> Optional[Tuple[GaussianRational, ...]]:
-    """Each free coordinate as u/v with N(u), N(v) <= sqrt(m)/16, from
-    its residue mod pi^k (m = p^k); None if some coordinate has none."""
+def _reconstruct(x: List[int], pik: GInt, m: int
+                 ) -> Optional[List[GaussianRational]]:
+    """The point with residues x mod pi^k (m = p^k), scaled so that its
+    first coordinate prime to p is 1, each other coordinate as u/v with
+    N(u), N(v) <= sqrt(m)/16; None if some coordinate has none."""
+    inv = pow(next(v for v in x if math.gcd(v, m) == 1), -1, m)
     bound = math.isqrt(m >> 8)
     out = []
-    for t in free:
-        if x[t] == 0:
+    for v in x:
+        v = v * inv % m
+        if v == 0:
             out.append(ZERO)
             continue
-        uv = next(_rational_reconstructions(x[t], pik, bound), None)
+        uv = next(_rational_reconstructions(v, pik, bound), None)
         if uv is None:
             return None
-        u, v = uv
-        out.append(GaussianRational(*u) / GaussianRational(*v))
-    return tuple(out)
+        u, w = uv
+        out.append(GaussianRational(*u) / GaussianRational(*w))
+    return out
 
 
 def _is_exact_zero(quadrics: List[Quadric],

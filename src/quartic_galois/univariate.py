@@ -203,10 +203,13 @@ def _sqrt_minus_one_mod(p: int) -> int:
     raise ValueError(f"no sqrt(-1) mod {p}")
 
 
-def _gaussian_prime_above(p: int) -> GInt:
-    # p % 4 == 1: returns pi with norm(pi) == p, dividing s + i
+def _gaussian_prime_above(p: int) -> Tuple[int, GInt]:
+    """(s, pi) for a prime p = 1 (mod 4): s = _sqrt_minus_one_mod(p) and
+    pi = gcd(p, i - s), of norm p.  Reduction mod pi sends i to s; every
+    modular step of the package reduces Z[i] this way, so a residue and
+    its reconstruction by _rational_reconstructions agree on the prime."""
     s = _sqrt_minus_one_mod(p)
-    return _gi_gcd((p, 0), (s, 1))
+    return s, _gi_gcd((p, 0), (-s, 1))
 
 
 def _clear_denominators(p: Poly) -> List[GInt]:
@@ -336,7 +339,7 @@ def _good_prime(ints: List[GInt]) -> Tuple[int, int]:
     p = 10001
     while True:
         if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
-            i_mod = -_sqrt_minus_one_mod(p) % p  # pi divides s + i
+            i_mod = _sqrt_minus_one_mod(p)  # the image of i mod pi
             fbar = _fp_add([a + b * i_mod for a, b in ints], [], p)
             if (len(fbar) == len(ints)
                     and len(_fp_gcd(fbar, _fp_derivative(fbar), p)) == 1):
@@ -363,7 +366,7 @@ def _modular_root_candidates(ints: List[GInt]) -> List[GaussianRational]:
     with nonzero constant term: the roots mod a split prime pi, lifted
     mod pi^k and reconstructed.  Candidates are not verified here."""
     p, i_mod = _good_prime(ints)
-    pi = _gaussian_prime_above(p)
+    pi = _gaussian_prime_above(p)[1]
     # A root u/v in lowest terms has u | a_0 and v | a_d (Gaussian
     # rational-root theorem), so N(u), N(v) <= height.  Every (r_j, t_j)
     # of the remainder sequence on (pi^k, r) satisfies

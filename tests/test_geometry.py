@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import quartic_galois.geometry as geometry
+import quartic_galois.linalg as linalg
 from quartic_galois.errors import (DegenerateInputError,
                                    UnnormalizedAutomorphismError)
 from quartic_galois.gaussian import GaussianRational as GR
@@ -10,7 +12,7 @@ from quartic_galois.geometry import (eigen_decompose_order4,
                                      is_smooth_plane_quartic,
                                      is_smooth_surface, macaulay_rows, section)
 from quartic_galois.linalg import Matrix
-from quartic_galois.poly import ProjPoint, parse_poly, substitute_linear
+from quartic_galois.poly import ProjPoint, parse_poly, partials, substitute_linear
 
 from helpers import SMOOTHNESS_CORPUS, rand_invertible
 from oracles import oracle_is_smooth
@@ -77,6 +79,96 @@ def test_macaulay_certificate_matches_exact_elimination():
         exact_full = sparse_rank([dict(r) for r in rows]) == ncols
         from quartic_galois.linalg import prove_full_column_rank
         assert prove_full_column_rank(rows, ncols) == exact_full
+
+
+SHEAR = Matrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+ZERO_ONE = Matrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1], [1, 0, 0, 1]])
+CONE = parse_poly("X^4+Y^4+Z^4", 4)
+SQUARE = parse_poly("X^4+2*X^2*Y^2+Y^4+Z^4+W^4", 4)   # (X^2+Y^2)^2+Z^4+W^4
+DWORK = parse_poly("X^4+Y^4+Z^4+W^4-4*X*Y*Z*W", 4)
+
+
+def _gaussian_height1(seed):
+    rng = random.Random(seed)
+    while True:
+        a = Matrix(4, 4, [GR(rng.randint(-1, 1), rng.randint(-1, 1))
+                          for _ in range(16)])
+        if not a.det().is_zero():
+            return a
+
+
+def _forbid_exact_rank(monkeypatch):
+    def no_exact_rank(rows):
+        raise AssertionError("exact elimination was reached")
+
+    monkeypatch.setattr(linalg, "sparse_rank", no_exact_rank)
+
+
+def _exact_rank_counter(monkeypatch):
+    calls = []
+    rank = linalg.sparse_rank
+
+    def counting(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(linalg, "sparse_rank", counting)
+    return calls
+
+
+@pytest.mark.parametrize("f, a", [
+    (CONE, SHEAR), (CONE, ZERO_ONE), (SQUARE, SHEAR), (DWORK, _gaussian_height1(7)),
+], ids=["cone-shear", "cone-zero-one", "square-shear", "dwork-gaussian"])
+def test_singular_point_witness(monkeypatch, f, a):
+    # the vertex of the cone (length 27), the nodes of the square (length
+    # 9 each) and Dwork's 16 nodes are found mod p and reconstructed at
+    # one prime; the verdict needs no exact elimination
+    _forbid_exact_rank(monkeypatch)
+    found = []
+    search = geometry._singular_point
+
+    def recording(*args):
+        found.append(search(*args))
+        return found[-1]
+
+    monkeypatch.setattr(geometry, "_singular_point", recording)
+    g = substitute_linear(f, a)
+    assert is_smooth_surface(g) is False
+    assert len(found) == 1 and found[0] is not None
+    assert all(d.eval(found[0].coords).is_zero() for d in partials(g))
+
+
+def test_singular_plane_quartic_witness(monkeypatch):
+    # the same search at D = 7 on curves: (Y^2+Z^2)^2+W^4 in sheared
+    # coordinates, singular at two points of length 9
+    _forbid_exact_rank(monkeypatch)
+    shear = Matrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    g = substitute_linear(parse_poly("Y^4+2*Y^2*Z^2+Z^4+W^4", 4,
+                                     names=("Y", "Z", "W")), shear)
+    assert is_smooth_plane_quartic(g) is False
+
+
+@pytest.mark.parametrize("text", ["X^4-4*X^2*Y^2+4*Y^4+Z^4+W^4", "X^2*Y^2+Z^2*W^2"],
+                         ids=["irrational-nodes", "singular-lines"])
+def test_singular_without_witness_falls_back(monkeypatch, text):
+    # nodes at (+-sqrt2 : 1 : 0 : 0), and a surface singular along lines:
+    # no Q(i) singular point is recovered, exact elimination decides
+    calls = _exact_rank_counter(monkeypatch)
+    assert is_smooth_surface(substitute_linear(parse_poly(text, 4), SHEAR)) is False
+    assert calls
+
+
+def test_bogus_modular_zero_is_not_a_witness(monkeypatch):
+    # a wrong zero mod p proves nothing: the verdict comes from exact
+    # elimination, and on a smooth surface the search finds no point
+    p = linalg._CERT_PRIMES[0]
+    assert geometry._singular_point(partials(FERMAT), 10, p) is None
+    calls = _exact_rank_counter(monkeypatch)
+    monkeypatch.setattr(geometry, "_zeros_mod_p",
+                        lambda *args, **kwargs: (1, 1, [[1, 2, 3, 4]]))
+    assert is_smooth_surface(substitute_linear(CONE, SHEAR)) is False
+    assert calls
+    assert geometry._singular_point(partials(FERMAT), 10, p) is None
 
 
 def test_smoothness_projective_invariance():

@@ -142,3 +142,22 @@ def test_apply_matches_multiplication():
     v = [rand_gr(rng) for _ in range(4)]
     col = Matrix.from_columns([v])
     assert list((m * col).column(0)) == list(m.apply(v))
+
+
+def test_one_reduction_of_gaussian_rationals():
+    # the package reduces Q(i) at each certificate prime by one map,
+    # i -> _CERT_ROOTS[p] modulo pi = _CERT_PIS[p]; reconstruction modulo
+    # that pi gives back the value, modulo its conjugate the conjugate
+    from math import isqrt
+    from quartic_galois.linalg import _CERT_PIS, _CERT_PRIMES, _reduction
+    from quartic_galois.univariate import _rational_reconstructions
+    values = [GR(3), GR(-2, 5), I, GR(1, -1) / GR(7), GR(-12, 5) / GR(3, 4)]
+    for p in _CERT_PRIMES:
+        reduce = _reduction(p)
+        pi = _CERT_PIS[p]
+        for v in values:
+            u, w = next(_rational_reconstructions(reduce(v), pi, isqrt(p >> 8)))
+            assert GR(*u) / GR(*w) == v
+        u, w = next(_rational_reconstructions(reduce(I), (pi[0], -pi[1]),
+                                              isqrt(p >> 8)))
+        assert GR(*u) / GR(*w) == -I

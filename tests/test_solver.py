@@ -1,6 +1,12 @@
+import random
+
+import numpy as np
+
 from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, ONE, ZERO
-from quartic_galois.solver import resultant
+from quartic_galois.linalg import _CERT_PRIMES, _CERT_ROOTS
+from quartic_galois.solver import (_charpoly_mod_p, _matmul_mod_p, _zeros_mod_p,
+                                   resultant)
 
 
 def test_resultant_sylvester():
@@ -10,3 +16,47 @@ def test_resultant_sylvester():
     # Res(x - a, x - b) = a - b; constants give a power of the constant
     assert resultant([GR(-3), ONE], [GR(-1, 1), ONE]) == GR(3) - GR(1, -1)
     assert resultant([GR(2)], [GR(1), GR(1), ONE]) == GR(4)
+
+
+def test_zeros_of_partials_non_reduced():
+    # the cone's partials X^3, Y^3, Z^3 (and 0) vanish only at the vertex,
+    # a zero of length 27; the partials of (X^2+Y^2)^2+Z^4+W^4 at the two
+    # points (1 : +-i : 0 : 0), of length 9 each
+    p = _CERT_PRIMES[0]
+    s = _CERT_ROOTS[p]
+    cone = [{(0, 0, 0): (4, 0)}, {(1, 1, 1): (4, 0)}, {(2, 2, 2): (4, 0)}, {}]
+    h, h1, zeros = _zeros_mod_p(cone, 4, p, s, k=3, d=9)
+    assert (h, h1, len(zeros)) == (27, 27, 1)
+    assert zeros[0][:3] == [0, 0, 0] and zeros[0][3] != 0
+    # 4X(X^2+Y^2), 4Y(X^2+Y^2), 4Z^3, 4W^3
+    square = [{(0, 0, 0): (4, 0), (0, 1, 1): (4, 0)},
+              {(0, 0, 1): (4, 0), (1, 1, 1): (4, 0)},
+              {(2, 2, 2): (4, 0)}, {(3, 3, 3): (4, 0)}]
+    h, h1, zeros = _zeros_mod_p(square, 4, p, s, k=3, d=9)
+    assert (h, h1) == (18, 18)
+    affine = sorted(z[1] * pow(z[0], -1, p) % p for z in zeros)
+    assert affine == sorted([s, p - s]) and all(z[2:] == [0, 0] for z in zeros)
+
+
+def test_modular_matrix_arithmetic_matches_python_integers():
+    # the int64 kernels against Python-integer loops, with entries near p
+    # so that an unsplit product would overflow
+    p = _CERT_PRIMES[0]
+    rng = random.Random(4)
+    for h in (1, 4, 27):
+        a = [[rng.randrange(p - 2**20, p) if rng.random() < 0.5 else rng.randrange(p)
+              for _ in range(h)] for _ in range(h)]
+        b = [[rng.randrange(p) for _ in range(h)] for _ in range(h)]
+        ab = [[sum(a[i][l] * b[l][j] for l in range(h)) % p for j in range(h)]
+              for i in range(h)]
+        got = _matmul_mod_p(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+        assert got.tolist() == ab
+        # Faddeev-LeVerrier on Python integers
+        coeffs, m = [0] * h + [1], [[0] * h for _ in range(h)]
+        for k in range(1, h + 1):
+            m = [[(sum(a[i][l] * m[l][j] for l in range(h))
+                   + (i == j) * coeffs[h - k + 1]) % p for j in range(h)]
+                 for i in range(h)]
+            trace = sum(a[i][l] * m[l][i] for i in range(h) for l in range(h))
+            coeffs[h - k] = -trace * pow(k, -1, p) % p
+        assert _charpoly_mod_p(np.array(a, dtype=np.int64), p) == coeffs

@@ -163,8 +163,12 @@ def _parse_gram(tokens: Sequence[str]) -> GramMatrix2:
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
+    expected = 3 if args.mode == "reduce" else 6
+    if len(args.entries) != expected:
+        raise ParseError(f"lattice {args.mode} takes exactly {expected} "
+                         f"entries, got {len(args.entries)}")
     if args.mode == "reduce":
-        g = _parse_gram(args.entries[:3])
+        g = _parse_gram(args.entries)
         reduced, u = reduce_gram(g)
         payload = {"command": "lattice-reduce",
                    "input": list(g.entries()),
@@ -174,7 +178,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
                         f"transform: {u}"], args.format)
         return EXIT_OK
     g1 = _parse_gram(args.entries[:3])
-    g2 = _parse_gram(args.entries[3:6])
+    g2 = _parse_gram(args.entries[3:])
     iso = is_isomorphic_gram(g1, g2)
     payload = {"command": "lattice-compare", "first": list(g1.entries()),
                "second": list(g2.entries()), "isomorphic": iso}

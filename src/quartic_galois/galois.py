@@ -29,15 +29,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (ConsistencyError, InnerPointError, SingularSurfaceError)
 from .gaussian import ZERO, ONE, I, GaussianRational
-from .geometry import is_smooth_plane_quartic, is_smooth_surface
+from .geometry import is_smooth_surface
 from .linalg import Matrix
-from .poly import (HomPoly, ProjPoint, squarefree_profile, substitute_linear,
-                   x_decompose)
+from .poly import HomPoly, ProjPoint, substitute_linear, x_decompose
 from .solver import cube_locus_quadrics, solve_projective
 
 PROVED_COMPLETE = "proved-complete"
 CANDIDATES_ONLY = "candidates-only"
-UNRECOGNIZED_FORM = "unrecognized-form"
 
 
 @dataclass(frozen=True)
@@ -81,8 +79,8 @@ class GaloisReport:
     """Outcome of a Galois-point test or search.
 
     reason is None when the list of points is proved complete, and says
-    why it is not otherwise: "hilbert-not-stable", "points-not-recovered"
-    (see the solver module) or "unrecognized-form".
+    why it is not otherwise: "hilbert-not-stable" or
+    "points-not-recovered" (see the solver module).
     """
     surface: HomPoly
     points: List[Tuple[ProjPoint, LinearAuto]]
@@ -225,7 +223,7 @@ def _generator_or_none(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
 
 
 # ---------------------------------------------------------------------------
-# Normal-form recognition (syntactic).
+# Enumeration.
 # ---------------------------------------------------------------------------
 
 def _split_variables(f: HomPoly) -> List[int]:
@@ -240,27 +238,8 @@ def _split_variables(f: HomPoly) -> List[int]:
     return out
 
 
-def _complement_form(f: HomPoly, split: Sequence[int]) -> HomPoly:
-    """The part of f in the non-split variables, as a smaller form."""
-    rest = [v for v in range(f.nvars) if v not in split]
-    names = tuple(f.names[v] for v in rest)
-    terms: Dict[Tuple[int, ...], GaussianRational] = {}
-    for e, c in f.terms.items():
-        if any(e[v] > 0 for v in split):
-            continue
-        terms[tuple(e[v] for v in rest)] = c
-    return HomPoly(len(rest), 4, terms, names)
-
-
 def _coordinate_point(v: int) -> ProjPoint:
     return ProjPoint([ONE if t == v else ZERO for t in range(4)])
-
-
-def _lift_point(sub: ProjPoint, rest: Sequence[int]) -> ProjPoint:
-    coords = [ZERO] * 4
-    for value, v in zip(sub.coords, rest):
-        coords[v] = value
-    return ProjPoint(coords)
 
 
 def _verified_pairs(f: HomPoly, candidates: Sequence[ProjPoint]
@@ -281,45 +260,10 @@ def _verified_pairs(f: HomPoly, candidates: Sequence[ProjPoint]
 
 
 def recognize_normal_form(f: HomPoly) -> GaloisReport:
-    """Syntactic recognition of the three split normal forms.
-
-    Detects, up to variable permutation, the monomial-support patterns
-    T**4 + F4(three variables), T**4 + U**4 + F4(two variables) and the
-    sum of four pure powers; no projective-equivalence search is
-    attempted.  The advertised coordinate Galois points are verified
-    individually, and completeness of the resulting list is certified
-    by solving the residual polar-cube problem on the complementary
-    coordinate subspace (an exact, lower-dimensional search).  Anything
-    outside the three patterns is reported as unrecognized with the
-    verified coordinate points only.
-    """
-    if f.nvars != 4 or f.degree != 4:
-        raise ValueError("expected a quartic form in 4 variables")
-    _require_smooth(f)
-    split = _split_variables(f)
-    rest = [v for v in range(4) if v not in split]
-    p = len(split)
-    if p == 4:
-        pairs = _verified_pairs(f, [_coordinate_point(v) for v in range(4)])
-        if len(pairs) != 4:
-            raise ConsistencyError("split form lost a coordinate Galois point")
-        return GaloisReport(f, pairs, "form-3")
-    if p in (1, 2):
-        sub = _complement_form(f, split)
-        if p == 2 and squarefree_profile(sub) != [1, 1, 1, 1]:
-            raise ConsistencyError(
-                "smooth split quartic with a repeated binary factor")
-        if p == 1 and not is_smooth_plane_quartic(sub):
-            raise ConsistencyError(
-                "smooth split quartic with singular complementary curve")
-        # the remaining candidates lie on the wall spanned by the
-        # non-split variables: the polar-cube locus of the complement
-        sols, reason = solve_projective(cube_locus_quadrics(sub), sub.nvars)
-        pairs = _verified_pairs(f, [_coordinate_point(v) for v in split]
-                                + [_lift_point(s, rest) for s in sols])
-        return GaloisReport(f, pairs, f"form-{p}", reason)
-    pairs = _verified_pairs(f, [_coordinate_point(v) for v in range(4)])
-    return GaloisReport(f, pairs, "unrecognized", UNRECOGNIZED_FORM)
+    """The report of enumerate_outer_galois_points, whose label names
+    the split normal form (one, two or four pure fourth powers in the
+    coordinates, up to permutation) or "unrecognized"."""
+    return enumerate_outer_galois_points(f)
 
 
 def _form_label(f: HomPoly) -> str:

@@ -11,10 +11,11 @@ multiplication (Macaulay) matrix is therefore full exactly when the
 zero set is empty.  The verdict takes up to three steps:
   1. a full-rank image of the matrix modulo a prime p proves smooth;
   2. at the first prime whose image is deficient, the common zeros of
-     the partials mod p are found with the solver's zero finder, and
-     each is reconstructed in Q(i) at that prime; one that is an exact
-     common zero of the partials proves singular (by Euler's identity it
-     lies on the quartic);
+     the partials mod p are found with the solver's zero finder and
+     lifted to Q(i) by the solver (reconstructed at p, or Newton-lifted
+     when the zero is reduced); one that is an exact common zero of the
+     partials proves singular (by Euler's identity it lies on the
+     quartic);
   3. otherwise the next prime, and at the end exact elimination.
 """
 
@@ -28,7 +29,7 @@ from .linalg import (Matrix, SparseRow, _CERT_PIS, _CERT_ROOTS,
                      prove_full_column_rank)
 from .poly import (HomPoly, ProjPoint, monomials, partials,
                    squarefree_profile, substitute_linear)
-from .solver import _reconstruct, _zeros_mod_p
+from .solver import _lift, _zeros_mod_p
 from .univariate import _clear_denominators
 
 SubspaceBasis = Sequence[Union[ProjPoint, Sequence]]
@@ -78,19 +79,18 @@ def jacobian_ideal_is_irrelevant(f: HomPoly, margin: int = 0) -> bool:
 def _singular_point(gens: List[HomPoly], target: int, p: int
                     ) -> Optional[ProjPoint]:
     """An exact common zero of the forms gens (the partials of a
-    quartic), or None.  The zeros mod p of their ideal, read off at the
-    degrees (target - 1, target), are reconstructed in Q(i) at the single
-    prime p, modulo the Gaussian prime of the package's reduction; the
-    first one at which every form vanishes exactly is returned."""
+    quartic), or None: the zeros mod p of their ideal, read off at the
+    degrees (target - 1, target), each lifted by the solver to an exact
+    zero over Q(i)."""
     coeffs = iter(_clear_denominators([c for g in gens for c in g.terms.values()]))
     forms = [{tuple(v for v, e in enumerate(exp) for _ in range(e)): next(coeffs)
               for exp in g.terms} for g in gens]
     _, _, zeros = _zeros_mod_p(forms, gens[0].nvars, p, _CERT_ROOTS[p],
                                k=gens[0].degree, d=target - 1)
     for z in zeros:
-        coords = _reconstruct(z, _CERT_PIS[p], p)
-        if coords is not None and all(g.eval(coords).is_zero() for g in gens):
-            return ProjPoint(coords)
+        point = _lift(forms, z, p, _CERT_ROOTS[p], _CERT_PIS[p])
+        if point is not None:
+            return point
     return None
 
 

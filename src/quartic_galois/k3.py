@@ -422,4 +422,7 @@ def moduli_dimension(family_monomial_count: int,
 def npns_moduli_dim(l: int) -> int:
     """Moduli dimension of K3 surfaces with a non-purely non-symplectic
     order-4 automorphism whose (-1)-eigenspace has rank l."""
+    if l < 2:
+        raise ValueError(f"the (-1)-eigenspace rank l = {l} is below 2, "
+                         "so the dimension l - 2 would be negative")
     return l - 2

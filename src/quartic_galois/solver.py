@@ -14,16 +14,20 @@ certified by counting.  Modulo a Gaussian prime pi above a prime
 p = 1 (mod 4), the Macaulay matrices of the quadrics give the Hilbert
 function H_p at degrees 4 and 5; when they agree, the zeros mod p are
 the joint eigenvectors of the multiplication maps on the degree-4 part
-of the quotient ring (Auzinger-Stetter).  Each zero is Newton-lifted
-pi-adically, reconstructed in Q(i), and kept only when it is an exact
-zero of every quadric, so no point rests on the modular step.  The zero
-finder takes forms of any degree: the smoothness test of the geometry
-module runs it on the partials of a quartic to find a singular point.
+of the quotient ring (Auzinger-Stetter).  Each zero is reconstructed in
+Q(i) at p or after Newton lifting pi-adically, and kept only when it is
+an exact zero of every quadric, so no point rests on the modular step.
+The zero finder and the lift (_zeros_mod_p, _lift) take forms of any
+degree and are the package's one route from a zero mod p to a Q(i)
+point: the smoothness test of the geometry module runs them on the
+partials of a quartic to find a singular point, and
+univariate.gaussian_roots on a binary form to find roots.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -252,52 +256,66 @@ def _charpoly_mod_p(a: np.ndarray, p: int) -> Poly:
 # Lifting a zero mod p to an exact zero over Q(i).
 # ---------------------------------------------------------------------------
 
-def _lift(quadrics: List[Quadric], zero: List[int], p: int, i_p: int,
+def _lift(forms: List[Form], zero: List[int], p: int, i_p: int,
           pi: GInt) -> Optional[ProjPoint]:
-    """The exact zero of the system that reduces to the given zero mod
-    pi, or None.  In the chart of its first nonzero coordinate, the zero
-    is Newton-lifted mod p^(2^j) on n-1 quadrics whose Jacobian is
-    invertible mod p; each coordinate is reconstructed in Q(i), and the
-    point is returned once two successive precisions agree and it is an
-    exact zero of every quadric."""
+    """The exact zero of the forms that reduces to the given zero mod pi,
+    or None.  The reconstruction at p itself is tried first: it is the
+    only chance of a non-reduced zero, whose Jacobian is singular.
+    Otherwise, in the chart of its first nonzero coordinate, the zero is
+    Newton-lifted mod p^(2^j) on n-1 forms whose Jacobian is invertible
+    mod p; each coordinate is reconstructed in Q(i), and the point is
+    returned once two successive precisions agree and it is an exact
+    zero of every form."""
     n = len(zero)
     chart = next(t for t in range(n) if zero[t])
     x = [v * pow(zero[chart], -1, p) % p for v in zero]
-    free = [t for t in range(n) if t != chart]
-    if any(_evaluate(q, x, i_p, p) for q in quadrics):
+    if any(_evaluate(f, x, i_p, p) for f in forms):
         return None
+    prev = _reconstruct(x, pi, p)
+    if prev is not None and _is_exact_zero(forms, prev):
+        return ProjPoint(prev)
     # the pivot columns of the transposed Jacobian: the first n - 1
-    # quadrics with independent gradients mod p
-    jac = np.array([_gradient(q, x, i_p, p, free) for q in quadrics],
+    # forms with independent gradients mod p
+    free = [t for t in range(n) if t != chart]
+    jac = np.array([_gradient(f, x, i_p, p, free) for f in forms],
                    dtype=np.int64).reshape(-1, n - 1)
-    chosen = [quadrics[k] for k in _echelon_mod_p(jac.T, p)]
+    chosen = [forms[k] for k in _echelon_mod_p(jac.T, p)]
     if len(chosen) < n - 1:
         return None
     m, i_m, pik = p, i_p, pi
-    prev = _reconstruct(x, pik, m)
     for _ in range(_MAX_PRECISION.bit_length() - 1):
         m2 = m * m
         i_m = (i_m - (i_m * i_m + 1) * pow(2 * i_m, -1, m2)) % m2
         m, pik = m2, _gi_mul(pik, pik)
-        delta = _solve_mod([_gradient(q, x, i_m, m, free) for q in chosen],
-                           [_evaluate(q, x, i_m, m) for q in chosen], m)
+        delta = _solve_mod([_gradient(f, x, i_m, m, free) for f in chosen],
+                           [_evaluate(f, x, i_m, m) for f in chosen], m)
         for t, dt in zip(free, delta):
             x[t] = (x[t] - dt) % m
         cur = _reconstruct(x, pik, m)
-        if cur is not None and cur == prev and _is_exact_zero(quadrics, cur):
+        if cur is not None and cur == prev and _is_exact_zero(forms, cur):
             return ProjPoint(cur)
         prev = cur
     return None
 
 
-def _evaluate(q: Quadric, x: List[int], i_m: int, m: int) -> int:
-    return sum(_residue(c, i_m, m) * x[a] * x[b] for (a, b), c in q.items()) % m
+def _evaluate(f: Form, x: List[int], i_m: int, m: int) -> int:
+    return sum(_residue(c, i_m, m) * math.prod(x[a] for a in key)
+               for key, c in f.items()) % m
 
 
-def _gradient(q: Quadric, x: List[int], i_m: int, m: int,
+def _gradient(f: Form, x: List[int], i_m: int, m: int,
               free: List[int]) -> List[int]:
-    return [sum(_residue(c, i_m, m) * ((a == t) * x[b] + (b == t) * x[a])
-                for (a, b), c in q.items()) % m for t in free]
+    """The partial derivatives of f at x mod m, in the variables free."""
+    out = []
+    for t in free:
+        total = 0
+        for key, c in f.items():
+            if t in key:
+                j = key.index(t)
+                total += (_residue(c, i_m, m) * key.count(t)
+                          * math.prod(x[a] for a in key[:j] + key[j + 1:]))
+        out.append(total % m)
+    return out
 
 
 def _solve_mod(a: List[List[int]], b: List[int], m: int) -> List[int]:
@@ -337,13 +355,13 @@ def _reconstruct(x: List[int], pik: GInt, m: int
     return out
 
 
-def _is_exact_zero(quadrics: List[Quadric],
+def _is_exact_zero(forms: List[Form],
                    coords: List[GaussianRational]) -> bool:
-    """Every quadric vanishes at the point, checked in Z[i] after
-    clearing the coordinates' denominators."""
+    """Every form vanishes at the point, checked in Z[i] after clearing
+    the coordinates' denominators."""
     x = _clear_denominators(coords)
-    for q in quadrics:
-        terms = [_gi_mul(c, _gi_mul(x[a], x[b])) for (a, b), c in q.items()]
+    for f in forms:
+        terms = [reduce(_gi_mul, (x[a] for a in key), c) for key, c in f.items()]
         if sum(t[0] for t in terms) or sum(t[1] for t in terms):
             return False
     return True

@@ -2,9 +2,12 @@
 
 A polynomial is a list of GaussianRational coefficients indexed by
 power, with no trailing zeros (the zero polynomial is the empty list).
-These helpers back the squarefree analysis of binary forms and the
-root extraction used by the Galois-point search: modular candidates,
-each verified by exact evaluation.
+These helpers back the squarefree analysis of binary forms.  The
+Gaussian-integer and Z/p helpers below serve the modular steps of the
+linalg and solver modules: the one reduction of Z[i] modulo a Gaussian
+prime, roots mod p and rational reconstruction.  gaussian_roots finds
+Q(i) roots with the solver's point search, each verified by exact
+evaluation.
 """
 
 from __future__ import annotations
@@ -155,7 +158,7 @@ def multiplicity_profile(p: Poly) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian integers and polynomials over Z/p: modular root extraction.
+# Gaussian integers, polynomials over Z/p and rational reconstruction.
 # ---------------------------------------------------------------------------
 
 GInt = Tuple[int, int]  # a + b*i with integer a, b
@@ -285,20 +288,10 @@ def _fp_mulmod(a: List[int], b: List[int], f: List[int], p: int) -> List[int]:
     return _fp_divmod(_fp_add(prod, [], p), f, p)[1]
 
 
-def _fp_eval(a: List[int], x: int, m: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % m
-    return acc
-
-
-def _fp_derivative(a: List[int]) -> List[int]:
-    return [k * c for k, c in enumerate(a)][1:]
-
-
 def _fp_roots(f: List[int], p: int) -> List[int]:
-    """Roots in Z/p of a squarefree f: gcd(f, x^p - x) is the product of
-    the linear factors, split by Cantor-Zassenhaus.  The splitting draws
+    """The distinct roots in Z/p of a nonzero f, each once, whatever their
+    multiplicity: gcd(f, x^p - x) is the product of the distinct linear
+    factors, split by Cantor-Zassenhaus.  The splitting draws
     from Random(p), so the work done is a function of the input."""
     rng = Random(p)
     linear = _fp_gcd(f, _fp_add(_fp_powmod([0, 1], p, f, p), [0, -1], p), p)
@@ -319,34 +312,6 @@ def _fp_roots(f: List[int], p: int) -> List[int]:
     return roots
 
 
-def _hensel_lift(f: List[int], r: int, p: int, k: int) -> int:
-    """Newton-lift a simple root r of f mod p to a root mod p**k, k a
-    power of two; f's coefficients must be correct mod p**k."""
-    df = _fp_derivative(f)
-    m = p
-    while m < p ** k:
-        m *= m
-        r = (r - _fp_eval(f, r, m) * pow(_fp_eval(df, r, m), -1, m)) % m
-    return r
-
-
-def _good_prime(ints: List[GInt]) -> Tuple[int, int]:
-    """The first split prime p = 1 (mod 4) above 10^4 at which f stays
-    squarefree of the same degree mod pi, with the image of i in Z[i]/pi.
-
-    A squarefree f has nonzero discriminant, so only finitely many primes
-    are skipped.  p ~ 10^4 is prime-tested by trial division."""
-    p = 10001
-    while True:
-        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
-            i_mod = _sqrt_minus_one_mod(p)  # the image of i mod pi
-            fbar = _fp_add([a + b * i_mod for a, b in ints], [], p)
-            if (len(fbar) == len(ints)
-                    and len(_fp_gcd(fbar, _fp_derivative(fbar), p)) == 1):
-                return p, i_mod
-        p += 4
-
-
 def _rational_reconstructions(r: int, m: GInt, bound: int):
     """Pairs (u, v) with u = r*v mod m and both norms at most bound, from
     the half-extended Euclidean algorithm in Z[i] on (m, r)."""
@@ -361,39 +326,6 @@ def _rational_reconstructions(r: int, m: GInt, bound: int):
         t0, t1 = t1, (t0[0] - qt[0], t0[1] - qt[1])
 
 
-def _modular_root_candidates(ints: List[GInt]) -> List[GaussianRational]:
-    """Q(i) root candidates of a squarefree Z[i] polynomial of degree >= 2
-    with nonzero constant term: the roots mod a split prime pi, lifted
-    mod pi^k and reconstructed.  Candidates are not verified here."""
-    p, i_mod = _good_prime(ints)
-    pi = _gaussian_prime_above(p)[1]
-    # A root u/v in lowest terms has u | a_0 and v | a_d (Gaussian
-    # rational-root theorem), so N(u), N(v) <= height.  Every (r_j, t_j)
-    # of the remainder sequence on (pi^k, r) satisfies
-    # |r_{j-1}| |t_j| <= (2 + sqrt 2) |pi^k|, since the remainders shrink
-    # by at least sqrt 2 and the |t_j| grow (Hurwitz continued fractions).
-    # At the first j with |r_j| <= sqrt((2 + sqrt 2) |pi^k|) this bounds
-    # |u t_j - v r_j| below |pi^k| once p^k > 16 (2 + sqrt 2)^2 height^2
-    # (about 187 height^2); that difference is divisible by pi^k, so it
-    # is 0 and u/v = r_j/t_j.  256 covers the constant.
-    height = max(_gi_norm(ints[0]), _gi_norm(ints[-1]))
-    k = 1
-    while p ** k <= 256 * height * height:
-        k *= 2
-    modulus = p ** k
-    i_lift = _hensel_lift([1, 0, 1], i_mod, p, k)
-    f = [(a + b * i_lift) % modulus for a, b in ints]
-    pik: GInt = (1, 0)
-    for _ in range(k):
-        pik = _gi_mul(pik, pi)
-    out: List[GaussianRational] = []
-    for r in _fp_roots([c % p for c in f], p):
-        lifted = _hensel_lift(f, r, p, k)
-        for u, v in _rational_reconstructions(lifted, pik, height):
-            out.append(GaussianRational(u[0], u[1]) / GaussianRational(v[0], v[1]))
-    return out
-
-
 def gaussian_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
     """All roots of p lying in Q(i), with a certificate flag.
 
@@ -403,15 +335,15 @@ def gaussian_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
     over Q(i).  Roots are reported once each (multiplicity dropped) in
     canonical order.
 
-    Each squarefree factor is solved modularly: its roots mod a split
-    prime p = 1 (mod 4) of good reduction are found by gcd(f, x^p - x)
-    and Cantor-Zassenhaus splitting, Hensel-lifted past a height bound
-    that covers every Q(i) root, and turned back into Gaussian rationals
-    by rational reconstruction in Z[i].  The modular step only proposes
-    candidates: a root is returned only after exact evaluation over Q(i)
-    gives zero, and fully_split counts verified roots against the degree,
-    so the certificate never rests on the prime or the bound.
+    Each squarefree factor of degree d >= 2 is solved as a binary form
+    by the solver's modular search: its zeros mod p, for p in
+    _CERT_PRIMES, are lifted and reconstructed in Q(i) by solver._lift,
+    until d roots are found.  The modular step only proposes candidates:
+    a root is returned only after exact evaluation over Q(i) gives zero,
+    and fully_split counts verified roots against the degree, so the
+    certificate never rests on the primes or the precision cap.
     """
+    from .solver import _CERT_PIS, _CERT_PRIMES, _CERT_ROOTS, _lift, _zeros_mod_p
     if not p:
         raise ValueError("zero polynomial")
     if degree(p) == 0:
@@ -425,25 +357,24 @@ def gaussian_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
         work = work[1:]
     # root-find on the squarefree factors; completeness is unaffected
     sf_pairs = squarefree_decomposition(work) if degree(work) > 0 else []
-    residual_fully_split = True
+    fully_split = True
     for factor, _m in sf_pairs:
-        froots, fsplit = _roots_squarefree(factor)
-        for r in froots:
-            if r not in roots:
-                roots.append(r)
-        residual_fully_split = residual_fully_split and fsplit
+        d = degree(factor)
+        found = [-factor[0] / factor[1]] if d == 1 else []
+        # the form sum a_j x^j y^(d-j), whose zeros (r : 1) are the roots r
+        form = {(0,) * j + (1,) * (d - j): c
+                for j, c in enumerate(_clear_denominators(factor))}
+        for q in _CERT_PRIMES:
+            if len(found) == d:
+                break
+            for z in _zeros_mod_p([form], 2, q, _CERT_ROOTS[q], k=d, d=d)[2]:
+                point = _lift([form], z, q, _CERT_ROOTS[q], _CERT_PIS[q])
+                if point is None:
+                    continue
+                r = point.coords[0] / point.coords[1]
+                if r not in found and eval_poly(factor, r).is_zero():
+                    found.append(r)
+        roots.extend(found)  # the factors are coprime and prime to x
+        fully_split = fully_split and len(found) == d
     roots.sort(key=lambda z: z.sort_key())
-    return roots, residual_fully_split
-
-
-def _roots_squarefree(p: Poly) -> Tuple[List[GaussianRational], bool]:
-    d = degree(p)
-    if d <= 0:
-        return [], True
-    if d == 1:
-        return [-p[0] / p[1]], True
-    roots: List[GaussianRational] = []
-    for cand in _modular_root_candidates(_clear_denominators(p)):
-        if cand not in roots and eval_poly(p, cand).is_zero():
-            roots.append(cand)
-    return roots, len(roots) == d
+    return roots, fully_split

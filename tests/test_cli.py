@@ -120,6 +120,16 @@ def test_lattice_rejects_odd(capsys):
     assert code == 1 and "even" in err
 
 
+def test_lattice_entry_count(capsys):
+    for argv, expected in ((["reduce", "8", "0", "8", "2", "0", "32"], 3),
+                           (["reduce", "8"], 3),
+                           (["compare", "8", "0", "8", "2", "0"], 6),
+                           (["compare", "8", "0", "8", "2", "0", "32", "4"], 6)):
+        code, out, err = run(capsys, "lattice", *argv)
+        assert code == 1 and out == ""
+        assert f"exactly {expected} entries" in err
+
+
 def test_moduli_dim(capsys):
     code, payload, _ = run_json(capsys, "moduli", "dim", "--count", "7",
                                 "--matrix", SIGMA1,
@@ -141,6 +151,11 @@ def test_moduli_monomials(capsys):
 def test_moduli_npns(capsys):
     code, payload, _ = run_json(capsys, "moduli", "npns", "--l", "4")
     assert code == 0 and payload["dimension"] == 2
+
+
+def test_moduli_npns_rejects_small_rank(capsys):
+    code, out, err = run(capsys, "moduli", "npns", "--l", "0")
+    assert code == 1 and out == "" and "below 2" in err
 
 
 def test_demo_passes(capsys):

@@ -177,21 +177,22 @@ def test_linear_auto_validation():
 # -- recognition -------------------------------------------------------------------
 
 def test_recognize_fermat():
-    rep = recognize_normal_form(FERMAT)
+    rep = enumerate_outer_galois_points(FERMAT)
     assert rep.normal_form == "form-3"
     assert rep.completeness == "proved-complete"
     assert set(rep.point_list()) == {E1, E2, E3, E4}
+    assert recognize_normal_form(FERMAT) == rep
 
 
 def test_recognize_form2():
-    rep = recognize_normal_form(FORM2)
+    rep = enumerate_outer_galois_points(FORM2)
     assert rep.normal_form == "form-2"
     assert rep.completeness == "proved-complete"
     assert set(rep.point_list()) == {E1, E2}
 
 
 def test_recognize_form1():
-    rep = recognize_normal_form(FORM1)
+    rep = enumerate_outer_galois_points(FORM1)
     assert rep.normal_form == "form-1"
     assert rep.completeness == "proved-complete"
     assert rep.point_list() == [E1]
@@ -202,18 +203,19 @@ def test_recognize_permuted_split_form():
     # X^3 Y + Y^4 = Y (X + Y)(X^2 - XY + Y^2) has distinct factors, so
     # this is the two-point form in disguise; both points verify
     g = parse_poly("X^3*Y+Y^4+Z^4+W^4", 4)
-    rep = recognize_normal_form(g)
+    rep = enumerate_outer_galois_points(g)
     assert rep.normal_form == "form-2"
     assert set(rep.point_list()) == {E3, E4}
     assert rep.completeness == "proved-complete"
 
 
 def test_recognize_unrecognized():
+    # no split variable, and the search proves there is no Galois point
     h = parse_poly("X^4+Y^4+Z^4+W^4+X*Y*Z*W", 4)
-    rep = recognize_normal_form(h)
+    rep = enumerate_outer_galois_points(h)
     assert rep.normal_form == "unrecognized"
-    assert rep.completeness == "candidates-only"
-    assert rep.reason == "unrecognized-form"
+    assert rep.completeness == "proved-complete"
+    assert rep.reason is None
     assert rep.point_list() == []
 
 
@@ -221,12 +223,12 @@ def test_recognize_random_families():
     rng = random.Random(65)
     for _ in range(5):
         f = lift_form1(rand_smooth_plane_quartic(rng))
-        rep = recognize_normal_form(f)
+        rep = enumerate_outer_galois_points(f)
         assert rep.normal_form in ("form-1", "form-2", "form-3")
         assert E1 in rep.point_list()
     for _ in range(5):
         f = lift_form2(rand_squarefree_binary_quartic(rng))
-        rep = recognize_normal_form(f)
+        rep = enumerate_outer_galois_points(f)
         assert {E1, E2} <= set(rep.point_list())
 
 

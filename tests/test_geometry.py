@@ -88,10 +88,10 @@ SQUARE = parse_poly("X^4+2*X^2*Y^2+Y^4+Z^4+W^4", 4)   # (X^2+Y^2)^2+Z^4+W^4
 DWORK = parse_poly("X^4+Y^4+Z^4+W^4-4*X*Y*Z*W", 4)
 
 
-def _gaussian_height1(seed):
+def _gaussian_matrix(seed, height):
     rng = random.Random(seed)
     while True:
-        a = Matrix(4, 4, [GR(rng.randint(-1, 1), rng.randint(-1, 1))
+        a = Matrix(4, 4, [GR(rng.randint(-height, height), rng.randint(-height, height))
                           for _ in range(16)])
         if not a.det().is_zero():
             return a
@@ -117,12 +117,15 @@ def _exact_rank_counter(monkeypatch):
 
 
 @pytest.mark.parametrize("f, a", [
-    (CONE, SHEAR), (CONE, ZERO_ONE), (SQUARE, SHEAR), (DWORK, _gaussian_height1(7)),
-], ids=["cone-shear", "cone-zero-one", "square-shear", "dwork-gaussian"])
+    (CONE, SHEAR), (CONE, ZERO_ONE), (SQUARE, SHEAR), (DWORK, _gaussian_matrix(7, 1)),
+    (DWORK, _gaussian_matrix(7, 3)),
+], ids=["cone-shear", "cone-zero-one", "square-shear", "dwork-gaussian",
+        "dwork-gaussian-height3"])
 def test_singular_point_witness(monkeypatch, f, a):
-    # the vertex of the cone (length 27), the nodes of the square (length
-    # 9 each) and Dwork's 16 nodes are found mod p and reconstructed at
-    # one prime; the verdict needs no exact elimination
+    # the vertex of the cone (length 27) and the nodes of the square
+    # (length 9 each) are reconstructed at p; Dwork's 16 nodes are
+    # reduced zeros, and at height 3 they need Newton lifting past p.
+    # The verdict needs no exact elimination
     _forbid_exact_rank(monkeypatch)
     found = []
     search = geometry._singular_point

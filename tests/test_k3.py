@@ -283,6 +283,13 @@ def test_moduli_negative_rejected():
         moduli_dimension(3, [SIGMA1, SIGMA2])
 
 
+def test_npns_moduli_dim_rejects_small_rank():
+    assert npns_moduli_dim(2) == 0
+    for l in (1, 0, -3):
+        with pytest.raises(ValueError):
+            npns_moduli_dim(l)
+
+
 def test_npns_moduli_dim():
     assert npns_moduli_dim(4) == 2
     assert npns_moduli_dim(8) == 6

@@ -143,7 +143,11 @@ def test_gaussian_roots_modular_extraction(roots, cofactor):
     assert uv.gaussian_roots(p) == (got, split)
 
 
-def test_modular_extraction_skips_bad_primes():
-    ints = uv._clear_denominators(from_roots(*BAD_PRIME_ROOTS))
-    assert ints[-1] == (10009 * 10037 * 10061, 0)
-    assert uv._good_prime(ints)[0] == 10093
+def test_fp_roots_repeated_factor():
+    # each distinct root once, also for the repeated roots that the zero
+    # finder's characteristic polynomials have at non-reduced zeros
+    p = 10009
+    f = [1]
+    for r in (3, 3, 3, 7, 0, 0):  # f *= x - r
+        f = uv._fp_add([0] + f, [-r * c for c in f], p)
+    assert sorted(uv._fp_roots(f, p)) == [0, 3, 7]

@@ -1,16 +1,17 @@
 """Exact projective geometry predicates for quartics.
 
-Smoothness is decided on the Jacobian ideal.  If forms f_1..f_n of
-degree 3 in n variables have no common projective zero they form a
-regular sequence, so the quotient ring vanishes in degrees above
-3*(n-1) and the graded piece of degree D = 3*(n-1)+1 (10 for surfaces,
-7 for plane quartics) of the ideal they generate is the full space of
-forms of degree D.  Conversely a common zero supports a point
-evaluation that kills the graded piece.  The rank of the degree-D
-multiplication (Macaulay) matrix is therefore full exactly when the
-zero set is empty.  The verdict takes up to three steps:
-  1. a full-rank image of the matrix modulo a prime p proves smooth;
-  2. at the first prime whose image is deficient, the common zeros of
+Smoothness is decided on the Jacobian ideal.  If the n partials of a
+form of degree d in n variables have no common projective zero, they
+form a regular sequence, and by Macaulay's bound the ideal they
+generate contains every form of degree D = n(d-2)+1 (9 for surfaces, 7
+for plane quartics).  Conversely a common zero supports a point
+evaluation that kills that graded piece.  So the degree-D Macaulay
+matrix has full rank exactly when the zero set is empty.  The partials
+are cleared of denominators once, into Z[i] forms, and the verdict
+takes up to three steps:
+  1. at each certificate prime p the solver's engine builds the matrix
+     modulo a Gaussian prime above p; full rank proves smooth;
+  2. if the image at the first prime is deficient, the common zeros of
      the partials mod p are found with the solver's zero finder and
      lifted to Q(i) by the solver (reconstructed at p, or Newton-lifted
      when the zero is reduced); one that is an exact common zero of the
@@ -25,11 +26,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateInputError, UnnormalizedAutomorphismError
 from .gaussian import FOURTH_ROOTS, GaussianRational
-from .linalg import (Matrix, SparseRow, _CERT_PIS, _CERT_ROOTS,
-                     prove_full_column_rank)
+from .linalg import (Matrix, SparseRow, _CERT_PIS, _CERT_PRIMES, _CERT_ROOTS,
+                     _echelon_mod_p, prove_full_column_rank)
 from .poly import (HomPoly, ProjPoint, monomials, partials,
                    squarefree_profile, substitute_linear)
-from .solver import _lift, _zeros_mod_p
+from .solver import Form, _generator_rows, _lift, _macaulay, _zeros_mod_p
 from .univariate import _clear_denominators
 
 SubspaceBasis = Sequence[Union[ProjPoint, Sequence]]
@@ -59,34 +60,43 @@ def macaulay_rows(gens: Sequence[HomPoly], target_degree: int) -> Tuple[List[Spa
     return rows, len(cols)
 
 
-def jacobian_ideal_is_irrelevant(f: HomPoly, margin: int = 0) -> bool:
-    """True iff the partials of f have no common projective zero.
-
-    Tested at degree 3*(nvars-1)+1 (+margin); both settings of margin
-    must agree for smooth input, which the test suite checks.  A
-    deficient modular image is followed by one search for an exact
-    singular point (_singular_point) before the exact fallback.
-    """
+def jacobian_ideal_is_irrelevant(f: HomPoly) -> bool:
+    """True iff the partials of f have no common projective zero, by the
+    three steps of the module docstring."""
     gens = partials(f)
     if any(g.is_zero() for g in gens):
         return False
-    target = (f.degree - 1) * (f.nvars - 1) + 1 + margin
-    rows, ncols = macaulay_rows(gens, target)
-    return prove_full_column_rank(
-        rows, ncols, lambda p: _singular_point(gens, target, p) is not None)
+    n, k = f.nvars, f.degree - 1
+    target = n * (k - 1) + 1
+    forms = _integral_forms(gens)
+    for p in _CERT_PRIMES:
+        mac, index = _macaulay(_generator_rows(forms, n, k, p, _CERT_ROOTS[p]),
+                               n, k, target)
+        if len(_echelon_mod_p(mac, p)) == len(index):
+            return True
+        del mac  # the search builds matrices as large as this one
+        # a full-rank image returns, so the first prime is the first deficient one
+        if p == _CERT_PRIMES[0] and _singular_point(forms, n, target, p) is not None:
+            return False
+    return prove_full_column_rank(*macaulay_rows(gens, target))
 
 
-def _singular_point(gens: List[HomPoly], target: int, p: int
-                    ) -> Optional[ProjPoint]:
-    """An exact common zero of the forms gens (the partials of a
-    quartic), or None: the zeros mod p of their ideal, read off at the
-    degrees (target - 1, target), each lifted by the solver to an exact
-    zero over Q(i)."""
+def _integral_forms(gens: Sequence[HomPoly]) -> List[Form]:
+    """The forms gens times one common denominator, as Z[i] forms keyed
+    by sorted variable indices (solver.Form)."""
     coeffs = iter(_clear_denominators([c for g in gens for c in g.terms.values()]))
-    forms = [{tuple(v for v, e in enumerate(exp) for _ in range(e)): next(coeffs)
-              for exp in g.terms} for g in gens]
-    _, _, zeros = _zeros_mod_p(forms, gens[0].nvars, p, _CERT_ROOTS[p],
-                               k=gens[0].degree, d=target - 1)
+    return [{tuple(v for v, e in enumerate(exp) for _ in range(e)): next(coeffs)
+             for exp in g.terms} for g in gens]
+
+
+def _singular_point(forms: List[Form], n: int, target: int, p: int
+                    ) -> Optional[ProjPoint]:
+    """An exact common zero of the Z[i] forms (the partials of a quartic
+    in n variables), or None: the zeros mod p of their ideal, read off at
+    the degrees (target - 1, target), each lifted by the solver to an
+    exact zero over Q(i)."""
+    k = len(next(iter(forms[0])))
+    _, _, zeros = _zeros_mod_p(forms, n, p, _CERT_ROOTS[p], k=k, d=target - 1)
     for z in zeros:
         point = _lift(forms, z, p, _CERT_ROOTS[p], _CERT_PIS[p])
         if point is not None:
@@ -94,22 +104,22 @@ def _singular_point(gens: List[HomPoly], target: int, p: int
     return None
 
 
-def is_smooth_surface(f: HomPoly, margin: int = 0) -> bool:
+def is_smooth_surface(f: HomPoly) -> bool:
     """Exact smoothness test for a quartic surface in P^3."""
     if f.nvars != 4 or f.degree != 4:
         raise ValueError("expected a quartic form in 4 variables")
     if f.is_zero():
         raise ValueError("zero form does not define a surface")
-    return jacobian_ideal_is_irrelevant(f, margin)
+    return jacobian_ideal_is_irrelevant(f)
 
 
-def is_smooth_plane_quartic(f: HomPoly, margin: int = 0) -> bool:
+def is_smooth_plane_quartic(f: HomPoly) -> bool:
     """Exact smoothness test for a plane quartic curve."""
     if f.nvars != 3 or f.degree != 4:
         raise ValueError("expected a quartic form in 3 variables")
     if f.is_zero():
         raise ValueError("zero form does not define a curve")
-    return jacobian_ideal_is_irrelevant(f, margin)
+    return jacobian_ideal_is_irrelevant(f)
 
 
 class EigenDecomposition:

@@ -4,19 +4,15 @@ Rank, kernel and inverse are computed by exact Gaussian elimination
 with a deterministic pivot rule (first nonzero in row-major scan), so
 every reported basis is reproducible across runs and platforms.
 
-For the large rank certificates needed by the smoothness tests there
-is a homomorphic fast path: full column rank is first attempted modulo
-a fixed sequence of primes p = 1 (mod 4).  A full-rank image proves
-full rank exactly (a nonzero minor mod p lifts); a deficient image
-proves nothing by itself.  The caller may then supply an exact proof of
-deficiency (the smoothness test looks for an exact singular point), and
-otherwise exact elimination decides, so the verdict is always the exact
-one.  Integer arithmetic only; no floats.
+The modular side is row reduction of numpy matrices modulo the
+certificate primes p = 1 (mod 4), each with a Gaussian prime above it;
+the solver's engine builds its Macaulay matrices on it.  Integer
+arithmetic only; no floats.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -295,6 +291,12 @@ def sparse_rank(rows: List[SparseRow]) -> int:
     return len(_eliminate(rows))
 
 
+def prove_full_column_rank(rows: List[SparseRow], ncols: int) -> bool:
+    """Whether the sparse row system has rank == ncols, by exact
+    elimination."""
+    return len(rows) >= ncols and sparse_rank(rows) == ncols
+
+
 def sparse_rref(rows: List[SparseRow]) -> Dict[int, SparseRow]:
     """Fully reduced row echelon form, keyed by pivot column."""
     pivots = _eliminate(rows)
@@ -333,7 +335,7 @@ def kernel_basis_sparse(rows: List[SparseRow], ncols: int) -> List[Vector]:
 
 
 # ---------------------------------------------------------------------------
-# Modular full-rank certificates.
+# Row reduction modulo the certificate primes.
 # ---------------------------------------------------------------------------
 
 # primes = 1 (mod 4), below 2**31 so numpy int64 products cannot overflow;
@@ -342,33 +344,6 @@ def kernel_basis_sparse(rows: List[SparseRow], ncols: int) -> List[Vector]:
 _CERT_PRIMES: Tuple[int, ...] = (2130706433, 469762049, 167772161)
 _CERT_ROOTS: Dict[int, int] = {p: _gaussian_prime_above(p)[0] for p in _CERT_PRIMES}
 _CERT_PIS: Dict[int, GInt] = {p: _gaussian_prime_above(p)[1] for p in _CERT_PRIMES}
-
-
-class _BadPrime(Exception):
-    pass
-
-
-def _reduction(p: int) -> Callable[[GaussianRational], int]:
-    """The map Q(i) -> Z/p at a prime of _CERT_PRIMES: reduction modulo
-    _CERT_PIS[p], so i goes to _CERT_ROOTS[p].  It raises _BadPrime on a
-    denominator divisible by p, and memoises its values."""
-    s = _CERT_ROOTS[p]
-    cache: Dict[Tuple, int] = {}
-
-    def reduce(v: GaussianRational) -> int:
-        key = (v.re, v.im)
-        r = cache.get(key)
-        if r is None:
-            dr = v.re.denominator % p
-            di = v.im.denominator % p
-            if dr == 0 or di == 0:
-                raise _BadPrime
-            r = (v.re.numerator % p) * pow(dr, p - 2, p) % p
-            r = (r + (v.im.numerator % p) * pow(di, p - 2, p) % p * s) % p
-            cache[key] = r
-        return r
-
-    return reduce
 
 
 def _echelon_mod_p(a: np.ndarray, p: int, reduced: bool = False) -> List[int]:
@@ -399,43 +374,6 @@ def _echelon_mod_p(a: np.ndarray, p: int, reduced: bool = False) -> List[int]:
             a[rows, c:] = (a[rows, c:] - factors * a[r, c:][None, :]) % p
         pivots.append(c)
     return pivots
-
-
-def prove_full_column_rank(rows: List[SparseRow], ncols: int,
-                           witness: Optional[Callable[[int], bool]] = None
-                           ) -> bool:
-    """Exact verdict on whether the sparse row system has rank == ncols.
-
-    The verdict takes up to three steps:
-      1. full rank modulo a prime of _CERT_PRIMES proves full rank (a
-         nonzero minor mod p lifts);
-      2. at the first prime whose image is deficient, witness(p) is
-         called once; it may prove the rank deficient by an exact
-         certificate of its own (geometry passes a search for an exact
-         common zero of the generators) and then returns True;
-      3. otherwise the next prime, and at the end exact elimination.
-    Every False comes from a verified witness or from exact elimination,
-    every True from a modular image or exact elimination.
-    """
-    if len(rows) < ncols:
-        return False
-    for p in _CERT_PRIMES:
-        reduce = _reduction(p)
-        try:
-            a = np.zeros((len(rows), ncols), dtype=np.int64)
-            for i, row in enumerate(rows):
-                for c, v in row.items():
-                    a[i, c] = reduce(v)
-        except _BadPrime:
-            continue
-        if len(_echelon_mod_p(a, p)) == ncols:
-            return True
-        del a  # the witness builds matrices as large as this one
-        if witness is not None:
-            if witness(p):
-                return False
-            witness = None
-    return sparse_rank(rows) == ncols
 
 
 # ---------------------------------------------------------------------------

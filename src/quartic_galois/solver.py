@@ -17,11 +17,13 @@ the joint eigenvectors of the multiplication maps on the degree-4 part
 of the quotient ring (Auzinger-Stetter).  Each zero is reconstructed in
 Q(i) at p or after Newton lifting pi-adically, and kept only when it is
 an exact zero of every quadric, so no point rests on the modular step.
-The zero finder and the lift (_zeros_mod_p, _lift) take forms of any
-degree and are the package's one route from a zero mod p to a Q(i)
-point: the smoothness test of the geometry module runs them on the
-partials of a quartic to find a singular point, and
-univariate.gaussian_roots on a binary form to find roots.
+The engine (_generator_rows, _macaulay) and the zero finder and lift
+(_zeros_mod_p, _lift) take forms of any degree, and are the package's
+one modular Macaulay engine and one route from a zero mod p to a Q(i)
+point.  The smoothness test of the geometry module certifies on the
+engine that the partials of a quartic have no common zero, or runs
+the zero finder and the lift on them to find a singular point;
+univariate.gaussian_roots runs them on a binary form to find roots.
 """
 
 from __future__ import annotations
@@ -170,12 +172,7 @@ def _zeros_mod_p(forms: List[Form], n: int, p: int, i_p: int, k: int = 2,
     of the characteristic polynomial of a generic combination a of the
     M_t, the left kernel V of a - lam is invariant under every M_t, and
     P = (trace(M_t|V) / dim V)_t; the common factor dim V is dropped."""
-    cols = {e: c for c, e in enumerate(monomials(n, k))}
-    gens = np.zeros((len(forms), len(cols)), dtype=np.int64)
-    for row, form in enumerate(forms):
-        for key, c in form.items():
-            gens[row, cols[tuple(key.count(v) for v in range(n))]] = _residue(c, i_p, p)
-    basis = gens[:len(_echelon_mod_p(gens, p))]
+    basis = _generator_rows(forms, n, k, p, i_p)
     mac, index = _macaulay(basis, n, k, d)
     piv = set(_echelon_mod_p(mac, p))
     del mac  # peak memory: the degree-(d+1) matrix is the larger one
@@ -213,6 +210,18 @@ def _zeros_mod_p(forms: List[Form], n: int, p: int, i_p: int, k: int = 2,
         zeros.append([int(np.trace(_matmul_mod_p(v, m[:, free], p))) % p
                       for m in ms])
     return h, h1, zeros
+
+
+def _generator_rows(forms: List[Form], n: int, k: int, p: int, i_p: int
+                    ) -> np.ndarray:
+    """A basis mod p of the span of the forms of degree k, reduced by
+    i -> i_p: the nonzero rows of their echelon form over monomials(n, k)."""
+    cols = {e: c for c, e in enumerate(monomials(n, k))}
+    gens = np.zeros((len(forms), len(cols)), dtype=np.int64)
+    for row, form in enumerate(forms):
+        for key, c in form.items():
+            gens[row, cols[tuple(key.count(v) for v in range(n))]] = _residue(c, i_p, p)
+    return gens[:len(_echelon_mod_p(gens, p))]
 
 
 def _macaulay(basis: np.ndarray, n: int, k: int, d: int

@@ -128,8 +128,7 @@ SIGMA4 = diag(1, 1, 1, I)
 
 # fixed mixed corpus (15 smooth, 15 singular) shared by the smoothness
 # oracle-agreement and bound-stability tests
-SMOOTHNESS_CORPUS = [
-    # smooth
+SMOOTH_SURFACES = [
     "X^4+Y^4+Z^4+W^4",
     "X^4+Y^4+Z^4+W^4+Y^2*Z*W",
     "X^4+Y^4+Z^4+Z*W^3+W^4",
@@ -145,7 +144,8 @@ SMOOTHNESS_CORPUS = [
     "X^4+Y^4+Z^3*W+W^3*Z",
     "X^4+Y^3*W+Z^4+W^4",
     "X^4+Y^4+Z^4+W^4+(1+i)*X^2*Y^2",
-    # singular
+]
+SINGULAR_SURFACES = [
     "X^4+Y^4+Z^4",
     "X^4+Y^4+Z^4+W^4+2*X^2*Y^2",
     "X^4+Y^4+Z^4+W^4-4*X*Y*Z*W",
@@ -162,3 +162,4 @@ SMOOTHNESS_CORPUS = [
     "X^4+Y^4+W^4+X^2*Y^2",
     "X^2*Y^2+Y^4+Z^4+W^4",
 ]
+SMOOTHNESS_CORPUS = SMOOTH_SURFACES + SINGULAR_SURFACES

@@ -14,7 +14,7 @@ from quartic_galois.geometry import (eigen_decompose_order4,
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import ProjPoint, parse_poly, partials, substitute_linear
 
-from helpers import SMOOTHNESS_CORPUS, rand_invertible
+from helpers import SMOOTH_SURFACES, SMOOTHNESS_CORPUS, rand_invertible
 from oracles import oracle_is_smooth
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
@@ -58,27 +58,34 @@ def test_plane_quartic_examples():
     assert oracle_is_smooth(klein)
 
 
+def _hilbert_above_certificate_degree(f):
+    # H_p(D+1) of the Jacobian ideal, D = n(d-2)+1, from the solver's
+    # zero finder at the first certificate prime
+    n = f.nvars
+    p = linalg._CERT_PRIMES[0]
+    _, h1, _ = geometry._zeros_mod_p(geometry._integral_forms(partials(f)), n, p,
+                                     linalg._CERT_ROOTS[p], k=3, d=2 * n + 1)
+    return h1
+
+
 def test_margin_stability():
     # the rank verdict must not depend on testing one degree higher
     for text in SMOOTHNESS_CORPUS:
         f = parse_poly(text, 4)
-        assert is_smooth_surface(f) == is_smooth_surface(f, margin=1)
+        assert is_smooth_surface(f) == (_hilbert_above_certificate_degree(f) == 0)
     g = parse_poly("Y^3*Z+Z^3*W+W^3*Y", 4, names=("Y", "Z", "W"))
-    assert is_smooth_plane_quartic(g) == is_smooth_plane_quartic(g, margin=1)
+    assert is_smooth_plane_quartic(g) == (_hilbert_above_certificate_degree(g) == 0)
 
 
 def test_macaulay_certificate_matches_exact_elimination():
-    # the modular full-rank certificate and pure exact elimination are
-    # two routes to the same rank; compare them on real Jacobian systems
+    # the modular certificate and pure exact elimination are two routes
+    # to the same verdict; compare them on real Jacobian systems
     from quartic_galois.linalg import sparse_rank
-    from quartic_galois.poly import partials
     for text in ("X^4+Y^4+Z^4+W^4", "X^3*Y+Y^4+Z^4+W^4", "X^4+Y^4+Z^4",
                  "X^2*Y^2+Z^2*W^2"):
         f = parse_poly(text, 4)
         rows, ncols = macaulay_rows(partials(f), 9)
-        exact_full = sparse_rank([dict(r) for r in rows]) == ncols
-        from quartic_galois.linalg import prove_full_column_rank
-        assert prove_full_column_rank(rows, ncols) == exact_full
+        assert is_smooth_surface(f) == (sparse_rank(rows) == ncols)
 
 
 SHEAR = Matrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
@@ -165,13 +172,26 @@ def test_bogus_modular_zero_is_not_a_witness(monkeypatch):
     # a wrong zero mod p proves nothing: the verdict comes from exact
     # elimination, and on a smooth surface the search finds no point
     p = linalg._CERT_PRIMES[0]
-    assert geometry._singular_point(partials(FERMAT), 10, p) is None
+    fermat = geometry._integral_forms(partials(FERMAT))
+    assert geometry._singular_point(fermat, 4, 9, p) is None
     calls = _exact_rank_counter(monkeypatch)
     monkeypatch.setattr(geometry, "_zeros_mod_p",
                         lambda *args, **kwargs: (1, 1, [[1, 2, 3, 4]]))
     assert is_smooth_surface(substitute_linear(CONE, SHEAR)) is False
     assert calls
-    assert geometry._singular_point(partials(FERMAT), 10, p) is None
+    assert geometry._singular_point(fermat, 4, 9, p) is None
+
+
+@pytest.mark.parametrize("f", [parse_poly(t, 4) for t in SMOOTH_SURFACES]
+                         + [substitute_linear(FERMAT, _gaussian_matrix(s, 1))
+                            for s in (1, 2, 3)]
+                         + [parse_poly("Y^3*Z+Z^3*W+W^3*Y", 4, names=("Y", "Z", "W"))],
+                         ids=[f"corpus-{k}" for k in range(len(SMOOTH_SURFACES))]
+                         + [f"fermat-gaussian-{s}" for s in (1, 2, 3)] + ["klein"])
+def test_smooth_verdict_needs_no_exact_elimination(monkeypatch, f):
+    # a smooth quartic is proved smooth by the modular certificate alone
+    _forbid_exact_rank(monkeypatch)
+    assert geometry.jacobian_ideal_is_irrelevant(f) is True
 
 
 def test_smoothness_projective_invariance():

@@ -145,19 +145,25 @@ def test_apply_matches_multiplication():
 
 
 def test_one_reduction_of_gaussian_rationals():
-    # the package reduces Q(i) at each certificate prime by one map,
+    # the package reduces Z[i] at each certificate prime by one map,
     # i -> _CERT_ROOTS[p] modulo pi = _CERT_PIS[p]; reconstruction modulo
-    # that pi gives back the value, modulo its conjugate the conjugate
+    # that pi gives back the quotient u/w of the residues, modulo its
+    # conjugate the conjugate
     from math import isqrt
-    from quartic_galois.linalg import _CERT_PIS, _CERT_PRIMES, _reduction
+    from quartic_galois.linalg import _CERT_PIS, _CERT_PRIMES, _CERT_ROOTS
+    from quartic_galois.solver import _residue
     from quartic_galois.univariate import _rational_reconstructions
-    values = [GR(3), GR(-2, 5), I, GR(1, -1) / GR(7), GR(-12, 5) / GR(3, 4)]
+    values = [((3, 0), (1, 0)), ((-2, 5), (1, 0)), ((0, 1), (1, 0)),
+              ((1, -1), (7, 0)), ((-12, 5), (3, 4))]
     for p in _CERT_PRIMES:
-        reduce = _reduction(p)
-        pi = _CERT_PIS[p]
-        for v in values:
-            u, w = next(_rational_reconstructions(reduce(v), pi, isqrt(p >> 8)))
-            assert GR(*u) / GR(*w) == v
-        u, w = next(_rational_reconstructions(reduce(I), (pi[0], -pi[1]),
+        pi, s = _CERT_PIS[p], _CERT_ROOTS[p]
+
+        def reduce(u, w):
+            return _residue(u, s, p) * pow(_residue(w, s, p), -1, p) % p
+
+        for u, w in values:
+            a, b = next(_rational_reconstructions(reduce(u, w), pi, isqrt(p >> 8)))
+            assert GR(*a) / GR(*b) == GR(*u) / GR(*w)
+        a, b = next(_rational_reconstructions(reduce((0, 1), (1, 0)), (pi[0], -pi[1]),
                                               isqrt(p >> 8)))
-        assert GR(*u) / GR(*w) == -I
+        assert GR(*a) / GR(*b) == -I

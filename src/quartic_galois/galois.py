@@ -65,13 +65,18 @@ def linear_auto(f: HomPoly, m: Matrix) -> LinearAuto:
     if not (m ** 4).is_identity():
         raise UnnormalizedAutomorphismError(
             "matrix does not satisfy M**4 == I; rescale it inside Q(i)")
-    g = substitute_linear(f, m)
-    exp0, coeff0 = next(iter(f.sorted_terms()))
-    lam = g.coeff(exp0) / coeff0
-    if lam.is_zero() or g != f.scale(lam):
+    lam = _multiplier(f, substitute_linear(f, m))
+    if lam is None or lam.is_zero():
         raise SurfaceNotPreservedError(
             "matrix does not map the surface to itself")
     return LinearAuto(m, lam)
+
+
+def _multiplier(f: HomPoly, g: HomPoly) -> Optional[GaussianRational]:
+    """The lam with g == lam * f exactly, or None when there is none."""
+    exp0, coeff0 = next(iter(f.sorted_terms()))
+    lam = g.coeff(exp0) / coeff0
+    return lam if g == f.scale(lam) else None
 
 
 @dataclass
@@ -213,10 +218,8 @@ def _generator_or_none(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
     ])
     conj = b * shear
     m = conj * Matrix.diagonal([I, 1, 1, 1]) * conj.inverse()
-    g = substitute_linear(f, m)
-    exp0, coeff0 = next(iter(f.sorted_terms()))
-    lam = g.coeff(exp0) / coeff0
-    if g != f.scale(lam):
+    lam = _multiplier(f, substitute_linear(f, m))
+    if lam is None:
         raise ConsistencyError(
             "constructed generator fails to preserve the surface")
     return LinearAuto(m, lam)

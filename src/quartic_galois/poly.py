@@ -18,6 +18,7 @@ from .errors import ParseError
 from .gaussian import ZERO, ONE, GaussianRational, parse_gaussian
 from .linalg import Matrix
 from . import univariate
+from .univariate import GInt, _common_denominator, _gi_mul
 
 Exponent = Tuple[int, ...]
 DEFAULT_NAMES = ("X", "Y", "Z", "W")
@@ -154,17 +155,24 @@ class HomPoly:
         return result
 
     def eval(self, point: Sequence) -> GaussianRational:
+        """f(point), summed over Z[i]: with d_f and d_P the common
+        denominators of f and of the point, f(P) = (d_f f)(d_P P) /
+        (d_f d_P**deg f) by homogeneity, so there is one division."""
         vals = [GaussianRational.coerce(x) for x in point]
         if len(vals) != self.nvars:
             raise ValueError("point length mismatch")
-        acc = ZERO
-        for exp, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exp):
+        df, coeffs = _common_denominator(list(self.terms.values()))
+        dp, xs = _common_denominator(vals)
+        powers = [_gi_powers(x, self.degree) for x in xs]
+        re = im = 0
+        for exp, c in zip(self.terms, coeffs):
+            for pw, e in zip(powers, exp):
                 if e:
-                    term = term * v ** e
-            acc = acc + term
-        return acc
+                    c = _gi_mul(c, pw[e])
+            re += c[0]
+            im += c[1]
+        d = df * dp ** self.degree
+        return GaussianRational(Fraction(re, d), Fraction(im, d))
 
     # -- printing -------------------------------------------------------------
 
@@ -412,41 +420,69 @@ def substitute_linear(f: HomPoly, m: Matrix) -> HomPoly:
     """The pullback f(M x): substitute variable k by row k of M applied to x.
 
     M may be rectangular (nvars-in rows, nvars-out columns), which
-    restricts f to a linear subspace.
+    restricts f to a linear subspace.  With d_f and d_M the common
+    denominators of f and M, f(Mx) = (d_f f)(d_M M x) / (d_f d_M**deg f)
+    by homogeneity: the expansion runs over Z[i] and each output
+    coefficient is divided once.
     """
     if m.rows != f.nvars:
         raise ValueError(
             f"matrix has {m.rows} rows but polynomial has {f.nvars} variables")
-    nout = m.cols
-    lin: List[HomPoly] = []
-    for i in range(f.nvars):
-        row = m.row(i)
-        terms = {}
-        for j, c in enumerate(row):
-            if not c.is_zero():
-                e = [0] * nout
-                e[j] = 1
-                terms[tuple(e)] = c
-        lin.append(HomPoly(nout, 1, terms))
-    # cache powers of each substituted variable
-    powers: List[List[HomPoly]] = []
-    max_exp = [0] * f.nvars
-    for exp in f.terms:
-        for k, e in enumerate(exp):
-            max_exp[k] = max(max_exp[k], e)
-    one = HomPoly(nout, 0, {(0,) * nout: ONE})
+    nout, deg = m.cols, f.degree
+    df, coeffs = _common_denominator(list(f.terms.values()))
+    dm, entries = _common_denominator(m.entries)
+    # An output exponent vector is one int, its digits in base deg+1 (no
+    # exponent exceeds deg): exponents add as ints and descending lex
+    # order is descending int order.
+    base = deg + 1
+    units = [base ** (nout - 1 - j) for j in range(nout)]
+    lin = [{units[j]: c for j, c in enumerate(entries[k * nout:(k + 1) * nout])
+            if c != (0, 0)} for k in range(f.nvars)]
+    powers: List[List[Dict[int, GInt]]] = []
     for k in range(f.nvars):
-        cache = [one]
-        for e in range(1, max_exp[k] + 1):
-            cache.append(cache[-1] * lin[k])
+        top = max((exp[k] for exp in f.terms), default=0)
+        cache = [{0: (1, 0)}]
+        for _ in range(top):
+            cache.append(_gi_addmul({}, cache[-1], lin[k]))
         powers.append(cache)
-    out = HomPoly.zero(nout, f.degree)
-    for exp, coeff in f.terms.items():
-        term = HomPoly(nout, 0, {(0,) * nout: coeff})
-        for k, e in enumerate(exp):
-            if e:
-                term = term * powers[k][e]
-        out = out + term
+    # products of the powers over a prefix of the exponent vector, shared
+    # by every term of f with that prefix
+    prefix: Dict[Exponent, Dict[int, GInt]] = {(): {0: (1, 0)}}
+    acc: Dict[int, GInt] = {}
+    for exp, c in zip(f.terms, coeffs):
+        key: Exponent = ()
+        for k, e in enumerate(exp[:-1]):
+            parent, key = key, key + (e,)
+            if key not in prefix:
+                prefix[key] = _gi_addmul({}, prefix[parent], powers[k][e])
+        scaled = {e: _gi_mul(c, v) for e, v in prefix[key].items()}
+        _gi_addmul(acc, scaled, powers[-1][exp[-1]])
+    den = df * dm ** deg
+    terms: Dict[Exponent, GaussianRational] = {}
+    for e in sorted(acc, reverse=True):
+        re, im = acc[e]
+        if re or im:
+            exp = tuple((e // u) % base for u in units)
+            terms[exp] = GaussianRational(Fraction(re, den), Fraction(im, den))
+    return HomPoly(nout, deg, terms)
+
+
+def _gi_addmul(acc: Dict[int, GInt], p: Dict[int, GInt],
+               q: Dict[int, GInt]) -> Dict[int, GInt]:
+    """acc += p*q for Z[i] polynomials keyed by packed exponents."""
+    for e1, (a, b) in p.items():
+        for e2, (c, d) in q.items():
+            e = e1 + e2
+            re, im = acc.get(e, (0, 0))
+            acc[e] = (re + a * c - b * d, im + a * d + b * c)
+    return acc
+
+
+def _gi_powers(x: GInt, top: int) -> List[GInt]:
+    """[x**0, x**1, ..., x**top] over Z[i]."""
+    out = [(1, 0)]
+    for _ in range(top):
+        out.append(_gi_mul(out[-1], x))
     return out
 
 

@@ -3,9 +3,10 @@
 A polynomial is a list of GaussianRational coefficients indexed by
 power, with no trailing zeros (the zero polynomial is the empty list).
 These helpers back the squarefree analysis of binary forms.  The
-Gaussian-integer and Z/p helpers below serve the modular steps of the
-linalg and solver modules: the one reduction of Z[i] modulo a Gaussian
-prime, roots mod p and rational reconstruction.  gaussian_roots finds
+Gaussian-integer and Z/p helpers below serve poly's Z[i] kernels and
+the modular steps of the linalg and solver modules: one common
+denominator, the one reduction of Z[i] modulo a Gaussian prime, roots
+mod p and rational reconstruction.  gaussian_roots finds
 Q(i) roots with the solver's point search, each verified by exact
 evaluation.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from random import Random
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .gaussian import ZERO, ONE, GaussianRational
 
@@ -215,14 +216,17 @@ def _gaussian_prime_above(p: int) -> Tuple[int, GInt]:
     return s, _gi_gcd((p, 0), (-s, 1))
 
 
+def _common_denominator(cs: Sequence[GaussianRational]
+                        ) -> Tuple[int, List[GInt]]:
+    """(d, [d*c for c in cs]): d is the lcm of every re and im denominator
+    (1 for no values), so each d*c is a Gaussian integer."""
+    d = math.lcm(*(q.denominator for c in cs for q in (c.re, c.im)))
+    return d, [(c.re.numerator * (d // c.re.denominator),
+                c.im.numerator * (d // c.im.denominator)) for c in cs]
+
+
 def _clear_denominators(p: Poly) -> List[GInt]:
-    lcm = 1
-    for c in p:
-        lcm = lcm * c.re.denominator // math.gcd(lcm, c.re.denominator)
-        lcm = lcm * c.im.denominator // math.gcd(lcm, c.im.denominator)
-    out = []
-    for c in p:
-        out.append((int(c.re * lcm), int(c.im * lcm)))
+    out = _common_denominator(p)[1]
     # remove Gaussian-integer content
     g: GInt = (0, 0)
     for z in out:

@@ -8,7 +8,8 @@ are recomputed by sympy's exact linear algebra.
 
 from __future__ import annotations
 
-from typing import List
+from fractions import Fraction
+from typing import List, Sequence
 
 import sympy
 
@@ -31,6 +32,36 @@ def hompoly_to_sympy(f: HomPoly, syms) -> sympy.Expr:
                 term *= s ** e
         expr += term
     return sympy.expand(expr)
+
+
+def sympy_to_gr(value) -> GaussianRational:
+    re, im = sympy.sympify(value).as_real_imag()
+    return GaussianRational(Fraction(int(re.p), int(re.q)),
+                            Fraction(int(im.p), int(im.q)))
+
+
+def oracle_substitute_linear(f: HomPoly, m: Matrix) -> HomPoly:
+    """f(M x) expanded by sympy's Poly arithmetic over QQ_I, in the
+    default variable names."""
+    ys = sympy.symbols(f"y0:{m.cols}")
+    sm = sympy_matrix(m)
+    images = [sympy.Poly(sum(sm[k, j] * ys[j] for j in range(m.cols)),
+                         *ys, domain="QQ_I") for k in range(f.nvars)]
+    total = sympy.Poly(0, *ys, domain="QQ_I")
+    for exp, coeff in f.terms.items():
+        term = sympy.Poly(gr_to_sympy(coeff), *ys, domain="QQ_I")
+        for image, e in zip(images, exp):
+            term = term * image ** e
+        total = total + term
+    terms = {exp: sympy_to_gr(c) for exp, c in total.terms() if c != 0}
+    return HomPoly(m.cols, f.degree, terms)
+
+
+def oracle_eval(f: HomPoly, point: Sequence[GaussianRational]) -> GaussianRational:
+    xs = sympy.symbols(f"x0:{f.nvars}")
+    expr = hompoly_to_sympy(f, xs)
+    value = expr.xreplace({x: gr_to_sympy(v) for x, v in zip(xs, point)})
+    return sympy_to_gr(sympy.expand(value))
 
 
 def oracle_common_projective_zero(forms: List[HomPoly]) -> bool:

@@ -13,8 +13,33 @@ from quartic_galois.poly import (HomPoly, ProjPoint, euler_check, monomials,
                                  substitute_linear, x_decompose)
 
 from helpers import rand_gr, rand_invertible, rand_sparse_quartic
+from oracles import oracle_eval, oracle_substitute_linear
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
+# contains the lines X = Y, Z = W and X = i*Y, Z = i*W
+SPLIT_LINES = parse_poly("X^4-Y^4+Z^4-W^4", 4)
+
+
+def _rand_quartic(rng, denominators=(1,)):
+    """A dense quartic: every monomial, most coefficients nonzero."""
+    return HomPoly(4, 4, {e: rand_gr(rng, denominators=denominators)
+                          for e in monomials(4, 4)})
+
+
+def _rand_matrix(rng, rows, cols, gaussian=True, denominators=(1,)):
+    return Matrix(rows, cols, [rand_gr(rng, complex_part=gaussian,
+                                       denominators=denominators)
+                               for _ in range(rows * cols)])
+
+
+def _assert_matches_oracle(f, m):
+    g = substitute_linear(f, m)
+    expected = oracle_substitute_linear(f, m)
+    assert g == expected
+    assert str(g) == str(expected)
+    assert hash(g) == hash(expected)
+    assert g.names == ("X", "Y", "Z", "W")[:m.cols]
+    assert (g.nvars, g.degree) == (m.cols, f.degree)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -93,6 +118,43 @@ def test_eval():
     assert FERMAT.eval([1, I, 0, 0]) == GR(2)
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+def test_eval_matches_oracle(seed, gaussian):
+    rng = random.Random(100 + seed)
+    f = _rand_quartic(rng, denominators=(1, 2, 3))
+    for _ in range(3):
+        point = [rand_gr(rng, complex_part=gaussian, denominators=(1, 5, 7))
+                 for _ in range(4)]
+        value = f.eval(point)
+        expected = oracle_eval(f, point)
+        assert value == expected
+        assert str(value) == str(expected)
+
+
+def test_eval_on_surface_is_exactly_zero():
+    rng = random.Random(7)
+    a = _rand_matrix(rng, 4, 4, denominators=(1, 3, 7))
+    while a.det().is_zero():
+        a = _rand_matrix(rng, 4, 4, denominators=(1, 3, 7))
+    g = substitute_linear(SPLIT_LINES, a)
+    a_inv = a.inverse()
+    for p in ([1, 1, 0, 0], [1, I, 2, 2 * I], [0, 0, GR(1, 2), GR(-2, 1)]):
+        scale = GR(Fraction(2, 7), Fraction(-3, 5))
+        q = [scale * sum((a_inv[i, j] * p[j] for j in range(4)), ZERO)
+             for i in range(4)]
+        value = g.eval(q)
+        assert value.is_zero() and str(value) == "0"
+        assert oracle_eval(g, q).is_zero()
+
+
+def test_eval_length_mismatch():
+    with pytest.raises(ValueError, match="point length mismatch"):
+        FERMAT.eval([1, 0, 0])
+    with pytest.raises(ValueError, match="point length mismatch"):
+        FERMAT.eval([1, 0, 0, 0, 0])
+
+
 # -- substitution ------------------------------------------------------------
 
 def test_substitute_diag_i_fixes_fermat():
@@ -120,6 +182,43 @@ def test_substitute_composition():
         lhs = substitute_linear(substitute_linear(f, a), b)
         rhs = substitute_linear(f, a * b)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+def test_substitute_matches_oracle(seed, gaussian):
+    rng = random.Random(200 + seed)
+    f = _rand_quartic(rng, denominators=(1, 2, 7))
+    _assert_matches_oracle(
+        f, _rand_matrix(rng, 4, 4, gaussian, denominators=(1, 2, 3, 5, 7)))
+
+
+@pytest.mark.parametrize("cols", [3, 2])
+def test_substitute_rectangular_matches_oracle(cols):
+    rng = random.Random(300 + cols)
+    f = _rand_quartic(rng, denominators=(1, 3))
+    _assert_matches_oracle(f, _rand_matrix(rng, 4, cols, denominators=(1, 7)))
+
+
+def test_substitute_line_inside_surface_is_zero():
+    rng = random.Random(11)
+    a = rand_invertible(rng)
+    g = substitute_linear(SPLIT_LINES, a)
+    # X = Y, Z = W, moved by a**-1 into the conjugate surface g
+    line = a.inverse() * Matrix.from_rows([[1, 0], [1, 0], [0, 1], [0, 1]])
+    h = substitute_linear(g, line)
+    assert h.is_zero() and str(h) == "0"
+    assert (h.nvars, h.degree, h.names) == (2, 4, ("X", "Y"))
+    _assert_matches_oracle(g, line)
+
+
+def test_substitute_keeps_default_names():
+    f = parse_poly("a^4+1/3*b^3*c-(2+i)*a*b*c*d+7/2*i*d^4", 4,
+                   names=("a", "b", "c", "d"))
+    rng = random.Random(13)
+    m = _rand_matrix(rng, 4, 4, denominators=(1, 7))
+    _assert_matches_oracle(f, m)
+    assert "a" not in str(substitute_linear(f, m))
 
 
 # -- partial derivatives ------------------------------------------------------

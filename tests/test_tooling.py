@@ -22,3 +22,56 @@ def test_trace_layers_resolve():
     from quartic_galois.linalg import Matrix
     for meth in trace.MATRIX_METHODS:
         assert meth in Matrix.__dict__, f"Matrix.{meth}"
+
+
+def _count_gaussian_ops(monkeypatch):
+    """Count Q(i) arithmetic and GaussianRational constructions."""
+    from quartic_galois.gaussian import GaussianRational
+    counts = {"arith": 0, "init": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for meth in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+                 "__truediv__", "__pow__"):
+        monkeypatch.setattr(GaussianRational, meth,
+                            counting("arith", GaussianRational.__dict__[meth]))
+    monkeypatch.setattr(GaussianRational, "__init__",
+                        counting("init", GaussianRational.__init__))
+    return counts
+
+
+def test_substitution_and_eval_run_over_gaussian_integers(monkeypatch):
+    """substitute_linear and eval do no per-term Q(i) arithmetic and build
+    at most one coefficient per output term."""
+    import random
+    from fractions import Fraction
+    from quartic_galois.gaussian import GaussianRational as GR
+    from quartic_galois.linalg import Matrix
+    from quartic_galois.poly import parse_poly, substitute_linear
+
+    rng = random.Random(1)
+
+    def height1():
+        while True:
+            a = Matrix(4, 4, [GR(rng.randint(-1, 1), rng.randint(-1, 1))
+                              for _ in range(16)])
+            if not a.det().is_zero():
+                return a
+
+    f = substitute_linear(parse_poly("X^4+Y^4+Z^4+W^4", 4), height1())
+    assert len(f.terms) >= 30
+    m = height1().scale(GR(Fraction(1, 3), Fraction(1, 7)))
+    point = [GR(Fraction(1, 2), 3), GR(-1, Fraction(2, 5)), GR(0, 1), GR(4)]
+
+    counts = _count_gaussian_ops(monkeypatch)
+    g = substitute_linear(f, m)
+    assert counts["arith"] == 0
+    assert 0 < counts["init"] <= len(g.terms)
+
+    counts.update(arith=0, init=0)
+    f.eval(point)
+    assert counts == {"arith": 0, "init": 1}

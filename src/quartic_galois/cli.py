@@ -158,8 +158,13 @@ def cmd_auto(args: argparse.Namespace) -> int:
 
 
 def _parse_gram(tokens: Sequence[str]) -> GramMatrix2:
-    d1, b, d2 = (int(t) for t in tokens)
-    return GramMatrix2.from_entries(d1, b, d2)
+    entries = []
+    for t in tokens:
+        try:
+            entries.append(int(t))
+        except ValueError:
+            raise ParseError(f"lattice entry {t!r} is not an integer") from None
+    return GramMatrix2.from_entries(*entries)
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:

@@ -10,7 +10,11 @@ matrix has full rank exactly when the zero set is empty.  The partials
 are cleared of denominators once, into Z[i] forms, and the verdict
 takes up to three steps:
   1. at each certificate prime p the solver's engine builds the matrix
-     modulo a Gaussian prime above p; full rank proves smooth;
+     modulo a Gaussian prime above p, without the rows that the Koszul
+     syzygies among the partials put in the span of the others, and
+     linalg._pivots_mod_p takes its rank, eliminating only the rows
+     whose leading column an earlier row already has; full rank proves
+     smooth;
   2. if the image at the first prime is deficient, the common zeros of
      the partials mod p are found with the solver's zero finder and
      lifted to Q(i) by the solver (reconstructed at p, or Newton-lifted
@@ -27,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import DegenerateInputError, UnnormalizedAutomorphismError
 from .gaussian import FOURTH_ROOTS, GaussianRational
 from .linalg import (Matrix, SparseRow, _CERT_PIS, _CERT_PRIMES, _CERT_ROOTS,
-                     _echelon_mod_p, prove_full_column_rank)
+                     _pivots_mod_p, prove_full_column_rank)
 from .poly import (HomPoly, ProjPoint, monomials, partials,
                    squarefree_profile, substitute_linear)
 from .solver import Form, _generator_rows, _lift, _macaulay, _zeros_mod_p
@@ -72,7 +76,7 @@ def jacobian_ideal_is_irrelevant(f: HomPoly) -> bool:
     for p in _CERT_PRIMES:
         mac, index = _macaulay(_generator_rows(forms, n, k, p, _CERT_ROOTS[p]),
                                n, k, target)
-        if len(_echelon_mod_p(mac, p)) == len(index):
+        if len(_pivots_mod_p(mac, p)) == len(index):
             return True
         del mac  # the search builds matrices as large as this one
         # a full-rank image returns, so the first prime is the first deficient one
@@ -149,15 +153,14 @@ def eigen_decompose_order4(m: Matrix) -> EigenDecomposition:
 
     Such a matrix is diagonalizable with eigenvalues among the 4th
     roots of unity, so kernel extraction per root is a complete
-    decomposition.  Anything else is rejected: rescale the matrix so
-    that its fourth power is exactly the identity before calling.
+    decomposition.  Conversely, since x**4 - 1 is squarefree, eigenspaces
+    for the 4th roots of unity of total dimension 4 give M**4 == I, so
+    that sum is the whole check.  Anything else is rejected: rescale the
+    matrix so that its fourth power is exactly the identity before
+    calling.
     """
     if m.rows != 4 or m.cols != 4:
         raise ValueError("expected a 4x4 matrix")
-    if not (m ** 4).is_identity():
-        raise UnnormalizedAutomorphismError(
-            "matrix does not satisfy M**4 == I; rescale the matrix "
-            "(projective automorphisms must be normalized inside Q(i))")
     eigenvalues: List[GaussianRational] = []
     spaces: List[List[Tuple[GaussianRational, ...]]] = []
     total = 0
@@ -170,7 +173,8 @@ def eigen_decompose_order4(m: Matrix) -> EigenDecomposition:
             total += len(basis)
     if total != 4:
         raise UnnormalizedAutomorphismError(
-            "eigenspace dimensions do not sum to 4")
+            "matrix does not satisfy M**4 == I; rescale the matrix "
+            "(projective automorphisms must be normalized inside Q(i))")
     return EigenDecomposition(eigenvalues, spaces)
 
 

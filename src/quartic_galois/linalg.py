@@ -144,14 +144,16 @@ class Matrix:
     def __pow__(self, n: int) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("power of non-square matrix")
-        result = Matrix.identity(self.rows)
-        base = self
+        if n < 0:
+            raise ValueError("negative matrix power")
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Matrix.identity(self.rows) if result is None else result
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
@@ -374,6 +376,31 @@ def _echelon_mod_p(a: np.ndarray, p: int, reduced: bool = False) -> List[int]:
             a[rows, c:] = (a[rows, c:] - factors * a[r, c:][None, :]) % p
         pivots.append(c)
     return pivots
+
+
+def _pivots_mod_p(a: np.ndarray, p: int) -> List[int]:
+    """The pivot columns of the row space of a modulo p, the same list as
+    _echelon_mod_p(a, p), which leaves a unchanged.
+
+    The first row with each leading column is kept as the pivot row of
+    that column: together these rows are already in echelon form.  Only
+    the other rows are reduced, against the known pivot row of each
+    column in increasing order, with no search and no swap; afterwards
+    they vanish at every such column, so _echelon_mod_p on what remains
+    of them gives the other pivot columns.  Entries must lie in [0, p)
+    with p < 2**31.
+    """
+    nonzero = a != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols, first = np.unique(nonzero[rows].argmax(axis=1), return_index=True)
+    rest = a[np.delete(rows, first)]
+    if len(rest):
+        for c, i in zip(cols.tolist(), rows[first].tolist()):
+            hit = np.flatnonzero(rest[:, c])
+            if hit.size:
+                f = rest[hit, c] * pow(int(a[i, c]), p - 2, p) % p
+                rest[hit, c:] = (rest[hit, c:] - f[:, None] * a[i, c:]) % p
+    return sorted(cols.tolist() + _echelon_mod_p(rest, p))
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,21 @@ an exact zero of every quadric, so no point rests on the modular step.
 The engine (_generator_rows, _macaulay) and the zero finder and lift
 (_zeros_mod_p, _lift) take forms of any degree, and are the package's
 one modular Macaulay engine and one route from a zero mod p to a Q(i)
-point.  The smoothness test of the geometry module certifies on the
-engine that the partials of a quartic have no common zero, or runs
-the zero finder and the lift on them to find a singular point;
-univariate.gaussian_roots runs them on a binary form to find roots.
+point.  The engine caches each column layout, and leaves out every row
+that a Koszul syzygy puts in the span of the rows kept, so ranks, pivot
+columns and reduced echelon forms are those of the full matrix; ranks
+come from linalg._pivots_mod_p, which eliminates only the rows whose
+leading column an earlier row already has.  The smoothness test of the
+geometry module certifies on the engine that the partials of a quartic
+have no common zero, or runs the zero finder and the lift on them to
+find a singular point; univariate.gaussian_roots runs them on a binary
+form to find roots.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -38,7 +43,7 @@ import numpy as np
 
 from .gaussian import ZERO, ONE, GaussianRational
 from .linalg import (Matrix, _CERT_PIS, _CERT_PRIMES, _CERT_ROOTS,
-                     _echelon_mod_p)
+                     _echelon_mod_p, _pivots_mod_p)
 from .poly import HomPoly, ProjPoint, monomials
 from .univariate import (GInt, Poly, _clear_denominators, _fp_roots, _gi_mul,
                          _rational_reconstructions, degree)
@@ -174,7 +179,7 @@ def _zeros_mod_p(forms: List[Form], n: int, p: int, i_p: int, k: int = 2,
     P = (trace(M_t|V) / dim V)_t; the common factor dim V is dropped."""
     basis = _generator_rows(forms, n, k, p, i_p)
     mac, index = _macaulay(basis, n, k, d)
-    piv = set(_echelon_mod_p(mac, p))
+    piv = set(_pivots_mod_p(mac, p))
     del mac  # peak memory: the degree-(d+1) matrix is the larger one
     rref1, index1 = _macaulay(basis, n, k, d + 1)
     piv1 = _echelon_mod_p(rref1, p, reduced=True)
@@ -224,17 +229,51 @@ def _generator_rows(forms: List[Form], n: int, k: int, p: int, i_p: int
     return gens[:len(_echelon_mod_p(gens, p))]
 
 
+@lru_cache(maxsize=None)
+def _layout(n: int, k: int, d: int
+            ) -> Tuple[Dict[Tuple[int, ...], int], np.ndarray, np.ndarray]:
+    """The columns of the degree-d Macaulay matrix of forms of degree k in
+    n variables: (index, where, divides), where index maps each monomial
+    of degree d to its column, where[s, t] is the column of the product of
+    shift s (monomials(n, d - k)) and monomial t (monomials(n, k)), and
+    divides[s, t] says that t divides s."""
+    index = {e: c for c, e in enumerate(monomials(n, d))}
+    shifts, gens = monomials(n, d - k), monomials(n, k)
+    where = np.array([[index[tuple(x + y for x, y in zip(s, t))] for t in gens]
+                      for s in shifts], dtype=np.intp)
+    divides = np.array([[all(y <= x for x, y in zip(s, t)) for t in gens]
+                        for s in shifts])
+    return index, where, divides
+
+
 def _macaulay(basis: np.ndarray, n: int, k: int, d: int
               ) -> Tuple[np.ndarray, Dict[Tuple[int, ...], int]]:
-    """The degree-d Macaulay matrix of forms of degree k given as rows
-    over monomials(n, k): one row per form and monomial of degree d - k."""
-    index = {e: c for c, e in enumerate(monomials(n, d))}
-    shifts = monomials(n, d - k)
-    mac = np.zeros((len(basis) * len(shifts), len(index)), dtype=np.int64)
-    for r, e in enumerate(shifts):
-        where = [index[tuple(x + y for x, y in zip(e, g))]
-                 for g in monomials(n, k)]
-        mac[r * len(basis):(r + 1) * len(basis), where] = basis
+    """The degree-d Macaulay matrix of forms g_1, g_2, ... of degree k,
+    given as the nonzero rows of an echelon form over monomials(n, k) (as
+    _generator_rows returns them), and its column index: the row m*g_j
+    for each monomial m of degree d - k, except where the leading
+    monomial of an earlier g_i divides m.
+
+    The rows left out lie in the span of the rows kept, so the row space
+    over F_p, its rank, pivot columns and reduced echelon form are those
+    of the full matrix.  Descending lex is a monomial order, so with
+    g_i = c lm(g_i) + t_i, c != 0 and t_i made of smaller monomials, and
+    m = m' lm(g_i), the Koszul syzygy g_i g_j = g_j g_i gives
+        c m g_j = m' g_j g_i - m' t_i g_j,
+    a combination of rows u g_i and of rows u g_j with u below m in the
+    order.  So, with the rows ordered by j and then by m, each row left
+    out is in the span of the rows before it, and by induction the rows
+    kept span them all (Faugere's F5 criterion on the trivial
+    syzygies)."""
+    index, where, divides = _layout(n, k, d)
+    # hit[s, i]: the leading monomial of g_i divides shift s; earlier[s, j]:
+    # that of some g_i with i < j does
+    hit = divides[:, (basis != 0).argmax(axis=1)]
+    earlier = np.zeros_like(hit)
+    earlier[:, 1:] = np.logical_or.accumulate(hit, axis=1)[:, :-1]
+    shift, gen = np.nonzero(~earlier)
+    mac = np.zeros((len(shift), len(index)), dtype=np.int64)
+    mac[np.arange(len(shift))[:, None], where[shift]] = basis[gen]
     return mac, index
 
 

@@ -130,6 +130,14 @@ def test_lattice_entry_count(capsys):
         assert f"exactly {expected} entries" in err
 
 
+def test_lattice_entry_not_an_integer(capsys):
+    for argv, bad in ((["reduce", "2", "x", "2"], "x"),
+                      (["compare", "8", "0", "8", "2", "0", "3.5"], "3.5")):
+        code, out, err = run(capsys, "lattice", *argv)
+        assert code == 1 and out == ""
+        assert f"lattice entry '{bad}' is not an integer" in err
+
+
 def test_moduli_dim(capsys):
     code, payload, _ = run_json(capsys, "moduli", "dim", "--count", "7",
                                 "--matrix", SIGMA1,

@@ -243,8 +243,14 @@ def test_eigen_four_cycle_permutation():
 
 
 def test_eigen_rejects_unnormalized():
-    with pytest.raises(UnnormalizedAutomorphismError):
-        eigen_decompose_order4(Matrix.diagonal([2, 1, 1, 1]))
+    # diag(2, 1, 1, 1) has an eigenvalue off the 4th roots of unity; the
+    # Jordan block has eigenvalues i and 1 but is not diagonalizable: for
+    # neither do the eigenspaces of the 4th roots of unity fill C^4
+    jordan = Matrix.from_rows([[I, 1, 0, 0], [0, I, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    for m in (Matrix.diagonal([2, 1, 1, 1]), jordan):
+        assert not (m ** 4).is_identity()
+        with pytest.raises(UnnormalizedAutomorphismError, match="rescale"):
+            eigen_decompose_order4(m)
 
 
 def test_eigen_exactness_property():

@@ -1,12 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
 from quartic_galois.errors import ParseError
 from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, ONE, ZERO
-from quartic_galois.linalg import (Matrix, centralizer_dimension, parse_matrix,
-                                   prove_full_column_rank, sparse_rank)
+from quartic_galois.linalg import (_CERT_PRIMES, Matrix, _echelon_mod_p,
+                                   _pivots_mod_p, centralizer_dimension,
+                                   parse_matrix, prove_full_column_rank,
+                                   sparse_rank)
 
 from helpers import SIGMA1, SIGMA2, SIGMA3, SIGMA4, rand_gr, rand_invertible
 from oracles import oracle_rank
@@ -89,6 +92,46 @@ def test_matrix_power():
     s = Matrix.diagonal([I, 1, 1, 1])
     assert (s ** 4).is_identity()
     assert not (s ** 2).is_identity()
+
+
+def test_matrix_power_matches_repeated_products():
+    rng = random.Random(9)
+    m = Matrix(3, 3, [rand_gr(rng, -2, 2) for _ in range(9)])
+    expected = Matrix.identity(3)
+    for n in range(10):
+        assert m ** n == expected
+        expected = expected * m
+    with pytest.raises(ValueError):
+        m ** -1
+
+
+def _modular_matrices(p, rng):
+    """Matrices mod p with zero rows, repeated leading columns and rank
+    deficiency, plus an all-zero matrix and single rows."""
+    yield np.zeros((5, 7), dtype=np.int64)
+    yield np.array([[0, 0, 3, 1, 0]], dtype=np.int64)
+    yield np.zeros((1, 4), dtype=np.int64)
+    for rows, cols, rank in ((6, 6, 6), (12, 9, 4), (9, 12, 7), (20, 15, 3),
+                             (15, 20, 15), (30, 30, 22)):
+        base = rng.integers(0, p, size=(rank, cols))
+        # shared leading zeros make leading columns collide
+        for r in range(rank):
+            base[r, :rng.integers(0, cols // 2)] = 0
+        coeffs = rng.integers(0, 2**10, size=(rows, rank))
+        coeffs[rng.random(size=rows) < 0.2] = 0
+        a = np.zeros((rows, cols), dtype=np.int64)
+        for r in range(rank):
+            a = (a + coeffs[:, r:r + 1] * base[r]) % p
+        yield a
+
+
+@pytest.mark.parametrize("p", _CERT_PRIMES)
+def test_pivots_mod_p_matches_echelon(p):
+    rng = np.random.default_rng(p)
+    for a in _modular_matrices(p, rng):
+        before = a.copy()
+        assert _pivots_mod_p(a, p) == _echelon_mod_p(a.copy(), p)
+        assert (a == before).all()
 
 
 def test_centralizer_two_homologies_is_six():

@@ -1,12 +1,16 @@
 import random
+from itertools import combinations_with_replacement
 
 import numpy as np
+import pytest
 
 from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, ONE, ZERO
-from quartic_galois.linalg import _CERT_PRIMES, _CERT_ROOTS
-from quartic_galois.solver import (_charpoly_mod_p, _matmul_mod_p, _zeros_mod_p,
-                                   resultant)
+from quartic_galois.geometry import _integral_forms
+from quartic_galois.linalg import _CERT_PRIMES, _CERT_ROOTS, _echelon_mod_p
+from quartic_galois.poly import monomials, parse_poly, partials
+from quartic_galois.solver import (_charpoly_mod_p, _generator_rows, _macaulay,
+                                   _matmul_mod_p, _zeros_mod_p, resultant)
 
 
 def test_resultant_sylvester():
@@ -60,3 +64,68 @@ def test_modular_matrix_arithmetic_matches_python_integers():
             trace = sum(a[i][l] * m[l][i] for i in range(h) for l in range(h))
             coeffs[h - k] = -trace * pow(k, -1, p) % p
         assert _charpoly_mod_p(np.array(a, dtype=np.int64), p) == coeffs
+
+
+def _random_forms(rng, n, k, count):
+    keys = list(combinations_with_replacement(range(n), k))
+    return [{key: (rng.randint(-3, 3), rng.randint(-3, 3))
+             for key in keys if rng.random() < 0.6} for _ in range(count)]
+
+
+def _full_macaulay(basis, n, k, d):
+    """Every row m*g of the degree-d Macaulay matrix, none left out."""
+    cols = {e: c for c, e in enumerate(monomials(n, d))}
+    rows = []
+    for m in monomials(n, d - k):
+        for g in basis:
+            row = [0] * len(cols)
+            for t, v in zip(monomials(n, k), g.tolist()):
+                row[cols[tuple(x + y for x, y in zip(m, t))]] = v
+            rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+def _rref(a, p):
+    pivots = _echelon_mod_p(a, p, reduced=True)
+    return pivots, a[:len(pivots)].tolist()
+
+
+_RANDOM_SYSTEMS = [(4, 3, 9, 4), (3, 3, 7, 3), (4, 2, 4, 6), (4, 2, 5, 6),
+                   (4, 3, 8, 4), (4, 2, 4, 3)]
+
+
+@pytest.mark.parametrize("n,k,d,count", _RANDOM_SYSTEMS)
+def test_pruned_macaulay_keeps_the_row_space(n, k, d, count):
+    # the rows left out by the Koszul criterion change nothing: the pruned
+    # matrix has the reduced echelon form of the full one
+    rng = random.Random(n * 100 + k * 10 + d + count)
+    p = _CERT_PRIMES[0]
+    for _ in range(3):
+        basis = _generator_rows(_random_forms(rng, n, k, count), n, k, p,
+                                _CERT_ROOTS[p])
+        mac, index = _macaulay(basis, n, k, d)
+        full = _full_macaulay(basis, n, k, d)
+        assert mac.shape[1] == full.shape[1] == len(index)
+        assert len(mac) < len(full)
+        assert _rref(mac, p) == _rref(full, p)
+
+
+def test_pruned_macaulay_of_singular_partials():
+    # the Dwork pencil's singular member: the degree-9 rank stays deficient
+    f = parse_poly("X^4+Y^4+Z^4+W^4-4*X*Y*Z*W", 4)
+    p = _CERT_PRIMES[1]
+    basis = _generator_rows(_integral_forms(partials(f)), 4, 3, p, _CERT_ROOTS[p])
+    mac, index = _macaulay(basis, 4, 3, 9)
+    full = _full_macaulay(basis, 4, 3, 9)
+    pivots, rows = _rref(mac, p)
+    assert len(pivots) < len(index)
+    assert (pivots, rows) == _rref(full, p)
+
+
+def test_fermat_macaulay_is_square():
+    # X^3, Y^3, Z^3, W^3 is a regular sequence of monomials: the Koszul
+    # criterion leaves exactly one row per degree-9 monomial
+    fermat = _integral_forms(partials(parse_poly("X^4+Y^4+Z^4+W^4", 4)))
+    p = _CERT_PRIMES[0]
+    mac, index = _macaulay(_generator_rows(fermat, 4, 3, p, _CERT_ROOTS[p]), 4, 3, 9)
+    assert mac.shape == (220, 220) and len(index) == 220

@@ -200,6 +200,9 @@ def cmd_moduli(args: argparse.Namespace) -> int:
               args.format)
         return EXIT_OK
     if args.count is not None:
+        if args.count < 0:
+            raise ParseError(f"--count {args.count} is negative; it counts "
+                             "the family's monomials")
         count = args.count
     elif args.monomials is not None:
         count = len(_read_arg(args.monomials).split())

@@ -148,6 +148,15 @@ class EigenDecomposition:
         return None
 
 
+def eigenspace(m: Matrix, mu: GaussianRational) -> List[Tuple[GaussianRational, ...]]:
+    """The kernel basis of m - mu*I (mu subtracted on the diagonal in
+    place).  It comes from the reduced row echelon form, so it depends
+    only on the eigenspace, not on the matrix that has it."""
+    step = m.cols + 1
+    return Matrix(m.rows, m.cols, [e - mu if k % step == 0 else e
+                                   for k, e in enumerate(m.entries)]).kernel_basis()
+
+
 def eigen_decompose_order4(m: Matrix) -> EigenDecomposition:
     """Exact eigenspaces of a 4x4 matrix satisfying M**4 == I.
 
@@ -165,8 +174,7 @@ def eigen_decompose_order4(m: Matrix) -> EigenDecomposition:
     spaces: List[List[Tuple[GaussianRational, ...]]] = []
     total = 0
     for mu in FOURTH_ROOTS:
-        shifted = m - Matrix.identity(4).scale(mu)
-        basis = shifted.kernel_basis()
+        basis = eigenspace(m, mu)
         if basis:
             eigenvalues.append(mu)
             spaces.append(basis)

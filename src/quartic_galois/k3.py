@@ -10,7 +10,10 @@ character: u == 1 symplectic, u primitive 4th root purely
 non-symplectic of order 4, u == -1 with projective order 4 non-purely
 non-symplectic.  Fixed loci are computed exactly as eigenspace
 sections, and the resulting discrete data is classified against the
-embedded tables for order-4 automorphisms.  The invariant-lattice rank
+embedded tables for order-4 automorphisms.  The fixed data of the
+square come from the same eigendecomposition: an eigenspace of M**2 is
+one eigenspace of M, whose section is reused, or the sum of two, the
+only case that takes a new kernel and section.  The invariant-lattice rank
 r is never computed from cohomology: it is read off the table row
 selected by the computable data, and reports label it as such.
 """
@@ -18,14 +21,14 @@ selected by the computable data, and reports label it as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (ConsistencyError, DegenerateInputError,
                      NoMatchingTypeError, SingularSurfaceError)
-from .gaussian import ONE, MINUS_ONE, GaussianRational
+from .gaussian import I, MINUS_I, MINUS_ONE, ONE, GaussianRational
 from .galois import LinearAuto
-from .geometry import (CurveSection, eigen_decompose_order4, is_smooth_surface,
-                       section)
+from .geometry import (CurveSection, eigen_decompose_order4, eigenspace,
+                       is_smooth_surface, section)
 from .linalg import Matrix, centralizer_dimension, sparse_rank
 from .poly import HomPoly, ProjPoint
 
@@ -108,18 +111,23 @@ class FixedLocusReport:
         return data
 
 
-def _fixed_data(f: HomPoly, m: Matrix) -> Tuple[List, List, int]:
-    """Sections of f along the projectivized eigenspaces of m."""
-    eig = eigen_decompose_order4(m)
-    sections: List[Tuple[GaussianRational, CurveSection]] = []
+def _section(f: HomPoly, space: Sequence[Sequence[GaussianRational]]) -> CurveSection:
+    """The section of f along one projectivized eigenspace."""
+    if len(space) == 4:
+        raise DegenerateInputError(
+            "matrix acts as the identity on projective space")
+    return section(f, [ProjPoint(list(v)) for v in space])
+
+
+def _fixed_data(sections: Iterable[Tuple[GaussianRational, CurveSection]]
+                ) -> Tuple[List, List, int]:
+    """The sections, the fixed curves among them and the isolated-point
+    count; each section is checked before the next one is taken."""
+    taken: List[Tuple[GaussianRational, CurveSection]] = []
     curves: List[CurveSection] = []
     isolated = 0
-    for mu, space in zip(eig.eigenvalues, eig.spaces):
-        if len(space) == 4:
-            raise DegenerateInputError(
-                "matrix acts as the identity on projective space")
-        sec = section(f, [ProjPoint(list(v)) for v in space])
-        sections.append((mu, sec))
+    for mu, sec in sections:
+        taken.append((mu, sec))
         if sec.kind == "plane-quartic":
             if not sec.smooth:
                 raise DegenerateInputError(
@@ -128,11 +136,26 @@ def _fixed_data(f: HomPoly, m: Matrix) -> Tuple[List, List, int]:
             curves.append(sec)
         elif sec.kind == "line-in-surface":
             curves.append(sec)
-        elif sec.kind == "finite-points":
+        elif sec.kind in ("finite-points", "point"):
             isolated += sec.point_count or 0
-        elif sec.kind == "point":
-            isolated += sec.point_count or 0
-    return sections, curves, isolated
+    return taken, curves, isolated
+
+
+def _square_sections(f: HomPoly, m2: Matrix,
+                     sections: Sequence[Tuple[GaussianRational, CurveSection]]
+                     ) -> Iterator[Tuple[GaussianRational, CurveSection]]:
+    """The sections along the eigenspaces of m2 = m**2, from the sections
+    along those of m, which span Q(i)^4: E_1(m2) = E_1(m) + E_-1(m) and
+    E_-1(m2) = E_i(m) + E_-i(m).  With one summand the eigenspace of m2
+    is that of m, whose kernel basis, and so section, is the same; only
+    a sum of two is computed."""
+    of = dict(sections)
+    for mu2, roots in ((ONE, (ONE, MINUS_ONE)), (MINUS_ONE, (I, MINUS_I))):
+        parts = [of[mu] for mu in roots if mu in of]
+        if len(parts) == 1:
+            yield mu2, parts[0]
+        elif parts:
+            yield mu2, _section(f, eigenspace(m2, mu2))
 
 
 def _check_invariant_subspaces(m: Matrix, curves: Sequence[CurveSection]) -> int:
@@ -161,20 +184,23 @@ def fixed_locus(f: HomPoly, auto: LinearAuto, *,
     The fixed set in P^3 is the disjoint union of the projectivized
     eigenspaces; each is intersected with the surface.  The same data
     is computed for the square of the automorphism, along with the
-    swapped-curve count.
+    swapped-curve count: the matrix is decomposed once, and the square's
+    eigenspaces are sums of its eigenspaces (_square_sections).
     """
     if check_smooth and not is_smooth_surface(f):
         raise SingularSurfaceError("fixed loci require a smooth quartic")
     m = auto.matrix
     if m.is_scalar():
         raise DegenerateInputError("matrix is scalar: the identity on P^3")
-    sections, curves, isolated = _fixed_data(f, m)
+    eig = eigen_decompose_order4(m)
+    sections, curves, isolated = _fixed_data(
+        (mu, _section(f, space)) for mu, space in zip(eig.eigenvalues, eig.spaces))
     m2 = m * m
     if m2.is_scalar():
         square: Optional[FixedLocusReport] = None
         a_count: Optional[int] = None
     else:
-        s2, c2, i2 = _fixed_data(f, m2)
+        s2, c2, i2 = _fixed_data(_square_sections(f, m2, sections))
         square = FixedLocusReport(s2, c2, i2, None, None)
         a_count = _check_invariant_subspaces(m, c2)
     return FixedLocusReport(sections, curves, isolated, square, a_count)

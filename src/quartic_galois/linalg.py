@@ -3,6 +3,8 @@
 Rank, kernel and inverse are computed by exact Gaussian elimination
 with a deterministic pivot rule (first nonzero in row-major scan), so
 every reported basis is reproducible across runs and platforms.
+Products run over Z[i] integers: each factor is cleared of
+denominators once, and each entry of the product is divided once.
 
 The modular side is row reduction of numpy matrices modulo the
 certificate primes p = 1 (mod 4), each with a Gaussian prime above it;
@@ -12,13 +14,14 @@ arithmetic only; no floats.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ParseError
 from .gaussian import ZERO, ONE, GaussianRational, parse_gaussian
-from .univariate import GInt, _gaussian_prime_above
+from .univariate import GInt, _common_denominator, _gaussian_prime_above
 
 Vector = Tuple[GaussianRational, ...]
 SparseRow = Dict[int, GaussianRational]
@@ -112,20 +115,29 @@ class Matrix:
         return Matrix(self.rows, self.cols, [c * e for e in self.entries])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """The product, over Z[i]: with d_A, d_B the common denominators
+        of the factors, AB = (d_A A)(d_B B) / (d_A d_B), so the dot
+        products run on Gaussian integers and each entry is divided once.
+        """
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
+        da, a = _common_denominator(self.entries)
+        db, b = _common_denominator(other.entries)
+        den = da * db
+        n, m = self.cols, other.cols
+        columns = [b[j::m] for j in range(m)]
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a.is_zero():
-                        continue
-                    acc = acc + a * other.entries[k * other.cols + j]
-                out.append(acc)
-        return Matrix(self.rows, other.cols, out)
+            row = [(k, x, y) for k, (x, y) in enumerate(a[i * n:(i + 1) * n])
+                   if x or y]
+            for col in columns:
+                re = im = 0
+                for k, x, y in row:
+                    u, v = col[k]
+                    re += x * u - y * v
+                    im += x * v + y * u
+                out.append(GaussianRational(Fraction(re, den), Fraction(im, den)))
+        return Matrix(self.rows, m, out)
 
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
@@ -213,13 +225,15 @@ class Matrix:
         return Matrix.from_rows([row[n:] for row in a])
 
     def is_identity(self) -> bool:
-        return self == Matrix.identity(self.rows) if self.rows == self.cols else False
+        return self.is_scalar() and all(e == ONE for e in self.entries[::self.cols + 1])
 
     def is_scalar(self) -> bool:
         if self.rows != self.cols:
             return False
-        d = self[0, 0]
-        return self == Matrix.identity(self.rows).scale(d)
+        step = self.cols + 1
+        diagonal = self.entries[::step]
+        return (all(e == diagonal[0] for e in diagonal)
+                and all(e.is_zero() for k, e in enumerate(self.entries) if k % step))
 
     def rank(self) -> int:
         return sparse_rank(self._sparse_rows())

@@ -246,8 +246,8 @@ def parse_poly(text: str, expected_degree: int,
 
     Grammar: terms joined by + and -; a term is an optional coefficient
     (integer, rational a/b, i, or a parenthesized Q(i) literal) times a
-    monomial written with ^ powers and optional * separators.  Rejects
-    inhomogeneous input and wrong total degree.
+    monomial written with ^ powers and optional * separators between
+    factors.  Rejects inhomogeneous input and wrong total degree.
     """
     nvars = len(names)
     var_index = {name: k for k, name in enumerate(names)}
@@ -285,7 +285,9 @@ def parse_poly(text: str, expected_degree: int,
             pos_before = pos
             pos = skip_ws(pos)
             if pos < n and text[pos] == "*":
-                pos = skip_ws(pos + 1)
+                star, pos = pos, skip_ws(pos + 1)
+                if not had_factor or pos >= n or text[pos] in "+-":
+                    raise ParseError("'*' must stand between two factors", star)
             if pos >= n or text[pos] in "+-":
                 pos = pos_before if pos >= n and not text[pos_before:].strip() else pos
                 break

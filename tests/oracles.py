@@ -3,7 +3,8 @@
 These deliberately avoid the package's Macaulay-rank and elimination
 machinery: smoothness is decided by a chartwise common-zero search on
 the partial derivatives through sympy Groebner bases, and matrix ranks
-are recomputed by sympy's exact linear algebra.
+are recomputed by sympy's exact linear algebra.  Matrix products are
+schoolbook sums of Fraction pairs, without GaussianRational arithmetic.
 """
 
 from __future__ import annotations
@@ -98,3 +99,26 @@ def sympy_matrix(m: Matrix) -> sympy.Matrix:
 
 def oracle_rank(m: Matrix) -> int:
     return sympy_matrix(m).rank()
+
+
+def oracle_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a*b, entry by entry on the (re, im) Fraction pairs."""
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            re = im = Fraction(0)
+            for k in range(a.cols):
+                x, y = a[i, k].re, a[i, k].im
+                u, v = b[k, j].re, b[k, j].im
+                re += x * u - y * v
+                im += x * v + y * u
+            out.append(GaussianRational(re, im))
+    return Matrix(a.rows, b.cols, out)
+
+
+def oracle_matpow(a: Matrix, n: int) -> Matrix:
+    """a**n by n oracle products with the identity as start."""
+    result = Matrix.identity(a.rows)
+    for _ in range(n):
+        result = oracle_matmul(result, a)
+    return result

@@ -32,6 +32,12 @@ def test_smooth_exit_codes(capsys):
     assert code == 1 and "error" in err
 
 
+def test_smooth_rejects_trailing_star(capsys):
+    code, out, err = run(capsys, "smooth", FERMAT + "*")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_galois_test_verdicts(capsys):
     code, payload, _ = run_json(capsys, "galois", "test", FORM2,
                                 "--point", "0:1:0:0")
@@ -145,6 +151,13 @@ def test_moduli_dim(capsys):
     assert code == 0
     assert payload["centralizer_dimension"] == 6
     assert payload["dimension"] == 1
+
+
+def test_moduli_dim_rejects_negative_count(capsys):
+    code, out, err = run(capsys, "moduli", "dim", "--count", "-5")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "-5" in err
+    assert "negative dimension" not in err
 
 
 def test_moduli_monomials(capsys):

@@ -1,11 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 
+from quartic_galois import k3
+
 from quartic_galois.errors import DegenerateInputError, NoMatchingTypeError
+from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, MINUS_ONE, ONE
 from quartic_galois.galois import linear_auto
-from quartic_galois.k3 import (GramMatrix2, MAX_OUTER_GALOIS_COUNT,
+from quartic_galois.geometry import eigen_decompose_order4, section
+from quartic_galois.k3 import (FixedLocusReport, GramMatrix2, MAX_OUTER_GALOIS_COUNT,
                                MAX_OUTER_GALOIS_TRANSCENDENTAL_GRAM,
                                NPNS_ROWS, PURELY_NS_ROWS,
                                SINGULAR_K3_PICARD_NUMBER, classify,
@@ -15,7 +20,7 @@ from quartic_galois.k3 import (GramMatrix2, MAX_OUTER_GALOIS_COUNT,
                                serialize_classification, solve_m,
                                symplectic_character, transform_gram)
 from quartic_galois.linalg import Matrix
-from quartic_galois.poly import parse_poly
+from quartic_galois.poly import ProjPoint, parse_poly, substitute_linear
 
 from helpers import (SIGMA1, SIGMA2, SIGMA3, SIGMA4, diag, lift_form1,
                      lift_form2, rand_sl2, rand_smooth_plane_quartic,
@@ -89,6 +94,106 @@ def test_fixed_locus_contained_in_square():
         for c in rep.curves:
             assert any(c.ambient == d.ambient and c.form == d.form
                        for d in sq.curves)
+
+
+# the order-4 automorphisms diag(...) of the normal forms in the
+# benchmark corpus (perfbench/corpus.py, AUTOS)
+AUTO_FAMILIES = {
+    "fermat": FERMAT,
+    "form-1": FORM1,
+    "form-2": FORM2,
+    "x3y": parse_poly("X^3*Y+Y^4+Z^4+W^4", 4),
+    "xyzw": parse_poly("X^4+Y^4+Z^4+W^4+X*Y*Z*W", 4),
+}
+AUTOS = [
+    ("fermat", (I, 1, 1, 1)),
+    ("fermat", (I, I, 1, 1)),
+    ("fermat", (I, -I, 1, 1)),
+    ("form-1", (I, 1, 1, 1)),
+    ("form-1", (1, 1, I, -I)),
+    ("form-2", (I, I, 1, 1)),
+    ("form-2", (I, 1, 1, 1)),
+    ("x3y", (1, 1, I, 1)),
+    ("xyzw", (I, -I, 1, 1)),
+]
+
+
+def _height1_gaussian(seed):
+    rng = random.Random(seed)
+    while True:
+        a = Matrix(4, 4, [GR(rng.randint(-1, 1), rng.randint(-1, 1))
+                          for _ in range(16)])
+        if not a.det().is_zero():
+            return a
+
+
+def _reference_fixed_locus(f, m):
+    """The fixed locus with a separate eigendecomposition of m*m and a
+    section on every eigenspace of m and of m*m."""
+    def data(mat):
+        eig = eigen_decompose_order4(mat)
+        sections = [(mu, section(f, [ProjPoint(list(v)) for v in space]))
+                    for mu, space in zip(eig.eigenvalues, eig.spaces)]
+        curves = [s for _, s in sections
+                  if s.kind in ("plane-quartic", "line-in-surface")]
+        isolated = sum(s.point_count or 0 for _, s in sections
+                       if s.kind in ("finite-points", "point"))
+        return sections, curves, isolated
+    m2 = m * m
+    square = None if m2.is_scalar() else FixedLocusReport(*data(m2), None, None)
+    return FixedLocusReport(*data(m), square, None if square is None else 0)
+
+
+def _section_key(s):
+    return (s.kind, s.genus, s.smooth, s.point_count,
+            tuple(p.coords for p in s.ambient), s.form)
+
+
+def _report_key(rep):
+    if rep is None:
+        return None
+    return ([(mu, _section_key(s)) for mu, s in rep.sections],
+            [_section_key(c) for c in rep.curves], rep.isolated_points,
+            _report_key(rep.sigma_squared), rep.a_count)
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["aligned", "conj"])
+@pytest.mark.parametrize("family, values", AUTOS,
+                         ids=[f"{fam}-{k}" for k, (fam, _) in enumerate(AUTOS)])
+def test_fixed_locus_matches_separate_square_decomposition(family, values,
+                                                           conjugated):
+    f, m = AUTO_FAMILIES[family], diag(*values)
+    if conjugated:
+        a = _height1_gaussian(19)
+        f, m = substitute_linear(f, a), a.inverse() * m * a
+    rep = fixed_locus(f, linear_auto(f, m))
+    assert _report_key(rep) == _report_key(_reference_fixed_locus(f, m))
+
+
+@pytest.mark.parametrize("f, values, kernels, sections", [
+    (FORM1, (I, 1, 1, 1), 4, 2),
+    (FORM2, (I, I, 1, 1), 4, 2),
+    (FERMAT, (I, -I, 1, 1), 5, 4),
+])
+def test_fixed_locus_decomposes_once(monkeypatch, f, values, kernels, sections):
+    """The square's eigenspaces come from those of the automorphism: a
+    kernel and a section are taken for the square only where an
+    eigenspace of the square is the sum of two eigenspaces."""
+    auto = linear_auto(f, diag(*values))
+    counts = Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Matrix, "kernel_basis",
+                        counting("kernel", Matrix.kernel_basis))
+    monkeypatch.setattr(k3, "section", counting("section", k3.section))
+    fixed_locus(f, auto)
+    assert counts["kernel"] <= kernels
+    assert counts["section"] == sections
 
 
 def test_fixed_locus_rejects_scalar():

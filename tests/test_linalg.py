@@ -12,7 +12,7 @@ from quartic_galois.linalg import (_CERT_PRIMES, Matrix, _echelon_mod_p,
                                    sparse_rank)
 
 from helpers import SIGMA1, SIGMA2, SIGMA3, SIGMA4, rand_gr, rand_invertible
-from oracles import oracle_rank
+from oracles import oracle_matmul, oracle_matpow, oracle_rank
 
 
 def test_rank_identity_and_zero():
@@ -103,6 +103,39 @@ def test_matrix_power_matches_repeated_products():
         expected = expected * m
     with pytest.raises(ValueError):
         m ** -1
+
+
+def _mixed_matrix(rng, rows, cols):
+    """Q(i) entries whose denominators mix 1 to 7."""
+    return Matrix(rows, cols, [rand_gr(rng, -5, 5, denominators=tuple(range(1, 8)))
+                               for _ in range(rows * cols)])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_product_and_power_match_fraction_oracle(seed):
+    rng = random.Random(seed)
+    a, b = _mixed_matrix(rng, 4, 4), _mixed_matrix(rng, 4, 4)
+    assert a * b == oracle_matmul(a, b)
+    for n in range(6):
+        assert a ** n == oracle_matpow(a, n)
+
+
+def test_rectangular_product_matches_fraction_oracle():
+    rng = random.Random(11)
+    a, b = _mixed_matrix(rng, 4, 3), _mixed_matrix(rng, 3, 2)
+    product = a * b
+    assert (product.rows, product.cols) == (4, 2)
+    assert product == oracle_matmul(a, b)
+    with pytest.raises(ValueError):
+        b * a
+
+
+def test_product_with_a_zero_factor():
+    rng = random.Random(12)
+    a, zero = _mixed_matrix(rng, 4, 4), Matrix(4, 4, [ZERO] * 16)
+    assert a * zero == zero == zero * a
+    assert zero ** 3 == zero == oracle_matpow(zero, 3)
+    assert zero ** 0 == Matrix.identity(4)
 
 
 def _modular_matrices(p, rng):

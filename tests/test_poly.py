@@ -73,6 +73,19 @@ def test_parse_syntax_error_position():
     assert err.value.position >= 0
 
 
+@pytest.mark.parametrize("text", ["*X^4+Y^4+Z^4+W^4", "X^4*+Y^4+Z^4+W^4",
+                                  "X^4+Y^4+Z^4+*W^4", "X^4+Y^4+Z^4+W^4*"])
+def test_parse_rejects_star_without_two_factors(text):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, 4)
+    assert err.value.position == text.index("*")
+
+
+def test_parse_star_between_factors():
+    assert (parse_poly("X^4 * Y^0+Y^4+Z^4+W^4", 4)
+            == parse_poly("X^4+Y^4+Z^4+W^4", 4))
+
+
 def test_parse_implicit_star_and_i():
     g = parse_poly("2X^2Y^2 + i*Z^4 - X^4", 4)
     assert g.coeff((2, 2, 0, 0)) == GR(2)

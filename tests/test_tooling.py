@@ -75,3 +75,20 @@ def test_substitution_and_eval_run_over_gaussian_integers(monkeypatch):
     counts.update(arith=0, init=0)
     f.eval(point)
     assert counts == {"arith": 0, "init": 1}
+
+
+def test_matrix_product_runs_over_gaussian_integers(monkeypatch):
+    """A product does no Q(i) arithmetic and builds at most one
+    GaussianRational per output entry."""
+    import random
+    from quartic_galois.linalg import Matrix
+    from helpers import rand_gr
+
+    rng = random.Random(3)
+    a = Matrix(4, 3, [rand_gr(rng, denominators=(1, 2, 3, 5)) for _ in range(12)])
+    b = Matrix(3, 4, [rand_gr(rng, denominators=(1, 4, 7)) for _ in range(12)])
+
+    counts = _count_gaussian_ops(monkeypatch)
+    a * b
+    assert counts["arith"] == 0
+    assert 0 < counts["init"] <= 16

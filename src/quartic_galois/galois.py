@@ -186,8 +186,10 @@ def galois_generator(f: HomPoly, p: ProjPoint, *,
                      check_smooth: bool = True) -> LinearAuto:
     """The order-4 homology generating the Galois group at p.
 
-    In sheared adapted coordinates the generator is diag(i, 1, 1, 1);
-    it is conjugated back to the original coordinates and the exact
+    The generator is the homology x -> x + (i - 1) * ell(x) * p with
+    center p, where ell is the linear form with ell(p) = 1 read off the
+    chart's shear: ell is the coordinate T of the module docstring after
+    the shear, in which the generator is diag(i, 1, 1, 1).  The exact
     relation f(M x) == multiplier * f is re-verified.
     """
     _check_off_surface(f, p, check_smooth)
@@ -200,24 +202,19 @@ def galois_generator(f: HomPoly, p: ProjPoint, *,
 def _generator_or_none(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
     """The Galois generator at p (off the surface), or None when p is not
     an outer Galois point; the chart expansion is computed once."""
-    b = adapted_basis(p)
-    c = _chart_coefficients(f, p, basis=b)
+    c = _chart_coefficients(f, p)
     if not _is_split_chart(c):
         return None
-    c0 = c[0].coeff((0, 0, 0))
-    ell = c[1].scale(ONE / (GaussianRational(4) * c0))
-    shear_row = [ONE]
-    for k in range(3):
-        e = tuple(1 if t == k else 0 for t in range(3))
-        shear_row.append(-ell.coeff(e))
-    shear = Matrix.from_rows([
-        shear_row,
-        [ZERO, ONE, ZERO, ZERO],
-        [ZERO, ZERO, ONE, ZERO],
-        [ZERO, ZERO, ZERO, ONE],
-    ])
-    conj = b * shear
-    m = conj * Matrix.diagonal([I, 1, 1, 1]) * conj.inverse()
+    u = c[1].scale(ONE / (GaussianRational(4) * c[0].coeff((0, 0, 0))))
+    pivot = p.pivot_index()
+    rest = [j for j in range(4) if j != pivot]
+    ell = [ZERO] * 4
+    for k, j in enumerate(rest):
+        ell[j] = u.coeff(tuple(1 if t == k else 0 for t in range(3)))
+    ell[pivot] = ONE - sum((ell[j] * p[j] for j in rest), ZERO)
+    shift = [(I - ONE) * x for x in p]
+    m = Matrix(4, 4, [(ONE if a == b else ZERO) + shift[a] * ell[b]
+                      for a in range(4) for b in range(4)])
     lam = _multiplier(f, substitute_linear(f, m))
     if lam is None:
         raise ConsistencyError(

@@ -39,9 +39,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_rational(self) -> bool:
-        return not self.im
-
     # -- field operations ----------------------------------------------
 
     def __add__(self, other: Scalarish) -> "GaussianRational":

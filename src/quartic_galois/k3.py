@@ -29,7 +29,7 @@ from .gaussian import I, MINUS_I, MINUS_ONE, ONE, GaussianRational
 from .galois import LinearAuto
 from .geometry import (CurveSection, eigen_decompose_order4, eigenspace,
                        is_smooth_surface, section)
-from .linalg import Matrix, centralizer_dimension, sparse_rank
+from .linalg import Matrix, centralizer_dimension
 from .poly import HomPoly, ProjPoint
 
 # classification rows for purely non-symplectic order 4 with a fixed
@@ -86,9 +86,6 @@ class FixedLocusReport:
     isolated_points: int
     sigma_squared: Optional["FixedLocusReport"]
     a_count: Optional[int]
-
-    def curve_genera(self) -> List[int]:
-        return sorted(c.genus for c in self.curves)
 
     def to_dict(self) -> Dict:
         data: Dict = {
@@ -170,9 +167,7 @@ def _check_invariant_subspaces(m: Matrix, curves: Sequence[CurveSection]) -> int
     for c in curves:
         basis = [list(p.coords) for p in c.ambient]
         images = [list(m.apply(v)) for v in basis]
-        stacked = [{k: v for k, v in enumerate(row) if not v.is_zero()}
-                   for row in basis + images]
-        if sparse_rank(stacked) != len(basis):
+        if Matrix.from_rows(basis + images).rank() != len(basis):
             raise ConsistencyError("fixed curve subspace is not invariant")
     return 0
 

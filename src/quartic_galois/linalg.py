@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over Q(i).
+"""Exact linear algebra over Q(i).
 
-Rank, kernel and inverse are computed by exact Gaussian elimination
-with a deterministic pivot rule (first nonzero in row-major scan), so
-every reported basis is reproducible across runs and platforms.
-Products run over Z[i] integers: each factor is cleared of
-denominators once, and each entry of the product is divided once.
+Determinant, inverse, rank and kernel all come from one exact sparse
+elimination, _eliminate (with sparse_rref on top where a reduced form is
+needed).  It takes the rows in their given order and each row's leading
+column as its pivot, so every reported basis is reproducible across
+runs and platforms.  Products run over Z[i] integers: each factor is
+cleared of denominators once, and each entry of the product is divided
+once.
 
 The modular side is row reduction of numpy matrices modulo the
 certificate primes p = 1 (mod 4), each with a Gaussian prime above it;
@@ -20,7 +22,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import ParseError
-from .gaussian import ZERO, ONE, GaussianRational, parse_gaussian
+from .gaussian import MINUS_ONE, ZERO, ONE, GaussianRational, parse_gaussian
 from .univariate import GInt, _common_denominator, _gaussian_prime_above
 
 Vector = Tuple[GaussianRational, ...]
@@ -83,9 +85,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def row_lists(self) -> List[List[GaussianRational]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     # -- algebra ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -140,18 +139,7 @@ class Matrix:
         return Matrix(self.rows, m, out)
 
     def apply(self, v: Sequence) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        vv = [GaussianRational.coerce(x) for x in v]
-        out = []
-        for i in range(self.rows):
-            acc = ZERO
-            ri = self.row(i)
-            for k in range(self.cols):
-                if not ri[k].is_zero():
-                    acc = acc + ri[k] * vv[k]
-            out.append(acc)
-        return tuple(out)
+        return (self * Matrix(self.cols, 1, v)).entries
 
     def __pow__(self, n: int) -> "Matrix":
         if self.rows != self.cols:
@@ -167,62 +155,37 @@ class Matrix:
                 base = base * base
         return Matrix.identity(self.rows) if result is None else result
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [self[i, j] for j in range(self.cols) for i in range(self.rows)])
-
     def det(self) -> GaussianRational:
+        """_eliminate reduces each row only by the rows before it, which
+        keeps the determinant, and then divides it by its leading
+        coefficient: the determinant is the product of those divisors
+        times the sign of the order of the pivot columns."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        a = self.row_lists()
-        det = ONE
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not a[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                return ZERO
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            pval = a[col][col]
-            det = det * pval
-            for r in range(col + 1, n):
-                f = a[r][col] / pval
-                if f.is_zero():
-                    continue
-                for c in range(col, n):
-                    a[r][c] = a[r][c] - f * a[col][c]
+        pivots, divisors = _eliminate(self._sparse_rows())
+        if len(pivots) < self.rows:
+            return ZERO
+        order = list(pivots)
+        swaps = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
+        det = MINUS_ONE if swaps % 2 else ONE
+        for d in divisors:
+            det = det * d
         return det
 
     def inverse(self) -> "Matrix":
+        """The right half of the reduced form of [M | I]; M is singular
+        exactly when one of its own columns gets no pivot."""
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        a = [list(self.row(i)) + [ONE if i == j else ZERO for j in range(n)]
-             for i in range(n)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not a[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            pval = a[col][col]
-            a[col] = [x / pval for x in a[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                f = a[r][col]
-                if f.is_zero():
-                    continue
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return Matrix.from_rows([row[n:] for row in a])
+        rows = self._sparse_rows()
+        for i, row in enumerate(rows):
+            row[n + i] = ONE
+        rref = sparse_rref(rows)
+        if any(j not in rref for j in range(n)):
+            raise ValueError("matrix is singular")
+        return Matrix(n, n, [rref[i].get(n + j, ZERO)
+                             for i in range(n) for j in range(n)])
 
     def is_identity(self) -> bool:
         return self.is_scalar() and all(e == ONE for e in self.entries[::self.cols + 1])
@@ -273,14 +236,18 @@ def parse_matrix(text: str, rows: int = 4, cols: int = 4) -> Matrix:
 # Sparse exact elimination (deterministic).
 # ---------------------------------------------------------------------------
 
-def _eliminate(rows: Iterable[SparseRow]) -> Dict[int, SparseRow]:
-    """Forward-eliminate rows in order; returns {pivot column: row}.
+def _eliminate(rows: Iterable[SparseRow]
+               ) -> Tuple[Dict[int, SparseRow], List[GaussianRational]]:
+    """Forward-eliminate rows in order; returns {pivot column: row}, in
+    the order of the rows, and the leading coefficients that rows were
+    divided by.
 
-    Each surviving row is normalized to leading coefficient 1 and reduced
-    against all earlier pivots, so the result only depends on the input
-    order, never on timing or hashing.
+    Each surviving row is reduced against all earlier pivots and
+    normalized to leading coefficient 1, so the result only depends on
+    the input order, never on timing or hashing.
     """
     pivots: Dict[int, SparseRow] = {}
+    divisors: List[GaussianRational] = []
     for row in rows:
         work = dict(row)
         while work:
@@ -290,6 +257,7 @@ def _eliminate(rows: Iterable[SparseRow]) -> Dict[int, SparseRow]:
                 coeff = work[lead]
                 if coeff != ONE:
                     work = {c: v / coeff for c, v in work.items()}
+                    divisors.append(coeff)
                 pivots[lead] = work
                 break
             factor = work[lead]
@@ -300,11 +268,11 @@ def _eliminate(rows: Iterable[SparseRow]) -> Dict[int, SparseRow]:
                 else:
                     work[c] = nv
         # fully reduced to zero: contributes nothing
-    return pivots
+    return pivots, divisors
 
 
 def sparse_rank(rows: List[SparseRow]) -> int:
-    return len(_eliminate(rows))
+    return len(_eliminate(rows)[0])
 
 
 def prove_full_column_rank(rows: List[SparseRow], ncols: int) -> bool:
@@ -315,7 +283,7 @@ def prove_full_column_rank(rows: List[SparseRow], ncols: int) -> bool:
 
 def sparse_rref(rows: List[SparseRow]) -> Dict[int, SparseRow]:
     """Fully reduced row echelon form, keyed by pivot column."""
-    pivots = _eliminate(rows)
+    pivots, _ = _eliminate(rows)
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
         for other_lead, other in pivots.items():

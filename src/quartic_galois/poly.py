@@ -337,7 +337,7 @@ def parse_poly(text: str, expected_degree: int,
 
     degrees = {sum(e) for e, _c, _p in terms}
     if len(degrees) > 1:
-        offender = next(p for e, _c, p in terms if sum(e) != max(degrees))
+        offender = next(p for e, _c, p in terms if sum(e) != expected_degree)
         raise ParseError("inhomogeneous polynomial", offender)
     deg = degrees.pop()
     if deg != expected_degree:

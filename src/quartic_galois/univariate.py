@@ -54,12 +54,6 @@ def sub(p: Poly, q: Poly) -> Poly:
     return add(p, neg(q))
 
 
-def scale(p: Poly, c: GaussianRational) -> Poly:
-    if c.is_zero():
-        return []
-    return [a * c for a in p]
-
-
 def mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return []

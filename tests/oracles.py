@@ -2,9 +2,11 @@
 
 These deliberately avoid the package's Macaulay-rank and elimination
 machinery: smoothness is decided by a chartwise common-zero search on
-the partial derivatives through sympy Groebner bases, and matrix ranks
-are recomputed by sympy's exact linear algebra.  Matrix products are
-schoolbook sums of Fraction pairs, without GaussianRational arithmetic.
+the partial derivatives through sympy Groebner bases, and matrix ranks,
+determinants and inverses are recomputed by sympy's exact linear
+algebra (determinants and adjugates by Berkowitz, without division).
+Matrix products are schoolbook sums of Fraction pairs, without
+GaussianRational arithmetic.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from fractions import Fraction
 from typing import List, Sequence
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from quartic_galois.gaussian import GaussianRational
 from quartic_galois.linalg import Matrix
@@ -99,6 +102,24 @@ def sympy_matrix(m: Matrix) -> sympy.Matrix:
 
 def oracle_rank(m: Matrix) -> int:
     return sympy_matrix(m).rank()
+
+
+def _domain_matrix(m: Matrix) -> DomainMatrix:
+    return DomainMatrix.from_Matrix(sympy_matrix(m)).convert_to(sympy.QQ_I)
+
+
+def oracle_det(m: Matrix) -> GaussianRational:
+    """(-1)^n times the constant term of the characteristic polynomial,
+    which sympy computes by the division-free Berkowitz method."""
+    constant = _domain_matrix(m).charpoly()[-1]
+    return sympy_to_gr(sympy.QQ_I.to_sympy(constant)) * (-1) ** m.rows
+
+
+def oracle_inverse(m: Matrix) -> Matrix:
+    """The adjugate (also by Berkowitz) divided by the determinant."""
+    adjugate = _domain_matrix(m).adjugate().to_Matrix()
+    det = oracle_det(m)
+    return Matrix(m.rows, m.cols, [sympy_to_gr(x) / det for x in adjugate])
 
 
 def oracle_matmul(a: Matrix, b: Matrix) -> Matrix:

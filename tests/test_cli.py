@@ -38,6 +38,12 @@ def test_smooth_rejects_trailing_star(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_smooth_inhomogeneous_names_the_offending_term(capsys):
+    code, out, err = run(capsys, "smooth", "X^4+Y^4+Z^4+W^4*X")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: inhomogeneous polynomial (at offset 12)"
+
+
 def test_galois_test_verdicts(capsys):
     code, payload, _ = run_json(capsys, "galois", "test", FORM2,
                                 "--point", "0:1:0:0")

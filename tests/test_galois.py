@@ -392,6 +392,19 @@ def test_enumerate_ignores_bogus_modular_zero(monkeypatch):
     assert all(is_outer_galois_point(fa, p) for p in rep.point_list())
 
 
+def _sheared_basis(f, p):
+    """The adapted basis of p followed by the chart's shear
+    T -> T - c1/(4 c0), as columns."""
+    b = adapted_basis(p)
+    xd = x_decompose(substitute_linear(f, b), 0)
+    ell = xd.c[1].scale(ONE / (GR(4) * xd.c[0].eval([0, 0, 0])))
+    shear_row = [ONE] + [-ell.coeff(tuple(1 if t == k else 0 for t in range(3)))
+                         for k in range(3)]
+    shear = Matrix.from_rows([shear_row, [ZERO, ONE, ZERO, ZERO],
+                              [ZERO, ZERO, ONE, ZERO], [ZERO, ZERO, ZERO, ONE]])
+    return b * shear
+
+
 def test_shear_produces_split_form():
     # behind every accepted point there is an explicit change of basis
     # (completion followed by the shear) in which the equation becomes
@@ -402,17 +415,54 @@ def test_shear_produces_split_form():
     fa = substitute_linear(FERMAT, a)
     p = ProjPoint(a.inverse().apply([1, 0, 0, 0]))
     assert is_outer_galois_point(fa, p)
-    b = adapted_basis(p)
-    xd = x_decompose(substitute_linear(fa, b), 0)
+    xd = x_decompose(substitute_linear(fa, adapted_basis(p)), 0)
     c0 = xd.c[0].eval([0, 0, 0])
-    ell = xd.c[1].scale(ONE / (GR(4) * c0))
     assert not xd.c[1].is_zero()   # the shear genuinely acts here
-    shear_row = [ONE] + [-ell.coeff(tuple(1 if t == k else 0 for t in range(3)))
-                         for k in range(3)]
-    shear = Matrix.from_rows([shear_row, [ZERO, ONE, ZERO, ZERO],
-                              [ZERO, ZERO, ONE, ZERO], [ZERO, ZERO, ZERO, ONE]])
-    split = x_decompose(substitute_linear(fa, b * shear), 0)
+    split = x_decompose(substitute_linear(fa, _sheared_basis(fa, p)), 0)
     assert split.c[0].eval([0, 0, 0]) == c0 and not c0.is_zero()
     assert split.c[1].is_zero()
     assert split.c[2].is_zero()
     assert split.c[3].is_zero()
+
+
+def test_generator_is_the_conjugated_diagonal_homology():
+    # the closed-form homology is diag(i, 1, 1, 1) conjugated by the
+    # sheared basis, with the multiplier of that matrix, at every point
+    # found on the split forms, aligned and in seeded generic coordinates
+    rng = random.Random(68)
+    for f in (FERMAT, FORM1, FORM2):
+        for a in (Matrix.identity(4), rand_invertible(rng), rand_invertible(rng)):
+            fa = substitute_linear(f, a)
+            points = enumerate_outer_galois_points(fa).point_list()
+            assert points
+            for p in points:
+                conj = _sheared_basis(fa, p)
+                expected = conj * Matrix.diagonal([I, 1, 1, 1]) * conj.inverse()
+                g = galois_generator(fa, p)
+                assert g.matrix == expected
+                exp0, coeff0 = next(iter(fa.sorted_terms()))
+                lam = substitute_linear(fa, expected).coeff(exp0) / coeff0
+                assert g.multiplier == lam
+                assert substitute_linear(fa, expected) == fa.scale(lam)
+
+
+def test_generator_needs_no_matrix_products(monkeypatch):
+    from quartic_galois.galois import _generator_or_none
+    rng = random.Random(69)
+    a = rand_invertible(rng)
+    fa = substitute_linear(FERMAT, a)
+    p = ProjPoint(a.inverse().apply([1, 0, 0, 0]))
+    calls = {"inverse": 0, "__mul__": 0}
+
+    def counting(name):
+        original = Matrix.__dict__[name]
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Matrix, name, counting(name))
+    assert _generator_or_none(fa, p) is not None
+    assert calls == {"inverse": 0, "__mul__": 0}

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -12,7 +13,8 @@ from quartic_galois.linalg import (_CERT_PRIMES, Matrix, _echelon_mod_p,
                                    sparse_rank)
 
 from helpers import SIGMA1, SIGMA2, SIGMA3, SIGMA4, rand_gr, rand_invertible
-from oracles import oracle_matmul, oracle_matpow, oracle_rank
+from oracles import (oracle_det, oracle_inverse, oracle_matmul, oracle_matpow,
+                     oracle_rank)
 
 
 def test_rank_identity_and_zero():
@@ -86,6 +88,58 @@ def test_det_and_inverse():
 def test_singular_inverse_raises():
     with pytest.raises(ValueError):
         Matrix(2, 2, [ONE, ONE, ONE, ONE]).inverse()
+
+
+def _assert_det_and_inverse_match_oracle(m):
+    det = m.det()
+    assert det == oracle_det(m)
+    if det.is_zero():
+        with pytest.raises(ValueError, match="matrix is singular"):
+            m.inverse()
+    else:
+        assert m.inverse() == oracle_inverse(m)
+
+
+def test_det_and_inverse_match_oracle_on_random_matrices():
+    rng = random.Random(37)
+    for size in range(1, 6):
+        for _ in range(8):
+            m = Matrix(size, size, [rand_gr(rng, -3, 3, denominators=range(1, 8))
+                                    for _ in range(size * size)])
+            _assert_det_and_inverse_match_oracle(m)
+
+
+def test_det_and_inverse_match_oracle_on_every_pivot_order():
+    # a permutation times an invertible diagonal: every order of the pivot
+    # columns, with its sign, and divisors other than 1
+    rng = random.Random(38)
+    for perm in itertools.permutations(range(4)):
+        d = [GR(rng.choice((1, -1, 2, 3)), rng.randint(-2, 2)) for _ in range(4)]
+        m = Matrix(4, 4, [d[i] if perm[i] == j else ZERO
+                          for i in range(4) for j in range(4)])
+        _assert_det_and_inverse_match_oracle(m)
+
+
+def test_det_and_inverse_of_a_rank_deficient_matrix():
+    rng = random.Random(39)
+    rows = [[rand_gr(rng, denominators=(1, 3)) for _ in range(4)] for _ in range(3)]
+    rows.insert(2, [a - I * b for a, b in zip(rows[0], rows[1])])
+    m = Matrix.from_rows(rows)
+    assert m.rank() == oracle_rank(m) == 3
+    assert m.det() == oracle_det(m) == ZERO
+    with pytest.raises(ValueError, match="matrix is singular"):
+        m.inverse()
+
+
+def test_det_and_inverse_shapes():
+    m = Matrix(2, 3, [ONE] * 6)
+    with pytest.raises(ValueError, match="determinant of non-square matrix"):
+        m.det()
+    with pytest.raises(ValueError, match="inverse of non-square matrix"):
+        m.inverse()
+    empty = Matrix(0, 0, [])
+    assert empty.det() == ONE
+    assert empty.inverse() == empty
 
 
 def test_matrix_power():

@@ -51,8 +51,15 @@ def test_parse_fermat():
 
 
 def test_parse_rejects_inhomogeneous():
-    with pytest.raises(ParseError):
-        parse_poly("X^4 + Y^3", 4)
+    # the offset is that of the first term whose degree is not the
+    # expected one, also when that degree is the largest
+    for text, offset in (("X^4 + Y^3", 6), ("X^4+Y^4+Z^4+W^4*X", 12),
+                         ("X^4+Y^4+Z^4+W^4+X^2*Y^3", 16)):
+        with pytest.raises(ParseError, match="inhomogeneous") as err:
+            parse_poly(text, 4)
+        assert err.value.position == offset
+    with pytest.raises(ParseError, match="degree mismatch"):
+        parse_poly("X^5+Y^5", 4)
 
 
 def test_parse_complex_coefficient():

@@ -92,3 +92,25 @@ def test_matrix_product_runs_over_gaussian_integers(monkeypatch):
     a * b
     assert counts["arith"] == 0
     assert 0 < counts["init"] <= 16
+
+
+def test_private_helpers_have_a_caller():
+    """Every _name function, class or method of the package is named
+    somewhere in src/ besides its own definition."""
+    import ast
+    import re
+    from collections import Counter
+    package = Path(importlib.import_module("quartic_galois").__file__).parent
+    sources = {path: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    defined = Counter()
+    for path, text in sources.items():
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and re.fullmatch(r"_[^_]\w*", node.name)):
+                defined[node.name] += 1
+    assert defined
+    unused = [name for name, count in sorted(defined.items())
+              if sum(len(re.findall(rf"\b{name}\b", text))
+                     for text in sources.values()) <= count]
+    assert unused == []

@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, ParseError
-from .gaussian import GaussianRational, I, ONE
+from .gaussian import GaussianRational, I, ONE, scan_piece
 from .galois import (enumerate_outer_galois_points, galois_generator,
                      is_outer_galois_point, linear_auto)
 from .geometry import is_smooth_surface
@@ -27,8 +28,8 @@ from .k3 import (GramMatrix2, MAX_OUTER_GALOIS_TRANSCENDENTAL_GRAM,
                  reduce_gram, serialize_classification, solve_m,
                  symplectic_character)
 from .linalg import Matrix, centralizer_dimension, parse_matrix
-from .poly import (HomPoly, ProjPoint, parse_point, parse_poly,
-                   substitute_linear)
+from .poly import (DEFAULT_NAMES, HomPoly, ProjPoint, parse_point,
+                   parse_poly, substitute_linear)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -192,6 +193,25 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     return EXIT_OK if iso else EXIT_NEGATIVE
 
 
+def _count_monomials(text: str) -> int:
+    """The number of whitespace-separated monomials in text.  Each must be
+    one term with coefficient 1 and degree 4 in X, Y, Z, W, and none may
+    repeat."""
+    seen = set()
+    for token in re.finditer(r"\S+", text):
+        name = f"monomial {token.group()!r}"
+        terms = scan_piece(text, *token.span(), name, DEFAULT_NAMES)
+        exp, coeff, _at = terms[0]
+        if len(terms) > 1 or coeff != 1 or sum(exp) != 4:
+            raise ParseError(f"{name} is not one monomial of degree 4 with "
+                             "coefficient 1", token.start())
+        if exp in seen:
+            raise ParseError(f"{name} repeats an earlier monomial",
+                             token.start())
+        seen.add(exp)
+    return len(seen)
+
+
 def cmd_moduli(args: argparse.Namespace) -> int:
     if args.mode == "npns":
         dim = npns_moduli_dim(args.l)
@@ -205,10 +225,10 @@ def cmd_moduli(args: argparse.Namespace) -> int:
                              "the family's monomials")
         count = args.count
     elif args.monomials is not None:
-        count = len(_read_arg(args.monomials).split())
+        count = _count_monomials(_read_arg(args.monomials))
     elif args.family_file is not None:
         with open(args.family_file, "r", encoding="utf-8") as fh:
-            count = len(fh.read().split())
+            count = _count_monomials(fh.read())
     else:
         raise ParseError("moduli dim requires --count, --monomials or --family-file")
     mats = [_load_matrix(m) for m in (args.matrix or [])]

@@ -2,9 +2,11 @@
 
 
 class ParseError(ValueError):
-    """Malformed textual input; carries the offset of the failure."""
+    """Malformed textual input; carries the offset of the failure
+    (`position`) and the message without it (`reason`)."""
 
     def __init__(self, message: str, position: int = -1):
+        self.reason = message
         if position >= 0:
             message = f"{message} (at offset {position})"
         super().__init__(message)

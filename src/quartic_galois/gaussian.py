@@ -9,8 +9,11 @@ an order-4 symmetry shows up.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
+
+from .errors import ParseError
 
 Scalarish = Union[int, Fraction, "GaussianRational"]
 
@@ -126,7 +129,7 @@ class GaussianRational:
         return not self.is_zero()
 
     # -- text form ------------------------------------------------------
-    # Grammar: `a/b + c/d*i` with optional parts, e.g. "3", "-1/2*i", "1+i".
+    # `a/b+c/d*i` with optional parts, e.g. "3", "-1/2*i", "1+i";
     # str() and parse_gaussian round-trip exactly.
 
     def __str__(self) -> str:
@@ -165,63 +168,121 @@ MINUS_I = GaussianRational(0, -1)
 FOURTH_ROOTS = (ONE, MINUS_ONE, I, MINUS_I)
 
 
-def parse_gaussian(text: str) -> GaussianRational:
-    """Parse the text form of an element of Q(i).
+# ---------------------------------------------------------------------------
+# Reading text: one term grammar for every reader in the package.
+# ---------------------------------------------------------------------------
 
-    Accepts e.g. "3", "-1/2", "i", "-i", "2*i", "2i", "1+i", "1/2 - 3/4*i".
-    Raises ValueError on anything else.
+Term = Tuple[Tuple[int, ...], GaussianRational, int]
+
+_TOKEN = re.compile(r"\s*(([0-9]+(?:/[0-9]+)?)|(\S)(?:\^([0-9]+))?)")
+_UNIT_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def scan_terms(text: str, names: Sequence[str] = (), lo: int = 0,
+               hi: Optional[int] = None) -> List[Term]:
+    """Read text[lo:hi] as a sum of terms over Q(i) and the one-letter
+    variables `names`.
+
+    Terms are joined by + or -, and the first may carry a sign.  A term
+    is factors standing side by side, or with a * strictly between two of
+    them.  A factor is a number a or a/b in ASCII digits, i (or I), a
+    parenthesised Q(i) literal, or a variable with an optional ^power.  A
+    number begins its term or follows a *.  Each term comes back as
+    (exponents over `names`, coefficient, offset of its first factor);
+    every offset, also that of a ParseError, is into `text`.
     """
-    s = text.strip()
-    if not s:
-        raise ValueError("empty Q(i) literal")
-    re_part = Fraction(0)
-    im_part = Fraction(0)
-    pos = 0
-    n = len(s)
-    seen_any = False
-    while pos < n:
-        while pos < n and s[pos].isspace():
-            pos += 1
-        if pos >= n:
-            break
-        sign = 1
-        if s[pos] in "+-":
-            if s[pos] == "-":
-                sign = -1
-            pos += 1
-            while pos < n and s[pos].isspace():
-                pos += 1
-        start = pos
-        while pos < n and (s[pos].isdigit() or s[pos] == "/"):
-            pos += 1
-        digits = s[start:pos]
-        while pos < n and s[pos].isspace():
-            pos += 1
-        if pos < n and s[pos] == "*":
-            pos += 1
-            while pos < n and s[pos].isspace():
-                pos += 1
-        is_imag = False
-        if pos < n and s[pos] in "iI":
-            is_imag = True
-            pos += 1
-        if not digits and not is_imag:
-            raise ValueError(f"bad Q(i) literal {text!r} at offset {start}")
-        if digits:
-            try:
-                value = Fraction(digits)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad rational {digits!r} in {text!r}") from exc
-        else:
-            value = Fraction(1)
-        if is_imag:
-            im_part += sign * value
-        else:
-            re_part += sign * value
-        seen_any = True
-    if not seen_any:
-        raise ValueError(f"empty Q(i) literal {text!r}")
-    return GaussianRational(re_part, im_part)
+    hi = len(text) if hi is None else hi
+    index = {name: k for k, name in enumerate(names)}
+    terms: List[Term] = []
+    m = _TOKEN.match(text, lo, hi)
+    while True:
+        sign = m and m.group(1)
+        if sign in ("+", "-"):
+            m = _TOKEN.match(text, m.end(), hi)
+        at = m.start(1) if m else hi
+        # the coefficient is rational * i**ipow * paren
+        rational, ipow, paren = -1 if sign == "-" else 1, 0, None
+        exps = [0] * len(names)
+        prev = None                      # None, "*" or "factor"
+        while m is not None:
+            number, ch, power = m.group(2, 3, 4)
+            pos, end = m.start(1), m.end()
+            if power is not None and ch not in index:
+                raise ParseError("unexpected character '^'", m.start(4) - 1)
+            if ch in ("+", "-"):
+                break
+            if ch == "*":
+                if prev != "factor":
+                    raise ParseError("'*' must stand between two factors", pos)
+                prev, star = "*", pos
+                m = _TOKEN.match(text, end, hi)
+                continue
+            if number is not None:
+                if prev == "factor":
+                    raise ParseError(
+                        "a number must begin its term or follow '*'", pos)
+                try:
+                    rational *= Fraction(number) if "/" in number else int(number)
+                except (ValueError, ZeroDivisionError):
+                    raise ParseError(f"bad number {number!r}", pos) from None
+            elif ch == "(":
+                end = text.find(")", pos, hi) + 1
+                if not end:
+                    raise ParseError("unbalanced parenthesis", pos)
+                value = _literal(scan_terms(text, (), pos + 1, end - 1))
+                paren = value if paren is None else paren * value
+            elif ch in ("i", "I"):
+                ipow += 1
+            elif ch in index:
+                exps[index[ch]] += int(power or 1)
+            else:
+                raise ParseError(f"unexpected character {ch!r}", pos)
+            prev = "factor"
+            m = _TOKEN.match(text, end, hi)
+        if prev is None:
+            raise ParseError("empty term", at)
+        if prev == "*":
+            raise ParseError("'*' must stand between two factors", star)
+        re_sign, im_sign = _UNIT_POWERS[ipow % 4]
+        coeff = GaussianRational(re_sign * rational, im_sign * rational)
+        if paren is not None:
+            coeff = paren if coeff == ONE else coeff * paren
+        terms.append((tuple(exps), coeff, at))
+        if m is None:
+            return terms
+
+
+def _literal(terms: List[Term]) -> GaussianRational:
+    return sum((c for _e, c, _p in terms[1:]), terms[0][1])
+
+
+def parse_gaussian(text: str) -> GaussianRational:
+    """Parse the text form of an element of Q(i): scan_terms without
+    variables, its terms summed.
+
+    Accepts e.g. "3", "-1/2", "i", "-i", "2*i", "2i", "1+i", "1/2 - 3/4*i",
+    "(1+i)*(1-i)".  Raises ParseError, a ValueError, on anything else.
+    """
+    return _literal(scan_terms(text))
+
+
+def scan_piece(text: str, lo: int, hi: int, piece: str,
+               names: Sequence[str] = ()) -> List[Term]:
+    """scan_terms on text[lo:hi], one named piece of a longer argument: a
+    ParseError starts with `piece` and keeps its offset into text."""
+    try:
+        return scan_terms(text, names, lo, hi)
+    except ParseError as exc:
+        raise ParseError(f"{piece}: {exc.reason}", exc.position) from None
+
+
+def parse_literals(text: str, spans: Sequence[Tuple[int, int]],
+                   what: str) -> List[GaussianRational]:
+    """The Q(i) literals text[lo:hi] for (lo, hi) in spans, read as
+    parse_gaussian reads them; a ParseError names the literal as `what`
+    and its number, counting from 1."""
+    return [_literal(scan_piece(text, lo, hi, f"{what} {k}"))
+            for k, (lo, hi) in enumerate(spans, 1)]
 
 
 def _rational_sqrt(f: Fraction) -> Optional[Fraction]:

@@ -16,13 +16,14 @@ arithmetic only; no floats.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ParseError
-from .gaussian import MINUS_ONE, ZERO, ONE, GaussianRational, parse_gaussian
+from .gaussian import MINUS_ONE, ZERO, ONE, GaussianRational, parse_literals
 from .univariate import GInt, _common_denominator, _gaussian_prime_above
 
 Vector = Tuple[GaussianRational, ...]
@@ -221,15 +222,11 @@ class Matrix:
 
 def parse_matrix(text: str, rows: int = 4, cols: int = 4) -> Matrix:
     """Parse whitespace-separated Q(i) entries, row-major."""
-    tokens = text.split()
-    if len(tokens) != rows * cols:
+    spans = [m.span() for m in re.finditer(r"\S+", text)]
+    if len(spans) != rows * cols:
         raise ParseError(
-            f"expected {rows * cols} matrix entries, got {len(tokens)}")
-    try:
-        entries = [parse_gaussian(t) for t in tokens]
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    return Matrix(rows, cols, entries)
+            f"expected {rows * cols} matrix entries, got {len(spans)}")
+    return Matrix(rows, cols, parse_literals(text, spans, "matrix entry"))
 
 
 # ---------------------------------------------------------------------------

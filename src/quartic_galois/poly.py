@@ -10,12 +10,14 @@ canonical and round-trips through the parser bit-exactly.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import ParseError
-from .gaussian import ZERO, ONE, GaussianRational, parse_gaussian
+from .gaussian import (ZERO, ONE, GaussianRational, parse_literals,
+                       scan_terms)
 from .linalg import Matrix
 from . import univariate
 from .univariate import GInt, _common_denominator, _gi_mul
@@ -204,36 +206,15 @@ class HomPoly:
 
 def _fmt_coeff(coeff: GaussianRational, mono: str) -> Tuple[str, bool]:
     """Return (body, negative) with the sign pulled out when printable."""
+    body = str(coeff)
+    if coeff.re and coeff.im:
+        body, negative = f"({body})", False
+    else:
+        negative = body.startswith("-")
+        body = body[negative:]
     if not mono:
-        s = str(coeff)
-        if s.startswith("-") and (coeff.im == 0 or coeff.re == 0):
-            return s[1:], True
-        if coeff.im != 0 and coeff.re != 0:
-            return f"({coeff})", False
-        return s, False
-    if coeff.im == 0:
-        r = coeff.re
-        if r == 1:
-            return mono, False
-        if r == -1:
-            return mono, True
-        if r < 0:
-            return f"{_fmt_fr(-r)}*{mono}", True
-        return f"{_fmt_fr(r)}*{mono}", False
-    if coeff.re == 0:
-        im = coeff.im
-        if im == 1:
-            return f"i*{mono}", False
-        if im == -1:
-            return f"i*{mono}", True
-        if im < 0:
-            return f"{_fmt_fr(-im)}*i*{mono}", True
-        return f"{_fmt_fr(im)}*i*{mono}", False
-    return f"({coeff})*{mono}", False
-
-
-def _fmt_fr(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        return body, negative
+    return (mono if body == "1" else f"{body}*{mono}"), negative
 
 
 # ---------------------------------------------------------------------------
@@ -242,99 +223,13 @@ def _fmt_fr(f: Fraction) -> str:
 
 def parse_poly(text: str, expected_degree: int,
                names: Tuple[str, ...] = DEFAULT_NAMES) -> HomPoly:
-    """Parse a homogeneous form in the given variables.
+    """Parse a homogeneous form in the given one-letter variables.
 
-    Grammar: terms joined by + and -; a term is an optional coefficient
-    (integer, rational a/b, i, or a parenthesized Q(i) literal) times a
-    monomial written with ^ powers and optional * separators between
-    factors.  Rejects inhomogeneous input and wrong total degree.
+    The grammar is that of gaussian.scan_terms, e.g. "2X^2Y^2 + i*Z^4",
+    "X^4 + (1+i)*Y^2*Z^2 - 1/2*W^4".  Rejects inhomogeneous input and
+    wrong total degree.
     """
-    nvars = len(names)
-    var_index = {name: k for k, name in enumerate(names)}
-    n = len(text)
-    pos = 0
-    terms: List[Tuple[Exponent, GaussianRational, int]] = []
-
-    def skip_ws(p: int) -> int:
-        while p < n and text[p].isspace():
-            p += 1
-        return p
-
-    pos = skip_ws(pos)
-    if pos >= n:
-        raise ParseError("empty polynomial", 0)
-    first = True
-    while pos < n:
-        pos = skip_ws(pos)
-        if pos >= n:
-            break
-        sign = ONE
-        if text[pos] in "+-":
-            if text[pos] == "-":
-                sign = GaussianRational(-1)
-            pos += 1
-        elif not first:
-            raise ParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
-        first = False
-        pos = skip_ws(pos)
-        term_start = pos
-        coeff = sign
-        exps = [0] * nvars
-        had_factor = False
-        while pos < n:
-            pos_before = pos
-            pos = skip_ws(pos)
-            if pos < n and text[pos] == "*":
-                star, pos = pos, skip_ws(pos + 1)
-                if not had_factor or pos >= n or text[pos] in "+-":
-                    raise ParseError("'*' must stand between two factors", star)
-            if pos >= n or text[pos] in "+-":
-                pos = pos_before if pos >= n and not text[pos_before:].strip() else pos
-                break
-            ch = text[pos]
-            if ch == "(":
-                close = text.find(")", pos)
-                if close < 0:
-                    raise ParseError("unbalanced parenthesis", pos)
-                try:
-                    coeff = coeff * parse_gaussian(text[pos + 1:close])
-                except ValueError as exc:
-                    raise ParseError(str(exc), pos) from exc
-                pos = close + 1
-                had_factor = True
-            elif ch.isdigit():
-                start = pos
-                while pos < n and (text[pos].isdigit() or text[pos] == "/"):
-                    pos += 1
-                try:
-                    coeff = coeff * GaussianRational(Fraction(text[start:pos]))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ParseError(f"bad number {text[start:pos]!r}", start) from exc
-                had_factor = True
-            elif ch in ("i", "I"):
-                coeff = coeff * GaussianRational(0, 1)
-                pos += 1
-                had_factor = True
-            elif ch in var_index:
-                k = var_index[ch]
-                pos += 1
-                power = 1
-                if pos < n and text[pos] == "^":
-                    pos += 1
-                    start = pos
-                    while pos < n and text[pos].isdigit():
-                        pos += 1
-                    if start == pos:
-                        raise ParseError("missing exponent after '^'", pos)
-                    power = int(text[start:pos])
-                exps[k] += power
-                had_factor = True
-            else:
-                raise ParseError(f"unexpected character {ch!r}", pos)
-        if not had_factor:
-            raise ParseError("empty term", term_start)
-        terms.append((tuple(exps), coeff, term_start))
-
+    terms = scan_terms(text, names)
     degrees = {sum(e) for e, _c, _p in terms}
     if len(degrees) > 1:
         offender = next(p for e, _c, p in terms if sum(e) != expected_degree)
@@ -351,7 +246,7 @@ def parse_poly(text: str, expected_degree: int,
             acc.pop(exp, None)
         else:
             acc[exp] = s
-    return HomPoly(nvars, expected_degree, acc, names)
+    return HomPoly(len(names), expected_degree, acc, names)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +300,16 @@ class ProjPoint:
 
 
 def parse_point(text: str, dim: int = 4) -> ProjPoint:
-    parts = text.strip().strip("[]").split(":")
+    """Parse colon-separated homogeneous coordinates, optionally in [ ]."""
+    body = re.fullmatch(r"\s*\[*(.*?)\]*\s*", text, re.S)
+    parts = body.group(1).split(":")
     if len(parts) != dim:
         raise ParseError(f"expected {dim} coordinates, got {len(parts)}")
-    try:
-        return ProjPoint([parse_gaussian(p) for p in parts])
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    spans, lo = [], body.start(1)
+    for part in parts:
+        spans.append((lo, lo + len(part)))
+        lo += len(part) + 1
+    return ProjPoint(parse_literals(text, spans, "point coordinate"))
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,26 @@ def test_moduli_monomials(capsys):
     assert payload["parameters"] == 7 and payload["dimension"] == 1
 
 
+def test_moduli_monomials_reads_every_token(tmp_path, capsys):
+    family = tmp_path / "family.txt"
+    for monomials, named in (
+            ("foo bar X^4 X^4 q w e r t y u i o p a s d f",
+             "monomial 'foo': unexpected character 'f' (at offset 0)"),
+            ("X^4 Y^4 X^4", "monomial 'X^4' repeats an earlier monomial"),
+            ("X^4 YX^3 X^3*Y", "monomial 'X^3*Y' repeats an earlier monomial"),
+            ("X^4 2*Y^4", "monomial '2*Y^4' is not one monomial"),
+            ("X^4 Y^3", "monomial 'Y^3' is not one monomial"),
+            ("X^4 Y^4-Z^4", "monomial 'Y^4-Z^4' is not one monomial"),
+            ("X^4 Y^4 Z^4*", "monomial 'Z^4*': '*' must stand between")):
+        family.write_text(monomials + "\n")
+        for source in (["--monomials", monomials],
+                       ["--family-file", str(family)]):
+            code, out, err = run(capsys, "moduli", "dim", *source)
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: {named}")
+            assert "Traceback" not in err
+
+
 def test_moduli_npns(capsys):
     code, payload, _ = run_json(capsys, "moduli", "npns", "--l", "4")
     assert code == 0 and payload["dimension"] == 2

@@ -79,6 +79,7 @@ def test_text_round_trip_random():
 def test_parse_tolerates_spacing_and_star():
     assert parse_gaussian(" 1 + 2*i ") == GaussianRational(1, 2)
     assert parse_gaussian("2i") == GaussianRational(0, 2)
+    assert parse_gaussian("2*i") == parse_gaussian("i*2") == GaussianRational(0, 2)
     assert parse_gaussian("-3/4 - i") == GaussianRational(Fraction(-3, 4), -1)
 
 

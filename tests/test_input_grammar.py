@@ -1,0 +1,84 @@
+"""One term grammar behind every text reader: surfaces, parenthesised
+coefficients, point coordinates and matrix entries follow the same rules,
+and a ParseError gives one offset into the argument the user gave."""
+
+import pytest
+
+from quartic_galois.cli import main
+from quartic_galois.errors import ParseError
+from quartic_galois.gaussian import parse_gaussian
+from quartic_galois.linalg import parse_matrix
+from quartic_galois.poly import parse_point, parse_poly
+
+FERMAT = "X^4+Y^4+Z^4+W^4"
+MATRIX_REST = " 0 0 0  0 1 0 0  0 0 1 0  0 0 0 1"
+
+MALFORMED = ["1 2", "1/2 1/2", "i2", "2*", "2**i", "1//2", "",
+             "١",          # ARABIC-INDIC DIGIT ONE
+             "(1+i", "X2*Y^3"]
+
+READERS = {
+    "parse_gaussian": parse_gaussian,
+    "point coordinate": lambda lit: parse_point(f"{lit}:0:0:1"),
+    "matrix entry": lambda lit: parse_matrix(lit + MATRIX_REST),
+    "parenthesised coefficient":
+        lambda lit: parse_poly(f"({lit})*X^4+Y^4+Z^4+W^4", 4),
+}
+
+CLI_ARGUMENTS = {
+    "surface": lambda lit: ["smooth", f"{lit}*X^4+Y^4+Z^4+W^4"],
+    "--point": lambda lit: ["galois", "test", FERMAT, "--point", f"{lit}:0:0:1"],
+    "--matrix": lambda lit: ["auto", "character", FERMAT,
+                             "--matrix", lit + MATRIX_REST],
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("literal", MALFORMED)
+def test_malformed_literal_every_reader(reader, literal):
+    with pytest.raises(ParseError):
+        READERS[reader](literal)
+
+
+@pytest.mark.parametrize("argument", CLI_ARGUMENTS)
+@pytest.mark.parametrize("literal", MALFORMED)
+def test_malformed_literal_every_cli_argument(capsys, argument, literal):
+    code = main(CLI_ARGUMENTS[argument](literal))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+READ = {"point": parse_point, "matrix": parse_matrix,
+        "surface": lambda text: parse_poly(text, 4)}
+ARGV = {"point": lambda text: ["galois", "test", FERMAT, "--point", text],
+        "matrix": lambda text: ["auto", "character", FERMAT, "--matrix", text],
+        "surface": lambda text: ["smooth", text]}
+
+
+@pytest.mark.parametrize("kind, text, named, offset", [
+    ("point", "1:1 2:0:0", "point coordinate 2: ", 4),
+    ("point", "0:0:i2:1", "point coordinate 3: ", 5),
+    ("point", " [1:0:1x:0]", "point coordinate 3: ", 7),
+    ("matrix", "1 0 0 0  0 1* 0 0  0 0 1 0  0 0 0 1", "matrix entry 6: ", 12),
+    ("matrix", "1 0 0 0  0 1x 0 0  0 0 1 0  0 0 0 1", "matrix entry 6: ", 12),
+    ("surface", "(1 2)*X^4+Y^4+Z^4+W^4", "", 3),
+    ("surface", "2 3X^4+Y^4+Z^4+W^4", "", 2),
+    ("surface", "X2*Y^3+Y^4+Z^4+W^4", "", 1),
+    ("surface", "X^4+(1+x)*Y^4+Z^4+W^4", "", 7),
+])
+def test_rejected_with_one_offset_into_the_argument(capsys, kind, text, named,
+                                                     offset):
+    with pytest.raises(ParseError) as err:
+        READ[kind](text)
+    message = str(err.value)
+    assert err.value.position == offset
+    assert message.startswith(named)
+    assert message.count("offset") == 1
+    assert message.endswith(f"(at offset {offset})")
+    code = main(ARGV[kind](text))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+

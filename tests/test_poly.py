@@ -5,7 +5,7 @@ import pytest
 
 from quartic_galois.errors import ParseError
 from quartic_galois.gaussian import GaussianRational as GR
-from quartic_galois.gaussian import I, ONE, ZERO
+from quartic_galois.gaussian import I, ONE, ZERO, parse_gaussian
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import (HomPoly, ProjPoint, euler_check, monomials,
                                  parse_point, parse_poly, partials,
@@ -111,6 +111,40 @@ def test_print_canonical_order():
     assert str(f) == "X^4+W^4"
     g = parse_poly("-X^4 + 1/2*Y^4", 4)
     assert str(g) == "-X^4+1/2*Y^4"
+
+
+def _shaped_coefficients(rng):
+    """One coefficient of each printed shape: +-1, +-i, +-q, +-q*i, a+b*i."""
+    q = Fraction(rng.choice([2, 3, 7]), rng.choice([1, 2, 5]))
+    a = Fraction(rng.choice([-3, -1, 1, 4]), rng.choice([1, 3]))
+    b = Fraction(rng.choice([-2, -1, 1, 5]), rng.choice([1, 4]))
+    return [ONE, GR(-1), I, -I, GR(q), GR(-q), GR(0, q), GR(0, -q), GR(a, b)]
+
+
+def test_print_golden_every_coefficient_shape():
+    # the strings were printed by the implementation before the printer
+    # was built on str(GaussianRational)
+    golden = [
+        "-3/5*i*X^3*Z+3/5*i*X^2*Y^2-i*X^2*Y*W-3/5*X^2*W^2+i*X*Y^2*Z"
+        "+3/5*X*Y*Z*W+(4/3-i)*X*Z^2*W-Z^4+Z^2*W^2",
+        "X^4+7/5*X^3*Y-i*X^3*W+i*X^2*Y^2-7/5*X^2*Y*W-7/5*i*X^2*Z^2"
+        "+(-1+5*i)*X*W^3+7/5*i*Y*Z*W^2-Z*W^3",
+        "i*X^4-i*X^2*Y*Z+i*X^2*Z*W-i*X*Y*Z^2+X*Y*Z*W+(1/3-i)*X*Z^2*W"
+        "+X*Z*W^2-Y^4-Z^3*W",
+    ]
+    rng = random.Random(11)
+    for expected in golden:
+        cs = _shaped_coefficients(rng)
+        f = HomPoly(4, 4, dict(zip(rng.sample(monomials(4, 4), len(cs)), cs)))
+        assert str(f) == expected
+        assert parse_poly(str(f), 4) == f
+        for c in cs:
+            assert parse_gaussian(str(c)) == c
+    constants = [HomPoly.constant(4, c) for c in _shaped_coefficients(rng)]
+    assert [str(f) for f in constants] == [
+        "1", "-1", "i", "-i", "2/5", "-2/5", "2/5*i", "-2/5*i", "(1/3-1/4*i)"]
+    for f in constants:
+        assert parse_poly(str(f), 0) == f
 
 
 def test_zero_polynomial():

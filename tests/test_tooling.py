@@ -3,11 +3,15 @@ fail here, not only in a traced benchmark run."""
 
 import importlib
 import importlib.util
+import shlex
 from pathlib import Path
 
 import pytest
 
-TRACE = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
+from quartic_galois.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACE = ROOT / "perfbench" / "trace.py"
 
 
 @pytest.mark.skipif(not TRACE.exists(), reason="perfbench/ is absent")
@@ -114,3 +118,24 @@ def test_private_helpers_have_a_caller():
               if sum(len(re.findall(rf"\b{name}\b", text))
                      for text in sources.values()) <= count]
     assert unused == []
+
+
+def _readme_commands():
+    """The commands of the sh block under the README's "## Command line"."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+def test_readme_command_line_examples_run(capsys):
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        assert argv[0] == "quartic-galois", argv
+        code = main(argv[1:])
+        err = capsys.readouterr().err
+        assert code in (0, 2), argv
+        assert err == "", argv

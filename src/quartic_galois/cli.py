@@ -18,7 +18,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, ParseError
-from .gaussian import GaussianRational, I, ONE, scan_piece
+from .gaussian import GaussianRational, I, ONE, parse_integer, scan_piece
 from .galois import (enumerate_outer_galois_points, galois_generator,
                      is_outer_galois_point, linear_auto)
 from .geometry import is_smooth_surface
@@ -159,13 +159,8 @@ def cmd_auto(args: argparse.Namespace) -> int:
 
 
 def _parse_gram(tokens: Sequence[str]) -> GramMatrix2:
-    entries = []
-    for t in tokens:
-        try:
-            entries.append(int(t))
-        except ValueError:
-            raise ParseError(f"lattice entry {t!r} is not an integer") from None
-    return GramMatrix2.from_entries(*entries)
+    return GramMatrix2.from_entries(
+        *(parse_integer(t, "lattice entry") for t in tokens))
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
@@ -354,6 +349,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 # Argument parsing.
 # ---------------------------------------------------------------------------
 
+INTEGER_OPTIONS = ("seed", "count", "l")
 SURFACE_HELP = ("quartic in X, Y, Z, W, or @file; write -- before a surface "
                 "that begins with '-'")
 
@@ -364,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact toolkit for outer Galois points of smooth quartic "
                     "surfaces and order-4 automorphisms of quartic K3s.")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", default="0",
                         help="seed for randomized demo spot checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -395,12 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moduli", help="naive moduli dimension counts")
     p.add_argument("mode", choices=("dim", "npns"))
-    p.add_argument("--count", type=int, help="family monomial count")
+    p.add_argument("--count", help="family monomial count")
     p.add_argument("--monomials", help="whitespace-separated monomials")
     p.add_argument("--family-file", help="file of monomials")
     p.add_argument("--matrix", action="append",
                    help="automorphism matrix (repeatable)")
-    p.add_argument("--l", type=int, default=4,
+    p.add_argument("--l", default="4",
                    help="rank of the (-1)-eigenspace for npns")
     p.set_defaults(func=cmd_moduli)
 
@@ -416,6 +412,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
+        # argparse's type=int would take non-ASCII digits and '_'
+        for name in INTEGER_OPTIONS:
+            value = getattr(args, name, None)
+            if value is not None:
+                setattr(args, name, parse_integer(value, f"--{name}"))
         return args.func(args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -175,7 +175,27 @@ FOURTH_ROOTS = (ONE, MINUS_ONE, I, MINUS_I)
 Term = Tuple[Tuple[int, ...], GaussianRational, int]
 
 _TOKEN = re.compile(r"\s*(([0-9]+(?:/[0-9]+)?)|(\S)(?:\^([0-9]+))?)")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _UNIT_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _shown(text: str) -> str:
+    """text, cut to a short prefix when it is long, for an error message."""
+    return text if len(text) <= 16 else text[:12] + "..."
+
+
+def parse_integer(text: str, what: str, pos: int = -1) -> int:
+    """text as an int: an optional sign and ASCII digits, nothing else
+    (int() would also take other scripts' digits, '_' and surrounding
+    whitespace).  A ParseError names `what`, also for a number longer
+    than Python converts to an int."""
+    if not _INTEGER.fullmatch(text):
+        raise ParseError(f"{what} {_shown(text)!r} is not an integer", pos)
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what} {_shown(text)!r} has too many digits",
+                         pos) from None
 
 
 def scan_terms(text: str, names: Sequence[str] = (), lo: int = 0,
@@ -221,20 +241,27 @@ def scan_terms(text: str, names: Sequence[str] = (), lo: int = 0,
                 if prev == "factor":
                     raise ParseError(
                         "a number must begin its term or follow '*'", pos)
-                try:
-                    rational *= Fraction(number) if "/" in number else int(number)
-                except (ValueError, ZeroDivisionError):
-                    raise ParseError(f"bad number {number!r}", pos) from None
+                num, _, den = number.partition("/")
+                rational *= parse_integer(num, "number", pos)
+                if den:
+                    q = parse_integer(den, "denominator", pos + len(num) + 1)
+                    if not q:
+                        raise ParseError(f"bad number {_shown(number)!r}", pos)
+                    rational = Fraction(rational, q)
             elif ch == "(":
                 end = text.find(")", pos, hi) + 1
                 if not end:
                     raise ParseError("unbalanced parenthesis", pos)
+                nested = text.find("(", pos + 1, end)
+                if nested >= 0:
+                    raise ParseError("nested parenthesis", nested)
                 value = _literal(scan_terms(text, (), pos + 1, end - 1))
                 paren = value if paren is None else paren * value
             elif ch in ("i", "I"):
                 ipow += 1
             elif ch in index:
-                exps[index[ch]] += int(power or 1)
+                exps[index[ch]] += parse_integer(power, "exponent",
+                                                 m.start(4)) if power else 1
             else:
                 raise ParseError(f"unexpected character {ch!r}", pos)
             prev = "factor"

@@ -10,17 +10,19 @@ matrix has full rank exactly when the zero set is empty.  The partials
 are cleared of denominators once, into Z[i] forms, and the verdict
 takes up to three steps:
   1. at each certificate prime p the solver's engine builds the matrix
-     modulo a Gaussian prime above p, without the rows that the Koszul
+     modulo a Gaussian prime above p, with its columns in
+     degree-reverse-lex order and without the rows that the Koszul
      syzygies among the partials put in the span of the others, and
      linalg._pivots_mod_p takes its rank, eliminating only the rows
      whose leading column an earlier row already has; full rank proves
      smooth;
   2. if the image at the first prime is deficient, the common zeros of
-     the partials mod p are found with the solver's zero finder and
-     lifted to Q(i) by the solver (reconstructed at p, or Newton-lifted
-     when the zero is reduced); one that is an exact common zero of the
-     partials proves singular (by Euler's identity it lies on the
-     quartic);
+     the partials mod p come from the solver's zero finder one at a
+     time, and each is lifted to Q(i) by the solver (reconstructed at
+     p, or Newton-lifted when the zero is reduced) until the first that
+     is an exact common zero of the partials, which proves singular (by
+     Euler's identity it lies on the quartic); the zeros after it are
+     never computed;
   3. otherwise the next prime, and at the end exact elimination.
 """
 
@@ -97,8 +99,8 @@ def _singular_point(forms: List[Form], n: int, target: int, p: int
                     ) -> Optional[ProjPoint]:
     """An exact common zero of the Z[i] forms (the partials of a quartic
     in n variables), or None: the zeros mod p of their ideal, read off at
-    the degrees (target - 1, target), each lifted by the solver to an
-    exact zero over Q(i)."""
+    the degrees (target - 1, target), are taken one at a time and lifted
+    by the solver, and the first exact zero over Q(i) ends the search."""
     k = len(next(iter(forms[0])))
     _, _, zeros = _zeros_mod_p(forms, n, p, _CERT_ROOTS[p], k=k, d=target - 1)
     for z in zeros:

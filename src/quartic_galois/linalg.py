@@ -157,13 +157,13 @@ class Matrix:
         return Matrix.identity(self.rows) if result is None else result
 
     def det(self) -> GaussianRational:
-        """_eliminate reduces each row only by the rows before it, which
-        keeps the determinant, and then divides it by its leading
-        coefficient: the determinant is the product of those divisors
-        times the sign of the order of the pivot columns."""
+        """_eliminate, without normalizing, reduces each row only by the
+        rows before it, which keeps the determinant: it is the product of
+        the leading coefficients of the pivot rows times the sign of the
+        order of the pivot columns."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        pivots, divisors = _eliminate(self._sparse_rows())
+        pivots, divisors = _eliminate(self._sparse_rows(), normalize=False)
         if len(pivots) < self.rows:
             return ZERO
         order = list(pivots)
@@ -233,15 +233,17 @@ def parse_matrix(text: str, rows: int = 4, cols: int = 4) -> Matrix:
 # Sparse exact elimination (deterministic).
 # ---------------------------------------------------------------------------
 
-def _eliminate(rows: Iterable[SparseRow]
+def _eliminate(rows: Iterable[SparseRow], normalize: bool = True
                ) -> Tuple[Dict[int, SparseRow], List[GaussianRational]]:
     """Forward-eliminate rows in order; returns {pivot column: row}, in
-    the order of the rows, and the leading coefficients that rows were
-    divided by.
+    the order of the rows, and the leading coefficients other than 1 that
+    the pivot rows had when they were found.
 
-    Each surviving row is reduced against all earlier pivots and
-    normalized to leading coefficient 1, so the result only depends on
-    the input order, never on timing or hashing.
+    Each surviving row is reduced against all earlier pivots.  With
+    normalize it is then divided by its leading coefficient; without it,
+    pivot rows keep theirs, and each reduction step divides only its one
+    factor by the pivot's leading coefficient.  The result only depends
+    on the input order, never on timing or hashing.
     """
     pivots: Dict[int, SparseRow] = {}
     divisors: List[GaussianRational] = []
@@ -253,11 +255,12 @@ def _eliminate(rows: Iterable[SparseRow]
             if piv is None:
                 coeff = work[lead]
                 if coeff != ONE:
-                    work = {c: v / coeff for c, v in work.items()}
                     divisors.append(coeff)
+                    if normalize:
+                        work = {c: v / coeff for c, v in work.items()}
                 pivots[lead] = work
                 break
-            factor = work[lead]
+            factor = work[lead] if normalize else work[lead] / piv[lead]
             for c, v in piv.items():
                 nv = work.get(c, ZERO) - factor * v
                 if nv.is_zero():

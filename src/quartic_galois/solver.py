@@ -20,15 +20,19 @@ an exact zero of every quadric, so no point rests on the modular step.
 The engine (_generator_rows, _macaulay) and the zero finder and lift
 (_zeros_mod_p, _lift) take forms of any degree, and are the package's
 one modular Macaulay engine and one route from a zero mod p to a Q(i)
-point.  The engine caches each column layout, and leaves out every row
-that a Koszul syzygy puts in the span of the rows kept, so ranks, pivot
-columns and reduced echelon forms are those of the full matrix; ranks
-come from linalg._pivots_mod_p, which eliminates only the rows whose
-leading column an earlier row already has.  The smoothness test of the
-geometry module certifies on the engine that the partials of a quartic
-have no common zero, or runs the zero finder and the lift on them to
-find a singular point; univariate.gaussian_roots runs them on a binary
-form to find roots.
+point.  The engine orders its columns by degree-reverse-lex, caches
+each column layout, and leaves out every row that a Koszul syzygy puts
+in the span of the rows kept, so ranks, pivot columns and reduced
+echelon forms are those of the full matrix; ranks come from
+linalg._pivots_mod_p, which eliminates only the rows whose leading
+column an earlier row already has.  The zero finder returns its zeros
+as an iterator: each root of the characteristic polynomial (from
+univariate._fp_roots, one at a time) and its eigenspace are computed
+only when the caller asks for the next zero.  The smoothness test of
+the geometry module certifies on the engine that the partials of a
+quartic have no common zero, or runs the zero finder and the lift on
+them until the first exact singular point; solve_projective and
+univariate.gaussian_roots take every zero.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import math
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +50,7 @@ from .linalg import (Matrix, _CERT_PIS, _CERT_PRIMES, _CERT_ROOTS,
                      _echelon_mod_p, _pivots_mod_p)
 from .poly import HomPoly, ProjPoint, monomials
 from .univariate import (GInt, Poly, _clear_denominators, _fp_roots, _gi_mul,
-                         _rational_reconstructions, degree)
+                         _matmul_mod_p, _rational_reconstructions, degree)
 
 # a form with Z[i] coefficients: sorted variable indices (a, b, ...) ->
 # coefficient of P_a P_b ...; a quadric's keys are the pairs a <= b
@@ -165,7 +169,7 @@ def solve_projective(quadrics: List[Quadric], nvars: int
 
 
 def _zeros_mod_p(forms: List[Form], n: int, p: int, i_p: int, k: int = 2,
-                 d: int = 4) -> Tuple[int, int, List[List[int]]]:
+                 d: int = 4) -> Tuple[int, int, Iterator[List[int]]]:
     """(H_p(d), H_p(d+1), zeros mod p) of the ideal of forms of degree k
     in n variables, reduced by i -> i_p.  The zeros are recovered only
     when the two values agree: then multiplication by a generic linear
@@ -176,7 +180,10 @@ def _zeros_mod_p(forms: List[Form], n: int, p: int, i_p: int, k: int = 2,
     each M_t has the one eigenvalue x_t(P) / l0(P).  So for each root lam
     of the characteristic polynomial of a generic combination a of the
     M_t, the left kernel V of a - lam is invariant under every M_t, and
-    P = (trace(M_t|V) / dim V)_t; the common factor dim V is dropped."""
+    P = (trace(M_t|V) / dim V)_t; the common factor dim V is dropped.
+    The Hilbert values are computed at once; the zeros are an iterator
+    that finds the next root and its eigenspace only when asked, so a
+    caller that stops early pays for the zeros it took."""
     basis = _generator_rows(forms, n, k, p, i_p)
     mac, index = _macaulay(basis, n, k, d)
     piv = set(_pivots_mod_p(mac, p))
@@ -185,7 +192,7 @@ def _zeros_mod_p(forms: List[Form], n: int, p: int, i_p: int, k: int = 2,
     piv1 = _echelon_mod_p(rref1, p, reduced=True)
     h, h1 = len(index) - len(piv), len(index1) - len(piv1)
     if h != h1 or h == 0:
-        return h, h1, []
+        return h, h1, iter(())
     # normal forms of the degree-(d+1) monomials in the standard monomials
     std1 = sorted(set(range(len(index1))) - set(piv1))
     nf = np.zeros((h, len(index1)), dtype=np.int64)
@@ -199,10 +206,18 @@ def _zeros_mod_p(forms: List[Form], n: int, p: int, i_p: int, k: int = 2,
     l0 = sum(rng.randrange(1, p) * x % p for x in mult) % p
     aug = np.concatenate([l0] + mult, axis=1)
     if _echelon_mod_p(aug, p, reduced=True) != list(range(h)):
-        return h, h1, []
+        return h, h1, iter(())
     ms = [aug[:, (t + 1) * h:(t + 2) * h] for t in range(n)]
     a = sum(rng.randrange(p) * m % p for m in ms) % p
-    zeros = []
+    return h, h1, _eigenpoints(a, ms, p)
+
+
+def _eigenpoints(a: np.ndarray, ms: List[np.ndarray], p: int
+                 ) -> Iterator[List[int]]:
+    """For each root lam of the characteristic polynomial of a, in the
+    order _fp_roots gives them, the point (trace(M_t|V))_t of the left
+    kernel V of a - lam (see _zeros_mod_p)."""
+    h = len(a)
     for lam in _fp_roots(_charpoly_mod_p(a, p), p):
         # a basis of V: the row w_f is 1 at its free column f, 0 at the others
         left = (a.T - lam * np.eye(h, dtype=np.int64)) % p
@@ -212,16 +227,23 @@ def _zeros_mod_p(forms: List[Form], n: int, p: int, i_p: int, k: int = 2,
         v[range(len(free)), free] = 1
         v[:, pivots] = -left[:len(pivots), free].T % p
         # (v M_t)[:, free] is the matrix of M_t|V in that basis
-        zeros.append([int(np.trace(_matmul_mod_p(v, m[:, free], p))) % p
-                      for m in ms])
-    return h, h1, zeros
+        yield [int(np.trace(_matmul_mod_p(v, m[:, free], p))) % p for m in ms]
+
+
+@lru_cache(maxsize=None)
+def _drevlex(n: int, d: int) -> Tuple[Tuple[int, ...], ...]:
+    """The monomials of degree d in n variables in descending
+    degree-reverse-lex order: a comes before b when the last nonzero
+    entry of a - b is negative."""
+    return tuple(sorted(monomials(n, d), key=lambda e: e[::-1]))
 
 
 def _generator_rows(forms: List[Form], n: int, k: int, p: int, i_p: int
                     ) -> np.ndarray:
     """A basis mod p of the span of the forms of degree k, reduced by
-    i -> i_p: the nonzero rows of their echelon form over monomials(n, k)."""
-    cols = {e: c for c, e in enumerate(monomials(n, k))}
+    i -> i_p: the nonzero rows of their echelon form over _drevlex(n, k),
+    so the leading monomial of each row is its first nonzero column."""
+    cols = {e: c for c, e in enumerate(_drevlex(n, k))}
     gens = np.zeros((len(forms), len(cols)), dtype=np.int64)
     for row, form in enumerate(forms):
         for key, c in form.items():
@@ -233,12 +255,13 @@ def _generator_rows(forms: List[Form], n: int, k: int, p: int, i_p: int
 def _layout(n: int, k: int, d: int
             ) -> Tuple[Dict[Tuple[int, ...], int], np.ndarray, np.ndarray]:
     """The columns of the degree-d Macaulay matrix of forms of degree k in
-    n variables: (index, where, divides), where index maps each monomial
-    of degree d to its column, where[s, t] is the column of the product of
-    shift s (monomials(n, d - k)) and monomial t (monomials(n, k)), and
-    divides[s, t] says that t divides s."""
-    index = {e: c for c, e in enumerate(monomials(n, d))}
-    shifts, gens = monomials(n, d - k), monomials(n, k)
+    n variables, all in _drevlex order: (index, where, divides), where
+    index maps each monomial of degree d to its column, where[s, t] is
+    the column of the product of shift s (of degree d - k) and monomial t
+    (of degree k, a column of _generator_rows), and divides[s, t] says
+    that t divides s."""
+    index = {e: c for c, e in enumerate(_drevlex(n, d))}
+    shifts, gens = _drevlex(n, d - k), _drevlex(n, k)
     where = np.array([[index[tuple(x + y for x, y in zip(s, t))] for t in gens]
                       for s in shifts], dtype=np.intp)
     divides = np.array([[all(y <= x for x, y in zip(s, t)) for t in gens]
@@ -249,22 +272,25 @@ def _layout(n: int, k: int, d: int
 def _macaulay(basis: np.ndarray, n: int, k: int, d: int
               ) -> Tuple[np.ndarray, Dict[Tuple[int, ...], int]]:
     """The degree-d Macaulay matrix of forms g_1, g_2, ... of degree k,
-    given as the nonzero rows of an echelon form over monomials(n, k) (as
+    given as the nonzero rows of an echelon form over _drevlex(n, k) (as
     _generator_rows returns them), and its column index: the row m*g_j
     for each monomial m of degree d - k, except where the leading
     monomial of an earlier g_i divides m.
 
     The rows left out lie in the span of the rows kept, so the row space
     over F_p, its rank, pivot columns and reduced echelon form are those
-    of the full matrix.  Descending lex is a monomial order, so with
-    g_i = c lm(g_i) + t_i, c != 0 and t_i made of smaller monomials, and
-    m = m' lm(g_i), the Koszul syzygy g_i g_j = g_j g_i gives
+    of the full matrix.  The proof holds for any monomial order < whose
+    descending order lists the columns; here it is degree-reverse-lex.
+    Write g_i = c lm(g_i) + t_i, with c != 0 and every monomial of t_i
+    below lm(g_i), and m = m' lm(g_i).  The Koszul syzygy
+    g_i g_j = g_j g_i gives
         c m g_j = m' g_j g_i - m' t_i g_j,
-    a combination of rows u g_i and of rows u g_j with u below m in the
-    order.  So, with the rows ordered by j and then by m, each row left
-    out is in the span of the rows before it, and by induction the rows
-    kept span them all (Faugere's F5 criterion on the trivial
-    syzygies)."""
+    a combination of rows u g_i, with i < j, and of rows m' v g_j for the
+    monomials v of t_i; a monomial order is multiplicative, so v < lm(g_i)
+    gives m' v < m.  So, with the rows ordered by j and then by m
+    ascending, each row left out is in the span of the rows before it,
+    and by induction the rows kept span them all (Faugere's F5 criterion
+    on the trivial syzygies)."""
     index, where, divides = _layout(n, k, d)
     # hit[s, i]: the leading monomial of g_i divides shift s; earlier[s, j]:
     # that of some g_i with i < j does
@@ -279,12 +305,6 @@ def _macaulay(basis: np.ndarray, n: int, k: int, d: int
 
 def _residue(c: GInt, i_m: int, m: int) -> int:
     return (c[0] + c[1] * i_m) % m
-
-
-def _matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for entries in [0, p), p < 2**31, inner size < 2**15:
-    a is split into 16-bit halves, so no int64 sum overflows."""
-    return (((a >> 16) @ b % p << 16) + (a & 0xFFFF) @ b) % p
 
 
 def _charpoly_mod_p(a: np.ndarray, p: int) -> Poly:

@@ -5,17 +5,20 @@ power, with no trailing zeros (the zero polynomial is the empty list).
 These helpers back the squarefree analysis of binary forms.  The
 Gaussian-integer and Z/p helpers below serve poly's Z[i] kernels and
 the modular steps of the linalg and solver modules: one common
-denominator, the one reduction of Z[i] modulo a Gaussian prime, roots
-mod p and rational reconstruction.  gaussian_roots finds
-Q(i) roots with the solver's point search, each verified by exact
-evaluation.
+denominator, the one reduction of Z[i] modulo a Gaussian prime, the
+int64 matrix product mod p, roots mod p and rational reconstruction.
+The roots mod p come one at a time, from powers of companion matrices
+on that matrix product.  gaussian_roots finds Q(i) roots with the
+solver's point search, each verified by exact evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from random import Random
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .gaussian import ZERO, ONE, GaussianRational
 
@@ -265,49 +268,59 @@ def _fp_gcd(a: List[int], b: List[int], p: int) -> List[int]:
     return [c * inv % p for c in a]
 
 
-def _fp_powmod(base: List[int], e: int, f: List[int], p: int) -> List[int]:
-    """base**e modulo f, over Z/p."""
-    out, base = [1], _fp_divmod(base, f, p)[1]
+def _matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for entries in [0, p), p < 2**31, inner size < 2**15:
+    a is split into 16-bit halves, so no int64 sum overflows."""
+    return (((a >> 16) @ b % p << 16) + (a & 0xFFFF) @ b) % p
+
+
+def _fp_linear_power(a: int, e: int, g: List[int], p: int) -> List[int]:
+    """(x + a)**e modulo a monic g of degree >= 1, over Z/p: the matrix of
+    multiplication by x + a on Z/p[x]/(g), the companion matrix of g plus
+    a, raised to the e-th power by squaring and applied to 1."""
+    r = len(g) - 1
+    m = np.zeros((r, r), dtype=np.int64)
+    m[range(1, r), range(r - 1)] = 1
+    m[:, -1] = [-c % p for c in g[:-1]]
+    m[range(r), range(r)] += a
+    m %= p
+    v = np.zeros((r, 1), dtype=np.int64)
+    v[0] = 1
     while e:
         if e & 1:
-            out = _fp_mulmod(out, base, f, p)
-        base = _fp_mulmod(base, base, f, p)
+            v = _matmul_mod_p(m, v, p)
         e >>= 1
-    return out
+        if e:
+            m = _matmul_mod_p(m, m, p)
+    return _fp_add(v[:, 0].tolist(), [], p)
 
 
-def _fp_mulmod(a: List[int], b: List[int], f: List[int], p: int) -> List[int]:
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    return _fp_divmod(_fp_add(prod, [], p), f, p)[1]
-
-
-def _fp_roots(f: List[int], p: int) -> List[int]:
-    """The distinct roots in Z/p of a nonzero f, each once, whatever their
-    multiplicity: gcd(f, x^p - x) is the product of the distinct linear
-    factors, split by Cantor-Zassenhaus.  The splitting draws
-    from Random(p), so the work done is a function of the input."""
+def _fp_roots(f: List[int], p: int) -> Iterator[int]:
+    """The distinct roots in Z/p of a nonzero f, one at a time, each once
+    whatever its multiplicity.  gcd(f, x^p - x) is the product of the
+    distinct linear factors; Cantor-Zassenhaus splits a product g of
+    them by gcd(g, (x + r)^((p-1)/2) - 1) for a random r, and splits the
+    smaller factor first, so the first root comes after about log2(deg)
+    splits.  The draws come from Random(p), so the work done is a
+    function of the input."""
     rng = Random(p)
-    linear = _fp_gcd(f, _fp_add(_fp_powmod([0, 1], p, f, p), [0, -1], p), p)
-    roots: List[int] = []
-    stack = [linear]
+    inv = pow(f[-1], -1, p)
+    f = [c * inv % p for c in f]
+    if len(f) < 2:
+        return
+    stack = [_fp_gcd(f, _fp_add(_fp_linear_power(0, p, f, p), [0, -1], p), p)]
     while stack:
         g = stack.pop()
         if len(g) == 2:
-            roots.append(-g[0] % p)
+            yield -g[0] % p
         if len(g) <= 2:
             continue
         while True:
-            h = _fp_powmod([rng.randrange(p), 1], (p - 1) // 2, g, p)
+            h = _fp_linear_power(rng.randrange(p), (p - 1) // 2, g, p)
             d = _fp_gcd(g, _fp_add(h, [-1], p), p)
             if 1 < len(d) < len(g):
                 break
-        stack += [d, _fp_divmod(g, d, p)[0]]
-    return roots
+        stack += sorted([d, _fp_divmod(g, d, p)[0]], key=len, reverse=True)
 
 
 def _rational_reconstructions(r: int, m: GInt, bound: int):

@@ -320,7 +320,7 @@ def test_enumerate_retries_next_prime():
     assert p == 2130706433
     h4, h5, zeros = solver._zeros_mod_p(solver.cube_locus_quadrics(h), 4, p,
                                         -solver._CERT_ROOTS[p] % p)
-    assert (h4, h5, len(zeros)) == (4, 4, 4)
+    assert (h4, h5, len(list(zeros))) == (4, 4, 4)
     rep = enumerate_outer_galois_points(h)
     assert rep.point_list() == []
     assert rep.completeness == "proved-complete"
@@ -383,7 +383,7 @@ def test_enumerate_ignores_bogus_modular_zero(monkeypatch):
 
     def with_bogus(*args):
         h4, h5, zeros = zeros_mod_p(*args)
-        return h4, h5, zeros + [[1, 2, 3, 4]]
+        return h4, h5, list(zeros) + [[1, 2, 3, 4]]
 
     monkeypatch.setattr(solver, "_zeros_mod_p", with_bogus)
     rep = enumerate_outer_galois_points(fa)

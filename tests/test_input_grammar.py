@@ -82,3 +82,47 @@ def test_rejected_with_one_offset_into_the_argument(capsys, kind, text, named,
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {message}\n"
 
+
+
+def test_nested_parenthesis_is_named_at_its_offset(capsys):
+    text = "X^4+((1))*Y^4+Z^4+W^4"
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, 4)
+    assert err.value.position == 5
+    assert err.value.reason == "nested parenthesis"
+    assert main(["smooth", text]) == 1
+    assert capsys.readouterr().err == "error: nested parenthesis (at offset 5)\n"
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("X^" + "1" * 5000 + "+Y^4", 2),
+    ("1" * 5000 + "*X^4+Y^4+Z^4+W^4", 0),
+    ("X^4+1/" + "7" * 5000 + "*Y^4", 6),
+])
+def test_overlong_digits_are_a_parse_error(text, offset):
+    # past Python's limit on the digits of an int: an offset, and only a
+    # short prefix of the digits in the message
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, 4)
+    assert err.value.position == offset
+    assert "too many digits" in err.value.reason
+    assert len(str(err.value)) < 80
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "reduce", "٨", "0_0", " 8 "],
+    ["lattice", "reduce", "٨", "0", "8"],       # ARABIC-INDIC DIGIT EIGHT
+    ["lattice", "reduce", "8", "0_0", "8"],
+    ["lattice", "reduce", "8", "0", " 8 "],
+    ["moduli", "dim", "--count", "1_0"],
+    ["moduli", "dim", "--count", "٣"],
+    ["moduli", "npns", "--l", " 4"],
+    ["--seed", "١", "demo"],
+    ["--seed", "1" * 5000, "demo"],
+])
+def test_integers_are_ascii_only(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "not an integer" in captured.err or "too many digits" in captured.err

@@ -10,7 +10,8 @@ from quartic_galois.geometry import _integral_forms
 from quartic_galois.linalg import _CERT_PRIMES, _CERT_ROOTS, _echelon_mod_p
 from quartic_galois.poly import monomials, parse_poly, partials
 from quartic_galois.solver import (_charpoly_mod_p, _generator_rows, _macaulay,
-                                   _matmul_mod_p, _zeros_mod_p, resultant)
+                                   _zeros_mod_p, resultant)
+from quartic_galois.univariate import _matmul_mod_p
 
 
 def test_resultant_sylvester():
@@ -30,6 +31,7 @@ def test_zeros_of_partials_non_reduced():
     s = _CERT_ROOTS[p]
     cone = [{(0, 0, 0): (4, 0)}, {(1, 1, 1): (4, 0)}, {(2, 2, 2): (4, 0)}, {}]
     h, h1, zeros = _zeros_mod_p(cone, 4, p, s, k=3, d=9)
+    zeros = list(zeros)
     assert (h, h1, len(zeros)) == (27, 27, 1)
     assert zeros[0][:3] == [0, 0, 0] and zeros[0][3] != 0
     # 4X(X^2+Y^2), 4Y(X^2+Y^2), 4Z^3, 4W^3
@@ -72,15 +74,27 @@ def _random_forms(rng, n, k, count):
              for key in keys if rng.random() < 0.6} for _ in range(count)]
 
 
-def _full_macaulay(basis, n, k, d):
-    """Every row m*g of the degree-d Macaulay matrix, none left out."""
-    cols = {e: c for c, e in enumerate(monomials(n, d))}
+def _generator_columns(n, k, p):
+    """The monomial of each column of _generator_rows, read off its row
+    for each single monomial."""
+    order = {}
+    for key in combinations_with_replacement(range(n), k):
+        row = _generator_rows([{key: (1, 0)}], n, k, p, _CERT_ROOTS[p])
+        order[int(row[0].argmax())] = tuple(key.count(v) for v in range(n))
+    return [order[c] for c in range(len(order))]
+
+
+def _full_macaulay(basis, n, k, d, index, p):
+    """Every row m*g of the degree-d Macaulay matrix, none left out, in
+    the engine's column order: index (as _macaulay returns it) for degree
+    d, and the columns of _generator_rows for the generators."""
+    gens = _generator_columns(n, k, p)
     rows = []
     for m in monomials(n, d - k):
         for g in basis:
-            row = [0] * len(cols)
-            for t, v in zip(monomials(n, k), g.tolist()):
-                row[cols[tuple(x + y for x, y in zip(m, t))]] = v
+            row = [0] * len(index)
+            for t, v in zip(gens, g.tolist()):
+                row[index[tuple(x + y for x, y in zip(m, t))]] = v
             rows.append(row)
     return np.array(rows, dtype=np.int64)
 
@@ -104,7 +118,7 @@ def test_pruned_macaulay_keeps_the_row_space(n, k, d, count):
         basis = _generator_rows(_random_forms(rng, n, k, count), n, k, p,
                                 _CERT_ROOTS[p])
         mac, index = _macaulay(basis, n, k, d)
-        full = _full_macaulay(basis, n, k, d)
+        full = _full_macaulay(basis, n, k, d, index, p)
         assert mac.shape[1] == full.shape[1] == len(index)
         assert len(mac) < len(full)
         assert _rref(mac, p) == _rref(full, p)
@@ -116,7 +130,7 @@ def test_pruned_macaulay_of_singular_partials():
     p = _CERT_PRIMES[1]
     basis = _generator_rows(_integral_forms(partials(f)), 4, 3, p, _CERT_ROOTS[p])
     mac, index = _macaulay(basis, 4, 3, 9)
-    full = _full_macaulay(basis, 4, 3, 9)
+    full = _full_macaulay(basis, 4, 3, 9, index, p)
     pivots, rows = _rref(mac, p)
     assert len(pivots) < len(index)
     assert (pivots, rows) == _rref(full, p)

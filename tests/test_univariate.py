@@ -151,3 +151,51 @@ def test_fp_roots_repeated_factor():
     for r in (3, 3, 3, 7, 0, 0):  # f *= x - r
         f = uv._fp_add([0] + f, [-r * c for c in f], p)
     assert sorted(uv._fp_roots(f, p)) == [0, 3, 7]
+
+
+def _fp_from_roots(roots, p):
+    f = [1]
+    for r in roots:  # f *= x - r
+        f = uv._fp_add([0] + f, [-r * c for c in f], p)
+    return f
+
+
+def _fp_eval(f, x, p):
+    return sum(c * pow(x, k, p) for k, c in enumerate(f)) % p
+
+
+@pytest.mark.parametrize("p", [7, 13, 101])
+def test_fp_roots_against_every_residue(p):
+    # random polynomials, products with repeated roots, full splits and
+    # products of a quadratic non-residue factor, whose roots are none
+    rng = random.Random(p)
+    nonresidue = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    cases = [[rng.randrange(p) for _ in range(rng.randint(2, 9))] + [rng.randrange(1, p)]
+             for _ in range(20)]
+    cases += [_fp_from_roots([rng.randrange(p) for _ in range(rng.randint(1, 12))], p)
+              for _ in range(20)]
+    cases.append(_fp_from_roots(range(p), p))  # x^p - x
+    irreducible = [-nonresidue % p, 0, 1]       # x^2 - n
+    cases.append(irreducible)
+    cases.append(uv._fp_add([0, 0] + irreducible, [], p))  # x^2 (x^2 - n)
+    for f in cases:
+        got = list(uv._fp_roots(f, p))
+        assert len(got) == len(set(got))
+        assert set(got) == {x for x in range(p) if _fp_eval(f, x, p) == 0}
+
+
+def test_fp_roots_at_the_certificate_prime():
+    # at the prime of the singular-point search: the roots of a product
+    # built from known roots, with repeated roots and a factor x^2 - n,
+    # n a non-residue, that has none
+    from quartic_galois.linalg import _CERT_PRIMES
+    p = _CERT_PRIMES[0]
+    rng = random.Random(11)
+    roots = [rng.randrange(p) for _ in range(20)]
+    f = _fp_from_roots(roots + roots[:5] + [0, 0], p)
+    nonresidue = next(a for a in range(2, 100) if pow(a, (p - 1) // 2, p) == p - 1)
+    f = uv._fp_add([0, 0] + f, [-nonresidue * c for c in f], p)  # * (x^2 - n)
+    first = next(uv._fp_roots(f, p))
+    assert first in roots + [0]
+    got = list(uv._fp_roots(f, p))
+    assert len(got) == len(set(got)) and set(got) == set(roots + [0])

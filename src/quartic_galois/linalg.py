@@ -157,20 +157,20 @@ class Matrix:
         return Matrix.identity(self.rows) if result is None else result
 
     def det(self) -> GaussianRational:
-        """_eliminate, without normalizing, reduces each row only by the
-        rows before it, which keeps the determinant: it is the product of
-        the leading coefficients of the pivot rows times the sign of the
-        order of the pivot columns."""
+        """_eliminate reduces each row only by the rows before it, which
+        keeps the determinant: it is the product of the leading
+        coefficients of the pivot rows times the sign of the order of the
+        pivot columns."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        pivots, divisors = _eliminate(self._sparse_rows(), normalize=False)
+        pivots = _eliminate(self._sparse_rows())
         if len(pivots) < self.rows:
             return ZERO
         order = list(pivots)
         swaps = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
         det = MINUS_ONE if swaps % 2 else ONE
-        for d in divisors:
-            det = det * d
+        for c, row in pivots.items():
+            det = det * row[c]
         return det
 
     def inverse(self) -> "Matrix":
@@ -233,34 +233,25 @@ def parse_matrix(text: str, rows: int = 4, cols: int = 4) -> Matrix:
 # Sparse exact elimination (deterministic).
 # ---------------------------------------------------------------------------
 
-def _eliminate(rows: Iterable[SparseRow], normalize: bool = True
-               ) -> Tuple[Dict[int, SparseRow], List[GaussianRational]]:
+def _eliminate(rows: Iterable[SparseRow]) -> Dict[int, SparseRow]:
     """Forward-eliminate rows in order; returns {pivot column: row}, in
-    the order of the rows, and the leading coefficients other than 1 that
-    the pivot rows had when they were found.
+    the order of the rows.
 
-    Each surviving row is reduced against all earlier pivots.  With
-    normalize it is then divided by its leading coefficient; without it,
-    pivot rows keep theirs, and each reduction step divides only its one
+    Each surviving row is reduced against all earlier pivots, which keep
+    their leading coefficients: each reduction step divides only its one
     factor by the pivot's leading coefficient.  The result only depends
     on the input order, never on timing or hashing.
     """
     pivots: Dict[int, SparseRow] = {}
-    divisors: List[GaussianRational] = []
     for row in rows:
         work = dict(row)
         while work:
             lead = min(work)
             piv = pivots.get(lead)
             if piv is None:
-                coeff = work[lead]
-                if coeff != ONE:
-                    divisors.append(coeff)
-                    if normalize:
-                        work = {c: v / coeff for c, v in work.items()}
                 pivots[lead] = work
                 break
-            factor = work[lead] if normalize else work[lead] / piv[lead]
+            factor = work[lead] / piv[lead]
             for c, v in piv.items():
                 nv = work.get(c, ZERO) - factor * v
                 if nv.is_zero():
@@ -268,11 +259,11 @@ def _eliminate(rows: Iterable[SparseRow], normalize: bool = True
                 else:
                     work[c] = nv
         # fully reduced to zero: contributes nothing
-    return pivots, divisors
+    return pivots
 
 
 def sparse_rank(rows: List[SparseRow]) -> int:
-    return len(_eliminate(rows)[0])
+    return len(_eliminate(rows))
 
 
 def prove_full_column_rank(rows: List[SparseRow], ncols: int) -> bool:
@@ -283,7 +274,11 @@ def prove_full_column_rank(rows: List[SparseRow], ncols: int) -> bool:
 
 def sparse_rref(rows: List[SparseRow]) -> Dict[int, SparseRow]:
     """Fully reduced row echelon form, keyed by pivot column."""
-    pivots, _ = _eliminate(rows)
+    pivots = _eliminate(rows)
+    for lead, row in pivots.items():
+        coeff = row[lead]
+        if coeff != ONE:
+            pivots[lead] = {c: v / coeff for c, v in row.items()}
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
         for other_lead, other in pivots.items():

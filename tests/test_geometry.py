@@ -4,6 +4,7 @@ import pytest
 
 import quartic_galois.geometry as geometry
 import quartic_galois.linalg as linalg
+import quartic_galois.solver as solver
 from quartic_galois.errors import (DegenerateInputError,
                                    UnnormalizedAutomorphismError)
 from quartic_galois.gaussian import GaussianRational as GR
@@ -185,28 +186,27 @@ def test_bogus_modular_zero_is_not_a_witness(monkeypatch):
 
 def test_singular_witness_stops_at_the_first_exact_zero(monkeypatch):
     # Dwork's member with 16 nodes, all Q(i)-rational: the search stops
-    # at the first zero that lifts, and the rank test never runs exactly
+    # at the first zero that lifts, so one root of the characteristic
+    # polynomial is found and one eigenspace computed, not 16, and the
+    # rank test never runs exactly
     p = linalg._CERT_PRIMES[0]
     forms = geometry._integral_forms(partials(DWORK))
     h, _, zeros = geometry._zeros_mod_p(forms, 4, p, linalg._CERT_ROOTS[p],
                                         k=3, d=8)
     assert h == len(list(zeros)) == 16
-    taken = []
-    zeros_mod_p = geometry._zeros_mod_p
+    roots = []
+    fp_roots = solver._fp_roots
 
     def counted(*args, **kwargs):
-        h, h1, zeros = zeros_mod_p(*args, **kwargs)
+        for lam in fp_roots(*args, **kwargs):
+            roots.append(lam)
+            yield lam
 
-        def each():
-            for z in zeros:
-                taken.append(z)
-                yield z
-        return h, h1, each()
-
-    monkeypatch.setattr(geometry, "_zeros_mod_p", counted)
+    monkeypatch.setattr(solver, "_fp_roots", counted)
     _forbid_exact_rank(monkeypatch)
     assert is_smooth_surface(DWORK) is False
-    assert len(taken) == 1
+    assert len(roots) == 1
+
 
 @pytest.mark.parametrize("f", [parse_poly(t, 4) for t in SMOOTH_SURFACES]
                          + [substitute_linear(FERMAT, _gaussian_matrix(s, 1))

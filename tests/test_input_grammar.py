@@ -83,7 +83,6 @@ def test_rejected_with_one_offset_into_the_argument(capsys, kind, text, named,
     assert captured.err == f"error: {message}\n"
 
 
-
 def test_nested_parenthesis_is_named_at_its_offset(capsys):
     text = "X^4+((1))*Y^4+Z^4+W^4"
     with pytest.raises(ParseError) as err:

@@ -22,7 +22,10 @@ takes up to three steps:
      p, or Newton-lifted when the zero is reduced) until the first that
      is an exact common zero of the partials, which proves singular (by
      Euler's identity it lies on the quartic); the zeros after it are
-     never computed;
+     never computed.  The finder reads the degree-D part from the
+     echelon that step 1 found, so the degree-D matrix is built and
+     eliminated once per verdict, and it back-substitutes only on the
+     standard columns of that echelon;
   3. otherwise the next prime, and at the end exact elimination.
 """
 
@@ -30,13 +33,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .errors import DegenerateInputError, UnnormalizedAutomorphismError
 from .gaussian import FOURTH_ROOTS, GaussianRational
-from .linalg import (Matrix, SparseRow, _CERT_PIS, _CERT_PRIMES, _CERT_ROOTS,
-                     _pivots_mod_p, prove_full_column_rank)
+from .linalg import (Echelon, Matrix, SparseRow, _CERT_PIS, _CERT_PRIMES,
+                     _CERT_ROOTS, prove_full_column_rank)
 from .poly import (HomPoly, ProjPoint, monomials, partials,
                    squarefree_profile, substitute_linear)
-from .solver import Form, _generator_rows, _lift, _macaulay, _zeros_mod_p
+from .solver import (Form, _generator_rows, _lift, _macaulay_echelon,
+                     _zeros_mod_p)
 from .univariate import _clear_denominators
 
 SubspaceBasis = Sequence[Union[ProjPoint, Sequence]]
@@ -76,13 +82,12 @@ def jacobian_ideal_is_irrelevant(f: HomPoly) -> bool:
     target = n * (k - 1) + 1
     forms = _integral_forms(gens)
     for p in _CERT_PRIMES:
-        mac, index = _macaulay(_generator_rows(forms, n, k, p, _CERT_ROOTS[p]),
-                               n, k, target)
-        if len(_pivots_mod_p(mac, p)) == len(index):
+        basis = _generator_rows(forms, n, k, p, _CERT_ROOTS[p])
+        top = _macaulay_echelon(basis, n, k, target, p)
+        if len(top.pivots) == top.ncols:
             return True
-        del mac  # the search builds matrices as large as this one
         # a full-rank image returns, so the first prime is the first deficient one
-        if p == _CERT_PRIMES[0] and _singular_point(forms, n, target, p) is not None:
+        if p == _CERT_PRIMES[0] and _singular_point(forms, basis, top, p) is not None:
             return False
     return prove_full_column_rank(*macaulay_rows(gens, target))
 
@@ -95,14 +100,17 @@ def _integral_forms(gens: Sequence[HomPoly]) -> List[Form]:
              for exp in g.terms} for g in gens]
 
 
-def _singular_point(forms: List[Form], n: int, target: int, p: int
+def _singular_point(forms: List[Form], basis: np.ndarray, top: Echelon, p: int
                     ) -> Optional[ProjPoint]:
-    """An exact common zero of the Z[i] forms (the partials of a quartic
-    in n variables), or None: the zeros mod p of their ideal, read off at
-    the degrees (target - 1, target), are taken one at a time and lifted
-    by the solver, and the first exact zero over Q(i) ends the search."""
-    k = len(next(iter(forms[0])))
-    _, _, zeros = _zeros_mod_p(forms, n, p, _CERT_ROOTS[p], k=k, d=target - 1)
+    """An exact common zero of the Z[i] forms, the n nonzero partials of
+    a form in n variables, or None.  basis holds them mod p as
+    solver._generator_rows gives them, and top the echelon of their
+    degree-D Macaulay matrix, which the rank test built: the zeros mod p
+    of their ideal, read off at the degrees (D - 1, D), are taken one at
+    a time and lifted by the solver, and the first exact zero over Q(i)
+    ends the search."""
+    n, k = len(forms), len(next(iter(forms[0])))
+    _, _, zeros = _zeros_mod_p(basis, n, k, n * (k - 1), p, top)
     for z in zeros:
         point = _lift(forms, z, p, _CERT_ROOTS[p], _CERT_PIS[p])
         if point is not None:

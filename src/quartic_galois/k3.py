@@ -442,8 +442,12 @@ def moduli_dimension(family_monomial_count: int,
 
 def npns_moduli_dim(l: int) -> int:
     """Moduli dimension of K3 surfaces with a non-purely non-symplectic
-    order-4 automorphism whose (-1)-eigenspace has rank l."""
+    order-4 automorphism whose (-1)-eigenspace has rank l, a sublattice
+    of H^2, which has rank 22."""
     if l < 2:
         raise ValueError(f"the (-1)-eigenspace rank l = {l} is below 2, "
                          "so the dimension l - 2 would be negative")
+    if l > 22:
+        raise ValueError(f"the (-1)-eigenspace rank l = {l} exceeds 22, "
+                         "the rank of H^2 of a K3 surface")
     return l - 2

@@ -10,8 +10,10 @@ once.
 
 The modular side is row reduction of numpy matrices modulo the
 certificate primes p = 1 (mod 4), each with a Gaussian prime above it;
-the solver's engine builds its Macaulay matrices on it.  Integer
-arithmetic only; no floats.
+the solver's engine builds its Macaulay matrices on it.  One forward
+elimination gives a rank and an echelon form; a caller that needs the
+reduced form reads only the columns it uses, by back-substitution on
+the echelon rows.  Integer arithmetic only; no floats.
 """
 
 from __future__ import annotations
@@ -325,13 +327,12 @@ _CERT_ROOTS: Dict[int, int] = {p: _gaussian_prime_above(p)[0] for p in _CERT_PRI
 _CERT_PIS: Dict[int, GInt] = {p: _gaussian_prime_above(p)[1] for p in _CERT_PRIMES}
 
 
-def _echelon_mod_p(a: np.ndarray, p: int, reduced: bool = False) -> List[int]:
+def _echelon_mod_p(a: np.ndarray, p: int) -> List[int]:
     """Row-reduce a in place modulo p and return its pivot columns.
 
-    Pivots are scaled to 1 and cleared below; with reduced=True they are
-    cleared above as well, which gives the reduced row echelon form.
-    Entries must lie in [0, p) with p < 2**31, so int64 products cannot
-    overflow.
+    Pivots are scaled to 1 and cleared below, so the first rows of a are
+    one echelon row per pivot.  Entries must lie in [0, p) with
+    p < 2**31, so int64 products cannot overflow.
     """
     pivots: List[int] = []
     for c in range(a.shape[1]):
@@ -346,8 +347,7 @@ def _echelon_mod_p(a: np.ndarray, p: int, reduced: bool = False) -> List[int]:
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), p - 2, p)
         a[r, c:] = (a[r, c:] * inv) % p
-        rows = np.nonzero(a[:, c] if reduced else a[r + 1:, c])[0]
-        rows = rows[rows != r] if reduced else rows + r + 1
+        rows = np.nonzero(a[r + 1:, c])[0] + r + 1
         if rows.size:
             factors = a[rows, c][:, None]
             a[rows, c:] = (a[rows, c:] - factors * a[r, c:][None, :]) % p
@@ -355,17 +355,68 @@ def _echelon_mod_p(a: np.ndarray, p: int, reduced: bool = False) -> List[int]:
     return pivots
 
 
-def _pivots_mod_p(a: np.ndarray, p: int) -> List[int]:
-    """The pivot columns of the row space of a modulo p, the same list as
-    _echelon_mod_p(a, p), which leaves a unchanged.
+def _back_substitute(e: np.ndarray, pivots: Sequence[int], cols: Sequence[int],
+                     p: int) -> np.ndarray:
+    """The columns cols of the reduced row echelon form of a matrix mod p,
+    read from its echelon rows e: row r of e leads at pivots[r], which
+    increase.  With e_P the square block of e on its pivot columns, the
+    reduced form is e_P^-1 e, found by clearing each pivot above itself
+    from the last one up; only the columns cols are carried.  Entries
+    must lie in [0, p) with p < 2**31."""
+    out = e[:, cols]
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        lead = int(e[r, c])
+        if lead != 1:
+            out[r] = out[r] * pow(lead, p - 2, p) % p
+        hit = np.flatnonzero(e[:r, c])
+        if hit.size:
+            out[hit] = (out[hit] - e[hit, c][:, None] * out[r]) % p
+    return out
+
+
+class Echelon:
+    """A row echelon form mod p of a matrix a, as _pivots_mod_p finds it:
+    pivots lists its pivot columns in increasing order, and rows() builds
+    one row per pivot, led by it.  A rank needs no rows, so none are
+    built until rows() is called; they are read from a, which must not
+    change until then."""
+
+    __slots__ = ("pivots", "ncols", "_a", "_direct", "_leads", "_rest")
+
+    def __init__(self, pivots: List[int], a: np.ndarray, direct: np.ndarray,
+                 leads: np.ndarray, rest: np.ndarray):
+        self.pivots = pivots
+        self.ncols = a.shape[1]
+        self._a, self._direct, self._leads, self._rest = a, direct, leads, rest
+
+    def rows(self) -> np.ndarray:
+        """Row r leads at pivots[r]: the first row of a with that leading
+        column, or else a leftover row of the elimination."""
+        out = np.empty((len(self.pivots), self.ncols), dtype=np.int64)
+        at = np.searchsorted(self.pivots, self._leads)
+        out[at] = self._a[self._direct]
+        left = np.ones(len(out), dtype=bool)
+        left[at] = False
+        out[left] = self._rest
+        return out
+
+    def reduced(self, cols: Sequence[int], p: int) -> np.ndarray:
+        """The columns cols of the reduced row echelon form of a."""
+        return _back_substitute(self.rows(), self.pivots, cols, p)
+
+
+def _pivots_mod_p(a: np.ndarray, p: int) -> Echelon:
+    """A row echelon form of a modulo p, with the pivot columns of
+    _echelon_mod_p(a, p); a is left unchanged.
 
     The first row with each leading column is kept as the pivot row of
     that column: together these rows are already in echelon form.  Only
     the other rows are reduced, against the known pivot row of each
     column in increasing order, with no search and no swap; afterwards
     they vanish at every such column, so _echelon_mod_p on what remains
-    of them gives the other pivot columns.  Entries must lie in [0, p)
-    with p < 2**31.
+    of them gives the other pivot columns and their rows.  Entries must
+    lie in [0, p) with p < 2**31.
     """
     nonzero = a != 0
     rows = np.flatnonzero(nonzero.any(axis=1))
@@ -377,7 +428,9 @@ def _pivots_mod_p(a: np.ndarray, p: int) -> List[int]:
             if hit.size:
                 f = rest[hit, c] * pow(int(a[i, c]), p - 2, p) % p
                 rest[hit, c:] = (rest[hit, c:] - f[:, None] * a[i, c:]) % p
-    return sorted(cols.tolist() + _echelon_mod_p(rest, p))
+    more = _echelon_mod_p(rest, p)
+    return Echelon(sorted(cols.tolist() + more), a, rows[first], cols,
+                   rest[:len(more)])
 
 
 # ---------------------------------------------------------------------------

@@ -17,22 +17,28 @@ the joint eigenvectors of the multiplication maps on the degree-4 part
 of the quotient ring (Auzinger-Stetter).  Each zero is reconstructed in
 Q(i) at p or after Newton lifting pi-adically, and kept only when it is
 an exact zero of every quadric, so no point rests on the modular step.
-The engine (_generator_rows, _macaulay) and the zero finder and lift
-(_zeros_mod_p, _lift) take forms of any degree, and are the package's
-one modular Macaulay engine and one route from a zero mod p to a Q(i)
-point.  The engine orders its columns by degree-reverse-lex, caches
-each column layout, and leaves out every row that a Koszul syzygy puts
-in the span of the rows kept, so ranks, pivot columns and reduced
-echelon forms are those of the full matrix; ranks come from
-linalg._pivots_mod_p, which eliminates only the rows whose leading
-column an earlier row already has.  The zero finder returns its zeros
+The engine (_generator_rows, _macaulay, _macaulay_echelon) and the zero
+finder and lift (_zeros_mod_p, _lift) take forms of any degree, and are
+the package's one modular Macaulay engine and one route from a zero mod
+p to a Q(i) point.  The engine orders its columns by degree-reverse-lex,
+caches each column layout, and leaves out every row that a Koszul
+syzygy puts in the span of the rows kept, so ranks, pivot columns and
+reduced echelon forms are those of the full matrix.  Each matrix is
+eliminated once, by linalg._pivots_mod_p, which reduces only the rows
+whose leading column an earlier row already has and keeps the echelon
+it finds.  Every caller of the zero finder builds the degree-(d+1)
+echelon itself and hands it over: the smoothness test has it from its
+rank test, so no matrix is built twice.  The finder reads the normal
+forms of the degree-(d+1) monomials off that echelon by
+back-substitution on its standard columns alone, and returns its zeros
 as an iterator: each root of the characteristic polynomial (from
 univariate._fp_roots, one at a time) and its eigenspace are computed
-only when the caller asks for the next zero.  The smoothness test of
-the geometry module certifies on the engine that the partials of a
-quartic have no common zero, or runs the zero finder and the lift on
-them until the first exact singular point; solve_projective and
-univariate.gaussian_roots take every zero.
+only when the caller asks for the next zero.  The smoothness test of the
+geometry module certifies on the engine that the partials of a quartic
+have no common zero, or runs the zero finder and the lift on them until
+the first exact singular point; solve_projective and
+univariate.gaussian_roots take every zero.  The lift multiplies out each
+monomial once per point and shares it among all the forms.
 """
 
 from __future__ import annotations
@@ -41,13 +47,13 @@ import math
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
 from random import Random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .gaussian import ZERO, ONE, GaussianRational
-from .linalg import (Matrix, _CERT_PIS, _CERT_PRIMES, _CERT_ROOTS,
-                     _echelon_mod_p, _pivots_mod_p)
+from .linalg import (Echelon, Matrix, _CERT_PIS, _CERT_PRIMES, _CERT_ROOTS,
+                     _back_substitute, _echelon_mod_p, _pivots_mod_p)
 from .poly import HomPoly, ProjPoint, monomials
 from .univariate import (GInt, Poly, _clear_denominators, _fp_roots, _gi_mul,
                          _matmul_mod_p, _rational_reconstructions, degree)
@@ -154,7 +160,9 @@ def solve_projective(quadrics: List[Quadric], nvars: int
     found: List[ProjPoint] = []
     reason: Optional[str] = HILBERT_NOT_STABLE
     for p in _CERT_PRIMES:
-        h4, h5, zeros = _zeros_mod_p(quadrics, nvars, p, _CERT_ROOTS[p])
+        basis = _generator_rows(quadrics, nvars, 2, p, _CERT_ROOTS[p])
+        h4, h5, zeros = _zeros_mod_p(basis, nvars, 2, 4, p,
+                                     _macaulay_echelon(basis, nvars, 2, 5, p))
         for z in zeros:
             point = _lift(quadrics, z, p, _CERT_ROOTS[p], _CERT_PIS[p])
             if point is not None and point not in found:
@@ -168,28 +176,29 @@ def solve_projective(quadrics: List[Quadric], nvars: int
     return found, reason
 
 
-def _zeros_mod_p(forms: List[Form], n: int, p: int, i_p: int, k: int = 2,
-                 d: int = 4) -> Tuple[int, int, Iterator[List[int]]]:
-    """(H_p(d), H_p(d+1), zeros mod p) of the ideal of forms of degree k
-    in n variables, reduced by i -> i_p.  The zeros are recovered only
-    when the two values agree: then multiplication by a generic linear
-    form l0 maps the degree-d part of the quotient onto the degree-(d+1)
-    part, and the maps M_t = l0^-1 x_t on the degree-d part commute.  The
-    evaluation functional of a zero P, and the functionals supported at P
-    when P is not reduced, span the left generalised eigenspace on which
-    each M_t has the one eigenvalue x_t(P) / l0(P).  So for each root lam
-    of the characteristic polynomial of a generic combination a of the
-    M_t, the left kernel V of a - lam is invariant under every M_t, and
+def _zeros_mod_p(basis: np.ndarray, n: int, k: int, d: int, p: int,
+                 top: Echelon) -> Tuple[int, int, Iterator[List[int]]]:
+    """(H_p(d), H_p(d+1), zeros mod p) of the ideal spanned mod p by the
+    rows of basis, forms of degree k in n variables as _generator_rows
+    gives them; top is the echelon of their degree-(d+1) Macaulay matrix
+    (_macaulay_echelon), which the caller has already built.  The zeros
+    are recovered only when the two values agree: then multiplication by
+    a generic linear form l0 maps the degree-d part of the quotient onto
+    the degree-(d+1) part, and the maps M_t = l0^-1 x_t on the degree-d
+    part commute.  The evaluation functional of a zero P, and the
+    functionals supported at P when P is not reduced, span the left
+    generalised eigenspace on which each M_t has the one eigenvalue
+    x_t(P) / l0(P).  So for each root lam of the characteristic
+    polynomial of a generic combination a of the M_t, the left kernel V
+    of a - lam is invariant under every M_t, and
     P = (trace(M_t|V) / dim V)_t; the common factor dim V is dropped.
-    The Hilbert values are computed at once; the zeros are an iterator
-    that finds the next root and its eigenspace only when asked, so a
-    caller that stops early pays for the zeros it took."""
-    basis = _generator_rows(forms, n, k, p, i_p)
-    mac, index = _macaulay(basis, n, k, d)
-    piv = set(_pivots_mod_p(mac, p))
-    del mac  # peak memory: the degree-(d+1) matrix is the larger one
-    rref1, index1 = _macaulay(basis, n, k, d + 1)
-    piv1 = _echelon_mod_p(rref1, p, reduced=True)
+    The normal form of each degree-(d+1) monomial is read off top by
+    back-substitution on its standard (non-pivot) columns alone.  The
+    Hilbert values are computed at once; the zeros are an iterator that
+    finds the next root and its eigenspace only when asked, so a caller
+    that stops early pays for the zeros it took."""
+    index, index1 = _layout(n, k, d)[0], _layout(n, k, d + 1)[0]
+    piv, piv1 = set(_macaulay_echelon(basis, n, k, d, p).pivots), top.pivots
     h, h1 = len(index) - len(piv), len(index1) - len(piv1)
     if h != h1 or h == 0:
         return h, h1, iter(())
@@ -197,17 +206,17 @@ def _zeros_mod_p(forms: List[Form], n: int, p: int, i_p: int, k: int = 2,
     std1 = sorted(set(range(len(index1))) - set(piv1))
     nf = np.zeros((h, len(index1)), dtype=np.int64)
     nf[range(h), std1] = 1
-    for r, c in enumerate(piv1):
-        nf[:, c] = -rref1[r, std1] % p
+    nf[:, piv1] = -top.reduced(std1, p).T % p
     std = [e for e, c in index.items() if c not in piv]
     mult = [nf[:, [index1[tuple(a + (t == v) for v, a in enumerate(b))]
                    for b in std]] for t in range(n)]
     rng = Random(p)
     l0 = sum(rng.randrange(1, p) * x % p for x in mult) % p
     aug = np.concatenate([l0] + mult, axis=1)
-    if _echelon_mod_p(aug, p, reduced=True) != list(range(h)):
+    if _echelon_mod_p(aug, p) != list(range(h)):
         return h, h1, iter(())
-    ms = [aug[:, (t + 1) * h:(t + 2) * h] for t in range(n)]
+    # l0^-1 M_t: the reduced form of [l0 | M_1 ... M_n] right of l0
+    ms = np.hsplit(_back_substitute(aug, range(h), range(h, (n + 1) * h), p), n)
     a = sum(rng.randrange(p) * m % p for m in ms) % p
     return h, h1, _eigenpoints(a, ms, p)
 
@@ -221,11 +230,12 @@ def _eigenpoints(a: np.ndarray, ms: List[np.ndarray], p: int
     for lam in _fp_roots(_charpoly_mod_p(a, p), p):
         # a basis of V: the row w_f is 1 at its free column f, 0 at the others
         left = (a.T - lam * np.eye(h, dtype=np.int64)) % p
-        pivots = _echelon_mod_p(left, p, reduced=True)
+        pivots = _echelon_mod_p(left, p)
         free = sorted(set(range(h)) - set(pivots))
         v = np.zeros((len(free), h), dtype=np.int64)
         v[range(len(free)), free] = 1
-        v[:, pivots] = -left[:len(pivots), free].T % p
+        back = _back_substitute(left[:len(pivots)], pivots, free, p)
+        v[:, pivots] = -back.T % p
         # (v M_t)[:, free] is the matrix of M_t|V in that basis
         yield [int(np.trace(_matmul_mod_p(v, m[:, free], p))) % p for m in ms]
 
@@ -243,12 +253,22 @@ def _generator_rows(forms: List[Form], n: int, k: int, p: int, i_p: int
     """A basis mod p of the span of the forms of degree k, reduced by
     i -> i_p: the nonzero rows of their echelon form over _drevlex(n, k),
     so the leading monomial of each row is its first nonzero column."""
-    cols = {e: c for c, e in enumerate(_drevlex(n, k))}
+    cols = _form_columns(n, k)
     gens = np.zeros((len(forms), len(cols)), dtype=np.int64)
-    for row, form in enumerate(forms):
-        for key, c in form.items():
-            gens[row, cols[tuple(key.count(v) for v in range(n))]] = _residue(c, i_p, p)
+    at = [(row, cols[key], _residue(c, i_p, p))
+          for row, form in enumerate(forms) for key, c in form.items()]
+    if at:
+        rows, where, values = zip(*at)
+        gens[rows, where] = values
     return gens[:len(_echelon_mod_p(gens, p))]
+
+
+@lru_cache(maxsize=None)
+def _form_columns(n: int, k: int) -> Dict[Tuple[int, ...], int]:
+    """The position in _drevlex(n, k) of each monomial, keyed as in a
+    Form by its sorted variable indices."""
+    return {tuple(v for v, e in enumerate(exp) for _ in range(e)): c
+            for c, exp in enumerate(_drevlex(n, k))}
 
 
 @lru_cache(maxsize=None)
@@ -303,6 +323,13 @@ def _macaulay(basis: np.ndarray, n: int, k: int, d: int
     return mac, index
 
 
+def _macaulay_echelon(basis: np.ndarray, n: int, k: int, d: int, p: int
+                      ) -> Echelon:
+    """The echelon mod p of the degree-d Macaulay matrix of basis (as
+    _macaulay takes it), by linalg._pivots_mod_p."""
+    return _pivots_mod_p(_macaulay(basis, n, k, d)[0], p)
+
+
 def _residue(c: GInt, i_m: int, m: int) -> int:
     return (c[0] + c[1] * i_m) % m
 
@@ -337,7 +364,8 @@ def _lift(forms: List[Form], zero: List[int], p: int, i_p: int,
     n = len(zero)
     chart = next(t for t in range(n) if zero[t])
     x = [v * pow(zero[chart], -1, p) % p for v in zero]
-    if any(_evaluate(f, x, i_p, p) for f in forms):
+    at_p = _powers(set().union(*forms), x, p)
+    if any(_evaluate(f, at_p, i_p, p) for f in forms):
         return None
     prev = _reconstruct(x, pi, p)
     if prev is not None and _is_exact_zero(forms, prev):
@@ -351,12 +379,14 @@ def _lift(forms: List[Form], zero: List[int], p: int, i_p: int,
     if len(chosen) < n - 1:
         return None
     m, i_m, pik = p, i_p, pi
+    keys = set().union(*chosen)
     for _ in range(_MAX_PRECISION.bit_length() - 1):
         m2 = m * m
         i_m = (i_m - (i_m * i_m + 1) * pow(2 * i_m, -1, m2)) % m2
         m, pik = m2, _gi_mul(pik, pik)
+        at_m = _powers(keys, x, m)
         delta = _solve_mod([_gradient(f, x, i_m, m, free) for f in chosen],
-                           [_evaluate(f, x, i_m, m) for f in chosen], m)
+                           [_evaluate(f, at_m, i_m, m) for f in chosen], m)
         for t, dt in zip(free, delta):
             x[t] = (x[t] - dt) % m
         cur = _reconstruct(x, pik, m)
@@ -366,9 +396,23 @@ def _lift(forms: List[Form], zero: List[int], p: int, i_p: int,
     return None
 
 
-def _evaluate(f: Form, x: List[int], i_m: int, m: int) -> int:
-    return sum(_residue(c, i_m, m) * math.prod(x[a] for a in key)
-               for key, c in f.items()) % m
+def _powers(keys: Set[Tuple[int, ...]], x: List[int], m: int
+            ) -> Dict[Tuple[int, ...], int]:
+    """The value mod m at x of each monomial in keys (sorted variable
+    indices, as in a Form), so that a monomial shared by many forms is
+    multiplied out once."""
+    return {key: math.prod(x[a] for a in key) % m for key in keys}
+
+
+def _evaluate(f: Form, powers: Dict[Tuple[int, ...], int], i_m: int,
+              m: int) -> int:
+    """f mod m at the point whose monomial values are powers."""
+    re = im = 0
+    for key, (a, b) in f.items():
+        v = powers[key]
+        re += a * v
+        im += b * v
+    return (re + im * i_m) % m
 
 
 def _gradient(f: Form, x: List[int], i_m: int, m: int,
@@ -426,11 +470,17 @@ def _reconstruct(x: List[int], pik: GInt, m: int
 def _is_exact_zero(forms: List[Form],
                    coords: List[GaussianRational]) -> bool:
     """Every form vanishes at the point, checked in Z[i] after clearing
-    the coordinates' denominators."""
+    the coordinates' denominators; each monomial is multiplied out once."""
     x = _clear_denominators(coords)
+    powers = {key: reduce(_gi_mul, (x[a] for a in key), (1, 0))
+              for key in set().union(*forms)}
     for f in forms:
-        terms = [reduce(_gi_mul, (x[a] for a in key), c) for key, c in f.items()]
-        if sum(t[0] for t in terms) or sum(t[1] for t in terms):
+        re = im = 0
+        for key, (a, b) in f.items():
+            u, v = powers[key]
+            re += a * u - b * v
+            im += a * v + b * u
+        if re or im:
             return False
     return True
 

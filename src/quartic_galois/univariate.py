@@ -354,7 +354,8 @@ def gaussian_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
     and fully_split counts verified roots against the degree, so the
     certificate never rests on the primes or the precision cap.
     """
-    from .solver import _CERT_PIS, _CERT_PRIMES, _CERT_ROOTS, _lift, _zeros_mod_p
+    from .solver import (_CERT_PIS, _CERT_PRIMES, _CERT_ROOTS, _generator_rows,
+                         _lift, _macaulay_echelon, _zeros_mod_p)
     if not p:
         raise ValueError("zero polynomial")
     if degree(p) == 0:
@@ -378,7 +379,9 @@ def gaussian_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
         for q in _CERT_PRIMES:
             if len(found) == d:
                 break
-            for z in _zeros_mod_p([form], 2, q, _CERT_ROOTS[q], k=d, d=d)[2]:
+            basis = _generator_rows([form], 2, d, q, _CERT_ROOTS[q])
+            top = _macaulay_echelon(basis, 2, d, d + 1, q)
+            for z in _zeros_mod_p(basis, 2, d, d, q, top)[2]:
                 point = _lift([form], z, q, _CERT_ROOTS[q], _CERT_PIS[q])
                 if point is None:
                     continue

@@ -6,7 +6,9 @@ the partial derivatives through sympy Groebner bases, and matrix ranks,
 determinants and inverses are recomputed by sympy's exact linear
 algebra (determinants and adjugates by Berkowitz, without division).
 Matrix products are schoolbook sums of Fraction pairs, without
-GaussianRational arithmetic.
+GaussianRational arithmetic.  Reduced row echelon forms modulo a prime
+come from a plain Gauss-Jordan loop that clears each pivot column above
+and below at once.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence
 
+import numpy as np
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
@@ -143,3 +146,24 @@ def oracle_matpow(a: Matrix, n: int) -> Matrix:
     for _ in range(n):
         result = oracle_matmul(result, a)
     return result
+
+
+def oracle_rref_mod_p(a: np.ndarray, p: int):
+    """(pivot columns, rows) of the reduced row echelon form of a mod p,
+    p < 2**31, by Gauss-Jordan elimination on a copy of a."""
+    a = a % p
+    pivots: List[int] = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        if r == len(a):
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        others = np.flatnonzero(a[:, c])
+        others = others[others != r]
+        a[others] = (a[others] - a[others, c][:, None] * a[r]) % p
+        pivots.append(c)
+    return pivots, a[:len(pivots)].tolist()

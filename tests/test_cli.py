@@ -205,6 +205,12 @@ def test_moduli_npns_rejects_small_rank(capsys):
     assert code == 1 and out == "" and "below 2" in err
 
 
+def test_moduli_npns_rejects_rank_above_22(capsys):
+    code, out, err = run(capsys, "moduli", "npns", "--l", "99")
+    assert code == 1 and out == "" and "exceeds 22" in err
+    assert "Traceback" not in err
+
+
 def test_demo_passes(capsys):
     code, out, _ = run(capsys, "demo")
     assert code == 0

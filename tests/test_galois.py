@@ -17,7 +17,8 @@ from quartic_galois.poly import (ProjPoint, parse_poly, substitute_linear,
                                  x_decompose)
 
 from helpers import (SIGMA1, lift_form1, lift_form2, rand_invertible,
-                     rand_smooth_plane_quartic, rand_squarefree_binary_quartic)
+                     rand_smooth_plane_quartic, rand_squarefree_binary_quartic,
+                     zeros_mod_p)
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
 FORM1 = parse_poly("X^4+Y^4+Z^4+W^4+Y^2*Z*W", 4)
@@ -318,8 +319,8 @@ def test_enumerate_retries_next_prime():
     h = parse_poly("X^4+Y^4+Z^4+W^4+2130706433*X*Y*Z*W", 4)
     p = solver._CERT_PRIMES[0]
     assert p == 2130706433
-    h4, h5, zeros = solver._zeros_mod_p(solver.cube_locus_quadrics(h), 4, p,
-                                        -solver._CERT_ROOTS[p] % p)
+    h4, h5, zeros = zeros_mod_p(solver.cube_locus_quadrics(h), 4, p,
+                                -solver._CERT_ROOTS[p] % p)
     assert (h4, h5, len(list(zeros))) == (4, 4, 4)
     rep = enumerate_outer_galois_points(h)
     assert rep.point_list() == []

@@ -15,7 +15,7 @@ from quartic_galois.geometry import (eigen_decompose_order4,
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import ProjPoint, parse_poly, partials, substitute_linear
 
-from helpers import SMOOTH_SURFACES, SMOOTHNESS_CORPUS, rand_invertible
+from helpers import SMOOTH_SURFACES, SMOOTHNESS_CORPUS, rand_invertible, zeros_mod_p
 from oracles import oracle_is_smooth
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
@@ -64,8 +64,8 @@ def _hilbert_above_certificate_degree(f):
     # zero finder at the first certificate prime
     n = f.nvars
     p = linalg._CERT_PRIMES[0]
-    _, h1, _ = geometry._zeros_mod_p(geometry._integral_forms(partials(f)), n, p,
-                                     linalg._CERT_ROOTS[p], k=3, d=2 * n + 1)
+    _, h1, _ = zeros_mod_p(geometry._integral_forms(partials(f)), n, p,
+                           linalg._CERT_ROOTS[p], k=3, d=2 * n + 1)
     return h1
 
 
@@ -149,6 +149,30 @@ def test_singular_point_witness(monkeypatch, f, a):
     assert all(d.eval(found[0].coords).is_zero() for d in partials(g))
 
 
+@pytest.mark.parametrize("f", [DWORK, substitute_linear(CONE, SHEAR)],
+                         ids=["dwork", "cone-shear"])
+def test_one_degree9_elimination_per_singular_verdict(monkeypatch, f):
+    # the rank test's degree-9 echelon is handed to the zero finder, so
+    # the matrix is built once and eliminated once
+    builds, eliminations = [], []
+    for module in (solver, geometry):
+        for name, log, degree9 in (
+                ("_macaulay", builds, lambda basis, n, k, d: d == 9),
+                ("_pivots_mod_p", eliminations, lambda a, p, **kw: a.shape[1] == 220),
+                ("_echelon_mod_p", eliminations, lambda a, p, **kw: a.shape[1] == 220)):
+            if hasattr(module, name):
+                def counted(*args, _f=getattr(module, name), _log=log, _hit=degree9,
+                            **kwargs):
+                    if _hit(*args, **kwargs):
+                        _log.append(1)
+                    return _f(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    _forbid_exact_rank(monkeypatch)
+    assert is_smooth_surface(f) is False
+    assert (len(builds), len(eliminations)) == (1, 1)
+
+
 def test_singular_plane_quartic_witness(monkeypatch):
     # the same search at D = 7 on curves: (Y^2+Z^2)^2+W^4 in sheared
     # coordinates, singular at two points of length 9
@@ -174,13 +198,15 @@ def test_bogus_modular_zero_is_not_a_witness(monkeypatch):
     # elimination, and on a smooth surface the search finds no point
     p = linalg._CERT_PRIMES[0]
     fermat = geometry._integral_forms(partials(FERMAT))
-    assert geometry._singular_point(fermat, 4, 9, p) is None
+    basis = solver._generator_rows(fermat, 4, 3, p, linalg._CERT_ROOTS[p])
+    top = solver._macaulay_echelon(basis, 4, 3, 9, p)
+    assert geometry._singular_point(fermat, basis, top, p) is None
     calls = _exact_rank_counter(monkeypatch)
     monkeypatch.setattr(geometry, "_zeros_mod_p",
                         lambda *args, **kwargs: (1, 1, [[1, 2, 3, 4]]))
     assert is_smooth_surface(substitute_linear(CONE, SHEAR)) is False
     assert calls
-    assert geometry._singular_point(fermat, 4, 9, p) is None
+    assert geometry._singular_point(fermat, basis, top, p) is None
 
 
 
@@ -191,8 +217,7 @@ def test_singular_witness_stops_at_the_first_exact_zero(monkeypatch):
     # rank test never runs exactly
     p = linalg._CERT_PRIMES[0]
     forms = geometry._integral_forms(partials(DWORK))
-    h, _, zeros = geometry._zeros_mod_p(forms, 4, p, linalg._CERT_ROOTS[p],
-                                        k=3, d=8)
+    h, _, zeros = zeros_mod_p(forms, 4, p, linalg._CERT_ROOTS[p], k=3, d=8)
     assert h == len(list(zeros)) == 16
     roots = []
     fp_roots = solver._fp_roots

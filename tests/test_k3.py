@@ -395,6 +395,13 @@ def test_npns_moduli_dim_rejects_small_rank():
             npns_moduli_dim(l)
 
 
+def test_npns_moduli_dim_rejects_rank_above_22():
+    assert npns_moduli_dim(22) == 20
+    for l in (23, 99):
+        with pytest.raises(ValueError, match="exceeds 22"):
+            npns_moduli_dim(l)
+
+
 def test_npns_moduli_dim():
     assert npns_moduli_dim(4) == 2
     assert npns_moduli_dim(8) == 6

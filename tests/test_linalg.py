@@ -7,14 +7,15 @@ import pytest
 from quartic_galois.errors import ParseError
 from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, ONE, ZERO
-from quartic_galois.linalg import (_CERT_PRIMES, Matrix, _echelon_mod_p,
-                                   _pivots_mod_p, centralizer_dimension,
+from quartic_galois.linalg import (_CERT_PRIMES, Matrix, _back_substitute,
+                                   _echelon_mod_p, _pivots_mod_p,
+                                   centralizer_dimension,
                                    parse_matrix, prove_full_column_rank,
                                    sparse_rank)
 
 from helpers import SIGMA1, SIGMA2, SIGMA3, SIGMA4, rand_gr, rand_invertible
 from oracles import (oracle_det, oracle_inverse, oracle_matmul, oracle_matpow,
-                     oracle_rank)
+                     oracle_rank, oracle_rref_mod_p)
 
 
 def test_rank_identity_and_zero():
@@ -217,8 +218,48 @@ def test_pivots_mod_p_matches_echelon(p):
     rng = np.random.default_rng(p)
     for a in _modular_matrices(p, rng):
         before = a.copy()
-        assert _pivots_mod_p(a, p) == _echelon_mod_p(a.copy(), p)
+        assert _pivots_mod_p(a, p).pivots == _echelon_mod_p(a.copy(), p)
         assert (a == before).all()
+
+
+def _deficient_matrices(p, rng):
+    """Matrices mod p of rank at most rank, with zero rows, a repeated
+    row and entries within 2**20 of p."""
+    for rows, cols, rank in ((1, 1, 1), (6, 6, 6), (8, 5, 3), (12, 9, 4),
+                             (20, 15, 7), (40, 30, 22), (30, 40, 30)):
+        base = rng.integers(p - 2**20, p, size=(rank, cols))
+        for r in range(rank):
+            base[r, :rng.integers(0, cols // 2 + 1)] = 0
+        coeffs = rng.integers(0, p, size=(rows, rank))
+        coeffs[0] = 0
+        coeffs[0, 0] = 1  # the first row is a base row, near p
+        a = np.zeros((rows, cols), dtype=np.int64)
+        for r in range(rank):
+            a = (a + coeffs[:, r:r + 1] * base[r] % p) % p
+        a[rng.random(size=rows) < 0.2] = 0
+        a[-1] = a[len(a) // 2]
+        yield a
+
+
+def test_back_substitution_matches_reduced_echelon():
+    # the reduced form's standard columns, by back-substitution on the
+    # rows of either forward elimination, against Gauss-Jordan
+    p = _CERT_PRIMES[0]
+    rng = np.random.default_rng(13)
+    for a in _deficient_matrices(p, rng):
+        pivots, rref = oracle_rref_mod_p(a, p)
+        std = [c for c in range(a.shape[1]) if c not in pivots]
+        want = np.array(rref, dtype=np.int64).reshape(len(pivots), -1)[:, std]
+        echelon = _pivots_mod_p(a, p)
+        rows = echelon.rows()
+        assert echelon.pivots == pivots
+        assert all(rows[r, c] and not rows[r, :c].any() for r, c in enumerate(pivots))
+        assert oracle_rref_mod_p(rows, p) == (pivots, rref)
+        assert echelon.reduced(std, p).tolist() == want.tolist()
+        b = a.copy()
+        assert _echelon_mod_p(b, p) == pivots
+        back = _back_substitute(b[:len(pivots)], pivots, std, p)
+        assert back.tolist() == want.tolist()
 
 
 def test_centralizer_two_homologies_is_six():

@@ -7,11 +7,14 @@ import pytest
 from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, ONE, ZERO
 from quartic_galois.geometry import _integral_forms
-from quartic_galois.linalg import _CERT_PRIMES, _CERT_ROOTS, _echelon_mod_p
-from quartic_galois.poly import monomials, parse_poly, partials
+from quartic_galois.linalg import _CERT_PRIMES, _CERT_ROOTS, Matrix, _pivots_mod_p
+from quartic_galois.poly import monomials, parse_poly, partials, substitute_linear
 from quartic_galois.solver import (_charpoly_mod_p, _generator_rows, _macaulay,
-                                   _zeros_mod_p, resultant)
+                                   cube_locus_quadrics, resultant)
 from quartic_galois.univariate import _matmul_mod_p
+
+from helpers import zeros_mod_p
+from oracles import oracle_rref_mod_p
 
 
 def test_resultant_sylvester():
@@ -30,7 +33,7 @@ def test_zeros_of_partials_non_reduced():
     p = _CERT_PRIMES[0]
     s = _CERT_ROOTS[p]
     cone = [{(0, 0, 0): (4, 0)}, {(1, 1, 1): (4, 0)}, {(2, 2, 2): (4, 0)}, {}]
-    h, h1, zeros = _zeros_mod_p(cone, 4, p, s, k=3, d=9)
+    h, h1, zeros = zeros_mod_p(cone, 4, p, s, k=3, d=9)
     zeros = list(zeros)
     assert (h, h1, len(zeros)) == (27, 27, 1)
     assert zeros[0][:3] == [0, 0, 0] and zeros[0][3] != 0
@@ -38,7 +41,7 @@ def test_zeros_of_partials_non_reduced():
     square = [{(0, 0, 0): (4, 0), (0, 1, 1): (4, 0)},
               {(0, 0, 1): (4, 0), (1, 1, 1): (4, 0)},
               {(2, 2, 2): (4, 0)}, {(3, 3, 3): (4, 0)}]
-    h, h1, zeros = _zeros_mod_p(square, 4, p, s, k=3, d=9)
+    h, h1, zeros = zeros_mod_p(square, 4, p, s, k=3, d=9)
     assert (h, h1) == (18, 18)
     affine = sorted(z[1] * pow(z[0], -1, p) % p for z in zeros)
     assert affine == sorted([s, p - s]) and all(z[2:] == [0, 0] for z in zeros)
@@ -99,11 +102,6 @@ def _full_macaulay(basis, n, k, d, index, p):
     return np.array(rows, dtype=np.int64)
 
 
-def _rref(a, p):
-    pivots = _echelon_mod_p(a, p, reduced=True)
-    return pivots, a[:len(pivots)].tolist()
-
-
 _RANDOM_SYSTEMS = [(4, 3, 9, 4), (3, 3, 7, 3), (4, 2, 4, 6), (4, 2, 5, 6),
                    (4, 3, 8, 4), (4, 2, 4, 3)]
 
@@ -121,7 +119,7 @@ def test_pruned_macaulay_keeps_the_row_space(n, k, d, count):
         full = _full_macaulay(basis, n, k, d, index, p)
         assert mac.shape[1] == full.shape[1] == len(index)
         assert len(mac) < len(full)
-        assert _rref(mac, p) == _rref(full, p)
+        assert oracle_rref_mod_p(mac, p) == oracle_rref_mod_p(full, p)
 
 
 def test_pruned_macaulay_of_singular_partials():
@@ -131,9 +129,9 @@ def test_pruned_macaulay_of_singular_partials():
     basis = _generator_rows(_integral_forms(partials(f)), 4, 3, p, _CERT_ROOTS[p])
     mac, index = _macaulay(basis, 4, 3, 9)
     full = _full_macaulay(basis, 4, 3, 9, index, p)
-    pivots, rows = _rref(mac, p)
+    pivots, rows = oracle_rref_mod_p(mac, p)
     assert len(pivots) < len(index)
-    assert (pivots, rows) == _rref(full, p)
+    assert (pivots, rows) == oracle_rref_mod_p(full, p)
 
 
 def test_fermat_macaulay_is_square():
@@ -143,3 +141,28 @@ def test_fermat_macaulay_is_square():
     p = _CERT_PRIMES[0]
     mac, index = _macaulay(_generator_rows(fermat, 4, 3, p, _CERT_ROOTS[p]), 4, 3, 9)
     assert mac.shape == (220, 220) and len(index) == 220
+
+
+_SHEAR = Matrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+
+
+@pytest.mark.parametrize("forms, k, d", [
+    (_integral_forms(partials(parse_poly("X^4+Y^4+Z^4+W^4-4*X*Y*Z*W", 4))), 3, 9),
+    (_integral_forms(partials(substitute_linear(parse_poly("X^4+Y^4+Z^4", 4),
+                                                _SHEAR))), 3, 9),
+    (_integral_forms(partials(parse_poly("X^4+2*X^2*Y^2+Y^4+Z^4+W^4", 4))), 3, 9),
+    (cube_locus_quadrics(substitute_linear(
+        parse_poly("X^4+Y^4+Z^4+W^4+Y^2*Z*W", 4),
+        Matrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 2, 0], [0, 0, 1, 1]]))),
+     2, 5),
+], ids=["dwork", "cone-shear", "square", "form1-conjugate-quadrics"])
+def test_back_substituted_normal_forms_match_reduced_echelon(forms, k, d):
+    # the normal forms the zero finder reads off the echelon are the
+    # standard-column block of the full reduced echelon form
+    p = _CERT_PRIMES[0]
+    mac, index = _macaulay(_generator_rows(forms, 4, k, p, _CERT_ROOTS[p]), 4, k, d)
+    pivots, rref = oracle_rref_mod_p(mac, p)
+    std = [c for c in range(len(index)) if c not in pivots]
+    echelon = _pivots_mod_p(mac, p)
+    assert echelon.pivots == pivots and std
+    assert echelon.reduced(std, p).tolist() == [[row[c] for c in std] for row in rref]

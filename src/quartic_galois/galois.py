@@ -231,9 +231,9 @@ def _split_variables(f: HomPoly) -> List[int]:
     out = []
     for v in range(f.nvars):
         pure = tuple(4 if t == v else 0 for t in range(f.nvars))
-        if pure not in f.terms:
+        if pure not in f.num:
             continue
-        if all(e[v] == 0 for e in f.terms if e != pure):
+        if all(e[v] == 0 for e in f.num if e != pure):
             out.append(v)
     return out
 

@@ -7,8 +7,8 @@ generate contains every form of degree D = n(d-2)+1 (9 for surfaces, 7
 for plane quartics).  Conversely a common zero supports a point
 evaluation that kills that graded piece.  So the degree-D Macaulay
 matrix has full rank exactly when the zero set is empty.  The partials
-are cleared of denominators once, into Z[i] forms, and the verdict
-takes up to three steps:
+enter the solver's engine as their Z[i] numerators (HomPoly.num, each
+divided by its content), and the verdict takes up to three steps:
   1. at each certificate prime p the solver's engine builds the matrix
      modulo a Gaussian prime above p, with its columns in
      degree-reverse-lex order and without the rows that the Koszul
@@ -37,13 +37,12 @@ import numpy as np
 
 from .errors import DegenerateInputError, UnnormalizedAutomorphismError
 from .gaussian import FOURTH_ROOTS, GaussianRational
-from .linalg import (Echelon, Matrix, SparseRow, _CERT_PIS, _CERT_PRIMES,
-                     _CERT_ROOTS, prove_full_column_rank)
+from .linalg import (Echelon, Matrix, SparseRow, _CERT_PRIMES,
+                     prove_full_column_rank)
 from .poly import (HomPoly, ProjPoint, monomials, partials,
                    squarefree_profile, substitute_linear)
 from .solver import (Form, _generator_rows, _lift, _macaulay_echelon,
-                     _zeros_mod_p)
-from .univariate import _clear_denominators
+                     _primitive, _zeros_mod_p)
 
 SubspaceBasis = Sequence[Union[ProjPoint, Sequence]]
 
@@ -80,9 +79,9 @@ def jacobian_ideal_is_irrelevant(f: HomPoly) -> bool:
         return False
     n, k = f.nvars, f.degree - 1
     target = n * (k - 1) + 1
-    forms = _integral_forms(gens)
+    forms = [_primitive(g) for g in gens]
     for p in _CERT_PRIMES:
-        basis = _generator_rows(forms, n, k, p, _CERT_ROOTS[p])
+        basis = _generator_rows(forms, n, k, p)
         top = _macaulay_echelon(basis, n, k, target, p)
         if len(top.pivots) == top.ncols:
             return True
@@ -92,27 +91,19 @@ def jacobian_ideal_is_irrelevant(f: HomPoly) -> bool:
     return prove_full_column_rank(*macaulay_rows(gens, target))
 
 
-def _integral_forms(gens: Sequence[HomPoly]) -> List[Form]:
-    """The forms gens times one common denominator, as Z[i] forms keyed
-    by sorted variable indices (solver.Form)."""
-    coeffs = iter(_clear_denominators([c for g in gens for c in g.terms.values()]))
-    return [{tuple(v for v, e in enumerate(exp) for _ in range(e)): next(coeffs)
-             for exp in g.terms} for g in gens]
-
-
 def _singular_point(forms: List[Form], basis: np.ndarray, top: Echelon, p: int
                     ) -> Optional[ProjPoint]:
-    """An exact common zero of the Z[i] forms, the n nonzero partials of
-    a form in n variables, or None.  basis holds them mod p as
-    solver._generator_rows gives them, and top the echelon of their
-    degree-D Macaulay matrix, which the rank test built: the zeros mod p
-    of their ideal, read off at the degrees (D - 1, D), are taken one at
-    a time and lifted by the solver, and the first exact zero over Q(i)
-    ends the search."""
-    n, k = len(forms), len(next(iter(forms[0])))
+    """An exact common zero of the Z[i] forms, the numerators of the n
+    nonzero partials of a form in n variables, or None.  basis holds
+    them mod p as solver._generator_rows gives them, and top the echelon
+    of their degree-D Macaulay matrix, which the rank test built: the
+    zeros mod p of their ideal, read off at the degrees (D - 1, D), are
+    taken one at a time and lifted by the solver, and the first exact
+    zero over Q(i) ends the search."""
+    n, k = len(forms), sum(next(iter(forms[0])))
     _, _, zeros = _zeros_mod_p(basis, n, k, n * (k - 1), p, top)
     for z in zeros:
-        point = _lift(forms, z, p, _CERT_ROOTS[p], _CERT_PIS[p])
+        point = _lift(forms, z, p)
         if point is not None:
             return point
     return None

@@ -1,10 +1,11 @@
 """Exact homogeneous multivariate polynomials over Q(i).
 
 The central type is HomPoly: a strictly homogeneous form in at most 4
-variables with Gaussian-rational coefficients, stored sparsely as a map
-from exponent vectors to nonzero coefficients.  Printing and equality
-use the graded-lexicographic term order, so all textual output is
-canonical and round-trips through the parser bit-exactly.
+variables with Gaussian-rational coefficients, stored sparsely as one
+denominator and Z[i] numerators keyed by exponent vectors; every
+operation below runs on those integers.  Printing uses the
+graded-lexicographic term order, so all textual output is canonical and
+round-trips through the parser bit-exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import (Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from .errors import ParseError
 from .gaussian import (ZERO, ONE, GaussianRational, parse_literals,
@@ -39,12 +42,18 @@ def monomials(nvars: int, degree: int) -> Tuple[Exponent, ...]:
 
 
 class HomPoly:
-    """A homogeneous polynomial; immutable after construction."""
+    """A homogeneous polynomial; immutable after construction.
 
-    __slots__ = ("nvars", "degree", "terms", "names")
+    It is num / den: num maps each exponent vector to a nonzero Z[i]
+    numerator (re, im), the solver module's Form, and den is the least
+    common denominator of the coefficients, so equal polynomials store
+    equal data.  terms is the read-only view of the coefficients in Q(i).
+    """
+
+    __slots__ = ("nvars", "degree", "num", "den", "names")
 
     def __init__(self, nvars: int, degree: int,
-                 terms: Dict[Exponent, GaussianRational],
+                 terms: Mapping[Exponent, GaussianRational],
                  names: Optional[Tuple[str, ...]] = None):
         if not 1 <= nvars <= 4:
             raise ValueError("HomPoly supports 1..4 variables")
@@ -60,10 +69,26 @@ class HomPoly:
             c = GaussianRational.coerce(coeff)
             if not c.is_zero():
                 clean[exp] = c
+        self.den, nums = _common_denominator(list(clean.values()))
+        self.num = dict(zip(clean, nums))
         self.nvars = nvars
         self.degree = degree
-        self.terms = clean
         self.names = tuple(names) if names else DEFAULT_NAMES[:nvars]
+
+    @classmethod
+    def _from_num(cls, nvars: int, degree: int, num: Dict[Exponent, GInt],
+                  den: int, names: Optional[Tuple[str, ...]] = None
+                  ) -> "HomPoly":
+        """num / den for Z[i] numerators and a positive integer den: the
+        zero numerators are dropped and the integer factor common to den
+        and every numerator is cancelled."""
+        num = {e: c for e, c in num.items() if c != (0, 0)}
+        g = math.gcd(den, *(x for c in num.values() for x in c))
+        if g > 1:
+            num = {e: (a // g, b // g) for e, (a, b) in num.items()}
+        f = cls(nvars, degree, {}, names)
+        f.num, f.den = num, den // g
+        return f
 
     # -- basics -----------------------------------------------------------
 
@@ -74,14 +99,22 @@ class HomPoly:
 
     @staticmethod
     def constant(nvars: int, value, names=None) -> "HomPoly":
-        v = GaussianRational.coerce(value)
-        return HomPoly(nvars, 0, {(0,) * nvars: v} if not v.is_zero() else {}, names)
+        return HomPoly(nvars, 0, {(0,) * nvars: value}, names)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
+
+    @property
+    def terms(self) -> Mapping[Exponent, GaussianRational]:
+        """The nonzero coefficients in Q(i), as a read-only map."""
+        return MappingProxyType({e: self._coefficient(c)
+                                 for e, c in self.num.items()})
+
+    def _coefficient(self, c: GInt) -> GaussianRational:
+        return GaussianRational(Fraction(c[0], self.den), Fraction(c[1], self.den))
 
     def coeff(self, exp: Exponent) -> GaussianRational:
-        return self.terms.get(tuple(exp), ZERO)
+        return self._coefficient(self.num.get(tuple(exp), (0, 0)))
 
     def sorted_terms(self) -> List[Tuple[Exponent, GaussianRational]]:
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
@@ -89,12 +122,13 @@ class HomPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomPoly):
             return NotImplemented
-        if self.nvars != other.nvars or self.terms != other.terms:
+        if (self.nvars != other.nvars or self.den != other.den
+                or self.num != other.num):
             return False
         return self.is_zero() or self.degree == other.degree
 
     def __hash__(self) -> int:
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
+        return hash((self.nvars, self.den, tuple(sorted(self.num.items()))))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -106,43 +140,38 @@ class HomPoly:
 
     def __add__(self, other: "HomPoly") -> "HomPoly":
         self._compat(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, ZERO) + c
-            if s.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = s
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        out = {e: (a * s, b * s) for e, (a, b) in self.num.items()}
+        for e, (a, b) in other.num.items():
+            re, im = out.get(e, (0, 0))
+            out[e] = (re + a * t, im + b * t)
         deg = self.degree if not self.is_zero() else other.degree
-        return HomPoly(self.nvars, deg, out, self.names)
+        return HomPoly._from_num(self.nvars, deg, out, den, self.names)
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
         return self + (-other)
 
     def __neg__(self) -> "HomPoly":
-        return HomPoly(self.nvars, self.degree,
-                       {e: -c for e, c in self.terms.items()}, self.names)
+        return self.scale(-1)
 
     def __mul__(self, other: "HomPoly") -> "HomPoly":
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
-        out: Dict[Exponent, GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return HomPoly(self.nvars, self.degree + other.degree, out, self.names)
+        out: Dict[Exponent, GInt] = {}
+        for e1, (a, b) in self.num.items():
+            for e2, (c, d) in other.num.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                re, im = out.get(e, (0, 0))
+                out[e] = (re + a * c - b * d, im + a * d + b * c)
+        return HomPoly._from_num(self.nvars, self.degree + other.degree, out,
+                                 self.den * other.den, self.names)
 
     def scale(self, c) -> "HomPoly":
-        c = GaussianRational.coerce(c)
-        if c.is_zero():
-            return HomPoly.zero(self.nvars, self.degree, self.names)
-        return HomPoly(self.nvars, self.degree,
-                       {e: c * v for e, v in self.terms.items()}, self.names)
+        dc, (z,) = _common_denominator([GaussianRational.coerce(c)])
+        return HomPoly._from_num(self.nvars, self.degree,
+                                 {e: _gi_mul(z, v) for e, v in self.num.items()},
+                                 self.den * dc, self.names)
 
     def __pow__(self, n: int) -> "HomPoly":
         if n < 0:
@@ -157,23 +186,22 @@ class HomPoly:
         return result
 
     def eval(self, point: Sequence) -> GaussianRational:
-        """f(point), summed over Z[i]: with d_f and d_P the common
-        denominators of f and of the point, f(P) = (d_f f)(d_P P) /
-        (d_f d_P**deg f) by homogeneity, so there is one division."""
+        """f(point), summed over Z[i]: with d_P the common denominator of
+        the point, f(P) = num(d_P P) / (den d_P**deg f) by homogeneity, so
+        there is one division."""
         vals = [GaussianRational.coerce(x) for x in point]
         if len(vals) != self.nvars:
             raise ValueError("point length mismatch")
-        df, coeffs = _common_denominator(list(self.terms.values()))
         dp, xs = _common_denominator(vals)
         powers = [_gi_powers(x, self.degree) for x in xs]
         re = im = 0
-        for exp, c in zip(self.terms, coeffs):
+        for exp, c in self.num.items():
             for pw, e in zip(powers, exp):
                 if e:
                     c = _gi_mul(c, pw[e])
             re += c[0]
             im += c[1]
-        d = df * dp ** self.degree
+        d = self.den * dp ** self.degree
         return GaussianRational(Fraction(re, d), Fraction(im, d))
 
     # -- printing -------------------------------------------------------------
@@ -241,11 +269,7 @@ def parse_poly(text: str, expected_degree: int,
             terms[0][2])
     acc: Dict[Exponent, GaussianRational] = {}
     for exp, coeff, _p in terms:
-        s = acc.get(exp, ZERO) + coeff
-        if s.is_zero():
-            acc.pop(exp, None)
-        else:
-            acc[exp] = s
+        acc[exp] = acc.get(exp, ZERO) + coeff
     return HomPoly(len(names), expected_degree, acc, names)
 
 
@@ -320,16 +344,14 @@ def substitute_linear(f: HomPoly, m: Matrix) -> HomPoly:
     """The pullback f(M x): substitute variable k by row k of M applied to x.
 
     M may be rectangular (nvars-in rows, nvars-out columns), which
-    restricts f to a linear subspace.  With d_f and d_M the common
-    denominators of f and M, f(Mx) = (d_f f)(d_M M x) / (d_f d_M**deg f)
-    by homogeneity: the expansion runs over Z[i] and each output
-    coefficient is divided once.
+    restricts f to a linear subspace.  With d_M the common denominator
+    of M, f(Mx) = num(d_M M x) / (den d_M**deg f) by homogeneity: the
+    expansion runs over Z[i] and the result keeps one denominator.
     """
     if m.rows != f.nvars:
         raise ValueError(
             f"matrix has {m.rows} rows but polynomial has {f.nvars} variables")
     nout, deg = m.cols, f.degree
-    df, coeffs = _common_denominator(list(f.terms.values()))
     dm, entries = _common_denominator(m.entries)
     # An output exponent vector is one int, its digits in base deg+1 (no
     # exponent exceeds deg): exponents add as ints and descending lex
@@ -340,7 +362,7 @@ def substitute_linear(f: HomPoly, m: Matrix) -> HomPoly:
             if c != (0, 0)} for k in range(f.nvars)]
     powers: List[List[Dict[int, GInt]]] = []
     for k in range(f.nvars):
-        top = max((exp[k] for exp in f.terms), default=0)
+        top = max((exp[k] for exp in f.num), default=0)
         cache = [{0: (1, 0)}]
         for _ in range(top):
             cache.append(_gi_addmul({}, cache[-1], lin[k]))
@@ -349,7 +371,7 @@ def substitute_linear(f: HomPoly, m: Matrix) -> HomPoly:
     # by every term of f with that prefix
     prefix: Dict[Exponent, Dict[int, GInt]] = {(): {0: (1, 0)}}
     acc: Dict[int, GInt] = {}
-    for exp, c in zip(f.terms, coeffs):
+    for exp, c in f.num.items():
         key: Exponent = ()
         for k, e in enumerate(exp[:-1]):
             parent, key = key, key + (e,)
@@ -357,14 +379,9 @@ def substitute_linear(f: HomPoly, m: Matrix) -> HomPoly:
                 prefix[key] = _gi_addmul({}, prefix[parent], powers[k][e])
         scaled = {e: _gi_mul(c, v) for e, v in prefix[key].items()}
         _gi_addmul(acc, scaled, powers[-1][exp[-1]])
-    den = df * dm ** deg
-    terms: Dict[Exponent, GaussianRational] = {}
-    for e in sorted(acc, reverse=True):
-        re, im = acc[e]
-        if re or im:
-            exp = tuple((e // u) % base for u in units)
-            terms[exp] = GaussianRational(Fraction(re, den), Fraction(im, den))
-    return HomPoly(nout, deg, terms)
+    num = {tuple((e // u) % base for u in units): acc[e]
+           for e in sorted(acc, reverse=True)}
+    return HomPoly._from_num(nout, deg, num, f.den * dm ** deg)
 
 
 def _gi_addmul(acc: Dict[int, GInt], p: Dict[int, GInt],
@@ -392,13 +409,9 @@ def partials(f: HomPoly) -> List[HomPoly]:
         raise ValueError("cannot differentiate a degree-0 form")
     out = []
     for k in range(f.nvars):
-        terms: Dict[Exponent, GaussianRational] = {}
-        for exp, coeff in f.terms.items():
-            if exp[k]:
-                e = list(exp)
-                e[k] -= 1
-                terms[tuple(e)] = coeff * exp[k]
-        out.append(HomPoly(f.nvars, f.degree - 1, terms, f.names))
+        num = {exp[:k] + (e - 1,) + exp[k + 1:]: (a * e, b * e)
+               for exp, (a, b) in f.num.items() if (e := exp[k])}
+        out.append(HomPoly._from_num(f.nvars, f.degree - 1, num, f.den, f.names))
     return out
 
 
@@ -420,12 +433,12 @@ class XDecomposition:
         self.names = names
 
     def reassemble(self) -> HomPoly:
-        out: Dict[Exponent, GaussianRational] = {}
+        out = HomPoly.zero(self.nvars, self.degree, self.names)
         for k, ck in enumerate(self.c):
-            for exp, coeff in ck.terms.items():
-                full = list(exp[:self.chart]) + [self.degree - k] + list(exp[self.chart:])
-                out[tuple(full)] = coeff
-        return HomPoly(self.nvars, self.degree, out, self.names)
+            out = out + HomPoly._from_num(self.nvars, self.degree, {
+                exp[:self.chart] + (self.degree - k,) + exp[self.chart:]: c
+                for exp, c in ck.num.items()}, ck.den, self.names)
+        return out
 
 
 def x_decompose(f: HomPoly, chart: int) -> XDecomposition:
@@ -436,12 +449,13 @@ def x_decompose(f: HomPoly, chart: int) -> XDecomposition:
         raise ValueError("decomposition needs at least 2 variables")
     rest_names = tuple(nm for k, nm in enumerate(f.names) if k != chart)
     d = f.degree
-    buckets: List[Dict[Exponent, GaussianRational]] = [{} for _ in range(d + 1)]
-    for exp, coeff in f.terms.items():
+    buckets: List[Dict[Exponent, GInt]] = [{} for _ in range(d + 1)]
+    for exp, coeff in f.num.items():
         k = d - exp[chart]
         rest = exp[:chart] + exp[chart + 1:]
         buckets[k][rest] = coeff
-    c = [HomPoly(f.nvars - 1, k, buckets[k], rest_names) for k in range(d + 1)]
+    c = [HomPoly._from_num(f.nvars - 1, k, buckets[k], f.den, rest_names)
+         for k in range(d + 1)]
     return XDecomposition(chart, c, f.nvars, d, f.names)
 
 
@@ -449,32 +463,27 @@ def polar_forms(f: HomPoly, p: Union[ProjPoint, Sequence]) -> List[HomPoly]:
     """The forms e_k with f(s*p + t*q) = sum_k s**(d-k) t**k e_k(q).
 
     e_0 is the scalar f(p) and e_d is f itself; e_k has degree k in q.
+    With d_P the common denominator of p, e_k is summed over Z[i] at
+    d_P p and divided by den d_P**(d-k).
     """
     vals = [GaussianRational.coerce(x) for x in p]
     if len(vals) != f.nvars:
         raise ValueError("point length mismatch")
     d = f.degree
-    out: List[Dict[Exponent, GaussianRational]] = [{} for _ in range(d + 1)]
-    for exp, coeff in f.terms.items():
+    dp, xs = _common_denominator(vals)
+    powers = [_gi_powers(x, d) for x in xs]
+    out: List[Dict[Exponent, GInt]] = [{} for _ in range(d + 1)]
+    for exp, coeff in f.num.items():
         for sub in _sub_exponents(exp):
-            k = sum(sub)
             c = coeff
-            for idx in range(f.nvars):
-                a, j = exp[idx], sub[idx]
-                c = c * math.comb(a, j)
-                if a - j:
-                    c = c * vals[idx] ** (a - j)
-                if c.is_zero():
-                    break
-            if c.is_zero():
-                continue
-            bucket = out[k]
-            s = bucket.get(sub, ZERO) + c
-            if s.is_zero():
-                bucket.pop(sub, None)
-            else:
-                bucket[sub] = s
-    return [HomPoly(f.nvars, k, out[k], f.names) for k in range(d + 1)]
+            for a, j, pw in zip(exp, sub, powers):
+                c = _gi_mul(c, pw[a - j])
+            m = math.prod(math.comb(a, j) for a, j in zip(exp, sub))
+            bucket = out[sum(sub)]
+            re, im = bucket.get(sub, (0, 0))
+            bucket[sub] = (re + m * c[0], im + m * c[1])
+    return [HomPoly._from_num(f.nvars, k, out[k], f.den * dp ** (d - k), f.names)
+            for k in range(d + 1)]
 
 
 def _sub_exponents(exp: Exponent) -> List[Exponent]:

@@ -20,8 +20,10 @@ an exact zero of every quadric, so no point rests on the modular step.
 The engine (_generator_rows, _macaulay, _macaulay_echelon) and the zero
 finder and lift (_zeros_mod_p, _lift) take forms of any degree, and are
 the package's one modular Macaulay engine and one route from a zero mod
-p to a Q(i) point.  The engine orders its columns by degree-reverse-lex,
-caches each column layout, and leaves out every row that a Koszul
+p to a Q(i) point.  A form is the Z[i] numerator map of a HomPoly
+(HomPoly.num), divided by its Z[i] content where a polynomial enters
+the engine (_primitive).  The engine orders its columns by
+degree-reverse-lex, caches each column layout, and leaves out every row that a Koszul
 syzygy puts in the span of the rows kept, so ranks, pivot columns and
 reduced echelon forms are those of the full matrix.  Each matrix is
 eliminated once, by linalg._pivots_mod_p, which reduces only the rows
@@ -55,11 +57,12 @@ from .gaussian import ZERO, ONE, GaussianRational
 from .linalg import (Echelon, Matrix, _CERT_PIS, _CERT_PRIMES, _CERT_ROOTS,
                      _back_substitute, _echelon_mod_p, _pivots_mod_p)
 from .poly import HomPoly, ProjPoint, monomials
-from .univariate import (GInt, Poly, _clear_denominators, _fp_roots, _gi_mul,
+from .univariate import (GInt, Poly, _common_denominator, _fp_roots,
+                         _gi_divmod, _gi_gcd, _gi_mul, _gi_norm,
                          _matmul_mod_p, _rational_reconstructions, degree)
 
-# a form with Z[i] coefficients: sorted variable indices (a, b, ...) ->
-# coefficient of P_a P_b ...; a quadric's keys are the pairs a <= b
+# a form with Z[i] coefficients, keyed by exponent vectors: the numerator
+# map of a HomPoly (HomPoly.num)
 Form = Dict[Tuple[int, ...], GInt]
 Quadric = Form
 
@@ -69,6 +72,17 @@ POINTS_NOT_RECOVERED = "points-not-recovered"
 # p-adic precision cap, as a power of p; a zero whose reconstruction
 # needs more is not recovered, which can only cost completeness
 _MAX_PRECISION = 128
+
+
+def _primitive(f: HomPoly) -> Form:
+    """The numerators of f divided by their Z[i] content, the form in
+    which a polynomial enters the modular engine: were every coefficient
+    divisible by a Gaussian prime of the certificate, each reduction
+    would vanish and the engine could prove nothing."""
+    g = reduce(_gi_gcd, f.num.values(), (0, 0))
+    if _gi_norm(g) <= 1:
+        return f.num
+    return {e: _gi_divmod(c, g)[0] for e, c in f.num.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +95,11 @@ def cube_locus_quadrics(f: HomPoly) -> List[Quadric]:
     a cube of a linear form (possibly zero).
 
     They are the coefficients of the 2x2 minors of the Hessian of the
-    polar, computed from the fourth-derivative tensor of f with its
-    denominators cleared; exact duplicates are dropped.
+    polar, computed from the fourth-derivative tensor of f's primitive
+    numerators; exact duplicates are dropped.
     """
     n = f.nvars
-    coeffs = dict(zip(f.terms, _clear_denominators(list(f.terms.values()))))
+    coeffs = _primitive(f)
 
     def fourth(idx: Sequence[int]) -> GInt:
         e = tuple(idx.count(v) for v in range(n))
@@ -98,6 +112,9 @@ def cube_locus_quadrics(f: HomPoly) -> List[Quadric]:
     hx = [[[[(l, c) for l in range(n) if (c := fourth((i, j, m, l))) != (0, 0)]
             for m in range(n)] for j in range(n)] for i in range(n)]
 
+    # pair[a][b]: the exponent vector of P_a P_b
+    pair = [[tuple((t == a) + (t == b) for t in range(n)) for b in range(n)]
+            for a in range(n)]
     unique: Dict[tuple, Quadric] = {}
     # the Hessian is symmetric, so minor (rows a, cols b) == minor (b, a)
     for (i, j), (k, l) in combinations_with_replacement(
@@ -108,9 +125,9 @@ def cube_locus_quadrics(f: HomPoly) -> List[Quadric]:
                 q: Quadric = {}
                 for u, v, sign in ((hx[i][k], hx[j][l], 1),
                                    (hx[i][l], hx[j][k], -1)):
-                    _add_product(q, u[m], v[s], sign)
+                    _add_product(q, u[m], v[s], sign, pair)
                     if m != s:
-                        _add_product(q, u[s], v[m], sign)
+                        _add_product(q, u[s], v[m], sign, pair)
                 key = tuple(sorted(t for t in q.items() if t[1] != (0, 0)))
                 if key:
                     unique.setdefault(key, dict(key))
@@ -118,12 +135,14 @@ def cube_locus_quadrics(f: HomPoly) -> List[Quadric]:
 
 
 def _add_product(q: Quadric, u: List[Tuple[int, GInt]],
-                 v: List[Tuple[int, GInt]], sign: int) -> None:
-    """q += sign * (u . P) * (v . P) for sparse linear forms u, v."""
+                 v: List[Tuple[int, GInt]], sign: int,
+                 pair: List[List[Tuple[int, ...]]]) -> None:
+    """q += sign * (u . P) * (v . P) for sparse linear forms u, v; pair[a][b]
+    is the exponent vector of P_a P_b."""
     for a, ua in u:
         for b, vb in v:
             c = _gi_mul(ua, vb)
-            ab = (a, b) if a <= b else (b, a)
+            ab = pair[a][b]
             old = q.get(ab, (0, 0))
             q[ab] = (old[0] + sign * c[0], old[1] + sign * c[1])
 
@@ -160,11 +179,11 @@ def solve_projective(quadrics: List[Quadric], nvars: int
     found: List[ProjPoint] = []
     reason: Optional[str] = HILBERT_NOT_STABLE
     for p in _CERT_PRIMES:
-        basis = _generator_rows(quadrics, nvars, 2, p, _CERT_ROOTS[p])
+        basis = _generator_rows(quadrics, nvars, 2, p)
         h4, h5, zeros = _zeros_mod_p(basis, nvars, 2, 4, p,
                                      _macaulay_echelon(basis, nvars, 2, 5, p))
         for z in zeros:
-            point = _lift(quadrics, z, p, _CERT_ROOTS[p], _CERT_PIS[p])
+            point = _lift(quadrics, z, p)
             if point is not None and point not in found:
                 found.append(point)
         stable = h4 == h5 <= 4
@@ -241,19 +260,20 @@ def _eigenpoints(a: np.ndarray, ms: List[np.ndarray], p: int
 
 
 @lru_cache(maxsize=None)
-def _drevlex(n: int, d: int) -> Tuple[Tuple[int, ...], ...]:
-    """The monomials of degree d in n variables in descending
-    degree-reverse-lex order: a comes before b when the last nonzero
-    entry of a - b is negative."""
-    return tuple(sorted(monomials(n, d), key=lambda e: e[::-1]))
+def _drevlex(n: int, d: int) -> Dict[Tuple[int, ...], int]:
+    """The monomials of degree d in n variables, each mapped to its
+    position in descending degree-reverse-lex order (a comes before b
+    when the last nonzero entry of a - b is negative), and listed in it."""
+    order = sorted(monomials(n, d), key=lambda e: e[::-1])
+    return {e: c for c, e in enumerate(order)}
 
 
-def _generator_rows(forms: List[Form], n: int, k: int, p: int, i_p: int
-                    ) -> np.ndarray:
-    """A basis mod p of the span of the forms of degree k, reduced by
-    i -> i_p: the nonzero rows of their echelon form over _drevlex(n, k),
-    so the leading monomial of each row is its first nonzero column."""
-    cols = _form_columns(n, k)
+def _generator_rows(forms: List[Form], n: int, k: int, p: int) -> np.ndarray:
+    """A basis mod p of the span of the forms of degree k, reduced mod
+    the Gaussian prime _CERT_PIS[p] (i -> _CERT_ROOTS[p]): the nonzero
+    rows of their echelon form over _drevlex(n, k), so the leading
+    monomial of each row is its first nonzero column."""
+    cols, i_p = _drevlex(n, k), _CERT_ROOTS[p]
     gens = np.zeros((len(forms), len(cols)), dtype=np.int64)
     at = [(row, cols[key], _residue(c, i_p, p))
           for row, form in enumerate(forms) for key, c in form.items()]
@@ -261,14 +281,6 @@ def _generator_rows(forms: List[Form], n: int, k: int, p: int, i_p: int
         rows, where, values = zip(*at)
         gens[rows, where] = values
     return gens[:len(_echelon_mod_p(gens, p))]
-
-
-@lru_cache(maxsize=None)
-def _form_columns(n: int, k: int) -> Dict[Tuple[int, ...], int]:
-    """The position in _drevlex(n, k) of each monomial, keyed as in a
-    Form by its sorted variable indices."""
-    return {tuple(v for v, e in enumerate(exp) for _ in range(e)): c
-            for c, exp in enumerate(_drevlex(n, k))}
 
 
 @lru_cache(maxsize=None)
@@ -280,7 +292,7 @@ def _layout(n: int, k: int, d: int
     the column of the product of shift s (of degree d - k) and monomial t
     (of degree k, a column of _generator_rows), and divides[s, t] says
     that t divides s."""
-    index = {e: c for c, e in enumerate(_drevlex(n, d))}
+    index = _drevlex(n, d)
     shifts, gens = _drevlex(n, d - k), _drevlex(n, k)
     where = np.array([[index[tuple(x + y for x, y in zip(s, t))] for t in gens]
                       for s in shifts], dtype=np.intp)
@@ -351,34 +363,37 @@ def _charpoly_mod_p(a: np.ndarray, p: int) -> Poly:
 # Lifting a zero mod p to an exact zero over Q(i).
 # ---------------------------------------------------------------------------
 
-def _lift(forms: List[Form], zero: List[int], p: int, i_p: int,
-          pi: GInt) -> Optional[ProjPoint]:
-    """The exact zero of the forms that reduces to the given zero mod pi,
-    or None.  The reconstruction at p itself is tried first: it is the
-    only chance of a non-reduced zero, whose Jacobian is singular.
-    Otherwise, in the chart of its first nonzero coordinate, the zero is
-    Newton-lifted mod p^(2^j) on n-1 forms whose Jacobian is invertible
-    mod p; each coordinate is reconstructed in Q(i), and the point is
-    returned once two successive precisions agree and it is an exact
-    zero of every form."""
-    n = len(zero)
+def _lift(forms: List[Form], zero: List[int], p: int) -> Optional[ProjPoint]:
+    """The exact zero of the forms that reduces to the given zero mod the
+    Gaussian prime _CERT_PIS[p], or None.  The reconstruction at p itself
+    is tried first: it is the only chance of a non-reduced zero, whose
+    Jacobian is singular.  Otherwise, in the chart of its first nonzero
+    coordinate, the zero is Newton-lifted mod p^(2^j) on the first n-1
+    forms whose gradients mod p are independent; each coordinate is
+    reconstructed in Q(i), and the point is returned once two successive
+    precisions agree and it is an exact zero of every form."""
+    n, i_p = len(zero), _CERT_ROOTS[p]
     chart = next(t for t in range(n) if zero[t])
     x = [v * pow(zero[chart], -1, p) % p for v in zero]
     at_p = _powers(set().union(*forms), x, p)
     if any(_evaluate(f, at_p, i_p, p) for f in forms):
         return None
-    prev = _reconstruct(x, pi, p)
+    prev = _reconstruct(x, _CERT_PIS[p], p)
     if prev is not None and _is_exact_zero(forms, prev):
         return ProjPoint(prev)
-    # the pivot columns of the transposed Jacobian: the first n - 1
-    # forms with independent gradients mod p
+    # the pivot columns of the transposed Jacobian, a form at a time: the
+    # first n - 1 forms with independent gradients mod p
     free = [t for t in range(n) if t != chart]
-    jac = np.array([_gradient(f, x, i_p, p, free) for f in forms],
-                   dtype=np.int64).reshape(-1, n - 1)
-    chosen = [forms[k] for k in _echelon_mod_p(jac.T, p)]
+    chosen, grads = [], []
+    for f in forms:
+        g = grads + [_gradient(f, x, i_p, p, free)]
+        if len(_echelon_mod_p(np.array(g, dtype=np.int64), p)) == len(g):
+            chosen, grads = chosen + [f], g
+            if len(g) == n - 1:
+                break
     if len(chosen) < n - 1:
         return None
-    m, i_m, pik = p, i_p, pi
+    m, i_m, pik = p, i_p, _CERT_PIS[p]
     keys = set().union(*chosen)
     for _ in range(_MAX_PRECISION.bit_length() - 1):
         m2 = m * m
@@ -398,10 +413,10 @@ def _lift(forms: List[Form], zero: List[int], p: int, i_p: int,
 
 def _powers(keys: Set[Tuple[int, ...]], x: List[int], m: int
             ) -> Dict[Tuple[int, ...], int]:
-    """The value mod m at x of each monomial in keys (sorted variable
-    indices, as in a Form), so that a monomial shared by many forms is
-    multiplied out once."""
-    return {key: math.prod(x[a] for a in key) % m for key in keys}
+    """The value mod m at x of each monomial in keys (exponent vectors,
+    as in a Form), so that a monomial shared by many forms is multiplied
+    out once."""
+    return {key: math.prod(v ** e for v, e in zip(x, key)) % m for key in keys}
 
 
 def _evaluate(f: Form, powers: Dict[Tuple[int, ...], int], i_m: int,
@@ -422,10 +437,10 @@ def _gradient(f: Form, x: List[int], i_m: int, m: int,
     for t in free:
         total = 0
         for key, c in f.items():
-            if t in key:
-                j = key.index(t)
-                total += (_residue(c, i_m, m) * key.count(t)
-                          * math.prod(x[a] for a in key[:j] + key[j + 1:]))
+            if key[t]:
+                total += (_residue(c, i_m, m) * key[t]
+                          * math.prod(v ** (e - (a == t))
+                                      for a, (v, e) in enumerate(zip(x, key))))
         out.append(total % m)
     return out
 
@@ -471,8 +486,9 @@ def _is_exact_zero(forms: List[Form],
                    coords: List[GaussianRational]) -> bool:
     """Every form vanishes at the point, checked in Z[i] after clearing
     the coordinates' denominators; each monomial is multiplied out once."""
-    x = _clear_denominators(coords)
-    powers = {key: reduce(_gi_mul, (x[a] for a in key), (1, 0))
+    x = _common_denominator(coords)[1]
+    powers = {key: reduce(_gi_mul, (v for v, e in zip(x, key) for _ in range(e)),
+                          (1, 0))
               for key in set().union(*forms)}
     for f in forms:
         re = im = 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from random import Random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -188,13 +188,6 @@ def _gi_gcd(x: GInt, y: GInt) -> GInt:
     return x
 
 
-def _gi_div_exact(x: GInt, y: GInt) -> Optional[GInt]:
-    q, r = _gi_divmod(x, y)
-    if r == (0, 0):
-        return q
-    return None
-
-
 def _sqrt_minus_one_mod(p: int) -> int:
     # p prime, p % 4 == 1
     for a in range(2, p):
@@ -220,18 +213,6 @@ def _common_denominator(cs: Sequence[GaussianRational]
     d = math.lcm(*(q.denominator for c in cs for q in (c.re, c.im)))
     return d, [(c.re.numerator * (d // c.re.denominator),
                 c.im.numerator * (d // c.im.denominator)) for c in cs]
-
-
-def _clear_denominators(p: Poly) -> List[GInt]:
-    out = _common_denominator(p)[1]
-    # remove Gaussian-integer content
-    g: GInt = (0, 0)
-    for z in out:
-        if z != (0, 0):
-            g = _gi_gcd(g, z) if g != (0, 0) else z
-    if g != (0, 0) and _gi_norm(g) > 1:
-        out = [_gi_div_exact(z, g) for z in out]  # type: ignore[misc]
-    return out  # type: ignore[return-value]
 
 
 # Dense polynomials over Z/m as int lists indexed by power, no trailing zeros.
@@ -354,8 +335,9 @@ def gaussian_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
     and fully_split counts verified roots against the degree, so the
     certificate never rests on the primes or the precision cap.
     """
-    from .solver import (_CERT_PIS, _CERT_PRIMES, _CERT_ROOTS, _generator_rows,
-                         _lift, _macaulay_echelon, _zeros_mod_p)
+    from .poly import HomPoly
+    from .solver import (_CERT_PRIMES, _generator_rows, _lift, _macaulay_echelon,
+                         _primitive, _zeros_mod_p)
     if not p:
         raise ValueError("zero polynomial")
     if degree(p) == 0:
@@ -374,15 +356,14 @@ def gaussian_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
         d = degree(factor)
         found = [-factor[0] / factor[1]] if d == 1 else []
         # the form sum a_j x^j y^(d-j), whose zeros (r : 1) are the roots r
-        form = {(0,) * j + (1,) * (d - j): c
-                for j, c in enumerate(_clear_denominators(factor))}
+        form = _primitive(HomPoly(2, d, {(j, d - j): c for j, c in enumerate(factor)}))
         for q in _CERT_PRIMES:
             if len(found) == d:
                 break
-            basis = _generator_rows([form], 2, d, q, _CERT_ROOTS[q])
+            basis = _generator_rows([form], 2, d, q)
             top = _macaulay_echelon(basis, 2, d, d + 1, q)
             for z in _zeros_mod_p(basis, 2, d, d, q, top)[2]:
-                point = _lift([form], z, q, _CERT_ROOTS[q], _CERT_PIS[q])
+                point = _lift([form], z, q)
                 if point is None:
                     continue
                 r = point.coords[0] / point.coords[1]

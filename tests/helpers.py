@@ -13,11 +13,11 @@ from quartic_galois.poly import HomPoly, monomials, squarefree_profile
 from quartic_galois.solver import _generator_rows, _macaulay_echelon, _zeros_mod_p
 
 
-def zeros_mod_p(forms, n, p, i_p, k=2, d=4):
+def zeros_mod_p(forms, n, p, k=2, d=4):
     """solver._zeros_mod_p on Z[i] forms of degree k in n variables,
-    reduced by i -> i_p, with the degree-(d+1) echelon built here as its
-    callers build it."""
-    basis = _generator_rows(forms, n, k, p, i_p)
+    reduced mod the certificate's Gaussian prime above p, with the
+    degree-(d+1) echelon built here as its callers build it."""
+    basis = _generator_rows(forms, n, k, p)
     return _zeros_mod_p(basis, n, k, d, p, _macaulay_echelon(basis, n, k, d + 1, p))
 
 

@@ -64,6 +64,27 @@ def oracle_substitute_linear(f: HomPoly, m: Matrix) -> HomPoly:
     return HomPoly(m.cols, f.degree, terms)
 
 
+def sympy_to_hompoly(expr, syms, degree: int) -> HomPoly:
+    """A form of the given degree in syms, its coefficients read by
+    sympy's Poly over QQ_I, as a HomPoly in the default variable names."""
+    poly = sympy.Poly(expr, *syms, domain="QQ_I")
+    return HomPoly(len(syms), degree,
+                   {exp: sympy_to_gr(c) for exp, c in poly.terms() if c != 0})
+
+
+def oracle_polar_forms(f: HomPoly, p: Sequence[GaussianRational]) -> List[HomPoly]:
+    """The coefficients e_k of s**(d-k) t**k in f(s*p + t*q), from
+    sympy's expansion of the substituted expression."""
+    qs = sympy.symbols(f"q0:{f.nvars}")
+    s, t = sympy.symbols("s t")
+    expr = hompoly_to_sympy(f, qs).xreplace(
+        {q: s * gr_to_sympy(c) + t * q for q, c in zip(qs, p)})
+    st = sympy.Poly(sympy.expand(expr), s, t)
+    d = f.degree
+    return [sympy_to_hompoly(st.coeff_monomial(s ** (d - k) * t ** k), qs, k)
+            for k in range(d + 1)]
+
+
 def oracle_eval(f: HomPoly, point: Sequence[GaussianRational]) -> GaussianRational:
     xs = sympy.symbols(f"x0:{f.nvars}")
     expr = hompoly_to_sympy(f, xs)

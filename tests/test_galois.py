@@ -10,8 +10,8 @@ from quartic_galois.gaussian import I, ONE, ZERO
 from quartic_galois.galois import (adapted_basis, enumerate_outer_galois_points,
                                    galois_generator, is_outer_galois_point,
                                    linear_auto, recognize_normal_form)
-from quartic_galois import solver
-from quartic_galois.geometry import eigen_decompose_order4
+from quartic_galois import geometry, solver
+from quartic_galois.geometry import eigen_decompose_order4, is_smooth_surface
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import (ProjPoint, parse_poly, substitute_linear,
                                  x_decompose)
@@ -319,8 +319,7 @@ def test_enumerate_retries_next_prime():
     h = parse_poly("X^4+Y^4+Z^4+W^4+2130706433*X*Y*Z*W", 4)
     p = solver._CERT_PRIMES[0]
     assert p == 2130706433
-    h4, h5, zeros = zeros_mod_p(solver.cube_locus_quadrics(h), 4, p,
-                                -solver._CERT_ROOTS[p] % p)
+    h4, h5, zeros = zeros_mod_p(solver.cube_locus_quadrics(h), 4, p)
     assert (h4, h5, len(list(zeros))) == (4, 4, 4)
     rep = enumerate_outer_galois_points(h)
     assert rep.point_list() == []
@@ -375,6 +374,71 @@ def test_enumerate_downgrades_on_lost_point(monkeypatch):
     assert capped.completeness == "candidates-only"
     assert capped.reason == "points-not-recovered"
     assert set(capped.point_list()) == set(full.point_list()) - {lost}
+
+
+def test_lift_computes_gradients_until_it_has_chosen(monkeypatch):
+    # with the reconstruction at p refused, every zero is Newton-lifted;
+    # the forms to lift on are chosen from gradients mod p computed one
+    # form at a time, and here the first n - 1 = 3 quadrics already have
+    # independent gradients: 3 gradients mod p per lift, not one per quadric
+    fa = _conjugate_5()
+    full = enumerate_outer_galois_points(fa)
+    reconstruct, gradient, lift = solver._reconstruct, solver._gradient, solver._lift
+    at_p = []
+
+    def counted(f, x, i_m, m, free):
+        if m in solver._CERT_PRIMES:
+            at_p.append(m)
+        return gradient(f, x, i_m, m, free)
+
+    per_lift = []
+
+    def counting_lift(*args):
+        start = len(at_p)
+        point = lift(*args)
+        per_lift.append(len(at_p) - start)
+        return point
+
+    monkeypatch.setattr(solver, "_reconstruct", lambda x, pik, m: None
+                        if m in solver._CERT_PRIMES else reconstruct(x, pik, m))
+    monkeypatch.setattr(solver, "_gradient", counted)
+    monkeypatch.setattr(solver, "_lift", counting_lift)
+    rep = enumerate_outer_galois_points(fa)
+    assert per_lift == [3] * 4
+    assert rep.point_list() == full.point_list() and rep.reason is None
+
+
+@pytest.mark.parametrize("text, count", [
+    ("X^4+Y^4+Z^4+W^4", 4), ("X^4+Y^4+Z^4+W^4+Y^2*Z*W", 1),
+    ("X^4+Y^4+Z^4+Z*W^3+W^4", 2), ("X^4+Y^4+Z^4", None),
+], ids=["fermat", "form-1", "form-2", "cone"])
+def test_gaussian_content_changes_no_verdict(monkeypatch, text, count):
+    # the product of the Gaussian primes above the three certificate
+    # primes divides every coefficient of the scaled surface: were that
+    # content left in the forms, every reduction would vanish and only the
+    # exact Q(i) fallback could decide
+    f = substitute_linear(parse_poly(text, 4), rand_invertible(random.Random(5)))
+    pi1, pi2, pi3 = (GR(*pi) for pi in solver._CERT_PIS.values())
+
+    def no_fallback(*args):
+        raise AssertionError("exact Q(i) fallback")
+
+    monkeypatch.setattr(geometry, "prove_full_column_rank", no_fallback)
+    outcomes = []
+    for g in (f, f.scale(pi1 * pi2 * pi3)):
+        if is_smooth_surface(g):
+            rep = enumerate_outer_galois_points(g)
+            outcomes.append((rep.point_list(), rep.reason))
+        else:
+            with pytest.raises(SingularSurfaceError):
+                enumerate_outer_galois_points(g)
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]
+    if count is None:
+        assert outcomes[0] is None
+    else:
+        points, reason = outcomes[0]
+        assert (len(points), reason) == (count, None)
 
 
 def test_enumerate_ignores_bogus_modular_zero(monkeypatch):

@@ -64,8 +64,7 @@ def _hilbert_above_certificate_degree(f):
     # zero finder at the first certificate prime
     n = f.nvars
     p = linalg._CERT_PRIMES[0]
-    _, h1, _ = zeros_mod_p(geometry._integral_forms(partials(f)), n, p,
-                           linalg._CERT_ROOTS[p], k=3, d=2 * n + 1)
+    _, h1, _ = zeros_mod_p([g.num for g in partials(f)], n, p, k=3, d=2 * n + 1)
     return h1
 
 
@@ -197,8 +196,8 @@ def test_bogus_modular_zero_is_not_a_witness(monkeypatch):
     # a wrong zero mod p proves nothing: the verdict comes from exact
     # elimination, and on a smooth surface the search finds no point
     p = linalg._CERT_PRIMES[0]
-    fermat = geometry._integral_forms(partials(FERMAT))
-    basis = solver._generator_rows(fermat, 4, 3, p, linalg._CERT_ROOTS[p])
+    fermat = [g.num for g in partials(FERMAT)]
+    basis = solver._generator_rows(fermat, 4, 3, p)
     top = solver._macaulay_echelon(basis, 4, 3, 9, p)
     assert geometry._singular_point(fermat, basis, top, p) is None
     calls = _exact_rank_counter(monkeypatch)
@@ -216,8 +215,8 @@ def test_singular_witness_stops_at_the_first_exact_zero(monkeypatch):
     # polynomial is found and one eigenspace computed, not 16, and the
     # rank test never runs exactly
     p = linalg._CERT_PRIMES[0]
-    forms = geometry._integral_forms(partials(DWORK))
-    h, _, zeros = zeros_mod_p(forms, 4, p, linalg._CERT_ROOTS[p], k=3, d=8)
+    forms = [g.num for g in partials(DWORK)]
+    h, _, zeros = zeros_mod_p(forms, 4, p, k=3, d=8)
     assert h == len(list(zeros)) == 16
     roots = []
     fp_roots = solver._fp_roots

@@ -12,8 +12,12 @@ from quartic_galois.poly import (HomPoly, ProjPoint, euler_check, monomials,
                                  polar_forms, squarefree_profile,
                                  substitute_linear, x_decompose)
 
+import sympy
+
 from helpers import rand_gr, rand_invertible, rand_sparse_quartic
-from oracles import oracle_eval, oracle_substitute_linear
+from oracles import (gr_to_sympy, hompoly_to_sympy, oracle_eval,
+                     oracle_polar_forms, oracle_substitute_linear,
+                     sympy_to_hompoly)
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
 # contains the lines X = Y, Z = W and X = i*Y, Z = i*W
@@ -159,6 +163,52 @@ def test_addition_degree_guard():
     cubic = HomPoly(4, 3, {(3, 0, 0, 0): ONE})
     with pytest.raises(ValueError):
         FERMAT + cubic
+
+
+_DENOMINATORS = (2, 3, 5, 7)
+
+
+def _rand_fractional_quartic(rng):
+    """Ten terms, with coefficients over the denominators 2, 3, 5 and 7."""
+    return HomPoly(4, 4, {e: rand_gr(rng, denominators=_DENOMINATORS)
+                          for e in rng.sample(monomials(4, 4), 10)})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_arithmetic_matches_sympy(seed):
+    # the one denominator and the Z[i] numerators give sympy's QQ_I results
+    rng = random.Random(seed)
+    f, g = _rand_fractional_quartic(rng), _rand_fractional_quartic(rng)
+    c = rand_gr(rng, 1, 3, denominators=_DENOMINATORS)
+    xs = sympy.symbols("x0:4")
+    sf, sg = hompoly_to_sympy(f, xs), hompoly_to_sympy(g, xs)
+    assert f + g == sympy_to_hompoly(sf + sg, xs, 4)
+    assert f - g == sympy_to_hompoly(sf - sg, xs, 4)
+    assert f * g == sympy_to_hompoly(sf * sg, xs, 8)
+    assert f.scale(c) == sympy_to_hompoly(gr_to_sympy(c) * sf, xs, 4)
+    assert partials(f) == [sympy_to_hompoly(sympy.diff(sf, x), xs, 3) for x in xs]
+    point = [rand_gr(rng, denominators=_DENOMINATORS) for _ in range(4)]
+    assert polar_forms(f, point) == oracle_polar_forms(f, point)
+    for chart, x in enumerate(xs):
+        by_x = sympy.Poly(sf, x)
+        rest = xs[:chart] + xs[chart + 1:]
+        xd = x_decompose(f, chart)
+        assert xd.c == [sympy_to_hompoly(by_x.coeff_monomial(x ** (4 - k)), rest, k)
+                        for k in range(5)]
+        assert xd.reassemble() == f
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_equal_polynomials_store_equal_data(seed):
+    # one polynomial reached two ways: equal, with equal hashes and the
+    # same reduced denominator and numerators
+    rng = random.Random(seed)
+    f, g = _rand_fractional_quartic(rng), _rand_fractional_quartic(rng)
+    c = rand_gr(rng, 1, 3, denominators=_DENOMINATORS)
+    for same in (f.scale(c).scale(ONE / c), (f + g) - g, HomPoly(4, 4, f.terms),
+                 x_decompose(f, 2).reassemble()):
+        assert same == f and hash(same) == hash(f)
+        assert (same.den, same.num) == (f.den, f.num)
 
 
 def test_mul_degrees_add():

@@ -1,12 +1,10 @@
 import random
-from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, ONE, ZERO
-from quartic_galois.geometry import _integral_forms
 from quartic_galois.linalg import _CERT_PRIMES, _CERT_ROOTS, Matrix, _pivots_mod_p
 from quartic_galois.poly import monomials, parse_poly, partials, substitute_linear
 from quartic_galois.solver import (_charpoly_mod_p, _generator_rows, _macaulay,
@@ -15,6 +13,11 @@ from quartic_galois.univariate import _matmul_mod_p
 
 from helpers import zeros_mod_p
 from oracles import oracle_rref_mod_p
+
+
+def _partial_forms(text):
+    """The numerator maps of the partials of a quartic surface."""
+    return [g.num for g in partials(parse_poly(text, 4))]
 
 
 def test_resultant_sylvester():
@@ -32,16 +35,14 @@ def test_zeros_of_partials_non_reduced():
     # points (1 : +-i : 0 : 0), of length 9 each
     p = _CERT_PRIMES[0]
     s = _CERT_ROOTS[p]
-    cone = [{(0, 0, 0): (4, 0)}, {(1, 1, 1): (4, 0)}, {(2, 2, 2): (4, 0)}, {}]
-    h, h1, zeros = zeros_mod_p(cone, 4, p, s, k=3, d=9)
+    cone = _partial_forms("X^4+Y^4+Z^4")
+    h, h1, zeros = zeros_mod_p(cone, 4, p, k=3, d=9)
     zeros = list(zeros)
     assert (h, h1, len(zeros)) == (27, 27, 1)
     assert zeros[0][:3] == [0, 0, 0] and zeros[0][3] != 0
     # 4X(X^2+Y^2), 4Y(X^2+Y^2), 4Z^3, 4W^3
-    square = [{(0, 0, 0): (4, 0), (0, 1, 1): (4, 0)},
-              {(0, 0, 1): (4, 0), (1, 1, 1): (4, 0)},
-              {(2, 2, 2): (4, 0)}, {(3, 3, 3): (4, 0)}]
-    h, h1, zeros = zeros_mod_p(square, 4, p, s, k=3, d=9)
+    square = _partial_forms("X^4+2*X^2*Y^2+Y^4+Z^4+W^4")
+    h, h1, zeros = zeros_mod_p(square, 4, p, k=3, d=9)
     assert (h, h1) == (18, 18)
     affine = sorted(z[1] * pow(z[0], -1, p) % p for z in zeros)
     assert affine == sorted([s, p - s]) and all(z[2:] == [0, 0] for z in zeros)
@@ -72,18 +73,17 @@ def test_modular_matrix_arithmetic_matches_python_integers():
 
 
 def _random_forms(rng, n, k, count):
-    keys = list(combinations_with_replacement(range(n), k))
     return [{key: (rng.randint(-3, 3), rng.randint(-3, 3))
-             for key in keys if rng.random() < 0.6} for _ in range(count)]
+             for key in monomials(n, k) if rng.random() < 0.6} for _ in range(count)]
 
 
 def _generator_columns(n, k, p):
     """The monomial of each column of _generator_rows, read off its row
     for each single monomial."""
     order = {}
-    for key in combinations_with_replacement(range(n), k):
-        row = _generator_rows([{key: (1, 0)}], n, k, p, _CERT_ROOTS[p])
-        order[int(row[0].argmax())] = tuple(key.count(v) for v in range(n))
+    for key in monomials(n, k):
+        row = _generator_rows([{key: (1, 0)}], n, k, p)
+        order[int(row[0].argmax())] = key
     return [order[c] for c in range(len(order))]
 
 
@@ -113,8 +113,7 @@ def test_pruned_macaulay_keeps_the_row_space(n, k, d, count):
     rng = random.Random(n * 100 + k * 10 + d + count)
     p = _CERT_PRIMES[0]
     for _ in range(3):
-        basis = _generator_rows(_random_forms(rng, n, k, count), n, k, p,
-                                _CERT_ROOTS[p])
+        basis = _generator_rows(_random_forms(rng, n, k, count), n, k, p)
         mac, index = _macaulay(basis, n, k, d)
         full = _full_macaulay(basis, n, k, d, index, p)
         assert mac.shape[1] == full.shape[1] == len(index)
@@ -124,9 +123,8 @@ def test_pruned_macaulay_keeps_the_row_space(n, k, d, count):
 
 def test_pruned_macaulay_of_singular_partials():
     # the Dwork pencil's singular member: the degree-9 rank stays deficient
-    f = parse_poly("X^4+Y^4+Z^4+W^4-4*X*Y*Z*W", 4)
     p = _CERT_PRIMES[1]
-    basis = _generator_rows(_integral_forms(partials(f)), 4, 3, p, _CERT_ROOTS[p])
+    basis = _generator_rows(_partial_forms("X^4+Y^4+Z^4+W^4-4*X*Y*Z*W"), 4, 3, p)
     mac, index = _macaulay(basis, 4, 3, 9)
     full = _full_macaulay(basis, 4, 3, 9, index, p)
     pivots, rows = oracle_rref_mod_p(mac, p)
@@ -137,9 +135,9 @@ def test_pruned_macaulay_of_singular_partials():
 def test_fermat_macaulay_is_square():
     # X^3, Y^3, Z^3, W^3 is a regular sequence of monomials: the Koszul
     # criterion leaves exactly one row per degree-9 monomial
-    fermat = _integral_forms(partials(parse_poly("X^4+Y^4+Z^4+W^4", 4)))
+    fermat = _partial_forms("X^4+Y^4+Z^4+W^4")
     p = _CERT_PRIMES[0]
-    mac, index = _macaulay(_generator_rows(fermat, 4, 3, p, _CERT_ROOTS[p]), 4, 3, 9)
+    mac, index = _macaulay(_generator_rows(fermat, 4, 3, p), 4, 3, 9)
     assert mac.shape == (220, 220) and len(index) == 220
 
 
@@ -147,10 +145,10 @@ _SHEAR = Matrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1
 
 
 @pytest.mark.parametrize("forms, k, d", [
-    (_integral_forms(partials(parse_poly("X^4+Y^4+Z^4+W^4-4*X*Y*Z*W", 4))), 3, 9),
-    (_integral_forms(partials(substitute_linear(parse_poly("X^4+Y^4+Z^4", 4),
-                                                _SHEAR))), 3, 9),
-    (_integral_forms(partials(parse_poly("X^4+2*X^2*Y^2+Y^4+Z^4+W^4", 4))), 3, 9),
+    (_partial_forms("X^4+Y^4+Z^4+W^4-4*X*Y*Z*W"), 3, 9),
+    ([g.num for g in partials(substitute_linear(parse_poly("X^4+Y^4+Z^4", 4),
+                                                _SHEAR))], 3, 9),
+    (_partial_forms("X^4+2*X^2*Y^2+Y^4+Z^4+W^4"), 3, 9),
     (cube_locus_quadrics(substitute_linear(
         parse_poly("X^4+Y^4+Z^4+W^4+Y^2*Z*W", 4),
         Matrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 2, 0], [0, 0, 1, 1]]))),
@@ -160,7 +158,7 @@ def test_back_substituted_normal_forms_match_reduced_echelon(forms, k, d):
     # the normal forms the zero finder reads off the echelon are the
     # standard-column block of the full reduced echelon form
     p = _CERT_PRIMES[0]
-    mac, index = _macaulay(_generator_rows(forms, 4, k, p, _CERT_ROOTS[p]), 4, k, d)
+    mac, index = _macaulay(_generator_rows(forms, 4, k, p), 4, k, d)
     pivots, rref = oracle_rref_mod_p(mac, p)
     std = [c for c in range(len(index)) if c not in pivots]
     echelon = _pivots_mod_p(mac, p)

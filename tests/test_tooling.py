@@ -49,13 +49,13 @@ def _count_gaussian_ops(monkeypatch):
 
 
 def test_substitution_and_eval_run_over_gaussian_integers(monkeypatch):
-    """substitute_linear and eval do no per-term Q(i) arithmetic and build
-    at most one coefficient per output term."""
+    """substitute_linear and partials do no Q(i) arithmetic and build no
+    GaussianRational; eval builds only its value."""
     import random
     from fractions import Fraction
     from quartic_galois.gaussian import GaussianRational as GR
     from quartic_galois.linalg import Matrix
-    from quartic_galois.poly import parse_poly, substitute_linear
+    from quartic_galois.poly import parse_poly, partials, substitute_linear
 
     rng = random.Random(1)
 
@@ -73,8 +73,8 @@ def test_substitution_and_eval_run_over_gaussian_integers(monkeypatch):
 
     counts = _count_gaussian_ops(monkeypatch)
     g = substitute_linear(f, m)
-    assert counts["arith"] == 0
-    assert 0 < counts["init"] <= len(g.terms)
+    partials(g)
+    assert counts == {"arith": 0, "init": 0}
 
     counts.update(arith=0, init=0)
     f.eval(point)

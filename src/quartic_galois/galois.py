@@ -62,6 +62,8 @@ def linear_auto(f: HomPoly, m: Matrix) -> LinearAuto:
     from .errors import SurfaceNotPreservedError, UnnormalizedAutomorphismError
     if m.rows != 4 or m.cols != 4:
         raise ValueError("expected a 4x4 matrix")
+    if f.is_zero():
+        raise ValueError("zero form does not define a surface")
     if not (m ** 4).is_identity():
         raise UnnormalizedAutomorphismError(
             "matrix does not satisfy M**4 == I; rescale it inside Q(i)")

@@ -1,9 +1,10 @@
 """Exact arithmetic in Q(i), the field of Gaussian rationals.
 
-Every value is a pair of exact rationals; there is no floating point
-anywhere in this package.  The constant I satisfies I**2 == -1 and
-I**4 == 1, so it is the primitive 4th root of unity used everywhere
-an order-4 symmetry shows up.
+Every value is three Python ints, (a + b*i)/d in lowest terms, so each
+field operation is a few integer products and one gcd; there is no
+floating point anywhere in this package.  The constant I satisfies
+I**2 == -1 and I**4 == 1, so it is the primitive 4th root of unity used
+everywhere an order-4 symmetry shows up.
 """
 
 from __future__ import annotations
@@ -19,13 +20,38 @@ Scalarish = Union[int, Fraction, "GaussianRational"]
 
 
 class GaussianRational:
-    """An element a + b*i of Q(i), immutable and hashable."""
+    """An element (a + b*i)/d of Q(i), immutable and hashable.
 
-    __slots__ = ("re", "im")
+    a, b and d are ints with d > 0 and gcd(a, b, d) == 1, so equal
+    values store equal triples.  GaussianRational(re, im) takes the two
+    parts as ints or Fractions; GaussianRational(a, b, den) takes the
+    ints of (a + b*i)/den for any nonzero den.  re and im read the parts
+    back as Fractions.
+    """
 
-    def __init__(self, re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re: Union[int, Fraction] = 0,
+                 im: Union[int, Fraction] = 0, den: Optional[int] = None):
+        if den is None:
+            den = re.denominator * im.denominator
+            re, im = re.numerator * im.denominator, im.numerator * re.denominator
+        elif den < 0:
+            re, im, den = -re, -im, -den
+        elif not den:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        g = math.gcd(re, im, den)
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+        self.a, self.b, self.d = re, im, den
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- coercion -----------------------------------------------------
 
@@ -40,44 +66,45 @@ class GaussianRational:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     # -- field operations ----------------------------------------------
 
     def __add__(self, other: Scalarish) -> "GaussianRational":
         o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        d, e = self.d, o.d
+        if d == e:
+            return GaussianRational(self.a + o.a, self.b + o.b, d)
+        return GaussianRational(self.a * e + o.a * d, self.b * e + o.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalarish) -> "GaussianRational":
         o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        d, e = self.d, o.d
+        if d == e:
+            return GaussianRational(self.a - o.a, self.b - o.b, d)
+        return GaussianRational(self.a * e - o.a * d, self.b * e - o.b * d, d * e)
 
     def __rsub__(self, other: Scalarish) -> "GaussianRational":
         return GaussianRational.coerce(other) - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational(-self.a, -self.b, self.d)
 
     def __mul__(self, other: Scalarish) -> "GaussianRational":
         o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return GaussianRational(a * c - b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalarish) -> "GaussianRational":
+        """(a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))."""
         o = GaussianRational.coerce(other)
-        n = o.re * o.re + o.im * o.im
-        if not n:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        a, b, c, e, f = self.a, self.b, o.a, o.b, o.d
+        return GaussianRational((a * c + b * e) * f, (b * c - a * e) * f,
+                                self.d * (c * c + e * e))
 
     def __rtruediv__(self, other: Scalarish) -> "GaussianRational":
         return GaussianRational.coerce(other) / self
@@ -95,11 +122,11 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
-        """a*conj(a), an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        """self*conj(self), an exact nonnegative rational."""
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def inverse(self) -> "GaussianRational":
         return ONE / self
@@ -107,23 +134,22 @@ class GaussianRational:
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, (int, Fraction)):
+            return (not self.b and self.a == other.numerator
+                    and self.d == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
-        if not self.im:
+        if not self.b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def sort_key(self) -> Tuple[int, int, int, int]:
-        """Total order on Q(i) for canonical, reproducible output."""
-        return (
-            self.re.numerator, self.re.denominator,
-            self.im.numerator, self.im.denominator,
-        )
+        """Total order on Q(i) for canonical, reproducible output: the
+        lowest-terms numerator and denominator of re, then of im."""
+        return _lowest(self.a, self.d) + _lowest(self.b, self.d)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -133,29 +159,33 @@ class GaussianRational:
     # str() and parse_gaussian round-trip exactly.
 
     def __str__(self) -> str:
-        if not self.im:
-            return _fmt_frac(self.re)
-        imag = _fmt_imag(abs(self.im))
-        if not self.re:
-            return imag if self.im > 0 else "-" + imag
-        sign = "+" if self.im > 0 else "-"
-        return f"{_fmt_frac(self.re)}{sign}{imag}"
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _fmt_frac(a, d)
+        imag = _fmt_imag(abs(b), d)
+        if not a:
+            return imag if b > 0 else "-" + imag
+        sign = "+" if b > 0 else "-"
+        return f"{_fmt_frac(a, d)}{sign}{imag}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-def _fmt_frac(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+def _lowest(n: int, d: int) -> Tuple[int, int]:
+    """n/d in lowest terms, for d > 0 (0/d is 0/1)."""
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
-def _fmt_imag(f: Fraction) -> str:
-    # f > 0
-    if f == 1:
-        return "i"
-    return f"{_fmt_frac(f)}*i"
+def _fmt_frac(n: int, d: int) -> str:
+    n, d = _lowest(n, d)
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _fmt_imag(n: int, d: int) -> str:
+    # n/d > 0
+    return "i" if n == d else f"{_fmt_frac(n, d)}*i"
 
 
 ZERO = GaussianRational(0)
@@ -220,8 +250,8 @@ def scan_terms(text: str, names: Sequence[str] = (), lo: int = 0,
         if sign in ("+", "-"):
             m = _TOKEN.match(text, m.end(), hi)
         at = m.start(1) if m else hi
-        # the coefficient is rational * i**ipow * paren
-        rational, ipow, paren = -1 if sign == "-" else 1, 0, None
+        # the coefficient is rational / den * i**ipow * paren
+        rational, den, ipow, paren = -1 if sign == "-" else 1, 1, 0, None
         exps = [0] * len(names)
         prev = None                      # None, "*" or "factor"
         while m is not None:
@@ -241,13 +271,13 @@ def scan_terms(text: str, names: Sequence[str] = (), lo: int = 0,
                 if prev == "factor":
                     raise ParseError(
                         "a number must begin its term or follow '*'", pos)
-                num, _, den = number.partition("/")
+                num, _, under = number.partition("/")
                 rational *= parse_integer(num, "number", pos)
-                if den:
-                    q = parse_integer(den, "denominator", pos + len(num) + 1)
+                if under:
+                    q = parse_integer(under, "denominator", pos + len(num) + 1)
                     if not q:
                         raise ParseError(f"bad number {_shown(number)!r}", pos)
-                    rational = Fraction(rational, q)
+                    den *= q
             elif ch == "(":
                 end = text.find(")", pos, hi) + 1
                 if not end:
@@ -271,7 +301,7 @@ def scan_terms(text: str, names: Sequence[str] = (), lo: int = 0,
         if prev == "*":
             raise ParseError("'*' must stand between two factors", star)
         re_sign, im_sign = _UNIT_POWERS[ipow % 4]
-        coeff = GaussianRational(re_sign * rational, im_sign * rational)
+        coeff = GaussianRational(re_sign * rational, im_sign * rational, den)
         if paren is not None:
             coeff = paren if coeff == ONE else coeff * paren
         terms.append((tuple(exps), coeff, at))

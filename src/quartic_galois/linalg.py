@@ -19,7 +19,6 @@ the echelon rows.  Integer arithmetic only; no floats.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -138,7 +137,7 @@ class Matrix:
                     u, v = col[k]
                     re += x * u - y * v
                     im += x * v + y * u
-                out.append(GaussianRational(Fraction(re, den), Fraction(im, den)))
+                out.append(GaussianRational(re, im, den))
         return Matrix(self.rows, m, out)
 
     def apply(self, v: Sequence) -> Vector:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import (Dict, List, Mapping, Optional, Sequence, Tuple,
@@ -111,7 +110,7 @@ class HomPoly:
                                  for e, c in self.num.items()})
 
     def _coefficient(self, c: GInt) -> GaussianRational:
-        return GaussianRational(Fraction(c[0], self.den), Fraction(c[1], self.den))
+        return GaussianRational(c[0], c[1], self.den)
 
     def coeff(self, exp: Exponent) -> GaussianRational:
         return self._coefficient(self.num.get(tuple(exp), (0, 0)))
@@ -201,8 +200,7 @@ class HomPoly:
                     c = _gi_mul(c, pw[e])
             re += c[0]
             im += c[1]
-        d = self.den * dp ** self.degree
-        return GaussianRational(Fraction(re, d), Fraction(im, d))
+        return GaussianRational(re, im, self.den * dp ** self.degree)
 
     # -- printing -------------------------------------------------------------
 
@@ -235,7 +233,7 @@ class HomPoly:
 def _fmt_coeff(coeff: GaussianRational, mono: str) -> Tuple[str, bool]:
     """Return (body, negative) with the sign pulled out when printable."""
     body = str(coeff)
-    if coeff.re and coeff.im:
+    if coeff.a and coeff.b:
         body, negative = f"({body})", False
     else:
         negative = body.startswith("-")

@@ -208,11 +208,10 @@ def _gaussian_prime_above(p: int) -> Tuple[int, GInt]:
 
 def _common_denominator(cs: Sequence[GaussianRational]
                         ) -> Tuple[int, List[GInt]]:
-    """(d, [d*c for c in cs]): d is the lcm of every re and im denominator
+    """(d, [d*c for c in cs]): d is the lcm of the stored denominators
     (1 for no values), so each d*c is a Gaussian integer."""
-    d = math.lcm(*(q.denominator for c in cs for q in (c.re, c.im)))
-    return d, [(c.re.numerator * (d // c.re.denominator),
-                c.im.numerator * (d // c.im.denominator)) for c in cs]
+    d = math.lcm(*(c.d for c in cs))
+    return d, [(c.a * (d // c.d), c.b * (d // c.d)) for c in cs]
 
 
 # Dense polynomials over Z/m as int lists indexed by power, no trailing zeros.

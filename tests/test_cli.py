@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quartic_galois import cli
 from quartic_galois.cli import main
 from quartic_galois.errors import ConsistencyError
@@ -96,6 +98,13 @@ def test_auto_classify(capsys):
     code, payload, _ = run_json(capsys, "auto", "classify", FORM2,
                                 "--matrix", SIGMA12)
     assert payload["type_tuple"] == [10, 4, 8]
+
+
+@pytest.mark.parametrize("mode", ["character", "classify", "fixed-locus"])
+def test_auto_rejects_zero_form(capsys, mode):
+    code, out, err = run(capsys, "auto", mode, "0*X^4", "--matrix", SIGMA1)
+    assert code == 1 and out == ""
+    assert err == "error: zero form does not define a surface\n"
 
 
 def test_auto_fixed_locus(capsys):

@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from quartic_galois.gaussian import (FOURTH_ROOTS, GaussianRational, I,
                                      MINUS_ONE, ONE, ZERO, gaussian_sqrt,
                                      parse_gaussian)
 
 from helpers import rand_gr
+from oracles import gr_to_sympy
 
 
 def test_norm_of_one_plus_i():
@@ -119,3 +122,83 @@ def test_sort_key_total_order():
     ordered = sorted(values, key=lambda v: v.sort_key())
     for x, y in zip(ordered, ordered[1:]):
         assert x.sort_key() <= y.sort_key()
+
+
+def _assert_reduced(z):
+    assert type(z.a) is int and type(z.b) is int and type(z.d) is int
+    assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+
+
+def test_stored_triple_is_reduced_after_every_operation():
+    rng = random.Random(15)
+    values = [rand_gr(rng, -6, 6, denominators=(1, 2, 4, 6)) for _ in range(60)]
+    values += [GaussianRational(2, 4, -6), GaussianRational(0, 0, 7),
+               GaussianRational(Fraction(3, 4), Fraction(5, 6))]
+    for x, y in zip(values, values[1:] + values[:1]):
+        results = [x, x + y, x - y, x * y, -x, x.conjugate(), x ** 3,
+                   x + 1, 2 - x, x * Fraction(2, 3), Fraction(1, 2) + x]
+        if y:
+            results += [x / y, 3 / y, y ** -2]
+        for z in results:
+            _assert_reduced(z)
+    for z, triple in ((GaussianRational(2, 4, -6), (-1, -2, 3)),
+                      (GaussianRational(0, 0, 7), (0, 0, 1)),
+                      (GaussianRational(Fraction(3, 4), Fraction(5, 6)), (9, 10, 12))):
+        assert (z.a, z.b, z.d) == triple
+
+
+def test_rational_values_equal_and_hash_as_python_numbers():
+    assert GaussianRational(3) == 3 and hash(GaussianRational(3)) == hash(3)
+    half = Fraction(1, 2)
+    assert GaussianRational(half) == half
+    assert hash(GaussianRational(half)) == hash(half)
+    assert GaussianRational(half) != Fraction(1, 3) and GaussianRational(3) != 4
+    assert GaussianRational(3, 1) != 3
+    rng = random.Random(16)
+    for _ in range(200):
+        re = Fraction(rng.randint(-10 ** 20, 10 ** 20), rng.randint(1, 10 ** 20))
+        im = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+        z = GaussianRational(re, im)
+        assert (z.re, z.im) == (re, im)
+        assert hash(z) == (hash((re, im)) if im else hash(re))
+        assert z.sort_key() == (re.numerator, re.denominator,
+                                im.numerator, im.denominator)
+
+
+def _big_gr(rng, digits=30):
+    def part():
+        return Fraction(rng.randint(-10 ** digits, 10 ** digits),
+                        rng.randint(1, 10 ** digits))
+    return GaussianRational(part(), part())
+
+
+def test_arithmetic_matches_sympy_on_30_digit_values():
+    rng = random.Random(17)
+    for _ in range(100):
+        x, y = _big_gr(rng), _big_gr(rng)
+        sx, sy = gr_to_sympy(x), gr_to_sympy(y)
+        assert gr_to_sympy(x + y) == sx + sy
+        assert gr_to_sympy(x - y) == sx - sy
+        assert gr_to_sympy(x * y) == sympy.expand(sx * sy)
+        assert gr_to_sympy(x / y) == sympy.expand_complex(sx / sy)
+
+
+def test_division_by_zero_in_every_form():
+    z = GaussianRational(Fraction(1, 3), 2)
+    for zero in (ZERO, 0, Fraction(0), GaussianRational(0, 0, 5)):
+        with pytest.raises(ZeroDivisionError):
+            z / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / ZERO
+    with pytest.raises(ZeroDivisionError):
+        ZERO ** -1
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational(1, 1, 0)
+
+
+def test_text_round_trip_large_values():
+    rng = random.Random(18)
+    for _ in range(100):
+        z = _big_gr(rng)
+        for w in (z, GaussianRational(z.re), GaussianRational(0, z.im)):
+            assert parse_gaussian(str(w)) == w

@@ -98,6 +98,44 @@ def test_matrix_product_runs_over_gaussian_integers(monkeypatch):
     assert 0 < counts["init"] <= 16
 
 
+def test_gaussian_arithmetic_builds_no_fraction(monkeypatch):
+    """Q(i) arithmetic, Matrix products and kernels, and HomPoly
+    coefficients and values run on the stored ints: no Fraction is
+    constructed."""
+    import random
+    from fractions import Fraction
+    from quartic_galois.gaussian import GaussianRational as GR
+    from quartic_galois.linalg import Matrix
+    from quartic_galois.poly import parse_poly
+    from helpers import rand_gr
+
+    rng = random.Random(4)
+    a = Matrix(3, 4, [rand_gr(rng, denominators=(1, 2, 3, 5)) for _ in range(12)])
+    b = Matrix(4, 2, [rand_gr(rng, denominators=(1, 4, 7)) for _ in range(8)])
+    x, y = GR(Fraction(1, 3), Fraction(-2, 7)), GR(Fraction(5, 2), 3)
+    half = Fraction(1, 2)
+    f = parse_poly("1/2*X^4 + (1/3-i)*X*Y^2*Z - 2/5*W^4", 4)
+    point = [GR(half, 3), GR(-1, Fraction(2, 5)), GR(0, 1), GR(4)]
+
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert Fraction(1, 2) == half and len(built) == 1
+    built.clear()
+    for u, v in ((x, y), (x, 3), (y, half)):
+        u + v, v + u, u - v, v - u, u * v, v * u, u / v, v / u
+    a * b
+    assert len(a.kernel_basis()) == 1
+    f.coeff((4, 0, 0, 0)), f.coeff((1, 2, 1, 0)), f.coeff((0, 4, 0, 0))
+    f.eval(point)
+    assert built == []
+
+
 def test_private_helpers_have_a_caller():
     """Every _name function, class or method of the package is named
     somewhere in src/ besides its own definition."""

@@ -15,6 +15,7 @@ import json
 import random
 import re
 import sys
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, ParseError
@@ -366,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smooth", help="exact smoothness verdict for a quartic")
     p.add_argument("surface", help=SURFACE_HELP)
-    p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("galois", help="test or enumerate outer Galois points")
     p.add_argument("mode", choices=("test", "find"))
@@ -374,20 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", help="colon-separated homogeneous coordinates")
     p.add_argument("--candidate", action="append",
                    help="extra candidate point for find (repeatable)")
-    p.set_defaults(func=cmd_galois)
 
     p = sub.add_parser("auto", help="analyze a surface automorphism")
     p.add_argument("mode", choices=("fixed-locus", "classify", "character"))
     p.add_argument("surface", help=SURFACE_HELP)
     p.add_argument("--matrix", required=True,
                    help="16 whitespace-separated Q(i) entries, row-major")
-    p.set_defaults(func=cmd_auto)
 
     p = sub.add_parser("lattice", help="reduce or compare even 2x2 Gram matrices")
     p.add_argument("mode", choices=("reduce", "compare"))
     p.add_argument("entries", nargs="+",
                    help="d1 b d2 for reduce; d1 b d2 e1 c e2 for compare")
-    p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("moduli", help="naive moduli dimension counts")
     p.add_argument("mode", choices=("dim", "npns"))
@@ -398,17 +395,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="automorphism matrix (repeatable)")
     p.add_argument("--l", default="4",
                    help="rank of the (-1)-eigenspace for npns")
-    p.set_defaults(func=cmd_moduli)
 
-    p = sub.add_parser("demo", help="replay the worked examples")
-    p.set_defaults(func=cmd_demo)
+    sub.add_parser("demo", help="replay the worked examples")
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
@@ -417,7 +417,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             value = getattr(args, name, None)
             if value is not None:
                 setattr(args, name, parse_integer(value, f"--{name}"))
-        return args.func(args)
+        # looked up at call time, so a replaced cmd_<name> is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

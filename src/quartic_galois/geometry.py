@@ -7,25 +7,24 @@ generate contains every form of degree D = n(d-2)+1 (9 for surfaces, 7
 for plane quartics).  Conversely a common zero supports a point
 evaluation that kills that graded piece.  So the degree-D Macaulay
 matrix has full rank exactly when the zero set is empty.  The partials
-enter the solver's engine as their Z[i] numerators (HomPoly.num, each
-divided by its content), and the verdict takes up to three steps:
-  1. at each certificate prime p the solver's engine builds the matrix
-     modulo a Gaussian prime above p, with its columns in
-     degree-reverse-lex order and without the rows that the Koszul
-     syzygies among the partials put in the span of the others, and
-     linalg._pivots_mod_p takes its rank, eliminating only the rows
-     whose leading column an earlier row already has; full rank proves
-     smooth;
-  2. if the image at the first prime is deficient, the common zeros of
-     the partials mod p come from the solver's zero finder one at a
-     time, and each is lifted to Q(i) by the solver (reconstructed at
-     p, or Newton-lifted when the zero is reduced) until the first that
-     is an exact common zero of the partials, which proves singular (by
-     Euler's identity it lies on the quartic); the zeros after it are
-     never computed.  The finder reads the degree-D part from the
-     echelon that step 1 found, so the degree-D matrix is built and
-     eliminated once per verdict, and it back-substitutes only on the
-     standard columns of that echelon;
+enter the solver's modular search (solver._searches) as their Z[i]
+numerators (HomPoly.num, each divided by its content); the solver alone
+walks the certificate primes, and this module keeps only the policy.
+The verdict takes up to three steps:
+  1. at each certificate prime p the search builds the matrix modulo a
+     Gaussian prime above p, with its columns in degree-reverse-lex
+     order and without the rows that the Koszul syzygies among the
+     partials put in the span of the others, and takes its rank,
+     eliminating only the rows whose leading column an earlier row
+     already has; full rank proves smooth, and nothing more is built;
+  2. if the image at the first prime is deficient, the search's exact
+     zeros are asked for: the common zeros of the partials mod p, read
+     off the same degree-D echelon and lifted to Q(i) one at a time
+     (reconstructed at p, or Newton-lifted when the zero is reduced),
+     and the first exact common zero of the partials proves singular
+     (by Euler's identity it lies on the quartic); the zeros after it
+     are never computed, so the degree-D matrix is built and eliminated
+     once per verdict;
   3. otherwise the next prime, and at the end exact elimination.
 """
 
@@ -33,16 +32,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .errors import DegenerateInputError, UnnormalizedAutomorphismError
 from .gaussian import FOURTH_ROOTS, GaussianRational
-from .linalg import (Echelon, Matrix, SparseRow, _CERT_PRIMES,
-                     prove_full_column_rank)
+from .linalg import Matrix, SparseRow, prove_full_column_rank
 from .poly import (HomPoly, ProjPoint, monomials, partials,
                    squarefree_profile, substitute_linear)
-from .solver import (Form, _generator_rows, _lift, _macaulay_echelon,
-                     _primitive, _zeros_mod_p)
+from .solver import _primitive, _searches
 
 SubspaceBasis = Sequence[Union[ProjPoint, Sequence]]
 
@@ -80,33 +75,13 @@ def jacobian_ideal_is_irrelevant(f: HomPoly) -> bool:
     n, k = f.nvars, f.degree - 1
     target = n * (k - 1) + 1
     forms = [_primitive(g) for g in gens]
-    for p in _CERT_PRIMES:
-        basis = _generator_rows(forms, n, k, p)
-        top = _macaulay_echelon(basis, n, k, target, p)
-        if len(top.pivots) == top.ncols:
+    for j, (h, search) in enumerate(_searches(forms, n, k, target - 1)):
+        if h == 0:
             return True
         # a full-rank image returns, so the first prime is the first deficient one
-        if p == _CERT_PRIMES[0] and _singular_point(forms, basis, top, p) is not None:
+        if j == 0 and next(search()[1], None) is not None:
             return False
     return prove_full_column_rank(*macaulay_rows(gens, target))
-
-
-def _singular_point(forms: List[Form], basis: np.ndarray, top: Echelon, p: int
-                    ) -> Optional[ProjPoint]:
-    """An exact common zero of the Z[i] forms, the numerators of the n
-    nonzero partials of a form in n variables, or None.  basis holds
-    them mod p as solver._generator_rows gives them, and top the echelon
-    of their degree-D Macaulay matrix, which the rank test built: the
-    zeros mod p of their ideal, read off at the degrees (D - 1, D), are
-    taken one at a time and lifted by the solver, and the first exact
-    zero over Q(i) ends the search."""
-    n, k = len(forms), sum(next(iter(forms[0])))
-    _, _, zeros = _zeros_mod_p(basis, n, k, n * (k - 1), p, top)
-    for z in zeros:
-        point = _lift(forms, z, p)
-        if point is not None:
-            return point
-    return None
 
 
 def is_smooth_surface(f: HomPoly) -> bool:

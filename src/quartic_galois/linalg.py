@@ -8,12 +8,13 @@ runs and platforms.  Products run over Z[i] integers: each factor is
 cleared of denominators once, and each entry of the product is divided
 once.
 
-The modular side is row reduction of numpy matrices modulo the
-certificate primes p = 1 (mod 4), each with a Gaussian prime above it;
-the solver's engine builds its Macaulay matrices on it.  One forward
-elimination gives a rank and an echelon form; a caller that needs the
-reduced form reads only the columns it uses, by back-substitution on
-the echelon rows.  Integer arithmetic only; no floats.
+The modular side is row reduction of numpy matrices modulo a prime
+p < 2**31, whatever the prime: the solver alone chooses the certificate
+primes and walks them, and builds its Macaulay matrices on these
+kernels.  One forward elimination gives a rank and an echelon form; a
+caller that needs the reduced form reads only the columns it uses, by
+back-substitution on the echelon rows.  Integer arithmetic only; no
+floats.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ParseError
 from .gaussian import MINUS_ONE, ZERO, ONE, GaussianRational, parse_literals
-from .univariate import GInt, _common_denominator, _gaussian_prime_above
+from .univariate import _common_denominator
 
 Vector = Tuple[GaussianRational, ...]
 SparseRow = Dict[int, GaussianRational]
@@ -315,16 +316,8 @@ def kernel_basis_sparse(rows: List[SparseRow], ncols: int) -> List[Vector]:
 
 
 # ---------------------------------------------------------------------------
-# Row reduction modulo the certificate primes.
+# Row reduction modulo a prime p < 2**31.
 # ---------------------------------------------------------------------------
-
-# primes = 1 (mod 4), below 2**31 so numpy int64 products cannot overflow;
-# at each, Z[i] is reduced modulo the Gaussian prime _CERT_PIS[p], which
-# sends i to _CERT_ROOTS[p] (univariate._gaussian_prime_above)
-_CERT_PRIMES: Tuple[int, ...] = (2130706433, 469762049, 167772161)
-_CERT_ROOTS: Dict[int, int] = {p: _gaussian_prime_above(p)[0] for p in _CERT_PRIMES}
-_CERT_PIS: Dict[int, GInt] = {p: _gaussian_prime_above(p)[1] for p in _CERT_PRIMES}
-
 
 def _echelon_mod_p(a: np.ndarray, p: int) -> List[int]:
     """Row-reduce a in place modulo p and return its pivot columns.

@@ -23,24 +23,27 @@ the package's one modular Macaulay engine and one route from a zero mod
 p to a Q(i) point.  A form is the Z[i] numerator map of a HomPoly
 (HomPoly.num), divided by its Z[i] content where a polynomial enters
 the engine (_primitive).  The engine orders its columns by
-degree-reverse-lex, caches each column layout, and leaves out every row that a Koszul
-syzygy puts in the span of the rows kept, so ranks, pivot columns and
-reduced echelon forms are those of the full matrix.  Each matrix is
-eliminated once, by linalg._pivots_mod_p, which reduces only the rows
-whose leading column an earlier row already has and keeps the echelon
-it finds.  Every caller of the zero finder builds the degree-(d+1)
-echelon itself and hands it over: the smoothness test has it from its
-rank test, so no matrix is built twice.  The finder reads the normal
-forms of the degree-(d+1) monomials off that echelon by
-back-substitution on its standard columns alone, and returns its zeros
-as an iterator: each root of the characteristic polynomial (from
-univariate._fp_roots, one at a time) and its eigenspace are computed
-only when the caller asks for the next zero.  The smoothness test of the
-geometry module certifies on the engine that the partials of a quartic
-have no common zero, or runs the zero finder and the lift on them until
-the first exact singular point; solve_projective and
-univariate.gaussian_roots take every zero.  The lift multiplies out each
-monomial once per point and shares it among all the forms.
+degree-reverse-lex, caches each column layout, and leaves out every row
+that a Koszul syzygy puts in the span of the rows kept, so ranks, pivot
+columns and reduced echelon forms are those of the full matrix.  Each
+matrix is eliminated once, by linalg._pivots_mod_p, which reduces only
+the rows whose leading column an earlier row already has and keeps the
+echelon it finds.
+
+This module alone holds the certificate primes (_CERT_PRIMES) and walks
+them, in _searches: at each prime it builds the degree-(d+1) echelon
+once, yields its Hilbert value, and runs the zero finder on that same
+echelon only when the caller asks, so no matrix is built twice.  The
+finder reads the normal forms of the degree-(d+1) monomials off it by
+back-substitution on its standard columns alone, and its zeros, and so
+the exact points, come one at a time: each root of the characteristic
+polynomial (from univariate._fp_roots) and its eigenspace are computed
+only when the caller asks for the next point.  Each caller keeps only
+its policy: the smoothness test of the geometry module stops at a
+full-rank image, or at the first exact singular point at the first
+prime; solve_projective and univariate.gaussian_roots take every point.
+The lift multiplies out each monomial once per point and shares it
+among all the forms.
 """
 
 from __future__ import annotations
@@ -49,17 +52,18 @@ import math
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
 from random import Random
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .gaussian import ZERO, ONE, GaussianRational
-from .linalg import (Echelon, Matrix, _CERT_PIS, _CERT_PRIMES, _CERT_ROOTS,
-                     _back_substitute, _echelon_mod_p, _pivots_mod_p)
+from .linalg import (Echelon, Matrix, _back_substitute, _echelon_mod_p,
+                     _pivots_mod_p)
 from .poly import HomPoly, ProjPoint, monomials
 from .univariate import (GInt, Poly, _common_denominator, _fp_roots,
-                         _gi_divmod, _gi_gcd, _gi_mul, _gi_norm,
-                         _matmul_mod_p, _rational_reconstructions, degree)
+                         _gaussian_prime_above, _gi_divmod, _gi_gcd, _gi_mul,
+                         _gi_norm, _matmul_mod_p, _rational_reconstructions,
+                         degree)
 
 # a form with Z[i] coefficients, keyed by exponent vectors: the numerator
 # map of a HomPoly (HomPoly.num)
@@ -68,6 +72,13 @@ Quadric = Form
 
 HILBERT_NOT_STABLE = "hilbert-not-stable"
 POINTS_NOT_RECOVERED = "points-not-recovered"
+
+# the certificate primes p = 1 (mod 4), below 2**31 so numpy int64 products
+# cannot overflow; at each, Z[i] is reduced modulo the Gaussian prime
+# _CERT_PIS[p], which sends i to _CERT_ROOTS[p]
+_CERT_PRIMES: Tuple[int, ...] = (2130706433, 469762049, 167772161)
+_CERT_ROOTS: Dict[int, int] = {p: _gaussian_prime_above(p)[0] for p in _CERT_PRIMES}
+_CERT_PIS: Dict[int, GInt] = {p: _gaussian_prime_above(p)[1] for p in _CERT_PRIMES}
 
 # p-adic precision cap, as a power of p; a zero whose reconstruction
 # needs more is not recovered, which can only cost completeness
@@ -178,13 +189,10 @@ def solve_projective(quadrics: List[Quadric], nvars: int
     """
     found: List[ProjPoint] = []
     reason: Optional[str] = HILBERT_NOT_STABLE
-    for p in _CERT_PRIMES:
-        basis = _generator_rows(quadrics, nvars, 2, p)
-        h4, h5, zeros = _zeros_mod_p(basis, nvars, 2, 4, p,
-                                     _macaulay_echelon(basis, nvars, 2, 5, p))
-        for z in zeros:
-            point = _lift(quadrics, z, p)
-            if point is not None and point not in found:
+    for h5, search in _searches(quadrics, nvars, 2, 4):
+        h4, points = search()
+        for point in points:
+            if point not in found:
                 found.append(point)
         stable = h4 == h5 <= 4
         if stable and h4 == len(found):
@@ -193,6 +201,29 @@ def solve_projective(quadrics: List[Quadric], nvars: int
         reason = POINTS_NOT_RECOVERED if stable else HILBERT_NOT_STABLE
     found.sort(key=lambda q: q.sort_key())
     return found, reason
+
+
+def _searches(forms: List[Form], n: int, k: int, d: int
+              ) -> Iterator[Tuple[int, Callable[[], Tuple[int, Iterator[ProjPoint]]]]]:
+    """The package's one walk over the certificate primes: for each p of
+    _CERT_PRIMES in order, the Z[i] forms of degree k in n variables are
+    reduced mod the Gaussian prime _CERT_PIS[p] and their degree-(d+1)
+    Macaulay echelon is built once, and (H_p(d+1), search) is yielded.
+    search() gives (H_p(d), exact zeros): the degree-d echelon is built
+    only then, and the zeros come one at a time, each a zero mod p from
+    _zeros_mod_p that _lift takes to an exact zero of every form over
+    Q(i); a zero that does not lift is skipped.  A caller that stops
+    early, or advances to the next prime without a search, pays for no
+    more."""
+    for p in _CERT_PRIMES:
+        basis = _generator_rows(forms, n, k, p)
+        top = _macaulay_echelon(basis, n, k, d + 1, p)
+
+        def search(basis=basis, top=top, p=p):
+            h, _, zeros = _zeros_mod_p(basis, n, k, d, p, top)
+            return h, (point for z in zeros
+                       if (point := _lift(forms, z, p)) is not None)
+        yield top.ncols - len(top.pivots), search
 
 
 def _zeros_mod_p(basis: np.ndarray, n: int, k: int, d: int, p: int,

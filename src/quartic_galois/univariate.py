@@ -327,16 +327,15 @@ def gaussian_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
     canonical order.
 
     Each squarefree factor of degree d >= 2 is solved as a binary form
-    by the solver's modular search: its zeros mod p, for p in
-    _CERT_PRIMES, are lifted and reconstructed in Q(i) by solver._lift,
-    until d roots are found.  The modular step only proposes candidates:
-    a root is returned only after exact evaluation over Q(i) gives zero,
-    and fully_split counts verified roots against the degree, so the
-    certificate never rests on the primes or the precision cap.
+    by the solver's modular search (solver._searches), whose exact zeros
+    (r : 1) are candidates, prime after prime, until d roots are found.
+    The modular step only proposes candidates: a root is returned only
+    after exact evaluation over Q(i) gives zero, and fully_split counts
+    verified roots against the degree, so the certificate never rests on
+    the primes or the precision cap.
     """
     from .poly import HomPoly
-    from .solver import (_CERT_PRIMES, _generator_rows, _lift, _macaulay_echelon,
-                         _primitive, _zeros_mod_p)
+    from .solver import _primitive, _searches
     if not p:
         raise ValueError("zero polynomial")
     if degree(p) == 0:
@@ -356,18 +355,13 @@ def gaussian_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
         found = [-factor[0] / factor[1]] if d == 1 else []
         # the form sum a_j x^j y^(d-j), whose zeros (r : 1) are the roots r
         form = _primitive(HomPoly(2, d, {(j, d - j): c for j, c in enumerate(factor)}))
-        for q in _CERT_PRIMES:
-            if len(found) == d:
-                break
-            basis = _generator_rows([form], 2, d, q)
-            top = _macaulay_echelon(basis, 2, d, d + 1, q)
-            for z in _zeros_mod_p(basis, 2, d, d, q, top)[2]:
-                point = _lift([form], z, q)
-                if point is None:
-                    continue
+        for _, search in _searches([form], 2, d, d) if d > 1 else ():
+            for point in search()[1]:
                 r = point.coords[0] / point.coords[1]
                 if r not in found and eval_poly(factor, r).is_zero():
                     found.append(r)
+            if len(found) == d:
+                break
         roots.extend(found)  # the factors are coprime and prime to x
         fully_split = fully_split and len(found) == d
     roots.sort(key=lambda z: z.sort_key())

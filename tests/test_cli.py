@@ -279,6 +279,45 @@ def test_consistency_error_is_reported_without_traceback(capsys, monkeypatch):
     assert err == "internal error: postcondition failed\n"
 
 
+REUSE_SEQUENCE = [
+    ["galois", "find", FERMAT, "--candidate", "1:1:1:1"],
+    ["galois", "find", FERMAT, "--candidate", "1:1:1:1"],
+    ["--format", "json", "smooth", FERMAT], ["smooth", FERMAT],
+    ["--seed", "3", "demo"], ["demo"],
+    ["smooth"], ["lattice", "reduce", "8", "8", "16"],
+]
+
+
+def test_reused_parser_changes_no_output(capsys):
+    # main builds its parser once per process; each call must print and
+    # return what it would as the first call of a fresh process
+    first = []
+    for argv in REUSE_SEQUENCE:
+        cli._parser.cache_clear()
+        first.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in REUSE_SEQUENCE] == first
+    assert first[6][0] == 1 and first[6][2]
+    argv = ["galois", "find", FERMAT, "--candidate", "1:1:1:1"]
+    assert cli._parser().parse_args(argv).candidate == ["1:1:1:1"]
+
+
+def _fresh_help(capsys, argv):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    return capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [None, "smooth", "galois", "auto", "lattice",
+                                     "moduli", "demo"])
+def test_reused_parser_help(capsys, command):
+    argv = ([command] if command else []) + ["--help"]
+    run(capsys, "smooth", FERMAT)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out
+    assert (out, err) == _fresh_help(capsys, argv)
+
+
 def test_surface_beginning_with_minus(capsys):
     code, out, _ = run(capsys, "smooth", "--", "-X^4+Y^4+Z^4+W^4")
     assert code == 0 and "smooth: yes" in out

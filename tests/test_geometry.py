@@ -63,7 +63,7 @@ def _hilbert_above_certificate_degree(f):
     # H_p(D+1) of the Jacobian ideal, D = n(d-2)+1, from the solver's
     # zero finder at the first certificate prime
     n = f.nvars
-    p = linalg._CERT_PRIMES[0]
+    p = solver._CERT_PRIMES[0]
     _, h1, _ = zeros_mod_p([g.num for g in partials(f)], n, p, k=3, d=2 * n + 1)
     return h1
 
@@ -123,6 +123,30 @@ def _exact_rank_counter(monkeypatch):
     return calls
 
 
+def _spy_searches(monkeypatch):
+    """Record, through geometry's solver._searches, each search it runs
+    (one list per call of a prime's search) and the exact zeros it takes."""
+    searches = []
+    engine = solver._searches
+
+    def spying(*args):
+        for h, search in engine(*args):
+            def recording(_search=search):
+                taken = []
+                searches.append(taken)
+                h_d, points = _search()
+
+                def take():
+                    for point in points:
+                        taken.append(point)
+                        yield point
+                return h_d, take()
+            yield h, recording
+
+    monkeypatch.setattr(geometry, "_searches", spying)
+    return searches
+
+
 @pytest.mark.parametrize("f, a", [
     (CONE, SHEAR), (CONE, ZERO_ONE), (SQUARE, SHEAR), (DWORK, _gaussian_matrix(7, 1)),
     (DWORK, _gaussian_matrix(7, 3)),
@@ -132,20 +156,14 @@ def test_singular_point_witness(monkeypatch, f, a):
     # the vertex of the cone (length 27) and the nodes of the square
     # (length 9 each) are reconstructed at p; Dwork's 16 nodes are
     # reduced zeros, and at height 3 they need Newton lifting past p.
-    # The verdict needs no exact elimination
+    # One search runs, it takes one exact zero, and the verdict needs no
+    # exact elimination
     _forbid_exact_rank(monkeypatch)
-    found = []
-    search = geometry._singular_point
-
-    def recording(*args):
-        found.append(search(*args))
-        return found[-1]
-
-    monkeypatch.setattr(geometry, "_singular_point", recording)
+    searches = _spy_searches(monkeypatch)
     g = substitute_linear(f, a)
     assert is_smooth_surface(g) is False
-    assert len(found) == 1 and found[0] is not None
-    assert all(d.eval(found[0].coords).is_zero() for d in partials(g))
+    assert len(searches) == 1 and len(searches[0]) == 1
+    assert all(d.eval(searches[0][0].coords).is_zero() for d in partials(g))
 
 
 @pytest.mark.parametrize("f", [DWORK, substitute_linear(CONE, SHEAR)],
@@ -195,18 +213,43 @@ def test_singular_without_witness_falls_back(monkeypatch, text):
 def test_bogus_modular_zero_is_not_a_witness(monkeypatch):
     # a wrong zero mod p proves nothing: the verdict comes from exact
     # elimination, and on a smooth surface the search finds no point
-    p = linalg._CERT_PRIMES[0]
     fermat = [g.num for g in partials(FERMAT)]
-    basis = solver._generator_rows(fermat, 4, 3, p)
-    top = solver._macaulay_echelon(basis, 4, 3, 9, p)
-    assert geometry._singular_point(fermat, basis, top, p) is None
+
+    def first_search():
+        h, search = next(solver._searches(fermat, 4, 3, 8))
+        assert h == 0
+        return list(search()[1])
+
+    assert first_search() == []
     calls = _exact_rank_counter(monkeypatch)
-    monkeypatch.setattr(geometry, "_zeros_mod_p",
+    monkeypatch.setattr(solver, "_zeros_mod_p",
                         lambda *args, **kwargs: (1, 1, [[1, 2, 3, 4]]))
     assert is_smooth_surface(substitute_linear(CONE, SHEAR)) is False
     assert calls
-    assert geometry._singular_point(fermat, basis, top, p) is None
+    assert first_search() == []
 
+
+@pytest.mark.parametrize("f", [substitute_linear(FERMAT, _gaussian_matrix(1, 1)),
+                               parse_poly("Y^3*Z+Z^3*W+W^3*Y", 4, names=("Y", "Z", "W"))],
+                         ids=["fermat-gaussian", "klein"])
+def test_smooth_verdict_builds_only_the_degree_D_echelon(monkeypatch, f):
+    # a full-rank image at the first prime proves smooth: one Macaulay
+    # matrix is built, at D = n(d-2)+1, and no zero is looked for
+    builds = []
+    macaulay = solver._macaulay
+
+    def counted(basis, n, k, d):
+        builds.append(d)
+        return macaulay(basis, n, k, d)
+
+    def no_zeros(*args):
+        raise AssertionError("the zero finder ran on a smooth verdict")
+
+    monkeypatch.setattr(solver, "_macaulay", counted)
+    monkeypatch.setattr(solver, "_zeros_mod_p", no_zeros)
+    _forbid_exact_rank(monkeypatch)
+    assert geometry.jacobian_ideal_is_irrelevant(f) is True
+    assert builds == [2 * f.nvars + 1]
 
 
 def test_singular_witness_stops_at_the_first_exact_zero(monkeypatch):
@@ -214,7 +257,7 @@ def test_singular_witness_stops_at_the_first_exact_zero(monkeypatch):
     # at the first zero that lifts, so one root of the characteristic
     # polynomial is found and one eigenspace computed, not 16, and the
     # rank test never runs exactly
-    p = linalg._CERT_PRIMES[0]
+    p = solver._CERT_PRIMES[0]
     forms = [g.num for g in partials(DWORK)]
     h, _, zeros = zeros_mod_p(forms, 4, p, k=3, d=8)
     assert h == len(list(zeros)) == 16

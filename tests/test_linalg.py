@@ -7,11 +7,11 @@ import pytest
 from quartic_galois.errors import ParseError
 from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, ONE, ZERO
-from quartic_galois.linalg import (_CERT_PRIMES, Matrix, _back_substitute,
-                                   _echelon_mod_p, _pivots_mod_p,
-                                   centralizer_dimension,
+from quartic_galois.linalg import (Matrix, _back_substitute, _echelon_mod_p,
+                                   _pivots_mod_p, centralizer_dimension,
                                    parse_matrix, prove_full_column_rank,
                                    sparse_rank)
+from quartic_galois.solver import _CERT_PRIMES
 
 from helpers import SIGMA1, SIGMA2, SIGMA3, SIGMA4, rand_gr, rand_invertible
 from oracles import (oracle_det, oracle_inverse, oracle_matmul, oracle_matpow,
@@ -321,8 +321,7 @@ def test_one_reduction_of_gaussian_rationals():
     # that pi gives back the quotient u/w of the residues, modulo its
     # conjugate the conjugate
     from math import isqrt
-    from quartic_galois.linalg import _CERT_PIS, _CERT_PRIMES, _CERT_ROOTS
-    from quartic_galois.solver import _residue
+    from quartic_galois.solver import _CERT_PIS, _CERT_ROOTS, _residue
     from quartic_galois.univariate import _rational_reconstructions
     values = [((3, 0), (1, 0)), ((-2, 5), (1, 0)), ((0, 1), (1, 0)),
               ((1, -1), (7, 0)), ((-12, 5), (3, 4))]

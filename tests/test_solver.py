@@ -5,9 +5,10 @@ import pytest
 
 from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, ONE, ZERO
-from quartic_galois.linalg import _CERT_PRIMES, _CERT_ROOTS, Matrix, _pivots_mod_p
+from quartic_galois.linalg import Matrix, _pivots_mod_p
 from quartic_galois.poly import monomials, parse_poly, partials, substitute_linear
-from quartic_galois.solver import (_charpoly_mod_p, _generator_rows, _macaulay,
+from quartic_galois.solver import (_CERT_PRIMES, _CERT_ROOTS, _charpoly_mod_p,
+                                   _generator_rows, _macaulay,
                                    cube_locus_quadrics, resultant)
 from quartic_galois.univariate import _matmul_mod_p
 

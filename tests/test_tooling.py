@@ -158,6 +158,24 @@ def test_private_helpers_have_a_caller():
     assert unused == []
 
 
+def test_only_the_solver_walks_the_certificate_primes():
+    """One module owns the modular search: no other module of the package
+    names the certificate primes or a step of the search."""
+    import ast
+    owned = {"_CERT_PRIMES", "_CERT_ROOTS", "_CERT_PIS", "_generator_rows",
+             "_macaulay_echelon", "_zeros_mod_p", "_lift"}
+    package = Path(importlib.import_module("quartic_galois").__file__).parent
+    named = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "solver.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "id", getattr(node, "attr", None))])
+            named += [f"{path.name}: {name}" for name in names if name in owned]
+    assert named == []
+
+
 def _readme_commands():
     """The commands of the sh block under the README's "## Command line"."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")

@@ -188,7 +188,7 @@ def test_fp_roots_at_the_certificate_prime():
     # at the prime of the singular-point search: the roots of a product
     # built from known roots, with repeated roots and a factor x^2 - n,
     # n a non-residue, that has none
-    from quartic_galois.linalg import _CERT_PRIMES
+    from quartic_galois.solver import _CERT_PRIMES
     p = _CERT_PRIMES[0]
     rng = random.Random(11)
     roots = [rng.randrange(p) for _ in range(20)]

@@ -355,8 +355,17 @@ SURFACE_HELP = ("quartic in X, Y, Z, W, or @file; write -- before a surface "
                 "that begins with '-'")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads '-' and then a term (-X^4+Y^4+...) as a value, as it reads -1."""
+
+    def _parse_optional(self, arg_string):
+        if re.match(r"-[0-9(XYZWi]", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quartic-galois",
         description="Exact toolkit for outer Galois points of smooth quartic "
                     "surfaces and order-4 automorphisms of quartic K3s.")

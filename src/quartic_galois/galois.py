@@ -278,15 +278,16 @@ def enumerate_outer_galois_points(
         extra_candidates: Sequence[ProjPoint] = ()) -> GaloisReport:
     """Search for every outer Galois point of a smooth quartic.
 
-    The outer Galois points are among the zeros of the cube-locus
-    quadrics, which solver.solve_projective finds by a modular search:
-    zeros mod p from the Macaulay matrices, lifted and reconstructed in
-    Q(i), each kept only as an exact zero.  Those zeros, the four
-    coordinate points and any user candidates are then tested exactly
-    for the Galois property and given their verified generators, so
-    every reported point is correct whatever the search proved.  The
-    report is proved-complete only when the solver's Hilbert-function
-    count certifies that no complex zero was missed; otherwise it is
+    The outer Galois points are among the common zeros of the
+    cube-locus quadrics, a basis mod each certificate prime of the cube
+    condition's minors, whose zeros contain those of all the minors.
+    solver.solve_projective finds them mod p, lifts them to Q(i) and
+    keeps each only as an exact zero.  Those, the four coordinate points
+    and any user candidates are then tested exactly for the Galois
+    property and given their verified generators, so every reported
+    point is correct whatever the search proved.  The report is
+    proved-complete only when the solver's Hilbert-function count
+    certifies that no complex zero was missed; otherwise it is
     candidates-only with the solver's reason.  A proved-complete point
     count outside {0, 1, 2, 4} is impossible for smooth quartics and
     raises ConsistencyError.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -142,9 +143,9 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if not self.b:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # that of re, or of the pair (re, im), as Fractions
+        h = _rational_hash(self.a, self.d)
+        return hash((h, _rational_hash(self.b, self.d))) if self.b else h
 
     def sort_key(self) -> Tuple[int, int, int, int]:
         """Total order on Q(i) for canonical, reproducible output: the
@@ -176,6 +177,18 @@ def _lowest(n: int, d: int) -> Tuple[int, int]:
     """n/d in lowest terms, for d > 0 (0/d is 0/1)."""
     g = math.gcd(n, d)
     return n // g, d // g
+
+
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for d > 0, as CPython computes it: |n|/d mod
+    sys.hash_info.modulus in lowest terms (hash_info.inf if d has no
+    inverse there), with the sign of n, and -1 sent to -2."""
+    (n, d), m = _lowest(n, d), sys.hash_info.modulus
+    if d == 1:
+        return hash(n)
+    h = abs(n) * pow(d, -1, m) % m if d % m else sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
 
 
 def _fmt_frac(n: int, d: int) -> str:

@@ -6,8 +6,10 @@ cube of a linear form; see the galois module for the derivation.  The
 cube condition on a cubic form C is that its matrix of second partial
 derivatives has rank at most 1 identically, i.e. all 2x2 minors vanish
 as forms.  Since the second partials of the polar are bilinear in P
-and x, every minor coefficient is a quadratic form in P: the search
-space is the common zero set of a system of quadrics over Z[i].
+and x, every minor coefficient is a quadratic form in P over Z[i].
+cube_locus_quadrics keeps of these only a basis mod each certificate
+prime: their ideal I_S lies in the ideal I of all the minors, so the
+search below sees the same system mod p, and V(I) lies in V(I_S).
 
 The system is solved by one modular computation whose completeness is
 certified by counting.  Modulo a Gaussian prime pi above a prime
@@ -26,33 +28,24 @@ the engine (_primitive).  The engine orders its columns by
 degree-reverse-lex, caches each column layout, and leaves out every row
 that a Koszul syzygy puts in the span of the rows kept, so ranks, pivot
 columns and reduced echelon forms are those of the full matrix.  Each
-matrix is eliminated once, by linalg._pivots_mod_p, which reduces only
-the rows whose leading column an earlier row already has and keeps the
-echelon it finds.
+matrix is eliminated once, by linalg._pivots_mod_p.
 
 This module alone holds the certificate primes (_CERT_PRIMES) and walks
-them, in _searches: at each prime it builds the degree-(d+1) echelon
-once, yields its Hilbert value, and runs the zero finder on that same
-echelon only when the caller asks, so no matrix is built twice.  The
-finder reads the normal forms of the degree-(d+1) monomials off it by
-back-substitution on its standard columns alone, and its zeros, and so
-the exact points, come one at a time: each root of the characteristic
-polynomial (from univariate._fp_roots) and its eigenspace are computed
-only when the caller asks for the next point.  Each caller keeps only
-its policy: the smoothness test of the geometry module stops at a
-full-rank image, or at the first exact singular point at the first
-prime; solve_projective and univariate.gaussian_roots take every point.
-The lift multiplies out each monomial once per point and shares it
-among all the forms.
+them, in _searches, which builds each echelon once and finds the zeros
+mod p, and so the exact points, one at a time as the caller asks (see
+_zeros_mod_p).  Each caller keeps only its policy: the smoothness test
+of the geometry module stops at a full-rank image, or at the first
+exact singular point at the first prime; solve_projective and
+univariate.gaussian_roots take every point.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from random import Random
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -101,61 +94,64 @@ def _primitive(f: HomPoly) -> Form:
 # ---------------------------------------------------------------------------
 
 def cube_locus_quadrics(f: HomPoly) -> List[Quadric]:
-    """Quadratic forms in P, with Z[i] coefficients, whose common zeros
-    are exactly the points P where the first polar sum_l P_l df/dx_l is
-    a cube of a linear form (possibly zero).
-
-    They are the coefficients of the 2x2 minors of the Hessian of the
-    polar, computed from the fourth-derivative tensor of f's primitive
-    numerators; exact duplicates are dropped.
-    """
-    n = f.nvars
+    """Z[i] quadrics in P spanning, mod each p of _CERT_PRIMES, the 2x2
+    minors of the Hessian of the polar sum_l P_l df/dx_l, which all
+    vanish exactly where the polar is a cube of a linear form (or zero).
+    The minors are evaluated mod p from _minor_table, and only the first
+    ones independent mod p are expanded over Z[i], in minor order, each
+    once.  Their ideal I_S lies in the ideal I of all the minors, so V(I)
+    lies in V(I_S): a count proving V(I_S) complete proves V(I) complete."""
+    w, uv = _minor_table(f.nvars)
     coeffs = _primitive(f)
-
-    def fourth(idx: Sequence[int]) -> GInt:
-        e = tuple(idx.count(v) for v in range(n))
-        a, b = coeffs.get(e, (0, 0))
-        scale = math.prod(math.factorial(k) for k in e)
-        return (a * scale, b * scale)
-
-    # hx[i][j][m]: the coefficient of x_m in the (i, j) second partial
-    # of the polar, a linear form in P given by its nonzero (l, coeff)
-    hx = [[[[(l, c) for l in range(n) if (c := fourth((i, j, m, l))) != (0, 0)]
-            for m in range(n)] for j in range(n)] for i in range(n)]
-
-    # pair[a][b]: the exponent vector of P_a P_b
-    pair = [[tuple((t == a) + (t == b) for t in range(n)) for b in range(n)]
-            for a in range(n)]
-    unique: Dict[tuple, Quadric] = {}
-    # the Hessian is symmetric, so minor (rows a, cols b) == minor (b, a)
-    for (i, j), (k, l) in combinations_with_replacement(
-            list(combinations(range(n), 2)), 2):
-        for m in range(n):
-            for s in range(m, n):
-                # coefficient of x_m x_s in H_ik H_jl - H_il H_jk
-                q: Quadric = {}
-                for u, v, sign in ((hx[i][k], hx[j][l], 1),
-                                   (hx[i][l], hx[j][k], -1)):
-                    _add_product(q, u[m], v[s], sign, pair)
-                    if m != s:
-                        _add_product(q, u[s], v[m], sign, pair)
-                key = tuple(sorted(t for t in q.items() if t[1] != (0, 0)))
-                if key:
-                    unique.setdefault(key, dict(key))
-    return list(unique.values())
+    c = [coeffs.get(e, (0, 0)) for e in monomials(f.nvars, 4)]
+    rows: Set[int] = set()
+    for p in _CERT_PRIMES:
+        cp = np.array([_residue(x, _CERT_ROOTS[p], p) for x in c], dtype=np.int64)
+        # each product c_u c_v is reduced mod p before the sums, so no
+        # int64 overflows (|w| <= 24 * 24, 8 terms to a cell)
+        prods = np.outer(cp, cp) % p
+        minors = (w * np.take(prods, uv)).sum(axis=2) % p
+        nonzero = np.flatnonzero(minors.any(axis=1))
+        # the pivot columns of the transpose are the first independent rows
+        rows.update(nonzero[_echelon_mod_p(minors[nonzero].T.copy(), p)].tolist())
+    # the same table on the kept rows, over Z[i] in Python integers
+    w, (u, v) = w[sorted(rows)], np.divmod(uv[sorted(rows)], len(c))
+    re, im = np.array(c, dtype=object).T
+    qre = (w * (re[u] * re[v] - im[u] * im[v])).sum(axis=2).tolist()
+    qim = (w * (re[u] * im[v] + im[u] * re[v])).sum(axis=2).tolist()
+    return [{key: (a, b) for key, a, b in zip(_drevlex(f.nvars, 2), ra, ia) if a or b}
+            for ra, ia in zip(qre, qim)]
 
 
-def _add_product(q: Quadric, u: List[Tuple[int, GInt]],
-                 v: List[Tuple[int, GInt]], sign: int,
-                 pair: List[List[Tuple[int, ...]]]) -> None:
-    """q += sign * (u . P) * (v . P) for sparse linear forms u, v; pair[a][b]
-    is the exponent vector of P_a P_b."""
-    for a, ua in u:
-        for b, vb in v:
-            c = _gi_mul(ua, vb)
-            ab = pair[a][b]
-            old = q.get(ab, (0, 0))
-            q[ab] = (old[0] + sign * c[0], old[1] + sign * c[1])
+@lru_cache(maxsize=None)
+def _minor_table(n: int) -> np.ndarray:
+    """(w, uv): the 2x2 minors of the Hessian (H_ij) of the polar
+    of a quartic in n variables, bilinear in its coefficients c_u (u
+    indexing monomials(n, 4)).  H_ij is sum_{m, l} T[i, j, m, l] x_m P_l,
+    where the fourth-derivative tensor entry T[i, j, m, l] is c_u for
+    x_i x_j x_m x_l times the factorials of its exponents.  Row r of w
+    and uv is the coefficient of x_m x_s (m <= s) in H_ik H_jl - H_il H_jk
+    (i < j, k < l, (i, j) <= (k, l): H is symmetric); its column t, that
+    of P_a P_b (a <= b), the t-th key of _drevlex(n, 2), is the sum of
+    w * c_u * c_v over its cell, uv = u * len(c) + v, one entry for each
+    sign, order of (m, s) and order of (a, b); w = 0 where one repeats."""
+    keys, monos = _drevlex(n, 2), {e: u for u, e in enumerate(monomials(n, 4))}
+    exps = [tuple(idx.count(t) for t in range(n)) for idx in product(range(n), repeat=4)]
+    mono = np.array([monos[e] for e in exps]).reshape((n,) * 4)
+    scale = np.array([math.prod(map(math.factorial, e)) for e in exps]).reshape((n,) * 4)
+    i, j, k, l, m, s = np.array([
+        (*ij, *kl, *ms) for ij, kl in combinations_with_replacement(
+            list(combinations(range(n), 2)), 2)
+        for ms in combinations_with_replacement(range(n), 2)]).T[:, :, None, None]
+    a, b = np.array([[t for t in range(n) for _ in range(e[t])] for e in keys]
+                    ).T[:, None, :, None]
+    sign, order, swap = (np.array(bits)[None, None, :] for bits in zip(*product(
+        (1, -1), (0, 1), (0, 1))))
+    u_at = (i, np.where(sign > 0, k, l), np.where(order, s, m), np.where(swap, b, a))
+    v_at = (j, np.where(sign > 0, l, k), np.where(order, m, s), np.where(swap, a, b))
+    w = (sign * scale[u_at] * scale[v_at]
+         * ((order == 0) | (m != s)) * ((swap == 0) | (a != b)))
+    return np.stack(np.broadcast_arrays(w, mono[u_at] * len(monos) + mono[v_at]))
 
 
 # ---------------------------------------------------------------------------

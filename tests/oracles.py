@@ -8,12 +8,15 @@ algebra (determinants and adjugates by Berkowitz, without division).
 Matrix products are schoolbook sums of Fraction pairs, without
 GaussianRational arithmetic.  Reduced row echelon forms modulo a prime
 come from a plain Gauss-Jordan loop that clears each pivot column above
-and below at once.
+and below at once.  The cube-locus minors are expanded term by term
+over Z[i], with no modular step.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from typing import List, Sequence
 
 import numpy as np
@@ -23,6 +26,8 @@ from sympy.polys.matrices import DomainMatrix
 from quartic_galois.gaussian import GaussianRational
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import HomPoly, partials
+from quartic_galois.solver import _primitive
+from quartic_galois.univariate import _gi_mul
 
 
 def gr_to_sympy(c: GaussianRational):
@@ -188,3 +193,49 @@ def oracle_rref_mod_p(a: np.ndarray, p: int):
         a[others] = (a[others] - a[others, c][:, None] * a[r]) % p
         pivots.append(c)
     return pivots, a[:len(pivots)].tolist()
+
+
+def oracle_cube_locus_quadrics(f: HomPoly) -> List[dict]:
+    """Every nonzero 2x2 minor of the Hessian of the polar of f, as a
+    quadric in P with Z[i] coefficients, expanded term by term from the
+    fourth-derivative tensor of f's primitive numerators; exact
+    duplicates are dropped, first occurrence kept."""
+    n = f.nvars
+    coeffs = _primitive(f)
+
+    def fourth(idx):
+        e = tuple(idx.count(v) for v in range(n))
+        a, b = coeffs.get(e, (0, 0))
+        scale = math.prod(math.factorial(k) for k in e)
+        return (a * scale, b * scale)
+
+    def add_product(q, u, v, sign):
+        # q += sign * (u . P) * (v . P) for sparse linear forms u, v
+        for a, ua in u:
+            for b, vb in v:
+                c = _gi_mul(ua, vb)
+                ab = tuple((t == a) + (t == b) for t in range(n))
+                old = q.get(ab, (0, 0))
+                q[ab] = (old[0] + sign * c[0], old[1] + sign * c[1])
+
+    # hx[i][j][m]: the coefficient of x_m in the (i, j) second partial
+    # of the polar, a linear form in P given by its nonzero (l, coeff)
+    hx = [[[[(l, c) for l in range(n) if (c := fourth((i, j, m, l))) != (0, 0)]
+            for m in range(n)] for j in range(n)] for i in range(n)]
+    unique = {}
+    # the Hessian is symmetric, so minor (rows a, cols b) == minor (b, a)
+    for (i, j), (k, l) in combinations_with_replacement(
+            list(combinations(range(n), 2)), 2):
+        for m in range(n):
+            for s in range(m, n):
+                # coefficient of x_m x_s in H_ik H_jl - H_il H_jk
+                q = {}
+                for u, v, sign in ((hx[i][k], hx[j][l], 1),
+                                   (hx[i][l], hx[j][k], -1)):
+                    add_product(q, u[m], v[s], sign)
+                    if m != s:
+                        add_product(q, u[s], v[m], sign)
+                key = tuple(sorted(t for t in q.items() if t[1] != (0, 0)))
+                if key:
+                    unique.setdefault(key, dict(key))
+    return list(unique.values())

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -321,6 +322,43 @@ def test_reused_parser_help(capsys, command):
 def test_surface_beginning_with_minus(capsys):
     code, out, _ = run(capsys, "smooth", "--", "-X^4+Y^4+Z^4+W^4")
     assert code == 0 and "smooth: yes" in out
+
+
+@pytest.mark.parametrize("head, surface, tail", [
+    (["smooth"], "-X^4+Y^4+Z^4+W^4", []),
+    (["smooth"], "-X^4-Y^4-Z^4", []),
+    (["--format", "json", "smooth"], "-2*X^4+Y^4+Z^4+W^4", []),
+    (["galois", "find"], "-X^4-Y^4+Z^4+W^4", []),
+    (["galois", "find"], "-i*X^4+Y^4+Z^4+W^4+Y^2*Z*W", []),
+    (["auto", "classify"], "-X^4-Y^4+Z^4+Z*W^3+W^4", ["--matrix", SIGMA12]),
+    (["auto", "fixed-locus"], "-(1+i)*X^4+Y^4+Z^4+Z*W^3+W^4", ["--matrix", SIGMA12]),
+])
+def test_inline_surface_beginning_with_minus(capsys, head, surface, tail):
+    # an inline surface that begins with '-' is read as the surface, as
+    # it is after '--'
+    inline = run(capsys, *head, surface, *tail)
+    assert inline == run(capsys, *head, *tail, "--", surface)
+    code, out, err = inline
+    assert code in (0, 2) and out and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["smooth", "-h"], ["galois", "--help"], ["auto", "-h"],
+    ["lattice", "--help"], ["moduli", "-h"], ["demo", "--help"],
+    ["--bogus"], ["-q", "smooth", FERMAT], ["smooth", "-q"], ["smooth", "-x"],
+    ["smooth", "--bogus", FERMAT], ["galois", "find", "-x", FERMAT],
+    ["auto", "classify", FERMAT, "--matrix"], ["smooth"], ["lattice", "reduce", "-8", "8"],
+])
+def test_minus_values_leave_help_and_option_errors(capsys, monkeypatch, argv):
+    # help, usage and option errors are those of a plain ArgumentParser
+    cli._parser.cache_clear()
+    ours = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, *argv) == ours
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_galois_find_reason_on_candidates_only(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,31 @@ def test_rational_values_equal_and_hash_as_python_numbers():
         assert hash(z) == (hash((re, im)) if im else hash(re))
         assert z.sort_key() == (re.numerator, re.denominator,
                                 im.numerator, im.denominator)
+
+
+M61 = sys.hash_info.modulus  # 2**61 - 1 on 64-bit CPython
+
+
+@pytest.mark.parametrize("re, im", [
+    (Fraction(1, M61), 0), (Fraction(-1, M61), 0), (Fraction(5, 3 * M61), Fraction(2, M61)),
+    (Fraction(1, M61), Fraction(-7, 2)), (Fraction(M61, 3), Fraction(-M61, 5)),
+    (Fraction(2, M61 * M61), 0), (-1, 0), (-1, 1), (1, -1), (-(M61 + 1), 0),
+    (Fraction(-(M61 + 1), 5 * (M61 + 1)), 0), (Fraction(-1, M61 - 1), -1),
+    (Fraction(-10 ** 40, 7), Fraction(-3, 10 ** 30)), (0, -1), (0, Fraction(-1, M61)),
+])
+def test_hash_edge_cases_match_fractions(re, im):
+    # denominators divisible by the hash modulus (hash_info.inf), negative
+    # parts, and values whose hash would be -1 (CPython sends it to -2)
+    z = GaussianRational(Fraction(re), Fraction(im))
+    assert hash(z) == (hash((Fraction(re), Fraction(im))) if im else hash(Fraction(re)))
+
+
+def test_hash_minus_one_becomes_minus_two():
+    for value in (-1, Fraction(-(M61 + 1)), Fraction(-(2 * M61 + 3), 3)):
+        assert hash(Fraction(value)) == -2 and hash(GaussianRational(value)) == -2
+    assert hash(GaussianRational(-1, 1)) == hash((-2, 1))
+    assert hash(GaussianRational(Fraction(1, M61))) == sys.hash_info.inf
+    assert hash(GaussianRational(Fraction(-1, M61))) == -sys.hash_info.inf
 
 
 def _big_gr(rng, digits=30):

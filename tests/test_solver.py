@@ -9,11 +9,11 @@ from quartic_galois.linalg import Matrix, _pivots_mod_p
 from quartic_galois.poly import monomials, parse_poly, partials, substitute_linear
 from quartic_galois.solver import (_CERT_PRIMES, _CERT_ROOTS, _charpoly_mod_p,
                                    _generator_rows, _macaulay,
-                                   cube_locus_quadrics, resultant)
+                                   cube_locus_quadrics, resultant, solve_projective)
 from quartic_galois.univariate import _matmul_mod_p
 
 from helpers import zeros_mod_p
-from oracles import oracle_rref_mod_p
+from oracles import oracle_cube_locus_quadrics, oracle_rref_mod_p
 
 
 def _partial_forms(text):
@@ -165,3 +165,45 @@ def test_back_substituted_normal_forms_match_reduced_echelon(forms, k, d):
     echelon = _pivots_mod_p(mac, p)
     assert echelon.pivots == pivots and std
     assert echelon.reduced(std, p).tolist() == [[row[c] for c in std] for row in rref]
+
+
+def _height_one(seed):
+    """An invertible 4x4 matrix with entries a + b*i, a, b in {-1, 0, 1}."""
+    rng = random.Random(seed)
+    while True:
+        a = Matrix(4, 4, [GR(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(16)])
+        if not a.det().is_zero():
+            return a
+
+
+_CUBE_LOCUS_SURFACES = [
+    substitute_linear(parse_poly("X^4+Y^4+Z^4+W^4", 4), _height_one(1)),
+    substitute_linear(parse_poly("X^4+Y^4+Z^4+W^4+Y^2*Z*W", 4), _height_one(2)),
+    substitute_linear(parse_poly("X^4+Y^4+Z^4+Z*W^3+W^4", 4), _height_one(3)),
+    parse_poly("X^4+Y^4+Z^4+W^4+2130706433*X*Y*Z*W", 4),
+    parse_poly("2*X^4+24*X^2*Y^2+8*Y^4+Z^4+W^4", 4),
+]
+
+
+@pytest.mark.parametrize("f", _CUBE_LOCUS_SURFACES,
+                         ids=["fermat-h1", "form1-h1", "form2-h1", "p-xyzw", "sqrt2"])
+def test_cube_locus_basis_against_every_minor(f):
+    # the quadrics kept are minors, span all the minors mod each
+    # certificate prime, and give the search the same points and reason
+    minors = oracle_cube_locus_quadrics(f)
+    kept = cube_locus_quadrics(f)
+    assert kept and all(q in minors for q in kept)
+    for p in _CERT_PRIMES:
+        assert np.array_equal(_generator_rows(kept, 4, 2, p),
+                              _generator_rows(minors, 4, 2, p))
+    assert solve_projective(kept, 4) == solve_projective(minors, 4)
+
+
+def test_cube_locus_keeps_at_most_ten_quadrics_per_prime():
+    # a dense conjugate has all 210 minors distinct, but quadrics in 4
+    # variables span at most 10 dimensions
+    f = substitute_linear(parse_poly("X^4+Y^4+Z^4+W^4+Y^2*Z*W", 4), _height_one(4))
+    assert len(oracle_cube_locus_quadrics(f)) == 210
+    kept = cube_locus_quadrics(f)
+    assert len(kept) <= 10 * len(_CERT_PRIMES)
+    assert len({tuple(sorted(q.items())) for q in kept}) == len(kept)

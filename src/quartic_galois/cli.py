@@ -351,8 +351,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 INTEGER_OPTIONS = ("seed", "count", "l")
-SURFACE_HELP = ("quartic in X, Y, Z, W, or @file; write -- before a surface "
-                "that begins with '-'")
+SURFACE_HELP = "quartic in X, Y, Z, W, or @file"
 
 
 class _Parser(argparse.ArgumentParser):

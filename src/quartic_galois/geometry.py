@@ -10,7 +10,12 @@ matrix has full rank exactly when the zero set is empty.  The partials
 enter the solver's modular search (solver._searches) as their Z[i]
 numerators (HomPoly.num, each divided by its content); the solver alone
 walks the certificate primes, and this module keeps only the policy.
-The verdict takes up to three steps:
+A variable that f lacks proves singular.  The others are grouped into
+blocks that no monomial mixes, and f is smooth exactly when each
+block's form F_i (f with the other variables set to 0) is: a common
+zero of the partials is nonzero on some block, where it is a critical
+point of F_i, and one of F_i padded with zeros is one of f.  Each block
+is decided alone, in its own variables, in up to three steps:
   1. at each certificate prime p the search builds the matrix modulo a
      Gaussian prime above p, with its columns in degree-reverse-lex
      order and without the rows that the Koszul syzygies among the
@@ -68,10 +73,19 @@ def macaulay_rows(gens: Sequence[HomPoly], target_degree: int) -> Tuple[List[Spa
 
 def jacobian_ideal_is_irrelevant(f: HomPoly) -> bool:
     """True iff the partials of f have no common projective zero, by the
-    three steps of the module docstring."""
+    steps of the module docstring."""
     gens = partials(f)
     if any(g.is_zero() for g in gens):
         return False
+    blocks = [{v} for v in range(f.nvars)]
+    for exp in f.num:  # merge the blocks that the monomial meets
+        hit = [b for b in blocks if any(exp[v] for v in b)]
+        blocks = [b for b in blocks if b not in hit] + [set().union(*hit)]
+    if len(blocks) > 1:
+        return all(jacobian_ideal_is_irrelevant(HomPoly(len(b), f.degree, {
+            tuple(e[v] for v in b): c for e, c in f.terms.items()
+            if sum(e[v] for v in b) == f.degree}))
+            for b in blocks)
     n, k = f.nvars, f.degree - 1
     target = n * (k - 1) + 1
     forms = [_primitive(g) for g in gens]

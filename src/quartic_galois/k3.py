@@ -30,7 +30,7 @@ from .galois import LinearAuto
 from .geometry import (CurveSection, eigen_decompose_order4, eigenspace,
                        is_smooth_surface, section)
 from .linalg import Matrix, centralizer_dimension
-from .poly import HomPoly, ProjPoint
+from .poly import HomPoly, ProjPoint, substitute_linear
 
 # classification rows for purely non-symplectic order 4 with a fixed
 # curve of genus > 1: (k, a, g) -> r of the tuple (r, k, a, g)
@@ -181,13 +181,26 @@ def fixed_locus(f: HomPoly, auto: LinearAuto, *,
     is computed for the square of the automorphism, along with the
     swapped-curve count: the matrix is decomposed once, and the square's
     eigenspaces are sums of its eigenspaces (_square_sections).
+    Smoothness is certified on f(B y), B the matrix of eigenvectors, when
+    it has fewer terms than f, else on f: B is invertible, so both are
+    smooth together, and f(B y), a semi-invariant of a diagonal matrix,
+    often splits into blocks of variables that are certified alone.  A
+    matrix that the decomposition rejects has f certified first.
     """
-    if check_smooth and not is_smooth_surface(f):
+    m, g = auto.matrix, f
+    try:
+        eig = eigen_decompose_order4(m)
+    except ValueError as e:
+        eig, error = None, e
+    else:
+        if check_smooth:
+            g = substitute_linear(f, Matrix.from_columns([v for s in eig.spaces for v in s]))
+    if check_smooth and not is_smooth_surface(g if len(g.num) < len(f.num) else f):
         raise SingularSurfaceError("fixed loci require a smooth quartic")
-    m = auto.matrix
     if m.is_scalar():
         raise DegenerateInputError("matrix is scalar: the identity on P^3")
-    eig = eigen_decompose_order4(m)
+    if eig is None:
+        raise error
     sections, curves, isolated = _fixed_data(
         (mu, _section(f, space)) for mu, space in zip(eig.eigenvalues, eig.spaces))
     m2 = m * m

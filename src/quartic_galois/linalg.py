@@ -323,9 +323,16 @@ def _echelon_mod_p(a: np.ndarray, p: int) -> List[int]:
     """Row-reduce a in place modulo p and return its pivot columns.
 
     Pivots are scaled to 1 and cleared below, so the first rows of a are
-    one echelon row per pivot.  Entries must lie in [0, p) with
-    p < 2**31, so int64 products cannot overflow.
+    one echelon row per pivot.  A zero column stays zero, so only the
+    others are eliminated.  Entries must lie in [0, p) with p < 2**31,
+    so int64 products cannot overflow.
     """
+    live = np.flatnonzero(a.any(axis=0))
+    if len(live) < a.shape[1]:
+        b = a[:, live]
+        pivots = _echelon_mod_p(b, p)
+        a[:, live] = b
+        return live[pivots].tolist()
     pivots: List[int] = []
     for c in range(a.shape[1]):
         r = len(pivots)
@@ -405,21 +412,27 @@ def _pivots_mod_p(a: np.ndarray, p: int) -> Echelon:
     The first row with each leading column is kept as the pivot row of
     that column: together these rows are already in echelon form.  Only
     the other rows are reduced, against the known pivot row of each
-    column in increasing order, with no search and no swap; afterwards
-    they vanish at every such column, so _echelon_mod_p on what remains
-    of them gives the other pivot columns and their rows.  Entries must
-    lie in [0, p) with p < 2**31.
+    column in increasing order, with no search and no swap, skipping a
+    column where no leftover row can be nonzero: the support of the
+    leftover rows, and of each pivot row used, is kept as a mask.
+    Afterwards they vanish at every such column, so _echelon_mod_p on
+    what remains of them gives the other pivot columns and their rows.
+    Entries must lie in [0, p) with p < 2**31.
     """
     nonzero = a != 0
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols, first = np.unique(nonzero[rows].argmax(axis=1), return_index=True)
     rest = a[np.delete(rows, first)]
     if len(rest):
+        support = (rest != 0).any(axis=0)
         for c, i in zip(cols.tolist(), rows[first].tolist()):
+            if not support[c]:
+                continue
             hit = np.flatnonzero(rest[:, c])
             if hit.size:
                 f = rest[hit, c] * pow(int(a[i, c]), p - 2, p) % p
                 rest[hit, c:] = (rest[hit, c:] - f[:, None] * a[i, c:]) % p
+                support[c:] |= nonzero[i, c:]
     more = _echelon_mod_p(rest, p)
     return Echelon(sorted(cols.tolist() + more), a, rows[first], cols,
                    rest[:len(more)])

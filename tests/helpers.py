@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from typing import Tuple
 
+from quartic_galois import geometry
 from quartic_galois.gaussian import ONE, GaussianRational, I
 from quartic_galois.geometry import is_smooth_plane_quartic
 from quartic_galois.linalg import Matrix
@@ -19,6 +20,20 @@ def zeros_mod_p(forms, n, p, k=2, d=4):
     degree-(d+1) echelon built here as its callers build it."""
     basis = _generator_rows(forms, n, k, p)
     return _zeros_mod_p(basis, n, k, d, p, _macaulay_echelon(basis, n, k, d + 1, p))
+
+
+def engine_sizes(monkeypatch):
+    """The variable counts of the forms that the smoothness test hands to
+    the modular engine (geometry._searches), one per call, in order."""
+    sizes = []
+    engine = geometry._searches
+
+    def spying(forms, n, k, d):
+        sizes.append(n)
+        return engine(forms, n, k, d)
+
+    monkeypatch.setattr(geometry, "_searches", spying)
+    return sizes
 
 
 def rand_gr(rng: random.Random, lo: int = -3, hi: int = 3,

@@ -342,6 +342,17 @@ def test_inline_surface_beginning_with_minus(capsys, head, surface, tail):
     assert code in (0, 2) and out and err == ""
 
 
+@pytest.mark.parametrize("command", ["smooth", "galois", "auto"])
+def test_surface_help_gives_no_double_dash_advice(capsys, command):
+    # an inline surface that begins with '-' needs no '--', and the help
+    # of every surface argument no longer asks for one
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0 and "quartic in X, Y, Z, W, or @file\n" in out
+    assert "write --" not in out and "begins with" not in out
+    surface = "-X^4+Y^4+Z^4+W^4"
+    assert run(capsys, "smooth", surface) == run(capsys, "smooth", "--", surface)
+
+
 @pytest.mark.parametrize("argv", [
     ["-h"], ["--help"], ["smooth", "-h"], ["galois", "--help"], ["auto", "-h"],
     ["lattice", "--help"], ["moduli", "-h"], ["demo", "--help"],

@@ -13,9 +13,11 @@ from quartic_galois.geometry import (eigen_decompose_order4,
                                      is_smooth_plane_quartic,
                                      is_smooth_surface, macaulay_rows, section)
 from quartic_galois.linalg import Matrix
-from quartic_galois.poly import ProjPoint, parse_poly, partials, substitute_linear
+from quartic_galois.poly import (HomPoly, ProjPoint, monomials, parse_poly, partials,
+                                 substitute_linear)
 
-from helpers import SMOOTH_SURFACES, SMOOTHNESS_CORPUS, rand_invertible, zeros_mod_p
+from helpers import (SMOOTH_SURFACES, SMOOTHNESS_CORPUS, engine_sizes, rand_invertible,
+                     zeros_mod_p)
 from oracles import oracle_is_smooth
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
@@ -292,6 +294,103 @@ def test_smoothness_projective_invariance():
     for _ in range(50):
         a = rand_invertible(rng)
         assert is_smooth_surface(substitute_linear(FERMAT, a))
+
+
+# -- blocks of variables -------------------------------------------------------
+
+@pytest.mark.parametrize("text, smooth, sizes", [
+    ("X^4+Y^4+Z^4", False, []),                          # W is absent
+    ("X^4+2*X^2*Y^2+Y^4+Z^4+W^4", False, [2]),           # (X^2+Y^2)^2+Z^4+W^4
+    ("X^2*Y^2+Z^2*W^2", False, [2]),                     # singular along lines
+    ("X^4-4*X^2*Y^2+4*Y^4+Z^4+W^4", False, [2]),         # (X^2-2Y^2)^2: sqrt2 nodes
+    ("X^4+Y^4+Z^4+W^4+Y^2*Z*W", True, [1, 3]),           # form-1
+    ("2*X^4-Y^4+i*Z^4+W^4+3*Y^2*Z*W", True, [1, 3]),
+    ("X^4+Y^4+Z^4+Z*W^3+W^4", True, [1, 1, 2]),          # form-2
+    ("-X^4+2*Y^4+Z^4+i*Z*W^3+W^4", True, [1, 1, 2]),
+    ("X^3*Y+Y^4+Z^4+W^4", True, [2, 1, 1]),
+    ("X^4+Y^4+Z^4+W^4", True, [1, 1, 1, 1]),
+], ids=["cone", "square", "curve", "irrational-nodes", "form-1", "form-1-member",
+        "form-2", "form-2-member", "x3y", "fermat"])
+def test_block_verdicts(monkeypatch, text, smooth, sizes):
+    # a form whose monomials split the variables into blocks is decided
+    # block by block, each in its own variables; a missing variable is
+    # singular before any engine runs; the first singular block ends the
+    # verdict.  The irrational nodes are not Q(i) points, so their block
+    # is decided by exact elimination
+    f = parse_poly(text, 4)
+    seen = engine_sizes(monkeypatch)
+    assert is_smooth_surface(f) is smooth
+    assert seen == sizes
+    assert is_smooth_surface(substitute_linear(f, SHEAR)) is smooth
+
+
+def _unipotent_mix(rng):
+    """L*R with L lower and R upper unitriangular, their entries nonzero
+    integers: an invertible integer matrix that mixes all four variables."""
+    def entry():
+        return rng.choice((-2, -1, 1, 2))
+    low = Matrix.from_rows([[1 if i == j else entry() if j < i else 0
+                             for j in range(4)] for i in range(4)])
+    up = Matrix.from_rows([[1 if i == j else entry() if j > i else 0
+                            for j in range(4)] for i in range(4)])
+    return low * up
+
+
+def _block_form(rng, size, singular):
+    """A random Z[i] quartic in `size` variables.  A singular one has
+    isolated Q(i)-rational singular points only: the zero form in one
+    variable (singular at that coordinate point), y^2*q(x, y) in two,
+    and in three a form with no x^4, x^3*y, x^3*z terms (a node at
+    (1:0:0))."""
+    def coeff():
+        return GR(rng.randint(-3, 3), rng.randint(-3, 3))
+    if size == 1:
+        return {} if singular else {(4,): coeff() or ONE}
+    exps = [e for e in monomials(size, 4)
+            if not singular or (size == 2 and e[1] >= 2) or (size == 3 and e[0] <= 2)]
+    terms = {e: coeff() for e in exps}
+    return terms if any(not c.is_zero() for c in terms.values()) else {exps[-1]: ONE}
+
+
+def _partition(rng):
+    """A random partition of the four variables into two or more blocks."""
+    while True:
+        labels = [rng.randrange(4) for _ in range(4)]
+        blocks = [[v for v in range(4) if labels[v] == b] for b in range(4)]
+        blocks = [b for b in blocks if b]
+        if len(blocks) > 1:
+            return blocks
+
+
+def test_block_verdict_matches_the_mixed_image(monkeypatch):
+    # a form in disjoint blocks of variables, at most one of them singular
+    # (so that the singular points are isolated and Q(i)-rational), has the
+    # verdict of its image under a unipotent integer matrix that mixes all
+    # the variables: one block, decided by the four-variable engine, whose
+    # witness proves each singular image singular without exact elimination
+    rng = random.Random(18)
+    _forbid_exact_rank(monkeypatch)
+    sizes = engine_sizes(monkeypatch)
+    verdicts = []
+    for _ in range(24):
+        blocks = _partition(rng)
+        bad = rng.choice([None] + list(range(len(blocks))))
+        terms = {}
+        for j, b in enumerate(blocks):
+            for e, c in _block_form(rng, len(b), j == bad).items():
+                exp = [0] * 4
+                for v, a in zip(b, e):
+                    exp[v] = a
+                terms[tuple(exp)] = c
+        f = HomPoly(4, 4, terms)
+        sizes.clear()
+        verdict = is_smooth_surface(f)
+        assert 4 not in sizes
+        sizes.clear()
+        assert is_smooth_surface(substitute_linear(f, _unipotent_mix(rng))) is verdict
+        assert sizes and set(sizes) == {4}
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_rejects_wrong_shape():

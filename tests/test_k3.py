@@ -5,10 +5,11 @@ import pytest
 
 from quartic_galois import k3
 
-from quartic_galois.errors import DegenerateInputError, NoMatchingTypeError
+from quartic_galois.errors import (DegenerateInputError, NoMatchingTypeError,
+                                   SingularSurfaceError, UnnormalizedAutomorphismError)
 from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, MINUS_ONE, ONE
-from quartic_galois.galois import linear_auto
+from quartic_galois.galois import LinearAuto, linear_auto
 from quartic_galois.geometry import eigen_decompose_order4, section
 from quartic_galois.k3 import (FixedLocusReport, GramMatrix2, MAX_OUTER_GALOIS_COUNT,
                                MAX_OUTER_GALOIS_TRANSCENDENTAL_GRAM,
@@ -22,7 +23,7 @@ from quartic_galois.k3 import (FixedLocusReport, GramMatrix2, MAX_OUTER_GALOIS_C
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import ProjPoint, parse_poly, substitute_linear
 
-from helpers import (SIGMA1, SIGMA2, SIGMA3, SIGMA4, diag, lift_form1,
+from helpers import (SIGMA1, SIGMA2, SIGMA3, SIGMA4, diag, engine_sizes, lift_form1,
                      lift_form2, rand_sl2, rand_smooth_plane_quartic,
                      rand_squarefree_binary_quartic)
 
@@ -199,6 +200,74 @@ def test_fixed_locus_decomposes_once(monkeypatch, f, values, kernels, sections):
 def test_fixed_locus_rejects_scalar():
     with pytest.raises(DegenerateInputError):
         fixed_locus(FERMAT, linear_auto(FERMAT, Matrix.identity(4)))
+
+
+# the surface W^4 + (X^2+Y^2)^2 + Z^4, singular at (1 : i : 0 : 0), and its
+# automorphism diag(1, 1, 1, i)
+SINGULAR_WITH_AUTO = (parse_poly("X^4+2*X^2*Y^2+Y^4+Z^4+W^4", 4), diag(1, 1, 1, I))
+
+
+def _certified(monkeypatch):
+    """The forms whose smoothness fixed_locus certifies."""
+    forms = []
+    smooth = k3.is_smooth_surface
+
+    def spying(f):
+        forms.append(f)
+        return smooth(f)
+
+    monkeypatch.setattr(k3, "is_smooth_surface", spying)
+    return forms
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["aligned", "conjugated"])
+def test_fixed_locus_rejects_a_singular_surface(monkeypatch, conjugated):
+    f, m = SINGULAR_WITH_AUTO
+    if conjugated:
+        a = _height1_gaussian(19)
+        f, m = substitute_linear(f, a), a.inverse() * m * a
+    forms = _certified(monkeypatch)
+    with pytest.raises(SingularSurfaceError):
+        fixed_locus(f, linear_auto(f, m))
+    # in generic coordinates the eigen-coordinates give a sparser form
+    assert len(forms) == 1 and (forms[0] == f) is not conjugated
+    assert len(forms[0].num) <= len(f.num)
+
+
+def test_fixed_locus_certifies_the_sparser_form(monkeypatch):
+    # form-2 conjugated: in the eigen-coordinates of its automorphism it
+    # splits into two binary blocks, and no four-variable engine runs
+    a = _height1_gaussian(19)
+    f, m = substitute_linear(FORM2, a), a.inverse() * diag(I, I, 1, 1) * a
+    forms, sizes = _certified(monkeypatch), engine_sizes(monkeypatch)
+    fixed_locus(f, linear_auto(f, m))
+    assert len(forms) == 1 and len(forms[0].num) < len(f.num)
+    assert sizes and 4 not in sizes
+
+
+def test_fixed_locus_keeps_f_when_the_eigen_form_is_denser(monkeypatch):
+    # a cyclic permutation of Fermat's coordinates has eigenvectors
+    # (1, mu, mu^2, mu^3): Fermat in them has more terms, so f is certified
+    cycle = Matrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
+    forms = _certified(monkeypatch)
+    fixed_locus(FERMAT, linear_auto(FERMAT, cycle))
+    assert forms == [FERMAT] and forms[0] is FERMAT
+
+
+@pytest.mark.parametrize("f, m, error", [
+    (FERMAT, diag(I, I, I, I), DegenerateInputError),
+    (FERMAT, diag(2, 2, 2, 2), DegenerateInputError),
+    (FERMAT, diag(2, 1, 1, 1), UnnormalizedAutomorphismError),
+    (SINGULAR_WITH_AUTO[0], diag(2, 2, 2, 2), SingularSurfaceError),
+    (SINGULAR_WITH_AUTO[0], diag(2, 1, 1, 1), SingularSurfaceError),
+], ids=["scalar-i", "scalar-2", "unnormalized", "singular-scalar",
+        "singular-unnormalized"])
+def test_fixed_locus_error_order(f, m, error):
+    # a singular surface is reported first, then a scalar matrix, then a
+    # matrix that the decomposition rejects (a LinearAuto built by hand,
+    # since linear_auto checks m**4 == I)
+    with pytest.raises(error):
+        fixed_locus(f, LinearAuto(m, ONE))
 
 
 def test_character_fixed_locus_consistency():

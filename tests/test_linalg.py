@@ -222,6 +222,53 @@ def test_pivots_mod_p_matches_echelon(p):
         assert (a == before).all()
 
 
+def _reference_echelon_mod_p(a, p):
+    """Forward elimination mod p on every column in turn, in Python ints:
+    (pivot columns, the matrix left), for _echelon_mod_p to match."""
+    a = a.tolist()
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        hit = [i for i in range(r, len(a)) if a[i][c]]
+        if r == len(a) or not hit:
+            continue
+        a[r], a[hit[0]] = a[hit[0]], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(r + 1, len(a)):
+            a[i] = [(x - a[i][c] * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return pivots, a
+
+
+def _sparse_matrices_with_zero_columns(p, rng):
+    """Random sparse matrices mod p, some columns zero in every row."""
+    for rows, cols in ((1, 6), (5, 5), (8, 12), (12, 8), (20, 30), (40, 25)):
+        for density in (0.05, 0.2, 0.5):
+            a = rng.integers(1, p, size=(rows, cols))
+            a[rng.random(size=(rows, cols)) > density] = 0
+            a[:, rng.random(size=cols) < 0.3] = 0
+            a[rng.random(size=rows) < 0.1] = a[0]
+            yield a
+
+
+@pytest.mark.parametrize("p", _CERT_PRIMES)
+def test_live_columns_match_a_column_by_column_reference(p):
+    # only the columns nonzero in some row are eliminated, and pivot rows
+    # are applied only where a leftover row can be nonzero; the pivots, the
+    # matrix left in place and the reduced form are those of elimination
+    # on every column
+    rng = np.random.default_rng(p % 1000)
+    for a in _sparse_matrices_with_zero_columns(p, rng):
+        pivots, left = _reference_echelon_mod_p(a, p)
+        b = a.copy()
+        assert _echelon_mod_p(b, p) == pivots
+        assert b.tolist() == left
+        echelon = _pivots_mod_p(a, p)
+        assert echelon.pivots == pivots
+        assert oracle_rref_mod_p(echelon.rows(), p) == oracle_rref_mod_p(a, p)
+
+
 def _deficient_matrices(p, rng):
     """Matrices mod p of rank at most rank, with zero rows, a repeated
     row and entries within 2**20 of p."""

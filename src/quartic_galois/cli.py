@@ -18,7 +18,7 @@ import sys
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ConsistencyError, ParseError
+from .errors import ConsistencyError, ParseError, SurfaceNotPreservedError
 from .gaussian import GaussianRational, I, ONE, parse_integer, scan_piece
 from .galois import (enumerate_outer_galois_points, galois_generator,
                      is_outer_galois_point, linear_auto)
@@ -80,13 +80,16 @@ def cmd_galois(args: argparse.Namespace) -> int:
         if not args.point:
             raise ParseError("galois test requires --point")
         p = parse_point(_read_arg(args.point))
-        verdict = is_outer_galois_point(f, p)
+        try:
+            gen = galois_generator(f, p)
+        except SurfaceNotPreservedError:
+            gen = None
+        verdict = gen is not None
         payload: Dict = {"command": "galois-test", "surface": str(f),
                          "point": str(p), "outer_galois_point": verdict}
         lines = [f"surface: {f}", f"point: {p}",
                  f"outer Galois point: {'yes' if verdict else 'no'}"]
-        if verdict:
-            gen = galois_generator(f, p)
+        if gen is not None:
             payload["generator"] = [str(x) for x in gen.matrix.entries]
             payload["multiplier"] = str(gen.multiplier)
             lines.append("generator:")

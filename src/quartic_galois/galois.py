@@ -1,24 +1,33 @@
 """Outer Galois points of smooth quartic surfaces.
 
-A point P off a smooth quartic S is an outer Galois point when the
-projection away from P makes the function-field extension Galois; for
-quartic surfaces the group is then cyclic of order 4 and its generator
-is a linear homology of period 4 centered at P.
+A point P off a smooth quartic S = {f = 0} is an outer Galois point when
+the projection away from P makes the function-field extension Galois;
+for quartic surfaces the group is then cyclic of order 4 and its
+generator is a linear homology of period 4 centered at P.
 
-Algebraic criterion used throughout this module.  Complete P to a
-basis and write f = c0*T**4 + c1*T**3 + c2*T**2 + c3*T + c4 with c_k a
-form of degree k in the complementary variables and c0 = f(P) != 0.
-The shear T -> T - c1/(4 c0) always kills the T**3 coefficient; it
-kills the T**2 and T coefficients simultaneously exactly when
+Criterion used throughout this module.  P is an outer Galois point
+exactly when the homology of period 4 with center P and the polar plane
+ker grad f(P) as axis,
 
-    8*c0*c2 == 3*c1**2   and   8*c0**2*c3 == 4*c0*c1*c2 - c1**3,
+    sigma_P(x) = x + (i - 1) * (grad f(P) . x) / (4 f(P)) * P,
 
-in which case f is equivalent, through a transformation fixing P, to
-the split form T**4 + (quartic in the complementary variables), which
-is a cyclic Kummer extension since i lies in the ground field.
-Equivalently (and basis-freely): the two identities hold iff the first
-polar of f at P is a nonzero perfect cube of a linear form, which is
-what the enumerator searches for.
+preserves f, and sigma_P then generates the Galois group.  By Euler's
+identity the divisor 4 f(P) is grad f(P) . P, nonzero as P is off S.
+
+Proof.  If P is an outer Galois point, take the generator with
+eigenvalue i at P, and let H be its axis.  Its multiplier is 1, since
+f(i P) = f(P) != 0.  So in coordinates (T, rest) where it is
+diag(i, 1, 1, 1) only the monomials T**4 and those without T survive:
+f = c0*T**4 + G(rest) with c0 = f(P).  Hence grad f(P) = 4*c0*dT and
+H = ker grad f(P).  The homology with center P, axis H and eigenvalue i
+at P is unique, so it is sigma_P.  Conversely, an order-4
+homology centered at P that preserves f maps every line through P to
+itself, so its powers are four automorphisms of S over the projection
+from P, as many as its degree: the projection is Galois.
+
+In the coordinates above the first polar of f at P is 4*c0*T**3, a
+perfect cube of a linear form; the enumerator searches the locus where
+the first polar is one.
 """
 
 from __future__ import annotations
@@ -27,11 +36,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (ConsistencyError, InnerPointError, SingularSurfaceError)
+from .errors import (ConsistencyError, InnerPointError, SingularSurfaceError,
+                     SurfaceNotPreservedError, UnnormalizedAutomorphismError)
 from .gaussian import ZERO, ONE, I, GaussianRational
 from .geometry import is_smooth_surface
 from .linalg import Matrix
-from .poly import HomPoly, ProjPoint, substitute_linear, x_decompose
+from .poly import HomPoly, ProjPoint, partials, substitute_linear
 from .solver import cube_locus_quadrics, solve_projective
 
 PROVED_COMPLETE = "proved-complete"
@@ -59,7 +69,6 @@ def linear_auto(f: HomPoly, m: Matrix) -> LinearAuto:
     Requires m**4 == identity exactly (the normalization every homology
     in scope satisfies); computes and checks the multiplier.
     """
-    from .errors import SurfaceNotPreservedError, UnnormalizedAutomorphismError
     if m.rows != 4 or m.cols != 4:
         raise ValueError("expected a 4x4 matrix")
     if f.is_zero():
@@ -146,24 +155,6 @@ def adapted_basis(p: ProjPoint) -> Matrix:
     return Matrix.from_columns(cols)
 
 
-def _chart_coefficients(f: HomPoly, p: ProjPoint,
-                        basis: Optional[Matrix] = None) -> List[HomPoly]:
-    b = basis if basis is not None else adapted_basis(p)
-    fb = substitute_linear(f, b)
-    return x_decompose(fb, 0).c
-
-
-def _is_split_chart(c: List[HomPoly]) -> bool:
-    """The two identities of the module docstring on chart coefficients."""
-    c0 = c[0].coeff((0, 0, 0))
-    eight_c0 = GaussianRational(8) * c0
-    if c[2].scale(eight_c0) != (c[1] * c[1]).scale(3):
-        return False
-    lhs = c[3].scale(eight_c0 * c0)
-    rhs = (c[1] * c[2]).scale(GaussianRational(4) * c0) - c[1] * c[1] * c[1]
-    return lhs == rhs
-
-
 def _check_off_surface(f: HomPoly, p: ProjPoint, check_smooth: bool) -> None:
     if check_smooth:
         _require_smooth(f)
@@ -177,51 +168,45 @@ def is_outer_galois_point(f: HomPoly, p: ProjPoint, *,
                           basis: Optional[Matrix] = None) -> bool:
     """Decide whether p (off the surface) is an outer Galois point of f.
 
-    The verdict does not depend on the basis completion; a specific one
-    may be supplied to exercise exactly that covariance.
+    Given a basis whose first column is a multiple of p, the verdict is
+    taken for f(basis x) at (1:0:0:0), which exercises the criterion's
+    covariance: the verdict is the same.  Any other matrix is refused
+    with ValueError.
     """
     _check_off_surface(f, p, check_smooth)
-    return _is_split_chart(_chart_coefficients(f, p, basis))
+    if basis is not None:
+        if basis.det().is_zero() or ProjPoint(basis.column(0)) != p:
+            raise ValueError(f"basis does not complete {p}: it must be "
+                             "invertible with a first column on the point")
+        f, p = substitute_linear(f, basis), _coordinate_point(0)
+    return _generator_or_none(f, p) is not None
 
 
 def galois_generator(f: HomPoly, p: ProjPoint, *,
                      check_smooth: bool = True) -> LinearAuto:
-    """The order-4 homology generating the Galois group at p.
-
-    The generator is the homology x -> x + (i - 1) * ell(x) * p with
-    center p, where ell is the linear form with ell(p) = 1 read off the
-    chart's shear: ell is the coordinate T of the module docstring after
-    the shear, in which the generator is diag(i, 1, 1, 1).  The exact
-    relation f(M x) == multiplier * f is re-verified.
+    """The homology sigma_P of the module docstring, which generates the
+    Galois group at p, with multiplier 1.  SurfaceNotPreservedError when
+    sigma_P does not preserve f, that is when p is not an outer Galois
+    point.
     """
     _check_off_surface(f, p, check_smooth)
     gen = _generator_or_none(f, p)
     if gen is None:
-        raise ValueError(f"{p} is not an outer Galois point of this quartic")
+        raise SurfaceNotPreservedError(
+            f"{p} is not an outer Galois point of this quartic")
     return gen
 
 
 def _generator_or_none(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
-    """The Galois generator at p (off the surface), or None when p is not
-    an outer Galois point; the chart expansion is computed once."""
-    c = _chart_coefficients(f, p)
-    if not _is_split_chart(c):
-        return None
-    u = c[1].scale(ONE / (GaussianRational(4) * c[0].coeff((0, 0, 0))))
-    pivot = p.pivot_index()
-    rest = [j for j in range(4) if j != pivot]
-    ell = [ZERO] * 4
-    for k, j in enumerate(rest):
-        ell[j] = u.coeff(tuple(1 if t == k else 0 for t in range(3)))
-    ell[pivot] = ONE - sum((ell[j] * p[j] for j in rest), ZERO)
-    shift = [(I - ONE) * x for x in p]
-    m = Matrix(4, 4, [(ONE if a == b else ZERO) + shift[a] * ell[b]
-                      for a in range(4) for b in range(4)])
-    lam = _multiplier(f, substitute_linear(f, m))
-    if lam is None:
-        raise ConsistencyError(
-            "constructed generator fails to preserve the surface")
-    return LinearAuto(m, lam)
+    """sigma_P at p (off the surface) when it preserves f exactly, or None:
+    the one check that is the test, the generator and its proof."""
+    grad = [g.eval(p.coords) for g in partials(f)]
+    # (i - 1) * ell, with ell = grad f(P) / (grad f(P) . P) and ell(P) = 1
+    scale = (I - ONE) / sum((a * x for a, x in zip(grad, p)), ZERO)
+    row = [scale * a for a in grad]
+    m = Matrix(4, 4, [(ONE if r == c else ZERO) + p[r] * row[c]
+                      for r in range(4) for c in range(4)])
+    return LinearAuto(m, ONE) if substitute_linear(f, m) == f else None
 
 
 # ---------------------------------------------------------------------------
@@ -282,23 +267,25 @@ def enumerate_outer_galois_points(
     cube-locus quadrics, a basis mod each certificate prime of the cube
     condition's minors, whose zeros contain those of all the minors.
     solver.solve_projective finds them mod p, lifts them to Q(i) and
-    keeps each only as an exact zero.  Those, the four coordinate points
-    and any user candidates are then tested exactly for the Galois
-    property and given their verified generators, so every reported
-    point is correct whatever the search proved.  The report is
-    proved-complete only when the solver's Hilbert-function count
-    certifies that no complex zero was missed; otherwise it is
-    candidates-only with the solver's reason.  A proved-complete point
-    count outside {0, 1, 2, 4} is impossible for smooth quartics and
-    raises ConsistencyError.
+    keeps each only as an exact zero, and each is kept when sigma_P (see
+    the module docstring) preserves f, with sigma_P as its verified
+    generator; so every reported point is correct whatever the search
+    proved.  The report is proved-complete only when the solver's
+    Hilbert-function count certifies that no complex zero was missed;
+    the four coordinate points and the extra candidates could then add
+    nothing, and are tested only when the report is candidates-only,
+    with the solver's reason.  A proved-complete point count outside
+    {0, 1, 2, 4} is impossible for smooth quartics and raises
+    ConsistencyError.
     """
     if f.nvars != 4 or f.degree != 4:
         raise ValueError("expected a quartic form in 4 variables")
     _require_smooth(f)
     sols, reason = solve_projective(cube_locus_quadrics(f), 4)
     candidates = list(sols)
-    candidates.extend(_coordinate_point(v) for v in range(4))
-    candidates.extend(extra_candidates)
+    if reason is not None:
+        candidates.extend(_coordinate_point(v) for v in range(4))
+        candidates.extend(extra_candidates)
     pairs = _verified_pairs(f, candidates)
     if reason is None and len(pairs) not in (0, 1, 2, 4):
         raise ConsistencyError(

@@ -445,6 +445,9 @@ def moduli_dimension(family_monomial_count: int,
                      automorphisms: Sequence[Matrix]) -> int:
     """Naive family dimension: parameters minus the linear symmetry
     dimension (the centralizer of the prescribed automorphisms)."""
+    if family_monomial_count > 35:
+        raise ValueError(f"{family_monomial_count} monomials exceed 35, the "
+                         "number of quartic monomials in X, Y, Z, W")
     dim = family_monomial_count - centralizer_dimension(list(automorphisms))
     if dim < 0:
         raise ValueError(

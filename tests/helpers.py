@@ -52,6 +52,16 @@ def rand_invertible(rng: random.Random, size: int = 4) -> Matrix:
             return m
 
 
+def height1_gaussian(seed: int) -> Matrix:
+    """A seeded invertible matrix with entries a + b*i, a, b in {-1, 0, 1}."""
+    rng = random.Random(seed)
+    while True:
+        m = Matrix(4, 4, [GaussianRational(rng.randint(-1, 1), rng.randint(-1, 1))
+                          for _ in range(16)])
+        if not m.det().is_zero():
+            return m
+
+
 def rand_sl2(rng: random.Random, bound: int = 10) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     """A random SL2(Z) matrix with entries bounded in absolute value."""
     shear_t = ((1, 1), (0, 1))

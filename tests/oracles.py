@@ -9,7 +9,10 @@ Matrix products are schoolbook sums of Fraction pairs, without
 GaussianRational arithmetic.  Reduced row echelon forms modulo a prime
 come from a plain Gauss-Jordan loop that clears each pivot column above
 and below at once.  The cube-locus minors are expanded term by term
-over Z[i], with no modular step.
+over Z[i], with no modular step.  Outer Galois points are decided by
+the chart criterion, not by the homology the package builds: f pulled
+back by sympy to a basis adapted to P, and two shear identities on its
+coefficients in the first variable.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import numpy as np
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from quartic_galois.galois import adapted_basis
 from quartic_galois.gaussian import GaussianRational
 from quartic_galois.linalg import Matrix
-from quartic_galois.poly import HomPoly, partials
+from quartic_galois.poly import HomPoly, ProjPoint, partials, x_decompose
 from quartic_galois.solver import _primitive
 from quartic_galois.univariate import _gi_mul
 
@@ -75,6 +79,25 @@ def sympy_to_hompoly(expr, syms, degree: int) -> HomPoly:
     poly = sympy.Poly(expr, *syms, domain="QQ_I")
     return HomPoly(len(syms), degree,
                    {exp: sympy_to_gr(c) for exp, c in poly.terms() if c != 0})
+
+
+def oracle_is_outer_galois_point(f: HomPoly, p: ProjPoint) -> bool:
+    """The chart criterion for p off the surface.  With f(adapted_basis(p) y)
+    = c0*T**4 + c1*T**3 + c2*T**2 + c3*T + c4, c_k of degree k in the other
+    variables and c0 = f(p), the shear T -> T - c1/(4 c0) kills the T**3
+    term, and it kills the T**2 and T terms as well, leaving the split form
+    c0*T**4 + (quartic without T), exactly when
+
+        8*c0*c2 == 3*c1**2   and   8*c0**2*c3 == 4*c0*c1*c2 - c1**3.
+    """
+    c = x_decompose(oracle_substitute_linear(f, adapted_basis(p)), 0).c
+    c0 = c[0].coeff((0, 0, 0))
+    eight_c0 = GaussianRational(8) * c0
+    if c[2].scale(eight_c0) != (c[1] * c[1]).scale(3):
+        return False
+    lhs = c[3].scale(eight_c0 * c0)
+    rhs = (c[1] * c[2]).scale(GaussianRational(4) * c0) - c[1] * c[1] * c[1]
+    return lhs == rhs
 
 
 def oracle_polar_forms(f: HomPoly, p: Sequence[GaussianRational]) -> List[HomPoly]:

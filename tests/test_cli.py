@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from quartic_galois import cli
+from quartic_galois import cli, galois
 from quartic_galois.cli import main
 from quartic_galois.errors import ConsistencyError
 
@@ -55,6 +55,21 @@ def test_galois_test_verdicts(capsys):
     code, payload, _ = run_json(capsys, "galois", "test", FERMAT,
                                 "--point", "1:1:0:0")
     assert code == 2 and payload["outer_galois_point"] is False
+
+
+def test_galois_test_builds_the_homology_once(capsys, monkeypatch):
+    calls = []
+    generator = galois._generator_or_none
+
+    def spy(f, p):
+        calls.append(str(p))
+        return generator(f, p)
+
+    monkeypatch.setattr(galois, "_generator_or_none", spy)
+    for point, expected in (("0:1:0:0", 0), ("0:0:1:0", 2)):
+        code, _, _ = run(capsys, "galois", "test", FORM2, "--point", point)
+        assert code == expected
+    assert calls == ["0:1:0:0", "0:0:1:0"]
 
 
 def test_galois_test_inner_point_error(capsys):
@@ -174,6 +189,14 @@ def test_moduli_dim_rejects_negative_count(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "-5" in err
     assert "negative dimension" not in err
+
+
+def test_moduli_dim_rejects_count_above_35(capsys):
+    code, out, err = run(capsys, "moduli", "dim", "--count", "100")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "exceed 35" in err
+    code, payload, _ = run_json(capsys, "moduli", "dim", "--count", "35")
+    assert code == 0 and payload["dimension"] == 19
 
 
 def test_moduli_monomials(capsys):

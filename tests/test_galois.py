@@ -10,15 +10,16 @@ from quartic_galois.gaussian import I, ONE, ZERO
 from quartic_galois.galois import (adapted_basis, enumerate_outer_galois_points,
                                    galois_generator, is_outer_galois_point,
                                    linear_auto, recognize_normal_form)
-from quartic_galois import geometry, solver
+from quartic_galois import galois, geometry, solver
 from quartic_galois.geometry import eigen_decompose_order4, is_smooth_surface
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import (ProjPoint, parse_poly, substitute_linear,
                                  x_decompose)
 
-from helpers import (SIGMA1, lift_form1, lift_form2, rand_invertible,
-                     rand_smooth_plane_quartic, rand_squarefree_binary_quartic,
-                     zeros_mod_p)
+from helpers import (SIGMA1, height1_gaussian, lift_form1, lift_form2,
+                     rand_invertible, rand_smooth_plane_quartic,
+                     rand_squarefree_binary_quartic, zeros_mod_p)
+from oracles import oracle_is_outer_galois_point
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
 FORM1 = parse_poly("X^4+Y^4+Z^4+W^4+Y^2*Z*W", 4)
@@ -39,6 +40,8 @@ def test_fermat_coordinate_points_are_galois():
 def test_fermat_diagonal_point_is_not_galois():
     p = ProjPoint([1, 1, 0, 0])
     assert not is_outer_galois_point(FERMAT, p)
+    with pytest.raises(SurfaceNotPreservedError, match="not an outer Galois"):
+        galois_generator(FERMAT, p)
     # the chart coefficients behind the refusal: c0=2, c1=4Y, c2=6Y^2,
     # so 8*c0*c2 = 96 Y^2 while 3*c1^2 = 48 Y^2
     fb = substitute_linear(FERMAT, adapted_basis(p))
@@ -86,6 +89,20 @@ def test_tester_basis_completion_invariance():
                 if not b.det().is_zero():
                     break
             assert is_outer_galois_point(f, p, basis=b) == expected
+
+
+def test_tester_rejects_basis_that_does_not_complete_the_point():
+    # the identity completes (1:0:0:0), a Galois point, not (1:1:0:0)
+    p = ProjPoint([1, 1, 0, 0])
+    with pytest.raises(ValueError, match="does not complete"):
+        is_outer_galois_point(FERMAT, p, basis=Matrix.identity(4))
+    singular = Matrix.from_columns([list(p.coords), list(p.coords),
+                                    [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(ValueError, match="does not complete"):
+        is_outer_galois_point(FERMAT, p, basis=singular)
+    scaled = Matrix.from_columns([[2 * I, 2 * I, 0, 0], [0, 1, 0, 0],
+                                  [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert is_outer_galois_point(FERMAT, p, basis=scaled) is False
 
 
 def test_tester_covariance_under_conjugation():
@@ -531,3 +548,70 @@ def test_generator_needs_no_matrix_products(monkeypatch):
         monkeypatch.setattr(Matrix, name, counting(name))
     assert _generator_or_none(fa, p) is not None
     assert calls == {"inverse": 0, "__mul__": 0}
+
+
+def test_tester_and_generator_agree_with_the_chart_criterion():
+    # the homology test against the chart's shear identities, on random
+    # form-1 and form-2 members with their coordinate Galois points and
+    # off-surface points that are not Galois, aligned and conjugated; a
+    # Galois point's generator is diag(i, 1, 1, 1) in the sheared basis
+    rng = random.Random(70)
+    cases = [(lift_form1(rand_smooth_plane_quartic(rng)), [E1])
+             for _ in range(2)]
+    cases += [(lift_form2(rand_squarefree_binary_quartic(rng)), [E1, E2])
+              for _ in range(2)]
+    verdicts = []
+    for seed, (f, galois_points) in enumerate(cases, 70):
+        others = []
+        while len(others) < 2:
+            q = ProjPoint([GR(rng.randint(-2, 2), rng.randint(-1, 1))
+                           for _ in range(4)])
+            if q not in galois_points and not f.eval(q.coords).is_zero():
+                others.append(q)
+        for a in (Matrix.identity(4), height1_gaussian(seed)):
+            fa = substitute_linear(f, a)
+            inv = a.inverse()
+            for p in galois_points + others:
+                moved = ProjPoint(inv.apply(list(p.coords)))
+                verdict = is_outer_galois_point(fa, moved)
+                assert verdict == oracle_is_outer_galois_point(fa, moved)
+                verdicts.append(verdict)
+                if verdict:
+                    conj = _sheared_basis(fa, moved)
+                    assert galois_generator(fa, moved).matrix == (
+                        conj * Matrix.diagonal([I, 1, 1, 1]) * conj.inverse())
+    assert verdicts.count(True) == 12 and verdicts.count(False) == 16
+
+
+@pytest.mark.parametrize("extra", [[], [ProjPoint([1, 1, 1, 1])]],
+                         ids=["solver", "with-candidate"])
+def test_proved_complete_search_tests_only_solver_points(monkeypatch, extra):
+    # when the count closes, every Galois point is among the solver's
+    # zeros: the coordinate points and the candidates are not tested
+    fa = _conjugate_5()
+    solved, tested = [], []
+    solve, generator = galois.solve_projective, galois._generator_or_none
+
+    def spy_solve(*args):
+        sols, reason = solve(*args)
+        solved.extend(sols)
+        return sols, reason
+
+    def spy_generator(f, p):
+        tested.append(p)
+        return generator(f, p)
+
+    monkeypatch.setattr(galois, "solve_projective", spy_solve)
+    monkeypatch.setattr(galois, "_generator_or_none", spy_generator)
+    rep = enumerate_outer_galois_points(fa, extra)
+    assert rep.reason is None and len(rep.points) == 4
+    assert tested == solved and len(solved) == 4
+
+
+def test_candidates_only_search_tests_coordinate_points(monkeypatch):
+    monkeypatch.setattr(galois, "solve_projective",
+                        lambda forms, n: ([], "hilbert-not-stable"))
+    rep = enumerate_outer_galois_points(FERMAT)
+    assert rep.completeness == "candidates-only"
+    assert rep.reason == "hilbert-not-stable"
+    assert rep.point_list() == [E4, E3, E2, E1]

@@ -23,9 +23,9 @@ from quartic_galois.k3 import (FixedLocusReport, GramMatrix2, MAX_OUTER_GALOIS_C
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import ProjPoint, parse_poly, substitute_linear
 
-from helpers import (SIGMA1, SIGMA2, SIGMA3, SIGMA4, diag, engine_sizes, lift_form1,
-                     lift_form2, rand_sl2, rand_smooth_plane_quartic,
-                     rand_squarefree_binary_quartic)
+from helpers import (SIGMA1, SIGMA2, SIGMA3, SIGMA4, diag, engine_sizes,
+                     height1_gaussian, lift_form1, lift_form2, rand_sl2,
+                     rand_smooth_plane_quartic, rand_squarefree_binary_quartic)
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
 FORM1 = parse_poly("X^4+Y^4+Z^4+W^4+Y^2*Z*W", 4)
@@ -119,15 +119,6 @@ AUTOS = [
 ]
 
 
-def _height1_gaussian(seed):
-    rng = random.Random(seed)
-    while True:
-        a = Matrix(4, 4, [GR(rng.randint(-1, 1), rng.randint(-1, 1))
-                          for _ in range(16)])
-        if not a.det().is_zero():
-            return a
-
-
 def _reference_fixed_locus(f, m):
     """The fixed locus with a separate eigendecomposition of m*m and a
     section on every eigenspace of m and of m*m."""
@@ -165,7 +156,7 @@ def test_fixed_locus_matches_separate_square_decomposition(family, values,
                                                            conjugated):
     f, m = AUTO_FAMILIES[family], diag(*values)
     if conjugated:
-        a = _height1_gaussian(19)
+        a = height1_gaussian(19)
         f, m = substitute_linear(f, a), a.inverse() * m * a
     rep = fixed_locus(f, linear_auto(f, m))
     assert _report_key(rep) == _report_key(_reference_fixed_locus(f, m))
@@ -224,7 +215,7 @@ def _certified(monkeypatch):
 def test_fixed_locus_rejects_a_singular_surface(monkeypatch, conjugated):
     f, m = SINGULAR_WITH_AUTO
     if conjugated:
-        a = _height1_gaussian(19)
+        a = height1_gaussian(19)
         f, m = substitute_linear(f, a), a.inverse() * m * a
     forms = _certified(monkeypatch)
     with pytest.raises(SingularSurfaceError):
@@ -237,7 +228,7 @@ def test_fixed_locus_rejects_a_singular_surface(monkeypatch, conjugated):
 def test_fixed_locus_certifies_the_sparser_form(monkeypatch):
     # form-2 conjugated: in the eigen-coordinates of its automorphism it
     # splits into two binary blocks, and no four-variable engine runs
-    a = _height1_gaussian(19)
+    a = height1_gaussian(19)
     f, m = substitute_linear(FORM2, a), a.inverse() * diag(I, I, 1, 1) * a
     forms, sizes = _certified(monkeypatch), engine_sizes(monkeypatch)
     fixed_locus(f, linear_auto(f, m))

@@ -164,21 +164,9 @@ def _check_off_surface(f: HomPoly, p: ProjPoint, check_smooth: bool) -> None:
 
 
 def is_outer_galois_point(f: HomPoly, p: ProjPoint, *,
-                          check_smooth: bool = True,
-                          basis: Optional[Matrix] = None) -> bool:
-    """Decide whether p (off the surface) is an outer Galois point of f.
-
-    Given a basis whose first column is a multiple of p, the verdict is
-    taken for f(basis x) at (1:0:0:0), which exercises the criterion's
-    covariance: the verdict is the same.  Any other matrix is refused
-    with ValueError.
-    """
+                          check_smooth: bool = True) -> bool:
+    """Decide whether p (off the surface) is an outer Galois point of f."""
     _check_off_surface(f, p, check_smooth)
-    if basis is not None:
-        if basis.det().is_zero() or ProjPoint(basis.column(0)) != p:
-            raise ValueError(f"basis does not complete {p}: it must be "
-                             "invertible with a first column on the point")
-        f, p = substitute_linear(f, basis), _coordinate_point(0)
     return _generator_or_none(f, p) is not None
 
 
@@ -199,10 +187,26 @@ def galois_generator(f: HomPoly, p: ProjPoint, *,
 
 def _generator_or_none(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
     """sigma_P at p (off the surface) when it preserves f exactly, or None:
-    the one check that is the test, the generator and its proof."""
-    grad = [g.eval(p.coords) for g in partials(f)]
+    the one check that is the test, the generator and its proof.
+
+    A point whose first polar sum_j p_j df/dx_j is not the cube
+    4 f(P) ell**3 = (grad f(P) . x)**3 / (grad f(P) . P)**2 of the module
+    docstring is rejected before sigma_P is built: that identity follows
+    from the criterion, so it can only turn away non-Galois points.
+    """
+    grads = partials(f)
+    grad = [g.eval(p.coords) for g in grads]
+    dot = sum((a * x for a, x in zip(grad, p)), ZERO)
+    polar = HomPoly.zero(4, 3, f.names)
+    for g, x in zip(grads, p):
+        if not x.is_zero():
+            polar = polar + g.scale(x)
+    lin = HomPoly(4, 1, {tuple(int(t == j) for t in range(4)): a
+                         for j, a in enumerate(grad)}, f.names)
+    if polar.scale(dot * dot) != lin * lin * lin:
+        return None
     # (i - 1) * ell, with ell = grad f(P) / (grad f(P) . P) and ell(P) = 1
-    scale = (I - ONE) / sum((a * x for a, x in zip(grad, p)), ZERO)
+    scale = (I - ONE) / dot
     row = [scale * a for a in grad]
     m = Matrix(4, 4, [(ONE if r == c else ZERO) + p[r] * row[c]
                       for r in range(4) for c in range(4)])

@@ -88,21 +88,23 @@ def test_tester_basis_completion_invariance():
                 b = Matrix.from_columns(cols)
                 if not b.det().is_zero():
                     break
-            assert is_outer_galois_point(f, p, basis=b) == expected
+            assert is_outer_galois_point(substitute_linear(f, b), E1) == expected
 
 
-def test_tester_rejects_basis_that_does_not_complete_the_point():
-    # the identity completes (1:0:0:0), a Galois point, not (1:1:0:0)
+def test_non_galois_point_is_rejected_before_the_pullback(monkeypatch):
+    # the first polar of a generic conjugate at (1:1:0:0) is no cube, so
+    # sigma_P is never built; at a Galois point it is, and it is checked
+    fa = substitute_linear(FORM1, rand_invertible(random.Random(3)))
+    pullbacks = []
+    pullback = galois.substitute_linear
+    monkeypatch.setattr(galois, "substitute_linear",
+                        lambda f, m: pullbacks.append(m) or pullback(f, m))
     p = ProjPoint([1, 1, 0, 0])
-    with pytest.raises(ValueError, match="does not complete"):
-        is_outer_galois_point(FERMAT, p, basis=Matrix.identity(4))
-    singular = Matrix.from_columns([list(p.coords), list(p.coords),
-                                    [0, 0, 1, 0], [0, 0, 0, 1]])
-    with pytest.raises(ValueError, match="does not complete"):
-        is_outer_galois_point(FERMAT, p, basis=singular)
-    scaled = Matrix.from_columns([[2 * I, 2 * I, 0, 0], [0, 1, 0, 0],
-                                  [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert is_outer_galois_point(FERMAT, p, basis=scaled) is False
+    assert not fa.eval(p.coords).is_zero()
+    assert galois._generator_or_none(fa, p) is None
+    assert pullbacks == []
+    assert galois._generator_or_none(FORM1, E1) is not None
+    assert len(pullbacks) == 1
 
 
 def test_tester_covariance_under_conjugation():

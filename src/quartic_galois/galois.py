@@ -25,23 +25,28 @@ homology centered at P that preserves f maps every line through P to
 itself, so its powers are four automorphisms of S over the projection
 from P, as many as its degree: the projection is Galois.
 
-In the coordinates above the first polar of f at P is 4*c0*T**3, a
-perfect cube of a linear form; the enumerator searches the locus where
-the first polar is one.
+The first polar is the whole proof: with ell = grad f(P) . x / (4 f(P)),
+ell(P) = 1, sigma_P preserves f exactly when D_P f = sum_j P_j df/dx_j
+is 4 f(P) * ell**3.  In the coordinates above D_P f = 4*c0*T**3, ell = T.
+Conversely, g = f - f(P) * ell**4 has D_P g = 0, so g(x + t P) = g(x);
+sigma_P(x) = x + (i - 1) * ell(x) * P adds a multiple of P to x and gives
+ell(sigma_P x) = i * ell(x), so f(sigma_P x) = f(P) * ell(x)**4 + g(x)
+= f(x).  No quartic is pulled back.  The enumerator searches the locus
+where the first polar is a cube.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (ConsistencyError, InnerPointError, SingularSurfaceError,
                      SurfaceNotPreservedError, UnnormalizedAutomorphismError)
 from .gaussian import ZERO, ONE, I, GaussianRational
-from .geometry import is_smooth_surface
+from .geometry import EigenForm, eigen_form, is_smooth_surface
 from .linalg import Matrix
-from .poly import HomPoly, ProjPoint, partials, substitute_linear
+from .poly import HomPoly, ProjPoint, partials
 from .solver import cube_locus_quadrics, solve_projective
 
 PROVED_COMPLETE = "proved-complete"
@@ -50,9 +55,12 @@ CANDIDATES_ONLY = "candidates-only"
 
 @dataclass(frozen=True)
 class LinearAuto:
-    """An exact linear automorphism of a quartic: f(M x) == multiplier * f."""
+    """An exact linear automorphism of a quartic: f(M x) == multiplier * f.
+    eigen, left out of equality, is f in M's eigen-coordinates (linear_auto).
+    """
     matrix: Matrix
     multiplier: GaussianRational
+    eigen: Optional[EigenForm] = field(default=None, compare=False, repr=False)
 
     def projective_order(self) -> int:
         m = self.matrix
@@ -67,27 +75,24 @@ def linear_auto(f: HomPoly, m: Matrix) -> LinearAuto:
     """Validate that m preserves the surface of f and package it.
 
     Requires m**4 == identity exactly (the normalization every homology
-    in scope satisfies); computes and checks the multiplier.
+    in scope satisfies), proved by m's eigendecomposition.  In its
+    eigen-coordinates m = diag(i**k_j) preserves g = f(B y) with multiplier
+    lam exactly when every monomial y**a of g has i**(sum_j k_j a_j) = lam.
     """
     if m.rows != 4 or m.cols != 4:
         raise ValueError("expected a 4x4 matrix")
     if f.is_zero():
         raise ValueError("zero form does not define a surface")
-    if not (m ** 4).is_identity():
+    try:
+        eig = eigen_form(f, m)
+    except UnnormalizedAutomorphismError:
         raise UnnormalizedAutomorphismError(
-            "matrix does not satisfy M**4 == I; rescale it inside Q(i)")
-    lam = _multiplier(f, substitute_linear(f, m))
-    if lam is None or lam.is_zero():
+            "matrix does not satisfy M**4 == I; rescale it inside Q(i)") from None
+    shifts = {sum(k * a for k, a in zip(eig.powers, e)) % 4 for e in eig.form.num}
+    if len(shifts) != 1:
         raise SurfaceNotPreservedError(
             "matrix does not map the surface to itself")
-    return LinearAuto(m, lam)
-
-
-def _multiplier(f: HomPoly, g: HomPoly) -> Optional[GaussianRational]:
-    """The lam with g == lam * f exactly, or None when there is none."""
-    exp0, coeff0 = next(iter(f.sorted_terms()))
-    lam = g.coeff(exp0) / coeff0
-    return lam if g == f.scale(lam) else None
+    return LinearAuto(m, I ** shifts.pop(), eig)
 
 
 @dataclass
@@ -186,13 +191,12 @@ def galois_generator(f: HomPoly, p: ProjPoint, *,
 
 
 def _generator_or_none(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
-    """sigma_P at p (off the surface) when it preserves f exactly, or None:
-    the one check that is the test, the generator and its proof.
+    """sigma_P at p (off the surface) when it preserves f exactly, or None.
 
-    A point whose first polar sum_j p_j df/dx_j is not the cube
-    4 f(P) ell**3 = (grad f(P) . x)**3 / (grad f(P) . P)**2 of the module
-    docstring is rejected before sigma_P is built: that identity follows
-    from the criterion, so it can only turn away non-Galois points.
+    By the module docstring, sigma_P preserves f exactly when the first
+    polar sum_j p_j df/dx_j is the cube 4 f(P) ell**3 =
+    (grad f(P) . x)**3 / (grad f(P) . P)**2: that one identity is the
+    test, the generator and its proof.
     """
     grads = partials(f)
     grad = [g.eval(p.coords) for g in grads]
@@ -208,9 +212,8 @@ def _generator_or_none(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
     # (i - 1) * ell, with ell = grad f(P) / (grad f(P) . P) and ell(P) = 1
     scale = (I - ONE) / dot
     row = [scale * a for a in grad]
-    m = Matrix(4, 4, [(ONE if r == c else ZERO) + p[r] * row[c]
-                      for r in range(4) for c in range(4)])
-    return LinearAuto(m, ONE) if substitute_linear(f, m) == f else None
+    return LinearAuto(Matrix(4, 4, [(ONE if r == c else ZERO) + p[r] * row[c]
+                                    for r in range(4) for c in range(4)]), ONE)
 
 
 # ---------------------------------------------------------------------------

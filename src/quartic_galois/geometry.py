@@ -14,8 +14,8 @@ A variable that f lacks proves singular.  The others are grouped into
 blocks that no monomial mixes, and f is smooth exactly when each
 block's form F_i (f with the other variables set to 0) is: a common
 zero of the partials is nonzero on some block, where it is a critical
-point of F_i, and one of F_i padded with zeros is one of f.  Each block
-is decided alone, in its own variables, in up to three steps:
+point of F_i, and one of F_i padded with zeros is one of f.  A block
+c*x**4 is smooth; a larger one is decided alone, in up to three steps:
   1. at each certificate prime p the search builds the matrix modulo a
      Gaussian prime above p, with its columns in degree-reverse-lex
      order and without the rows that the Koszul syzygies among the
@@ -35,12 +35,13 @@ is decided alone, in its own variables, in up to three steps:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateInputError, UnnormalizedAutomorphismError
 from .gaussian import FOURTH_ROOTS, GaussianRational
 from .linalg import Matrix, SparseRow, prove_full_column_rank
-from .poly import (HomPoly, ProjPoint, monomials, partials,
+from .poly import (HomPoly, ProjPoint, monomials, partials, restrict,
                    squarefree_profile, substitute_linear)
 from .solver import _primitive, _searches
 
@@ -77,15 +78,15 @@ def jacobian_ideal_is_irrelevant(f: HomPoly) -> bool:
     gens = partials(f)
     if any(g.is_zero() for g in gens):
         return False
+    if f.nvars == 1:  # c*x**4 with c != 0 has no projective critical point
+        return True
     blocks = [{v} for v in range(f.nvars)]
     for exp in f.num:  # merge the blocks that the monomial meets
         hit = [b for b in blocks if any(exp[v] for v in b)]
         blocks = [b for b in blocks if b not in hit] + [set().union(*hit)]
     if len(blocks) > 1:
-        return all(jacobian_ideal_is_irrelevant(HomPoly(len(b), f.degree, {
-            tuple(e[v] for v in b): c for e, c in f.terms.items()
-            if sum(e[v] for v in b) == f.degree}))
-            for b in blocks)
+        return all(jacobian_ideal_is_irrelevant(restrict(f, sorted(b)))
+                   for b in blocks)
     n, k = f.nvars, f.degree - 1
     target = n * (k - 1) + 1
     forms = [_primitive(g) for g in gens]
@@ -116,6 +117,7 @@ def is_smooth_plane_quartic(f: HomPoly) -> bool:
     return jacobian_ideal_is_irrelevant(f)
 
 
+@dataclass(eq=False)
 class EigenDecomposition:
     """Exact eigenstructure of a matrix with M**4 == identity.
 
@@ -123,28 +125,11 @@ class EigenDecomposition:
     the canonical order 1, -1, i, -i; spaces[k] is an exact basis of
     the corresponding eigenspace.
     """
-
-    __slots__ = ("eigenvalues", "spaces")
-
-    def __init__(self, eigenvalues: List[GaussianRational],
-                 spaces: List[List[Tuple[GaussianRational, ...]]]):
-        self.eigenvalues = eigenvalues
-        self.spaces = spaces
+    eigenvalues: List[GaussianRational]
+    spaces: List[List[Tuple[GaussianRational, ...]]]
 
     def space_of(self, mu: GaussianRational) -> Optional[List[Tuple[GaussianRational, ...]]]:
-        for ev, sp in zip(self.eigenvalues, self.spaces):
-            if ev == mu:
-                return sp
-        return None
-
-
-def eigenspace(m: Matrix, mu: GaussianRational) -> List[Tuple[GaussianRational, ...]]:
-    """The kernel basis of m - mu*I (mu subtracted on the diagonal in
-    place).  It comes from the reduced row echelon form, so it depends
-    only on the eigenspace, not on the matrix that has it."""
-    step = m.cols + 1
-    return Matrix(m.rows, m.cols, [e - mu if k % step == 0 else e
-                                   for k, e in enumerate(m.entries)]).kernel_basis()
+        return dict(zip(self.eigenvalues, self.spaces)).get(mu)
 
 
 def eigen_decompose_order4(m: Matrix) -> EigenDecomposition:
@@ -162,20 +147,58 @@ def eigen_decompose_order4(m: Matrix) -> EigenDecomposition:
         raise ValueError("expected a 4x4 matrix")
     eigenvalues: List[GaussianRational] = []
     spaces: List[List[Tuple[GaussianRational, ...]]] = []
-    total = 0
-    for mu in FOURTH_ROOTS:
-        basis = eigenspace(m, mu)
+    for mu in FOURTH_ROOTS:  # the kernel of m - mu*I, mu subtracted in place
+        basis = Matrix(4, 4, [e - mu if k % 5 == 0 else e
+                              for k, e in enumerate(m.entries)]).kernel_basis()
         if basis:
             eigenvalues.append(mu)
             spaces.append(basis)
-            total += len(basis)
-    if total != 4:
+    if sum(map(len, spaces)) != 4:
         raise UnnormalizedAutomorphismError(
             "matrix does not satisfy M**4 == I; rescale the matrix "
             "(projective automorphisms must be normalized inside Q(i))")
     return EigenDecomposition(eigenvalues, spaces)
 
 
+_ROOT_POWERS = (0, 2, 1, 3)  # i**_ROOT_POWERS[n] == FOURTH_ROOTS[n]
+
+
+@dataclass(frozen=True)
+class EigenForm:
+    """The quartic f = `surface` in the eigen-coordinates of m, m**4 == I:
+    B has the eigenvectors of eigen_decompose_order4(m) as its columns
+    (`points`, each scaled as a ProjPoint), m B e_j = i**powers[j] B e_j,
+    and form is g = f(B y).  Every eigenspace of a power of m is then a
+    coordinate subspace of y, along which f is g with the others set to 0.
+    """
+    surface: HomPoly
+    points: List[ProjPoint]
+    powers: List[int]
+    form: HomPoly
+
+    def eigenspaces(self, power: int) -> List[Tuple[GaussianRational, Tuple[int, ...]]]:
+        """(eigenvalue, coordinates in y) of each eigenspace of m**power, in
+        the order 1, -1, i, -i of FOURTH_ROOTS."""
+        out = []
+        for k, mu in zip(_ROOT_POWERS, FOURTH_ROOTS):
+            coords = tuple(j for j, kj in enumerate(self.powers) if kj * power % 4 == k)
+            if coords:
+                out.append((mu, coords))
+        return out
+
+
+def eigen_form(f: HomPoly, m: Matrix) -> EigenForm:
+    """f in the eigen-coordinates of m: one decomposition of m, with its
+    errors, and one pullback of f."""
+    eig = eigen_decompose_order4(m)
+    points = [ProjPoint(v) for space in eig.spaces for v in space]
+    powers = [_ROOT_POWERS[FOURTH_ROOTS.index(mu)]
+              for mu, space in zip(eig.eigenvalues, eig.spaces) for _ in space]
+    b = Matrix.from_columns([list(p.coords) for p in points])
+    return EigenForm(f, points, powers, substitute_linear(f, b))
+
+
+@dataclass(eq=False)
 class CurveSection:
     """The intersection of a surface with a linear subspace of P^3.
 
@@ -184,29 +207,16 @@ class CurveSection:
     in the surface has genus 0; finite sections carry the exact count
     of distinct points.
     """
-
-    __slots__ = ("ambient", "form", "kind", "smooth", "genus", "point_count")
-
-    def __init__(self, ambient: Tuple[ProjPoint, ...], form: HomPoly, kind: str,
-                 smooth: Optional[bool], genus: Optional[int],
-                 point_count: Optional[int]):
-        self.ambient = ambient
-        self.form = form
-        self.kind = kind
-        self.smooth = smooth
-        self.genus = genus
-        self.point_count = point_count
+    ambient: Tuple[ProjPoint, ...]
+    form: HomPoly
+    kind: str
+    smooth: Optional[bool]
+    genus: Optional[int]
+    point_count: Optional[int]
 
     def __repr__(self) -> str:
         return (f"CurveSection(kind={self.kind}, genus={self.genus}, "
                 f"smooth={self.smooth}, points={self.point_count})")
-
-
-def _as_points(basis: SubspaceBasis) -> List[ProjPoint]:
-    out = []
-    for v in basis:
-        out.append(v if isinstance(v, ProjPoint) else ProjPoint(list(v)))
-    return out
 
 
 def section(f: HomPoly, basis: SubspaceBasis) -> CurveSection:
@@ -216,7 +226,7 @@ def section(f: HomPoly, basis: SubspaceBasis) -> CurveSection:
     a line contained in the surface or the finite set of intersection
     points, counted without multiplicity; dim 1 -> point membership.
     """
-    pts = _as_points(basis)
+    pts = [v if isinstance(v, ProjPoint) else ProjPoint(list(v)) for v in basis]
     k = len(pts)
     if f.nvars != 4 or f.degree != 4:
         raise ValueError("expected a quartic form in 4 variables")
@@ -225,13 +235,21 @@ def section(f: HomPoly, basis: SubspaceBasis) -> CurveSection:
     b = Matrix.from_columns([list(p.coords) for p in pts])
     if b.rank() != k:
         raise ValueError("subspace basis is linearly dependent")
-    ambient = tuple(pts)
+    g = (HomPoly(1, 4, {(4,): f.eval(pts[0].coords)}) if k == 1
+         else substitute_linear(f, b))
+    return section_of_form(tuple(pts), g)
+
+
+def section_of_form(ambient: Tuple[ProjPoint, ...], g: HomPoly,
+                    smooth: Optional[bool] = None) -> CurveSection:
+    """The section along the span of 1, 2 or 3 independent points, from g,
+    the quartic in the coordinates of ambient.  smooth, when given, is the
+    verdict on a plane section, proved by the caller; else it is certified.
+    """
+    k = len(ambient)
     if k == 1:
-        value = f.eval(pts[0].coords)
-        on_surface = value.is_zero()
         return CurveSection(ambient, HomPoly.zero(1, 4), "point",
-                            None, None, 1 if on_surface else 0)
-    g = substitute_linear(f, b)
+                            None, None, 1 if g.is_zero() else 0)
     if k == 2:
         if g.is_zero():
             return CurveSection(ambient, g, "line-in-surface", True, 0, None)
@@ -240,6 +258,7 @@ def section(f: HomPoly, basis: SubspaceBasis) -> CurveSection:
     if g.is_zero():
         raise DegenerateInputError(
             "plane lies inside the quartic; the surface is singular")
-    smooth = is_smooth_plane_quartic(g)
+    if smooth is None:
+        smooth = is_smooth_plane_quartic(g)
     return CurveSection(ambient, g, "plane-quartic", smooth,
                         3 if smooth else None, None)

@@ -8,29 +8,29 @@ M with f(M x) = multiplier * f acts on the nowhere-vanishing 2-form by
 (through the residue representation of the 2-form), so u decides the
 character: u == 1 symplectic, u primitive 4th root purely
 non-symplectic of order 4, u == -1 with projective order 4 non-purely
-non-symplectic.  Fixed loci are computed exactly as eigenspace
-sections, and the resulting discrete data is classified against the
-embedded tables for order-4 automorphisms.  The fixed data of the
-square come from the same eigendecomposition: an eigenspace of M**2 is
-one eigenspace of M, whose section is reused, or the sum of two, the
-only case that takes a new kernel and section.  The invariant-lattice rank
-r is never computed from cohomology: it is read off the table row
-selected by the computable data, and reports label it as such.
+non-symplectic.  Every answer is read from f in the eigen-coordinates of
+M (geometry.EigenForm): M decomposed once, f pulled back once to
+g = f(B y), where M = diag(i**k_j).  So det(M) = i**(k_1 + ... + k_4), and
+the fixed loci of M and M**2 are sections of g along coordinate
+subspaces, classified against the embedded tables for order-4
+automorphisms.  The invariant-lattice rank r is never computed from
+cohomology: it is read off the table row selected by the computable
+data, and reports label it as such.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (ConsistencyError, DegenerateInputError,
                      NoMatchingTypeError, SingularSurfaceError)
-from .gaussian import I, MINUS_I, MINUS_ONE, ONE, GaussianRational
+from .gaussian import I, MINUS_ONE, ONE, GaussianRational
 from .galois import LinearAuto
-from .geometry import (CurveSection, eigen_decompose_order4, eigenspace,
-                       is_smooth_surface, section)
+from .geometry import (CurveSection, EigenForm, eigen_form,
+                       is_smooth_surface, section_of_form)
 from .linalg import Matrix, centralizer_dimension
-from .poly import HomPoly, ProjPoint, substitute_linear
+from .poly import HomPoly, restrict
 
 # classification rows for purely non-symplectic order 4 with a fixed
 # curve of genus > 1: (k, a, g) -> r of the tuple (r, k, a, g)
@@ -62,9 +62,16 @@ CHAR_PURELY_NS = "purely-ns-4"
 CHAR_NPNS = "npns"
 
 
+def _eigen(f: HomPoly, auto: LinearAuto) -> EigenForm:
+    """auto's EigenForm for f: linear_auto's record, or a new one."""
+    eig = auto.eigen
+    return eig if eig is not None and eig.surface == f else eigen_form(f, auto.matrix)
+
+
 def symplectic_character(f: HomPoly, auto: LinearAuto) -> GaussianRational:
-    """The eigenvalue of the automorphism on the holomorphic 2-form."""
-    u = auto.matrix.det() / auto.multiplier
+    """The eigenvalue of the automorphism on the holomorphic 2-form: det(M),
+    the product of M's eigenvalues, over the multiplier."""
+    u = I ** sum(_eigen(f, auto).powers) / auto.multiplier
     if u ** 4 != ONE:
         raise ConsistencyError("character is not a 4th root of unity")
     return u
@@ -108,22 +115,25 @@ class FixedLocusReport:
         return data
 
 
-def _section(f: HomPoly, space: Sequence[Sequence[GaussianRational]]) -> CurveSection:
-    """The section of f along one projectivized eigenspace."""
-    if len(space) == 4:
-        raise DegenerateInputError(
-            "matrix acts as the identity on projective space")
-    return section(f, [ProjPoint(list(v)) for v in space])
-
-
-def _fixed_data(sections: Iterable[Tuple[GaussianRational, CurveSection]]
-                ) -> Tuple[List, List, int]:
-    """The sections, the fixed curves among them and the isolated-point
-    count; each section is checked before the next one is taken."""
+def _fixed_data(eig: EigenForm, power: int, proved_smooth: bool,
+                cache: Dict[Tuple[int, ...], CurveSection]) -> Tuple[List, List, int]:
+    """The sections along the eigenspaces of M**power (g with the other
+    variables set to 0, each taken once: cache), the fixed curves among
+    them and the isolated-point count, each section checked before the
+    next.  A plane that no monomial of g mixes with the rest is a block of
+    g, smooth once g is proved smooth."""
+    g = eig.form
     taken: List[Tuple[GaussianRational, CurveSection]] = []
     curves: List[CurveSection] = []
     isolated = 0
-    for mu, sec in sections:
+    for mu, coords in eig.eigenspaces(power):
+        if coords not in cache:
+            block = proved_smooth and len(coords) == 3 and all(
+                sum(e[j] for j in coords) in (0, g.degree) for e in g.num)
+            cache[coords] = section_of_form(
+                tuple(eig.points[j] for j in coords), restrict(g, coords),
+                True if block else None)
+        sec = cache[coords]
         taken.append((mu, sec))
         if sec.kind == "plane-quartic":
             if not sec.smooth:
@@ -138,80 +148,39 @@ def _fixed_data(sections: Iterable[Tuple[GaussianRational, CurveSection]]
     return taken, curves, isolated
 
 
-def _square_sections(f: HomPoly, m2: Matrix,
-                     sections: Sequence[Tuple[GaussianRational, CurveSection]]
-                     ) -> Iterator[Tuple[GaussianRational, CurveSection]]:
-    """The sections along the eigenspaces of m2 = m**2, from the sections
-    along those of m, which span Q(i)^4: E_1(m2) = E_1(m) + E_-1(m) and
-    E_-1(m2) = E_i(m) + E_-i(m).  With one summand the eigenspace of m2
-    is that of m, whose kernel basis, and so section, is the same; only
-    a sum of two is computed."""
-    of = dict(sections)
-    for mu2, roots in ((ONE, (ONE, MINUS_ONE)), (MINUS_ONE, (I, MINUS_I))):
-        parts = [of[mu] for mu in roots if mu in of]
-        if len(parts) == 1:
-            yield mu2, parts[0]
-        elif parts:
-            yield mu2, _section(f, eigenspace(m2, mu2))
-
-
-def _check_invariant_subspaces(m: Matrix, curves: Sequence[CurveSection]) -> int:
-    """Count pairs of fixed curves swapped by m.
-
-    The ambient subspace of each curve is an eigenspace of m**2, hence
-    m-invariant because m commutes with its square; a smooth section is
-    irreducible, so m maps each curve to itself and the swapped-pair
-    count is zero.  The invariance is still verified exactly; a failure
-    would indicate a bug, not bad input.
-    """
-    for c in curves:
-        basis = [list(p.coords) for p in c.ambient]
-        images = [list(m.apply(v)) for v in basis]
-        if Matrix.from_rows(basis + images).rank() != len(basis):
-            raise ConsistencyError("fixed curve subspace is not invariant")
-    return 0
-
-
 def fixed_locus(f: HomPoly, auto: LinearAuto, *,
                 check_smooth: bool = True) -> FixedLocusReport:
-    """Exact fixed locus of the automorphism on the surface.
+    """Exact fixed locus of the automorphism on the surface, and of its
+    square, with the swapped-curve count.
 
     The fixed set in P^3 is the disjoint union of the projectivized
-    eigenspaces; each is intersected with the surface.  The same data
-    is computed for the square of the automorphism, along with the
-    swapped-curve count: the matrix is decomposed once, and the square's
-    eigenspaces are sums of its eigenspaces (_square_sections).
-    Smoothness is certified on f(B y), B the matrix of eigenvectors, when
-    it has fewer terms than f, else on f: B is invertible, so both are
-    smooth together, and f(B y), a semi-invariant of a diagonal matrix,
-    often splits into blocks of variables that are certified alone.  A
-    matrix that the decomposition rejects has f certified first.
+    eigenspaces, each a coordinate subspace of y in the eigen-coordinates
+    of M (_eigen), intersected with the surface.  Smoothness is certified
+    on g = f(B y) when it has fewer terms than f, else on f: both are
+    smooth together, and g often splits into blocks certified alone.
+    Errors come in the order: singular surface, scalar matrix, then the
+    decomposition's error.
     """
-    m, g = auto.matrix, f
     try:
-        eig = eigen_decompose_order4(m)
+        eig: Optional[EigenForm] = _eigen(f, auto)
     except ValueError as e:
         eig, error = None, e
-    else:
-        if check_smooth:
-            g = substitute_linear(f, Matrix.from_columns([v for s in eig.spaces for v in s]))
-    if check_smooth and not is_smooth_surface(g if len(g.num) < len(f.num) else f):
-        raise SingularSurfaceError("fixed loci require a smooth quartic")
-    if m.is_scalar():
+    if check_smooth:
+        g = eig.form if eig is not None and len(eig.form.num) < len(f.num) else f
+        if not is_smooth_surface(g):
+            raise SingularSurfaceError("fixed loci require a smooth quartic")
+    if auto.matrix.is_scalar():
         raise DegenerateInputError("matrix is scalar: the identity on P^3")
     if eig is None:
         raise error
-    sections, curves, isolated = _fixed_data(
-        (mu, _section(f, space)) for mu, space in zip(eig.eigenvalues, eig.spaces))
-    m2 = m * m
-    if m2.is_scalar():
-        square: Optional[FixedLocusReport] = None
-        a_count: Optional[int] = None
-    else:
-        s2, c2, i2 = _fixed_data(_square_sections(f, m2, sections))
-        square = FixedLocusReport(s2, c2, i2, None, None)
-        a_count = _check_invariant_subspaces(m, c2)
-    return FixedLocusReport(sections, curves, isolated, square, a_count)
+    cache: Dict[Tuple[int, ...], CurveSection] = {}
+    sections, curves, isolated = _fixed_data(eig, 1, check_smooth, cache)
+    if len(eig.eigenspaces(2)) == 1:  # M**2 is scalar
+        return FixedLocusReport(sections, curves, isolated, None, None)
+    square = FixedLocusReport(*_fixed_data(eig, 2, check_smooth, cache), None, None)
+    # a fixed curve of M**2 spans a coordinate subspace of y, which the
+    # diagonal M preserves; it is irreducible, so M swaps no pair: a = 0
+    return FixedLocusReport(sections, curves, isolated, square, 0)
 
 
 @dataclass(frozen=True)

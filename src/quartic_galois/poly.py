@@ -382,6 +382,14 @@ def substitute_linear(f: HomPoly, m: Matrix) -> HomPoly:
     return HomPoly._from_num(nout, deg, num, f.den * dm ** deg)
 
 
+def restrict(f: HomPoly, keep: Sequence[int]) -> HomPoly:
+    """f with the variables outside keep set to 0, as a form in the
+    variables keep, in that order (f pulled back by those columns of I)."""
+    return HomPoly._from_num(len(keep), f.degree, {
+        tuple(e[v] for v in keep): c for e, c in f.num.items()
+        if sum(e[v] for v in keep) == f.degree}, f.den)
+
+
 def _gi_addmul(acc: Dict[int, GInt], p: Dict[int, GInt],
                q: Dict[int, GInt]) -> Dict[int, GInt]:
     """acc += p*q for Z[i] polynomials keyed by packed exponents."""

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from typing import Tuple
 
-from quartic_galois import geometry
+from quartic_galois import geometry, poly
 from quartic_galois.gaussian import ONE, GaussianRational, I
 from quartic_galois.geometry import is_smooth_plane_quartic
 from quartic_galois.linalg import Matrix
@@ -34,6 +35,23 @@ def engine_sizes(monkeypatch):
 
     monkeypatch.setattr(geometry, "_searches", spying)
     return sizes
+
+
+def pullbacks(monkeypatch):
+    """The matrices of every substitute_linear call, in order, made through
+    any module of the package that binds the name."""
+    calls = []
+    original = poly.substitute_linear
+
+    def spying(f, m):
+        calls.append(m)
+        return original(f, m)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("quartic_galois")
+                and getattr(module, "substitute_linear", None) is original):
+            monkeypatch.setattr(module, "substitute_linear", spying)
+    return calls
 
 
 def rand_gr(rng: random.Random, lo: int = -3, hi: int = 3,

@@ -12,7 +12,8 @@ and below at once.  The cube-locus minors are expanded term by term
 over Z[i], with no modular step.  Outer Galois points are decided by
 the chart criterion, not by the homology the package builds: f pulled
 back by sympy to a basis adapted to P, and two shear identities on its
-coefficients in the first variable.
+coefficients in the first variable, and a generator is checked by
+pulling f back by it.
 """
 
 from __future__ import annotations
@@ -98,6 +99,13 @@ def oracle_is_outer_galois_point(f: HomPoly, p: ProjPoint) -> bool:
     lhs = c[3].scale(eight_c0 * c0)
     rhs = (c[1] * c[2]).scale(GaussianRational(4) * c0) - c[1] * c[1] * c[1]
     return lhs == rhs
+
+
+def oracle_preserves(f: HomPoly, m: Matrix) -> bool:
+    """f(M x) == f, with the pullback expanded by sympy
+    (oracle_substitute_linear): the proof that a generator sigma_P
+    preserves f which the package replaces by the first-polar identity."""
+    return oracle_substitute_linear(f, m) == f
 
 
 def oracle_polar_forms(f: HomPoly, p: Sequence[GaussianRational]) -> List[HomPoly]:

@@ -136,6 +136,50 @@ def test_auto_unnormalized_matrix(capsys):
     assert code == 1 and "rescale" in err
 
 
+SINGULAR = "X^4+2*X^2*Y^2+Y^4+Z^4+W^4"   # (X^2+Y^2)^2+Z^4+W^4
+SWAP_XZ = "0 0 1 0  0 1 0 0  1 0 0 0  0 0 0 1"
+
+
+def _diag(*values):
+    return "  ".join(" ".join(str(v) if r == c else "0" for c in range(4))
+                     for r, v in enumerate(values))
+
+
+@pytest.mark.parametrize("mode, surface, matrix, code, err", [
+    (mode, FERMAT, _diag(2, 1, 1, 1), 1,
+     "error: matrix does not satisfy M**4 == I; rescale it inside Q(i)\n")
+    for mode in ("character", "fixed-locus", "classify")] + [
+    (mode, FORM2, SWAP_XZ, 1, "error: matrix does not map the surface to itself\n")
+    for mode in ("character", "fixed-locus", "classify")] + [
+    ("character", FERMAT, _diag("i", "i", "i", "i"), 0, ""),
+    ("fixed-locus", FERMAT, _diag("i", "i", "i", "i"), 1,
+     "error: matrix is scalar: the identity on P^3\n"),
+    ("classify", FERMAT, _diag(1, 1, 1, 1), 1,
+     "error: matrix is scalar: the identity on P^3\n"),
+    ("character", SINGULAR, _diag(1, 1, 1, "i"), 0, ""),
+    ("fixed-locus", SINGULAR, _diag(1, 1, 1, "i"), 1,
+     "error: fixed loci require a smooth quartic\n"),
+    ("classify", SINGULAR, _diag(1, 1, 1, "i"), 1,
+     "error: fixed loci require a smooth quartic\n"),
+    ("classify", FERMAT, _diag(1, 1, 1, -1), 1,
+     "error: character -1 but projective order is not 4; the order-4 "
+     "tables do not apply\n"),
+], ids=["unnormalized-character", "unnormalized-fixed-locus",
+        "unnormalized-classify", "not-preserved-character",
+        "not-preserved-fixed-locus", "not-preserved-classify",
+        "scalar-character", "scalar-fixed-locus", "identity-classify",
+        "singular-character", "singular-fixed-locus", "singular-classify",
+        "order-2-classify"])
+def test_auto_error_paths(capsys, mode, surface, matrix, code, err):
+    # the exact message and exit code of each refusal; a scalar matrix and
+    # a singular surface still have a character
+    got_code, out, got_err = run(capsys, "auto", mode, surface, "--matrix", matrix)
+    assert (got_code, got_err) == (code, err)
+    assert (out == "") is (code == 1)
+    if mode == "character" and code == 0:
+        assert out.endswith("character: 1\n" if surface == FERMAT else "character: i\n")
+
+
 def test_lattice_reduce(capsys):
     code, payload, _ = run_json(capsys, "lattice", "reduce", "8", "0", "8")
     assert code == 0 and payload["reduced"] == [8, 0, 0, 8]

@@ -17,9 +17,9 @@ from quartic_galois.poly import (ProjPoint, parse_poly, substitute_linear,
                                  x_decompose)
 
 from helpers import (SIGMA1, height1_gaussian, lift_form1, lift_form2,
-                     rand_invertible, rand_smooth_plane_quartic,
+                     pullbacks, rand_invertible, rand_smooth_plane_quartic,
                      rand_squarefree_binary_quartic, zeros_mod_p)
-from oracles import oracle_is_outer_galois_point
+from oracles import oracle_is_outer_galois_point, oracle_preserves
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
 FORM1 = parse_poly("X^4+Y^4+Z^4+W^4+Y^2*Z*W", 4)
@@ -93,18 +93,16 @@ def test_tester_basis_completion_invariance():
 
 def test_non_galois_point_is_rejected_before_the_pullback(monkeypatch):
     # the first polar of a generic conjugate at (1:1:0:0) is no cube, so
-    # sigma_P is never built; at a Galois point it is, and it is checked
+    # sigma_P is never built; at a Galois point it is, and the first-polar
+    # identity is its whole proof: no quartic is pulled back either way
     fa = substitute_linear(FORM1, rand_invertible(random.Random(3)))
-    pullbacks = []
-    pullback = galois.substitute_linear
-    monkeypatch.setattr(galois, "substitute_linear",
-                        lambda f, m: pullbacks.append(m) or pullback(f, m))
+    calls = pullbacks(monkeypatch)
     p = ProjPoint([1, 1, 0, 0])
     assert not fa.eval(p.coords).is_zero()
     assert galois._generator_or_none(fa, p) is None
-    assert pullbacks == []
+    assert calls == []
     assert galois._generator_or_none(FORM1, E1) is not None
-    assert len(pullbacks) == 1
+    assert len(calls) == 0
 
 
 def test_tester_covariance_under_conjugation():
@@ -580,8 +578,10 @@ def test_tester_and_generator_agree_with_the_chart_criterion():
                 verdicts.append(verdict)
                 if verdict:
                     conj = _sheared_basis(fa, moved)
-                    assert galois_generator(fa, moved).matrix == (
+                    gen = galois_generator(fa, moved).matrix
+                    assert gen == (
                         conj * Matrix.diagonal([I, 1, 1, 1]) * conj.inverse())
+                    assert oracle_preserves(fa, gen)
     assert verdicts.count(True) == 12 and verdicts.count(False) == 16
 
 

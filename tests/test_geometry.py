@@ -303,18 +303,19 @@ def test_smoothness_projective_invariance():
     ("X^4+2*X^2*Y^2+Y^4+Z^4+W^4", False, [2]),           # (X^2+Y^2)^2+Z^4+W^4
     ("X^2*Y^2+Z^2*W^2", False, [2]),                     # singular along lines
     ("X^4-4*X^2*Y^2+4*Y^4+Z^4+W^4", False, [2]),         # (X^2-2Y^2)^2: sqrt2 nodes
-    ("X^4+Y^4+Z^4+W^4+Y^2*Z*W", True, [1, 3]),           # form-1
-    ("2*X^4-Y^4+i*Z^4+W^4+3*Y^2*Z*W", True, [1, 3]),
-    ("X^4+Y^4+Z^4+Z*W^3+W^4", True, [1, 1, 2]),          # form-2
-    ("-X^4+2*Y^4+Z^4+i*Z*W^3+W^4", True, [1, 1, 2]),
-    ("X^3*Y+Y^4+Z^4+W^4", True, [2, 1, 1]),
-    ("X^4+Y^4+Z^4+W^4", True, [1, 1, 1, 1]),
+    ("X^4+Y^4+Z^4+W^4+Y^2*Z*W", True, [3]),              # form-1
+    ("2*X^4-Y^4+i*Z^4+W^4+3*Y^2*Z*W", True, [3]),
+    ("X^4+Y^4+Z^4+Z*W^3+W^4", True, [2]),                # form-2
+    ("-X^4+2*Y^4+Z^4+i*Z*W^3+W^4", True, [2]),
+    ("X^3*Y+Y^4+Z^4+W^4", True, [2]),
+    ("X^4+Y^4+Z^4+W^4", True, []),
 ], ids=["cone", "square", "curve", "irrational-nodes", "form-1", "form-1-member",
         "form-2", "form-2-member", "x3y", "fermat"])
 def test_block_verdicts(monkeypatch, text, smooth, sizes):
     # a form whose monomials split the variables into blocks is decided
     # block by block, each in its own variables; a missing variable is
-    # singular before any engine runs; the first singular block ends the
+    # singular before any engine runs, and a one-variable block c*x^4 is
+    # smooth without one; the first singular block ends the
     # verdict.  The irrational nodes are not Q(i) points, so their block
     # is decided by exact elimination
     f = parse_poly(text, 4)

@@ -3,13 +3,13 @@ from collections import Counter
 
 import pytest
 
-from quartic_galois import k3
+from quartic_galois import geometry, k3
 
 from quartic_galois.errors import (DegenerateInputError, NoMatchingTypeError,
                                    SingularSurfaceError, UnnormalizedAutomorphismError)
 from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, MINUS_ONE, ONE
-from quartic_galois.galois import LinearAuto, linear_auto
+from quartic_galois.galois import LinearAuto, galois_generator, linear_auto
 from quartic_galois.geometry import eigen_decompose_order4, section
 from quartic_galois.k3 import (FixedLocusReport, GramMatrix2, MAX_OUTER_GALOIS_COUNT,
                                MAX_OUTER_GALOIS_TRANSCENDENTAL_GRAM,
@@ -24,7 +24,7 @@ from quartic_galois.linalg import Matrix
 from quartic_galois.poly import ProjPoint, parse_poly, substitute_linear
 
 from helpers import (SIGMA1, SIGMA2, SIGMA3, SIGMA4, diag, engine_sizes,
-                     height1_gaussian, lift_form1, lift_form2, rand_sl2,
+                     height1_gaussian, lift_form1, lift_form2, pullbacks, rand_sl2,
                      rand_smooth_plane_quartic, rand_squarefree_binary_quartic)
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
@@ -136,17 +136,33 @@ def _reference_fixed_locus(f, m):
     return FixedLocusReport(*data(m), square, None if square is None else 0)
 
 
-def _section_key(s):
-    return (s.kind, s.genus, s.smooth, s.point_count,
-            tuple(p.coords for p in s.ambient), s.form)
+def _assert_same_section(f, s, ref, span_only):
+    assert ((s.kind, s.genus, s.smooth, s.point_count)
+            == (ref.kind, ref.genus, ref.smooth, ref.point_count))
+    if span_only and s.ambient != ref.ambient:
+        # an eigenspace of the square that is the sum of two of the
+        # automorphism: the same span, in the basis of the two summands,
+        # and f restricted in that basis
+        cols = [list(p.coords) for p in s.ambient]
+        ref_cols = [list(p.coords) for p in ref.ambient]
+        assert len(cols) == len(ref_cols) == Matrix.from_columns(cols + ref_cols).rank()
+        assert s.form == substitute_linear(f, Matrix.from_columns(cols))
+    else:
+        assert s.ambient == ref.ambient and s.form == ref.form
 
 
-def _report_key(rep):
-    if rep is None:
-        return None
-    return ([(mu, _section_key(s)) for mu, s in rep.sections],
-            [_section_key(c) for c in rep.curves], rep.isolated_points,
-            _report_key(rep.sigma_squared), rep.a_count)
+def _assert_same_report(f, rep, ref, square=False):
+    assert [mu for mu, _ in rep.sections] == [mu for mu, _ in ref.sections]
+    for (_, s), (_, r) in zip(rep.sections, ref.sections):
+        _assert_same_section(f, s, r, square)
+    assert len(rep.curves) == len(ref.curves)
+    for c, r in zip(rep.curves, ref.curves):
+        _assert_same_section(f, c, r, square)
+    assert (rep.isolated_points, rep.a_count) == (ref.isolated_points, ref.a_count)
+    if ref.sigma_squared is None:
+        assert rep.sigma_squared is None
+    else:
+        _assert_same_report(f, rep.sigma_squared, ref.sigma_squared, True)
 
 
 @pytest.mark.parametrize("conjugated", [False, True], ids=["aligned", "conj"])
@@ -159,19 +175,24 @@ def test_fixed_locus_matches_separate_square_decomposition(family, values,
         a = height1_gaussian(19)
         f, m = substitute_linear(f, a), a.inverse() * m * a
     rep = fixed_locus(f, linear_auto(f, m))
-    assert _report_key(rep) == _report_key(_reference_fixed_locus(f, m))
+    _assert_same_report(f, rep, _reference_fixed_locus(f, m))
 
 
-@pytest.mark.parametrize("f, values, kernels, sections", [
-    (FORM1, (I, 1, 1, 1), 4, 2),
-    (FORM2, (I, I, 1, 1), 4, 2),
-    (FERMAT, (I, -I, 1, 1), 5, 4),
+@pytest.mark.parametrize("f, values", [
+    (FORM1, (I, 1, 1, 1)),
+    (FORM2, (I, I, 1, 1)),
+    (FERMAT, (I, -I, 1, 1)),
 ])
-def test_fixed_locus_decomposes_once(monkeypatch, f, values, kernels, sections):
-    """The square's eigenspaces come from those of the automorphism: a
-    kernel and a section are taken for the square only where an
-    eigenspace of the square is the sum of two eigenspaces."""
-    auto = linear_auto(f, diag(*values))
+@pytest.mark.parametrize("conjugated", [False, True], ids=["aligned", "conj"])
+def test_fixed_locus_decomposes_once(monkeypatch, f, values, conjugated):
+    """linear_auto decomposes the matrix (four kernels at most) and pulls
+    f back once; fixed_locus reads every section of the automorphism and
+    of its square from that pullback, with no further kernel, pullback
+    or call of geometry.section."""
+    m = diag(*values)
+    if conjugated:
+        a = height1_gaussian(19)
+        f, m = substitute_linear(f, a), a.inverse() * m * a
     counts = Counter()
 
     def counting(name, original):
@@ -182,10 +203,12 @@ def test_fixed_locus_decomposes_once(monkeypatch, f, values, kernels, sections):
 
     monkeypatch.setattr(Matrix, "kernel_basis",
                         counting("kernel", Matrix.kernel_basis))
-    monkeypatch.setattr(k3, "section", counting("section", k3.section))
-    fixed_locus(f, auto)
-    assert counts["kernel"] <= kernels
-    assert counts["section"] == sections
+    monkeypatch.setattr(geometry, "section", counting("section", geometry.section))
+    calls = pullbacks(monkeypatch)
+    fixed_locus(f, linear_auto(f, m))
+    assert len(calls) == 1
+    assert counts["kernel"] <= 4
+    assert counts["section"] == 0
 
 
 def test_fixed_locus_rejects_scalar():
@@ -259,6 +282,64 @@ def test_fixed_locus_error_order(f, m, error):
     # since linear_auto checks m**4 == I)
     with pytest.raises(error):
         fixed_locus(f, LinearAuto(m, ONE))
+
+
+def test_hand_built_generator_has_the_fixed_locus_of_linear_auto():
+    # galois_generator's sigma_P is a LinearAuto built by hand, with no
+    # eigen-coordinates; fixed_locus decomposes it itself, to the same data
+    a = height1_gaussian(19)
+    fa = substitute_linear(FORM1, a)
+    sigma = galois_generator(fa, ProjPoint(a.inverse().apply([1, 0, 0, 0])))
+    assert sigma.eigen is None
+    checked = linear_auto(fa, sigma.matrix)
+    assert checked == sigma and checked.eigen is not None
+    _assert_same_report(fa, fixed_locus(fa, sigma), fixed_locus(fa, checked))
+    assert symplectic_character(fa, sigma) == symplectic_character(fa, checked) == I
+    assert classify(fa, sigma) == classify(fa, checked)
+
+
+def _certificates(monkeypatch):
+    """The forms handed to geometry.jacobian_ideal_is_irrelevant, blocks
+    of a surface included, in order."""
+    forms = []
+    certify = geometry.jacobian_ideal_is_irrelevant
+
+    def spying(f):
+        forms.append(f)
+        return certify(f)
+
+    monkeypatch.setattr(geometry, "jacobian_ideal_is_irrelevant", spying)
+    return forms
+
+
+def test_block_plane_section_is_not_certified_again(monkeypatch):
+    # form-1 conjugated, with its homology: in eigen-coordinates the fixed
+    # plane is the three-variable block of the certified surface, which is
+    # smooth by the block rule; only the surface's certificate reaches it
+    a = height1_gaussian(19)
+    f, m = substitute_linear(FORM1, a), a.inverse() * diag(I, 1, 1, 1) * a
+    auto = linear_auto(f, m)
+    forms = _certificates(monkeypatch)
+    rep = fixed_locus(f, auto)
+    planes = [g for g in forms if g.nvars == 3]
+    assert [c.genus for c in rep.curves] == [3]
+    assert planes == [rep.curves[0].form] and forms[0].nvars == 4
+    # unchecked, every plane section is certified, and the surface is not
+    forms.clear()
+    rep = fixed_locus(f, auto, check_smooth=False)
+    assert forms == [rep.curves[0].form]
+
+
+def test_plane_section_that_is_not_a_block_is_certified(monkeypatch):
+    # X^2*W^2 joins the fixed plane W = 0 of diag(1, 1, 1, -1) to W, so the
+    # plane's section X^4+Y^4+Z^4 is no block of the surface, whose blocks
+    # are {X, W}, {Y}, {Z}: it is certified on its own
+    f = parse_poly("X^4+Y^4+Z^4+W^4+X^2*W^2", 4)
+    forms = _certificates(monkeypatch)
+    rep = fixed_locus(f, linear_auto(f, diag(1, 1, 1, -1)))
+    planes = [g for g in forms if g.nvars == 3]
+    assert [(c.genus, c.smooth) for c in rep.curves] == [(3, True)]
+    assert planes == [rep.curves[0].form]
 
 
 def test_character_fixed_locus_consistency():

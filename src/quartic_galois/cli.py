@@ -23,12 +23,12 @@ from .gaussian import GaussianRational, I, ONE, parse_integer, scan_piece
 from .galois import (enumerate_outer_galois_points, galois_generator,
                      is_outer_galois_point, linear_auto)
 from .geometry import is_smooth_surface
-from .k3 import (GramMatrix2, MAX_OUTER_GALOIS_TRANSCENDENTAL_GRAM,
-                 SINGULAR_K3_PICARD_NUMBER, classify, fixed_locus,
-                 is_isomorphic_gram, moduli_dimension, npns_moduli_dim,
-                 reduce_gram, serialize_classification, solve_m,
-                 symplectic_character)
-from .linalg import Matrix, centralizer_dimension, parse_matrix
+from .k3 import (GramMatrix2, MAX_OUTER_GALOIS_COUNT,
+                 MAX_OUTER_GALOIS_TRANSCENDENTAL_GRAM, SINGULAR_K3_PICARD_NUMBER,
+                 classify, fixed_locus, is_isomorphic_gram, moduli_dimension,
+                 npns_moduli_dim, reduce_gram, serialize_classification,
+                 solve_m, symplectic_character)
+from .linalg import Matrix, parse_matrix
 from .poly import (DEFAULT_NAMES, HomPoly, ProjPoint, parse_point,
                    parse_poly, substitute_linear)
 
@@ -101,7 +101,8 @@ def cmd_galois(args: argparse.Namespace) -> int:
     extra = [parse_point(_read_arg(c)) for c in (args.candidate or [])]
     report = enumerate_outer_galois_points(f, extra)
     payload = {"command": "galois-find", **report.to_dict()}
-    if report.normal_form == "form-3" and len(report.points) == 4:
+    # four verified points: the quartic of k3's maximal-case constants
+    if len(report.points) == MAX_OUTER_GALOIS_COUNT:
         payload["singular_k3"] = {
             "picard_number": SINGULAR_K3_PICARD_NUMBER,
             "transcendental_gram": list(
@@ -231,8 +232,8 @@ def cmd_moduli(args: argparse.Namespace) -> int:
     else:
         raise ParseError("moduli dim requires --count, --monomials or --family-file")
     mats = [_load_matrix(m) for m in (args.matrix or [])]
-    cdim = centralizer_dimension(mats)
     dim = moduli_dimension(count, mats)
+    cdim = count - dim
     payload = {"command": "moduli-dim", "parameters": count,
                "centralizer_dimension": cdim, "dimension": dim}
     _emit(payload, [f"family parameters: {count}",
@@ -267,21 +268,22 @@ def _demo_checks(seed: int) -> List[Tuple[str, bool, str]]:
     checks.append(("four-pure-powers: generators are the diagonal homologies",
                    diag_ok, "exact match" if diag_ok else "mismatch"))
 
-    t1 = classify(form1, linear_auto(form1, s1))
+    auto1, auto12 = linear_auto(form1, s1), linear_auto(form2, s12)
+    t1 = classify(form1, auto1)
     checks.append(("split form, one point: type (1, 0, 0, 3)",
                    t1.type_tuple == (1, 0, 0, 3), str(t1.type_tuple)))
 
-    t2 = classify(form2, linear_auto(form2, s12))
+    t2 = classify(form2, auto12)
     checks.append(("split form, two points: type (10, 4, 8)",
                    t2.type_tuple == (10, 4, 8), str(t2.type_tuple)))
 
-    u1 = symplectic_character(form1, linear_auto(form1, s1))
-    u2 = symplectic_character(form2, linear_auto(form2, s12))
+    u1 = symplectic_character(form1, auto1)
+    u2 = symplectic_character(form2, auto12)
     u3 = symplectic_character(fermat, linear_auto(fermat, Matrix.diagonal([I, -I, 1, 1])))
     ok = u1 == I and u2 == GaussianRational(-1) and u3 == ONE
     checks.append(("characters: i, -1, 1", ok, f"{u1}, {u2}, {u3}"))
 
-    fl = fixed_locus(form2, linear_auto(form2, s12))
+    fl = fixed_locus(form2, auto12)
     checks.append(("two-point form: eight isolated fixed points, no curves",
                    fl.isolated_points == 8 and not fl.curves,
                    f"n={fl.isolated_points}, curves={len(fl.curves)}"))

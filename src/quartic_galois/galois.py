@@ -38,7 +38,6 @@ where the first polar is a cube.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (ConsistencyError, InnerPointError, SingularSurfaceError,
@@ -134,13 +133,8 @@ class GaloisReport:
         return out
 
 
-@lru_cache(maxsize=256)
-def _smooth_cached(f: HomPoly) -> bool:
-    return is_smooth_surface(f)
-
-
 def _require_smooth(f: HomPoly) -> None:
-    if not _smooth_cached(f):
+    if not is_smooth_surface(f):
         raise SingularSurfaceError(
             "the quartic is singular; Galois-point analysis is refused")
 
@@ -160,29 +154,26 @@ def adapted_basis(p: ProjPoint) -> Matrix:
     return Matrix.from_columns(cols)
 
 
-def _check_off_surface(f: HomPoly, p: ProjPoint, check_smooth: bool) -> None:
-    if check_smooth:
-        _require_smooth(f)
+def _check_off_surface(f: HomPoly, p: ProjPoint) -> None:
+    _require_smooth(f)
     if f.eval(p.coords).is_zero():
         raise InnerPointError(
             "point lies on the surface: inner Galois points are out of scope")
 
 
-def is_outer_galois_point(f: HomPoly, p: ProjPoint, *,
-                          check_smooth: bool = True) -> bool:
+def is_outer_galois_point(f: HomPoly, p: ProjPoint) -> bool:
     """Decide whether p (off the surface) is an outer Galois point of f."""
-    _check_off_surface(f, p, check_smooth)
+    _check_off_surface(f, p)
     return _generator_or_none(f, p) is not None
 
 
-def galois_generator(f: HomPoly, p: ProjPoint, *,
-                     check_smooth: bool = True) -> LinearAuto:
+def galois_generator(f: HomPoly, p: ProjPoint) -> LinearAuto:
     """The homology sigma_P of the module docstring, which generates the
     Galois group at p, with multiplier 1.  SurfaceNotPreservedError when
     sigma_P does not preserve f, that is when p is not an outer Galois
     point.
     """
-    _check_off_surface(f, p, check_smooth)
+    _check_off_surface(f, p)
     gen = _generator_or_none(f, p)
     if gen is None:
         raise SurfaceNotPreservedError(

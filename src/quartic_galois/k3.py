@@ -9,13 +9,15 @@ M with f(M x) = multiplier * f acts on the nowhere-vanishing 2-form by
 character: u == 1 symplectic, u primitive 4th root purely
 non-symplectic of order 4, u == -1 with projective order 4 non-purely
 non-symplectic.  Every answer is read from f in the eigen-coordinates of
-M (geometry.EigenForm): M decomposed once, f pulled back once to
-g = f(B y), where M = diag(i**k_j).  So det(M) = i**(k_1 + ... + k_4), and
-the fixed loci of M and M**2 are sections of g along coordinate
-subspaces, classified against the embedded tables for order-4
-automorphisms.  The invariant-lattice rank r is never computed from
-cohomology: it is read off the table row selected by the computable
-data, and reports label it as such.
+M, the record (geometry.EigenForm) that galois.linear_auto validates M
+with: M decomposed once, f pulled back once to g = f(B y), where
+M = diag(i**k_j).  A LinearAuto without the record for f is validated by
+linear_auto once per call.  So det(M) = i**(k_1 + ... + k_4), and the
+fixed loci of M and M**2 are sections of g along coordinate subspaces,
+classified against the embedded tables for order-4 automorphisms.  The
+invariant-lattice rank r is never computed from cohomology: it is read
+off the table row selected by the computable data, and reports label it
+as such.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (ConsistencyError, DegenerateInputError,
-                     NoMatchingTypeError, SingularSurfaceError)
+                     NoMatchingTypeError, SingularSurfaceError,
+                     SurfaceNotPreservedError)
 from .gaussian import I, MINUS_ONE, ONE, GaussianRational
-from .galois import LinearAuto
-from .geometry import (CurveSection, EigenForm, eigen_form,
-                       is_smooth_surface, section_of_form)
+from .galois import LinearAuto, linear_auto
+from .geometry import (CurveSection, EigenForm, is_smooth_surface,
+                       section_of_form)
 from .linalg import Matrix, centralizer_dimension
 from .poly import HomPoly, restrict
 
@@ -62,16 +65,28 @@ CHAR_PURELY_NS = "purely-ns-4"
 CHAR_NPNS = "npns"
 
 
-def _eigen(f: HomPoly, auto: LinearAuto) -> EigenForm:
-    """auto's EigenForm for f: linear_auto's record, or a new one."""
-    eig = auto.eigen
-    return eig if eig is not None and eig.surface == f else eigen_form(f, auto.matrix)
+def _record(f: HomPoly, auto: LinearAuto) -> Optional[EigenForm]:
+    """auto's EigenForm when it is linear_auto's record for f, else None."""
+    return auto.eigen if auto.eigen is not None and auto.eigen.surface == f else None
+
+
+def _validated(f: HomPoly, auto: LinearAuto) -> LinearAuto:
+    """auto with its record for f: auto itself, or linear_auto(f, M), with
+    its errors, which must find auto's multiplier."""
+    if _record(f, auto) is not None:
+        return auto
+    checked = linear_auto(f, auto.matrix)
+    if checked.multiplier != auto.multiplier:
+        raise SurfaceNotPreservedError(
+            f"matrix has multiplier {checked.multiplier}, not {auto.multiplier}")
+    return checked
 
 
 def symplectic_character(f: HomPoly, auto: LinearAuto) -> GaussianRational:
     """The eigenvalue of the automorphism on the holomorphic 2-form: det(M),
     the product of M's eigenvalues, over the multiplier."""
-    u = I ** sum(_eigen(f, auto).powers) / auto.multiplier
+    auto = _validated(f, auto)
+    u = I ** sum(auto.eigen.powers) / auto.multiplier
     if u ** 4 != ONE:
         raise ConsistencyError("character is not a 4th root of unity")
     return u
@@ -115,20 +130,20 @@ class FixedLocusReport:
         return data
 
 
-def _fixed_data(eig: EigenForm, power: int, proved_smooth: bool,
+def _fixed_data(eig: EigenForm, power: int,
                 cache: Dict[Tuple[int, ...], CurveSection]) -> Tuple[List, List, int]:
     """The sections along the eigenspaces of M**power (g with the other
     variables set to 0, each taken once: cache), the fixed curves among
     them and the isolated-point count, each section checked before the
     next.  A plane that no monomial of g mixes with the rest is a block of
-    g, smooth once g is proved smooth."""
+    g, smooth as the caller has proved g smooth."""
     g = eig.form
     taken: List[Tuple[GaussianRational, CurveSection]] = []
     curves: List[CurveSection] = []
     isolated = 0
     for mu, coords in eig.eigenspaces(power):
         if coords not in cache:
-            block = proved_smooth and len(coords) == 3 and all(
+            block = len(coords) == 3 and all(
                 sum(e[j] for j in coords) in (0, g.degree) for e in g.num)
             cache[coords] = section_of_form(
                 tuple(eig.points[j] for j in coords), restrict(g, coords),
@@ -148,36 +163,30 @@ def _fixed_data(eig: EigenForm, power: int, proved_smooth: bool,
     return taken, curves, isolated
 
 
-def fixed_locus(f: HomPoly, auto: LinearAuto, *,
-                check_smooth: bool = True) -> FixedLocusReport:
+def fixed_locus(f: HomPoly, auto: LinearAuto) -> FixedLocusReport:
     """Exact fixed locus of the automorphism on the surface, and of its
     square, with the swapped-curve count.
 
     The fixed set in P^3 is the disjoint union of the projectivized
     eigenspaces, each a coordinate subspace of y in the eigen-coordinates
-    of M (_eigen), intersected with the surface.  Smoothness is certified
-    on g = f(B y) when it has fewer terms than f, else on f: both are
-    smooth together, and g often splits into blocks certified alone.
-    Errors come in the order: singular surface, scalar matrix, then the
-    decomposition's error.
+    of M, intersected with the surface.  Smoothness is certified on
+    g = f(B y) when auto has the record and g has fewer terms than f, else
+    on f: both are smooth together, and g often splits into blocks
+    certified alone.  Errors come in the order: singular surface, scalar
+    matrix, then linear_auto's error on M.
     """
-    try:
-        eig: Optional[EigenForm] = _eigen(f, auto)
-    except ValueError as e:
-        eig, error = None, e
-    if check_smooth:
-        g = eig.form if eig is not None and len(eig.form.num) < len(f.num) else f
-        if not is_smooth_surface(g):
-            raise SingularSurfaceError("fixed loci require a smooth quartic")
+    eig = _record(f, auto)
+    g = eig.form if eig is not None and len(eig.form.num) < len(f.num) else f
+    if not is_smooth_surface(g):
+        raise SingularSurfaceError("fixed loci require a smooth quartic")
     if auto.matrix.is_scalar():
         raise DegenerateInputError("matrix is scalar: the identity on P^3")
-    if eig is None:
-        raise error
+    eig = _validated(f, auto).eigen
     cache: Dict[Tuple[int, ...], CurveSection] = {}
-    sections, curves, isolated = _fixed_data(eig, 1, check_smooth, cache)
+    sections, curves, isolated = _fixed_data(eig, 1, cache)
     if len(eig.eigenspaces(2)) == 1:  # M**2 is scalar
         return FixedLocusReport(sections, curves, isolated, None, None)
-    square = FixedLocusReport(*_fixed_data(eig, 2, check_smooth, cache), None, None)
+    square = FixedLocusReport(*_fixed_data(eig, 2, cache), None, None)
     # a fixed curve of M**2 spans a coordinate subspace of y, which the
     # diagonal M preserves; it is irreducible, so M swaps no pair: a = 0
     return FixedLocusReport(sections, curves, isolated, square, 0)
@@ -196,29 +205,29 @@ def isolated_point_formula(genera: Sequence[int]) -> int:
     return 2 * sum(1 - g for g in genera) + 4
 
 
-def classify(f: HomPoly, auto: LinearAuto, *,
-             check_smooth: bool = True) -> AutomorphismType:
+def classify(f: HomPoly, auto: LinearAuto) -> AutomorphismType:
     """Match the character and fixed-locus data against the order-4 tables.
 
     Raises NoMatchingTypeError when the data fits no table row, which
     signals a degenerate surface or a violated hypothesis rather than a
     new type.
     """
-    u = symplectic_character(f, auto)
-    report = fixed_locus(f, auto, check_smooth=check_smooth)
-    return _classify_from(u, report, auto.projective_order())
+    return _classification(f, auto)[2]
 
 
-def _classify_from(u: GaussianRational, report: FixedLocusReport,
-                   order: int) -> AutomorphismType:
+def _classification(f: HomPoly, auto: LinearAuto
+                    ) -> Tuple[GaussianRational, FixedLocusReport, AutomorphismType]:
+    """The character, the fixed locus and the type, auto validated once."""
+    auto = _validated(f, auto)
+    u, report = symplectic_character(f, auto), fixed_locus(f, auto)
     if u == ONE:
         if report.curves:
             raise NoMatchingTypeError(
                 "symplectic automorphism with a fixed curve: impossible "
                 "for K3 surfaces")
-        return AutomorphismType(CHAR_SYMPLECTIC, None, None)
+        return u, report, AutomorphismType(CHAR_SYMPLECTIC, None, None)
     if u == MINUS_ONE:
-        if order != 4:
+        if auto.projective_order() != 4:
             raise NoMatchingTypeError(
                 "character -1 but projective order is not 4; the order-4 "
                 "tables do not apply")
@@ -232,9 +241,9 @@ def _classify_from(u: GaussianRational, report: FixedLocusReport,
             raise NoMatchingTypeError(
                 f"isolated point count n={n} matches no non-purely row")
         r, l = row
-        return AutomorphismType(CHAR_NPNS, (r, l, n),
-                                "order-4 non-purely non-symplectic table "
-                                "(r table-derived)")
+        return u, report, AutomorphismType(
+            CHAR_NPNS, (r, l, n),
+            "order-4 non-purely non-symplectic table (r table-derived)")
     # u is a primitive 4th root: purely non-symplectic of order 4
     genera = [c.genus for c in report.curves]
     k = sum(1 for g in genera if g == 0)
@@ -255,16 +264,14 @@ def _classify_from(u: GaussianRational, report: FixedLocusReport,
         raise NoMatchingTypeError(
             f"isolated point count {report.isolated_points} violates the "
             f"fixed-point formula value {expected_n}")
-    return AutomorphismType(CHAR_PURELY_NS, (r, k, a, g),
-                            "order-4 purely non-symplectic table "
-                            "(r table-derived)")
+    return u, report, AutomorphismType(
+        CHAR_PURELY_NS, (r, k, a, g),
+        "order-4 purely non-symplectic table (r table-derived)")
 
 
 def serialize_classification(f: HomPoly, auto: LinearAuto) -> Dict:
     """Stable report document; field names are fixed for golden tests."""
-    u = symplectic_character(f, auto)
-    report = fixed_locus(f, auto)
-    atype = _classify_from(u, report, auto.projective_order())
+    u, report, atype = _classification(f, auto)
     return {
         "character": atype.character,
         "character_value": str(u),

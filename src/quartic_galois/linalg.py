@@ -222,13 +222,12 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def parse_matrix(text: str, rows: int = 4, cols: int = 4) -> Matrix:
-    """Parse whitespace-separated Q(i) entries, row-major."""
+def parse_matrix(text: str) -> Matrix:
+    """Parse 16 whitespace-separated Q(i) entries of a 4x4 matrix, row-major."""
     spans = [m.span() for m in re.finditer(r"\S+", text)]
-    if len(spans) != rows * cols:
-        raise ParseError(
-            f"expected {rows * cols} matrix entries, got {len(spans)}")
-    return Matrix(rows, cols, parse_literals(text, spans, "matrix entry"))
+    if len(spans) != 16:
+        raise ParseError(f"expected 16 matrix entries, got {len(spans)}")
+    return Matrix(4, 4, parse_literals(text, spans, "matrix entry"))
 
 
 # ---------------------------------------------------------------------------

@@ -321,12 +321,12 @@ class ProjPoint:
         return f"ProjPoint({self})"
 
 
-def parse_point(text: str, dim: int = 4) -> ProjPoint:
-    """Parse colon-separated homogeneous coordinates, optionally in [ ]."""
+def parse_point(text: str) -> ProjPoint:
+    """Parse four colon-separated homogeneous coordinates, optionally in [ ]."""
     body = re.fullmatch(r"\s*\[*(.*?)\]*\s*", text, re.S)
     parts = body.group(1).split(":")
-    if len(parts) != dim:
-        raise ParseError(f"expected {dim} coordinates, got {len(parts)}")
+    if len(parts) != 4:
+        raise ParseError(f"expected 4 coordinates, got {len(parts)}")
     spans, lo = [], body.start(1)
     for part in parts:
         spans.append((lo, lo + len(part)))

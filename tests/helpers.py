@@ -37,21 +37,25 @@ def engine_sizes(monkeypatch):
     return sizes
 
 
-def pullbacks(monkeypatch):
-    """The matrices of every substitute_linear call, in order, made through
-    any module of the package that binds the name."""
+def calls_of(monkeypatch, original):
+    """The arguments of every call of the package function `original`, in
+    order, made through any module of the package that binds its name."""
     calls = []
-    original = poly.substitute_linear
 
-    def spying(f, m):
-        calls.append(m)
-        return original(f, m)
+    def spying(*args):
+        calls.append(args)
+        return original(*args)
 
     for name, module in list(sys.modules.items()):
         if (name.startswith("quartic_galois")
-                and getattr(module, "substitute_linear", None) is original):
-            monkeypatch.setattr(module, "substitute_linear", spying)
+                and getattr(module, original.__name__, None) is original):
+            monkeypatch.setattr(module, original.__name__, spying)
     return calls
+
+
+def pullbacks(monkeypatch):
+    """The (f, M) of every substitute_linear call, in order."""
+    return calls_of(monkeypatch, poly.substitute_linear)
 
 
 def rand_gr(rng: random.Random, lo: int = -3, hi: int = 3,

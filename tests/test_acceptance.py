@@ -63,10 +63,10 @@ def test_criterion_2_form1_family():
         t0 = time.time()
         assert is_outer_galois_point(f, E1)
         auto = linear_auto(f, SIGMA1)
-        rep = fixed_locus(f, auto, check_smooth=False)
+        rep = fixed_locus(f, auto)
         assert [(c.genus, c.smooth) for c in rep.curves] == [(3, True)]
         assert rep.isolated_points == 0
-        at = classify(f, auto, check_smooth=False)
+        at = classify(f, auto)
         assert at.character == "purely-ns-4"
         assert at.type_tuple == (1, 0, 0, 3)
         elapsed = time.time() - t0
@@ -87,10 +87,10 @@ def test_criterion_3_form2_family():
         assert is_outer_galois_point(f, E1)
         assert is_outer_galois_point(f, ProjPoint([0, 1, 0, 0]))
         auto = linear_auto(f, s12)
-        rep = fixed_locus(f, auto, check_smooth=False)
+        rep = fixed_locus(f, auto)
         assert rep.curves == []
         assert rep.isolated_points == 8
-        at = classify(f, auto, check_smooth=False)
+        at = classify(f, auto)
         assert at.character == "npns"
         assert at.type_tuple == (10, 4, 8)
         elapsed = time.time() - t0
@@ -128,7 +128,7 @@ def test_criterion_5_isolated_point_formula():
         auto = linear_auto(f, SIGMA1)
         u = symplectic_character(f, auto)
         assert u == I
-        rep = fixed_locus(f, auto, check_smooth=False)
+        rep = fixed_locus(f, auto)
         genera = [c.genus for c in rep.curves]
         assert rep.isolated_points == isolated_point_formula(genera)
         checked += 1

@@ -3,9 +3,13 @@ import json
 
 import pytest
 
-from quartic_galois import cli, galois
+from quartic_galois import cli, galois, linalg
 from quartic_galois.cli import main
 from quartic_galois.errors import ConsistencyError
+from quartic_galois.linalg import Matrix
+from quartic_galois.poly import parse_poly, substitute_linear
+
+from helpers import calls_of, height1_gaussian
 
 FERMAT = "X^4+Y^4+Z^4+W^4"
 FORM1 = "X^4+Y^4+Z^4+W^4+Y^2*Z*W"
@@ -88,6 +92,24 @@ def test_galois_find_fermat(capsys):
         "picard_number": 20,
         "transcendental_gram": [8, 0, 0, 8],
     }
+
+
+def test_galois_find_conjugated_fermat_is_the_maximal_case(capsys):
+    # four verified points mark the maximal case in any coordinates, not
+    # only under the aligned label form-3
+    fermat = parse_poly(FERMAT, 4)
+    shear = Matrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    for a in (shear, height1_gaussian(19)):
+        code, payload, _ = run_json(capsys, "galois", "find",
+                                    str(substitute_linear(fermat, a)))
+        assert code == 0 and payload["normal_form"] == "unrecognized"
+        assert len(payload["points"]) == 4
+        assert payload["singular_k3"] == {
+            "picard_number": 20,
+            "transcendental_gram": [8, 0, 0, 8],
+        }
+    _, payload, _ = run_json(capsys, "galois", "find", FORM2)
+    assert len(payload["points"]) == 2 and "singular_k3" not in payload
 
 
 def test_galois_find_singular_rejected(capsys):
@@ -226,6 +248,24 @@ def test_moduli_dim(capsys):
     assert code == 0
     assert payload["centralizer_dimension"] == 6
     assert payload["dimension"] == 1
+
+
+def test_moduli_dim_computes_the_centralizer_once(capsys, monkeypatch):
+    calls = calls_of(monkeypatch, linalg.centralizer_dimension)
+    code, payload, _ = run_json(capsys, "moduli", "dim", "--count", "16",
+                                "--matrix", SIGMA1)
+    assert code == 0 and payload["centralizer_dimension"] == 10
+    assert payload["dimension"] == 6
+    assert len(calls) == 1
+
+
+def test_moduli_dim_reports_the_count_before_the_matrix(capsys):
+    # invalid twice over: 40 monomials, and a singular matrix
+    code, out, err = run(capsys, "moduli", "dim", "--count", "40", "--matrix",
+                         "0 0 0 0  0 1 0 0  0 0 1 0  0 0 0 1")
+    assert code == 1 and out == ""
+    assert err == ("error: 40 monomials exceed 35, the number of quartic "
+                   "monomials in X, Y, Z, W\n")
 
 
 def test_moduli_dim_rejects_negative_count(capsys):

@@ -6,7 +6,8 @@ import pytest
 from quartic_galois import geometry, k3
 
 from quartic_galois.errors import (DegenerateInputError, NoMatchingTypeError,
-                                   SingularSurfaceError, UnnormalizedAutomorphismError)
+                                   SingularSurfaceError, SurfaceNotPreservedError,
+                                   UnnormalizedAutomorphismError)
 from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, MINUS_ONE, ONE
 from quartic_galois.galois import LinearAuto, galois_generator, linear_auto
@@ -23,7 +24,7 @@ from quartic_galois.k3 import (FixedLocusReport, GramMatrix2, MAX_OUTER_GALOIS_C
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import ProjPoint, parse_poly, substitute_linear
 
-from helpers import (SIGMA1, SIGMA2, SIGMA3, SIGMA4, diag, engine_sizes,
+from helpers import (SIGMA1, SIGMA2, SIGMA3, SIGMA4, calls_of, diag, engine_sizes,
                      height1_gaussian, lift_form1, lift_form2, pullbacks, rand_sl2,
                      rand_smooth_plane_quartic, rand_squarefree_binary_quartic)
 
@@ -286,7 +287,7 @@ def test_fixed_locus_error_order(f, m, error):
 
 def test_hand_built_generator_has_the_fixed_locus_of_linear_auto():
     # galois_generator's sigma_P is a LinearAuto built by hand, with no
-    # eigen-coordinates; fixed_locus decomposes it itself, to the same data
+    # eigen-coordinates; k3 validates it through linear_auto, to the same data
     a = height1_gaussian(19)
     fa = substitute_linear(FORM1, a)
     sigma = galois_generator(fa, ProjPoint(a.inverse().apply([1, 0, 0, 0])))
@@ -296,6 +297,40 @@ def test_hand_built_generator_has_the_fixed_locus_of_linear_auto():
     _assert_same_report(fa, fixed_locus(fa, sigma), fixed_locus(fa, checked))
     assert symplectic_character(fa, sigma) == symplectic_character(fa, checked) == I
     assert classify(fa, sigma) == classify(fa, checked)
+
+
+K3_ENTRY_POINTS = [symplectic_character, fixed_locus, classify,
+                   serialize_classification]
+
+
+@pytest.mark.parametrize("entry", K3_ENTRY_POINTS,
+                         ids=[e.__name__ for e in K3_ENTRY_POINTS])
+@pytest.mark.parametrize("f, auto", [
+    (FORM1, LinearAuto(diag(1, I, 1, 1), ONE)),   # does not preserve form-1
+    (FERMAT, LinearAuto(diag(I, 1, 1, 1), I)),    # preserves Fermat with multiplier 1
+], ids=["not-preserved", "wrong-multiplier"])
+def test_hand_built_automorphism_is_validated(entry, f, auto):
+    with pytest.raises(SurfaceNotPreservedError):
+        entry(f, auto)
+
+
+def test_record_for_another_surface_is_not_used():
+    # linear_auto's record is for f only: on FORM1 the matrix is validated
+    # again, and diag(i, i, 1, 1) does not preserve FORM1
+    auto = linear_auto(FERMAT, diag(I, I, 1, 1))
+    assert symplectic_character(FERMAT, auto) == MINUS_ONE
+    with pytest.raises(SurfaceNotPreservedError):
+        symplectic_character(FORM1, auto)
+
+
+@pytest.mark.parametrize("entry", [classify, serialize_classification])
+def test_hand_built_generator_is_decomposed_once(monkeypatch, entry):
+    a = height1_gaussian(19)
+    fa = substitute_linear(FORM1, a)
+    sigma = galois_generator(fa, ProjPoint(a.inverse().apply([1, 0, 0, 0])))
+    calls = calls_of(monkeypatch, geometry.eigen_decompose_order4)
+    entry(fa, sigma)
+    assert len(calls) == 1
 
 
 def _certificates(monkeypatch):
@@ -324,10 +359,6 @@ def test_block_plane_section_is_not_certified_again(monkeypatch):
     planes = [g for g in forms if g.nvars == 3]
     assert [c.genus for c in rep.curves] == [3]
     assert planes == [rep.curves[0].form] and forms[0].nvars == 4
-    # unchecked, every plane section is certified, and the surface is not
-    forms.clear()
-    rep = fixed_locus(f, auto, check_smooth=False)
-    assert forms == [rep.curves[0].form]
 
 
 def test_plane_section_that_is_not_a_block_is_certified(monkeypatch):

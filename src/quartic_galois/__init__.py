@@ -12,11 +12,11 @@ from .errors import (ConsistencyError, DegenerateInputError, InnerPointError,
                      NoMatchingTypeError, ParseError, SingularSurfaceError,
                      SurfaceNotPreservedError, UnnormalizedAutomorphismError)
 from .gaussian import (FOURTH_ROOTS, GaussianRational, I, MINUS_I, MINUS_ONE,
-                       ONE, ZERO, gaussian_sqrt, parse_gaussian)
+                       ONE, ZERO, parse_gaussian)
 from .linalg import Matrix, centralizer_dimension, parse_matrix
-from .poly import (HomPoly, ProjPoint, XDecomposition, euler_check,
-                   monomials, parse_point, parse_poly, partials, polar_forms,
-                   squarefree_profile, substitute_linear, x_decompose)
+from .poly import (HomPoly, ProjPoint, XDecomposition, monomials, parse_point,
+                   parse_poly, partials, polar_forms, squarefree_profile,
+                   substitute_linear, x_decompose)
 from .geometry import (CurveSection, EigenDecomposition,
                        eigen_decompose_order4, is_smooth_plane_quartic,
                        is_smooth_surface, section)
@@ -44,8 +44,8 @@ __all__ = [
     "SingularSurfaceError", "SurfaceNotPreservedError",
     "UnnormalizedAutomorphismError", "XDecomposition", "ZERO",
     "adapted_basis", "centralizer_dimension", "classify",
-    "eigen_decompose_order4", "enumerate_outer_galois_points", "euler_check",
-    "fixed_locus", "galois_generator", "gaussian_sqrt", "hurwitz_check",
+    "eigen_decompose_order4", "enumerate_outer_galois_points", "fixed_locus",
+    "galois_generator", "hurwitz_check",
     "is_isomorphic_gram", "is_outer_galois_point", "is_smooth_plane_quartic",
     "is_smooth_surface", "isolated_point_formula", "linear_auto",
     "moduli_dimension", "monomials", "npns_moduli_dim", "parse_gaussian",

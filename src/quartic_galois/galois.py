@@ -33,6 +33,12 @@ sigma_P(x) = x + (i - 1) * ell(x) * P adds a multiple of P to x and gives
 ell(sigma_P x) = i * ell(x), so f(sigma_P x) = f(P) * ell(x)**4 + g(x)
 = f(x).  No quartic is pulled back.  The enumerator searches the locus
 where the first polar is a cube.
+
+A smooth quartic has N in {0, 1, 2, 4} outer Galois points, and the
+labels form-1, form-2 and form-3 name the strata N = 1, 2 and 4, whose
+members are projectively X**4 + G(Y, Z, W), X**4 + Y**4 + g(Z, W) and the
+Fermat quartic.  So a report's normal form is read off N, in any
+coordinates, whenever the report knows N.
 """
 
 from __future__ import annotations
@@ -104,12 +110,22 @@ class GaloisReport:
     """
     surface: HomPoly
     points: List[Tuple[ProjPoint, LinearAuto]]
-    normal_form: str
     reason: Optional[str] = None
 
     @property
     def completeness(self) -> str:
         return PROVED_COMPLETE if self.reason is None else CANDIDATES_ONLY
+
+    @property
+    def normal_form(self) -> str:
+        """The paper's normal form for the number N of outer Galois points:
+        form-1, form-2 or form-3 for N = 1, 2 or 4, in some coordinates.  N
+        is known when the list is proved complete or has four points, the
+        most a smooth quartic has; else, and for N = 0, "unrecognized"."""
+        n = len(self.points)
+        if self.reason is not None and n != 4:
+            return "unrecognized"
+        return {1: "form-1", 2: "form-2", 4: "form-3"}.get(n, "unrecognized")
 
     def point_list(self) -> List[ProjPoint]:
         return [p for p, _g in self.points]
@@ -211,18 +227,6 @@ def _generator_or_none(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
 # Enumeration.
 # ---------------------------------------------------------------------------
 
-def _split_variables(f: HomPoly) -> List[int]:
-    """Variables v whose only occurrence in f is the pure power v**4."""
-    out = []
-    for v in range(f.nvars):
-        pure = tuple(4 if t == v else 0 for t in range(f.nvars))
-        if pure not in f.num:
-            continue
-        if all(e[v] == 0 for e in f.num if e != pure):
-            out.append(v)
-    return out
-
-
 def _coordinate_point(v: int) -> ProjPoint:
     return ProjPoint([ONE if t == v else ZERO for t in range(4)])
 
@@ -245,15 +249,9 @@ def _verified_pairs(f: HomPoly, candidates: Sequence[ProjPoint]
 
 
 def recognize_normal_form(f: HomPoly) -> GaloisReport:
-    """The report of enumerate_outer_galois_points, whose label names
-    the split normal form (one, two or four pure fourth powers in the
-    coordinates, up to permutation) or "unrecognized"."""
+    """The report of enumerate_outer_galois_points, whose normal_form names
+    the paper's normal form of f from its number of outer Galois points."""
     return enumerate_outer_galois_points(f)
-
-
-def _form_label(f: HomPoly) -> str:
-    split = len(_split_variables(f))
-    return {4: "form-3", 2: "form-2", 1: "form-1"}.get(split, "unrecognized")
 
 
 def enumerate_outer_galois_points(
@@ -289,4 +287,4 @@ def enumerate_outer_galois_points(
         raise ConsistencyError(
             f"certified search returned {len(pairs)} Galois points; "
             "only 0, 1, 2 or 4 are possible for a smooth quartic")
-    return GaloisReport(f, pairs, _form_label(f), reason)
+    return GaloisReport(f, pairs, reason)

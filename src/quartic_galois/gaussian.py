@@ -354,43 +354,3 @@ def parse_literals(text: str, spans: Sequence[Tuple[int, int]],
     return [_literal(scan_piece(text, lo, hi, f"{what} {k}"))
             for k, (lo, hi) in enumerate(spans, 1)]
 
-
-def _rational_sqrt(f: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    if f < 0:
-        return None
-    ns = math.isqrt(f.numerator)
-    ds = math.isqrt(f.denominator)
-    if ns * ns == f.numerator and ds * ds == f.denominator:
-        return Fraction(ns, ds)
-    return None
-
-
-def gaussian_sqrt(z: GaussianRational) -> Optional[GaussianRational]:
-    """An exact square root of z in Q(i), or None if z is not a square there.
-
-    z = a + bi is a square in Q(i) iff norm(z) is a rational square r**2
-    and (a + r)/2 is a rational square.
-    """
-    if z.is_zero():
-        return ZERO
-    a, b = z.re, z.im
-    if not b:
-        s = _rational_sqrt(a)
-        if s is not None:
-            return GaussianRational(s)
-        s = _rational_sqrt(-a)
-        if s is not None:
-            return GaussianRational(0, s)
-        return None
-    r = _rational_sqrt(a * a + b * b)
-    if r is None:
-        return None
-    c = _rational_sqrt((a + r) / 2)
-    if c is None or c == 0:
-        return None
-    d = b / (2 * c)
-    cand = GaussianRational(c, d)
-    if cand * cand == z:
-        return cand
-    return None

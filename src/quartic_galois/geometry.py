@@ -31,6 +31,11 @@ c*x**4 is smooth; a larger one is decided alone, in up to three steps:
      are never computed, so the degree-D matrix is built and eliminated
      once per verdict;
   3. otherwise the next prime, and at the end exact elimination.
+`section` certifies what it reports: the smoothness of a plane section
+and the distinct points of a line section (squarefree_profile).  A
+section along a fixed eigenspace of an automorphism of a certified
+surface is read off its zero test instead (section_of_form with fixed,
+proved in the k3 module docstring).
 """
 
 from __future__ import annotations
@@ -165,13 +170,14 @@ _ROOT_POWERS = (0, 2, 1, 3)  # i**_ROOT_POWERS[n] == FOURTH_ROOTS[n]
 
 @dataclass(frozen=True)
 class EigenForm:
-    """The quartic f = `surface` in the eigen-coordinates of m, m**4 == I:
-    B has the eigenvectors of eigen_decompose_order4(m) as its columns
-    (`points`, each scaled as a ProjPoint), m B e_j = i**powers[j] B e_j,
-    and form is g = f(B y).  Every eigenspace of a power of m is then a
-    coordinate subspace of y, along which f is g with the others set to 0.
+    """The quartic f = `surface` in the eigen-coordinates of m = `matrix`,
+    m**4 == I: B has the eigenvectors of eigen_decompose_order4(m) as its
+    columns (`points`, each scaled as a ProjPoint), m B e_j = i**powers[j]
+    B e_j, and form is g = f(B y).  Every eigenspace of a power of m is then
+    a coordinate subspace of y, along which f is g with the others set to 0.
     """
     surface: HomPoly
+    matrix: Matrix
     points: List[ProjPoint]
     powers: List[int]
     form: HomPoly
@@ -195,7 +201,7 @@ def eigen_form(f: HomPoly, m: Matrix) -> EigenForm:
     powers = [_ROOT_POWERS[FOURTH_ROOTS.index(mu)]
               for mu, space in zip(eig.eigenvalues, eig.spaces) for _ in space]
     b = Matrix.from_columns([list(p.coords) for p in points])
-    return EigenForm(f, points, powers, substitute_linear(f, b))
+    return EigenForm(f, m, points, powers, substitute_linear(f, b))
 
 
 @dataclass(eq=False)
@@ -241,10 +247,13 @@ def section(f: HomPoly, basis: SubspaceBasis) -> CurveSection:
 
 
 def section_of_form(ambient: Tuple[ProjPoint, ...], g: HomPoly,
-                    smooth: Optional[bool] = None) -> CurveSection:
+                    fixed: bool = False) -> CurveSection:
     """The section along the span of 1, 2 or 3 independent points, from g,
-    the quartic in the coordinates of ambient.  smooth, when given, is the
-    verdict on a plane section, proved by the caller; else it is certified.
+    the quartic in the coordinates of ambient.  fixed is the caller's
+    premise that the span is an eigenspace of a finite-order automorphism
+    of a surface proved smooth: a plane section is then a smooth quartic
+    and a line not in the surface meets it in 4 distinct points (the k3
+    module docstring), so nothing beyond g's zero test is computed.
     """
     k = len(ambient)
     if k == 1:
@@ -253,12 +262,11 @@ def section_of_form(ambient: Tuple[ProjPoint, ...], g: HomPoly,
     if k == 2:
         if g.is_zero():
             return CurveSection(ambient, g, "line-in-surface", True, 0, None)
-        count = len(squarefree_profile(g))
+        count = 4 if fixed else len(squarefree_profile(g))
         return CurveSection(ambient, g, "finite-points", None, None, count)
     if g.is_zero():
         raise DegenerateInputError(
             "plane lies inside the quartic; the surface is singular")
-    if smooth is None:
-        smooth = is_smooth_plane_quartic(g)
+    smooth = fixed or is_smooth_plane_quartic(g)
     return CurveSection(ambient, g, "plane-quartic", smooth,
                         3 if smooth else None, None)

@@ -18,6 +18,18 @@ classified against the embedded tables for order-4 automorphisms.  The
 invariant-lattice rank r is never computed from cohomology: it is read
 off the table row selected by the computable data, and reports label it
 as such.
+
+The sections need no certificate beyond the surface's.  The fixed scheme
+of a finite-order automorphism of a smooth variety is smooth (Cartan's
+linearization; Fogarty, Fixed point schemes, Amer. J. Math. 95, 1973).
+M preserves S = {f = 0}, so the fixed scheme S^M is, as a scheme, the
+intersection of S with (P^3)^M, the reduced disjoint union of the
+projectivized eigenspaces of M: S meets each of them in a smooth scheme,
+and so for M**2.  So once S is certified, a fixed plane cuts S in a
+smooth plane quartic, of genus 3 (S is irreducible and contains no
+plane); a fixed line lies on S or meets it in a reduced scheme of degree
+4, that is 4 distinct points; a fixed point is on S or off it.  Each
+section is read from one zero test of g restricted to its coordinates.
 """
 
 from __future__ import annotations
@@ -66,8 +78,11 @@ CHAR_NPNS = "npns"
 
 
 def _record(f: HomPoly, auto: LinearAuto) -> Optional[EigenForm]:
-    """auto's EigenForm when it is linear_auto's record for f, else None."""
-    return auto.eigen if auto.eigen is not None and auto.eigen.surface == f else None
+    """auto's EigenForm when it is linear_auto's record for f and auto's
+    matrix, else None."""
+    eig = auto.eigen
+    mine = eig is not None and (eig.surface, eig.matrix) == (f, auto.matrix)
+    return eig if mine else None
 
 
 def _validated(f: HomPoly, auto: LinearAuto) -> LinearAuto:
@@ -130,37 +145,15 @@ class FixedLocusReport:
         return data
 
 
-def _fixed_data(eig: EigenForm, power: int,
-                cache: Dict[Tuple[int, ...], CurveSection]) -> Tuple[List, List, int]:
+def _fixed_data(eig: EigenForm, power: int) -> Tuple[List, List, int]:
     """The sections along the eigenspaces of M**power (g with the other
-    variables set to 0, each taken once: cache), the fixed curves among
-    them and the isolated-point count, each section checked before the
-    next.  A plane that no monomial of g mixes with the rest is a block of
-    g, smooth as the caller has proved g smooth."""
-    g = eig.form
-    taken: List[Tuple[GaussianRational, CurveSection]] = []
-    curves: List[CurveSection] = []
-    isolated = 0
-    for mu, coords in eig.eigenspaces(power):
-        if coords not in cache:
-            block = len(coords) == 3 and all(
-                sum(e[j] for j in coords) in (0, g.degree) for e in g.num)
-            cache[coords] = section_of_form(
-                tuple(eig.points[j] for j in coords), restrict(g, coords),
-                True if block else None)
-        sec = cache[coords]
-        taken.append((mu, sec))
-        if sec.kind == "plane-quartic":
-            if not sec.smooth:
-                raise DegenerateInputError(
-                    "fixed plane section is singular; outside the "
-                    "supported regime for order-4 automorphisms")
-            curves.append(sec)
-        elif sec.kind == "line-in-surface":
-            curves.append(sec)
-        elif sec.kind in ("finite-points", "point"):
-            isolated += sec.point_count or 0
-    return taken, curves, isolated
+    variables set to 0, each read off its zero test: module docstring), the
+    fixed curves among them and the isolated-point count."""
+    taken = [(mu, section_of_form(tuple(eig.points[j] for j in coords),
+                                  restrict(eig.form, coords), fixed=True))
+             for mu, coords in eig.eigenspaces(power)]
+    curves = [s for _, s in taken if s.kind in ("plane-quartic", "line-in-surface")]
+    return taken, curves, sum(s.point_count or 0 for _, s in taken)
 
 
 def fixed_locus(f: HomPoly, auto: LinearAuto) -> FixedLocusReport:
@@ -172,8 +165,9 @@ def fixed_locus(f: HomPoly, auto: LinearAuto) -> FixedLocusReport:
     of M, intersected with the surface.  Smoothness is certified on
     g = f(B y) when auto has the record and g has fewer terms than f, else
     on f: both are smooth together, and g often splits into blocks
-    certified alone.  Errors come in the order: singular surface, scalar
-    matrix, then linear_auto's error on M.
+    certified alone; it is the only certificate (module docstring).  Errors
+    come in the order: singular surface, scalar matrix, then linear_auto's
+    error on M.
     """
     eig = _record(f, auto)
     g = eig.form if eig is not None and len(eig.form.num) < len(f.num) else f
@@ -182,11 +176,10 @@ def fixed_locus(f: HomPoly, auto: LinearAuto) -> FixedLocusReport:
     if auto.matrix.is_scalar():
         raise DegenerateInputError("matrix is scalar: the identity on P^3")
     eig = _validated(f, auto).eigen
-    cache: Dict[Tuple[int, ...], CurveSection] = {}
-    sections, curves, isolated = _fixed_data(eig, 1, cache)
+    sections, curves, isolated = _fixed_data(eig, 1)
     if len(eig.eigenspaces(2)) == 1:  # M**2 is scalar
         return FixedLocusReport(sections, curves, isolated, None, None)
-    square = FixedLocusReport(*_fixed_data(eig, 2, cache), None, None)
+    square = FixedLocusReport(*_fixed_data(eig, 2), None, None)
     # a fixed curve of M**2 spans a coordinate subspace of y, which the
     # diagonal M preserves; it is irreducible, so M swaps no pair: a = 0
     return FixedLocusReport(sections, curves, isolated, square, 0)

@@ -518,13 +518,3 @@ def squarefree_profile(f: HomPoly) -> List[int]:
         profile.extend(univariate.multiplicity_profile(g))
     return sorted(profile)
 
-
-def euler_check(f: HomPoly) -> bool:
-    """sum_k x_k df/dx_k == deg(f) * f, exactly."""
-    acc = HomPoly.zero(f.nvars, f.degree, f.names)
-    for k, d in enumerate(partials(f)):
-        e = [0] * f.nvars
-        e[k] = 1
-        xk = HomPoly(f.nvars, 1, {tuple(e): ONE}, f.names)
-        acc = acc + xk * d
-    return acc == f.scale(f.degree)

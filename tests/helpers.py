@@ -157,6 +157,16 @@ def rand_sparse_quartic(rng: random.Random, nterms: int = 6) -> HomPoly:
     return HomPoly(4, 4, terms)
 
 
+def euler_identity_holds(f: HomPoly) -> bool:
+    """sum_k x_k df/dx_k == deg(f) * f, exactly."""
+    acc = HomPoly.zero(f.nvars, f.degree, f.names)
+    for k, d in enumerate(poly.partials(f)):
+        xk = HomPoly(f.nvars, 1, {tuple(int(t == k) for t in range(f.nvars)): ONE},
+                     f.names)
+        acc = acc + xk * d
+    return acc == f.scale(f.degree)
+
+
 def lift_form1(f4: HomPoly) -> HomPoly:
     """X**4 + F4(Y, Z, W) from a ternary quartic."""
     terms = {(4, 0, 0, 0): ONE}

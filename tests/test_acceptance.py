@@ -19,13 +19,13 @@ from quartic_galois.k3 import (GramMatrix2, classify, fixed_locus,
                                npns_moduli_dim, reduce_gram, solve_m,
                                symplectic_character, transform_gram)
 from quartic_galois.linalg import Matrix, centralizer_dimension
-from quartic_galois.poly import (ProjPoint, euler_check, parse_poly,
-                                 squarefree_profile, substitute_linear,
-                                 x_decompose)
+from quartic_galois.poly import (ProjPoint, parse_poly, squarefree_profile,
+                                 substitute_linear, x_decompose)
 
-from helpers import (SIGMA1, SIGMA2, SMOOTHNESS_CORPUS, diag, lift_form1,
-                     lift_form2, rand_invertible, rand_sl2,
-                     rand_smooth_plane_quartic, rand_sparse_quartic,
+from helpers import (SIGMA1, SIGMA2, SMOOTHNESS_CORPUS, diag,
+                     euler_identity_holds, lift_form1, lift_form2,
+                     rand_invertible, rand_sl2, rand_smooth_plane_quartic,
+                     rand_sparse_quartic,
                      rand_squarefree_binary_quartic)
 from oracles import oracle_is_smooth
 
@@ -221,7 +221,7 @@ def test_criterion_9_property_suites():
     for _ in range(100):
         f = rand_sparse_quartic(rng, rng.randint(1, 8))
         if not f.is_zero():
-            assert euler_check(f)
+            assert euler_identity_holds(f)
 
     # chart decomposition round trip
     for _ in range(1000):

@@ -95,14 +95,14 @@ def test_galois_find_fermat(capsys):
 
 
 def test_galois_find_conjugated_fermat_is_the_maximal_case(capsys):
-    # four verified points mark the maximal case in any coordinates, not
-    # only under the aligned label form-3
+    # four verified points mark the maximal case, and its label form-3,
+    # in any coordinates
     fermat = parse_poly(FERMAT, 4)
     shear = Matrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
     for a in (shear, height1_gaussian(19)):
         code, payload, _ = run_json(capsys, "galois", "find",
                                     str(substitute_linear(fermat, a)))
-        assert code == 0 and payload["normal_form"] == "unrecognized"
+        assert code == 0 and payload["normal_form"] == "form-3"
         assert len(payload["points"]) == 4
         assert payload["singular_k3"] == {
             "picard_number": 20,

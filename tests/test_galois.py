@@ -217,9 +217,9 @@ def test_recognize_form1():
 
 
 def test_recognize_permuted_split_form():
-    # Z^4 + W^4 + (X^3 Y + Y^4): the split variables are Z and W, and
-    # X^3 Y + Y^4 = Y (X + Y)(X^2 - XY + Y^2) has distinct factors, so
-    # this is the two-point form in disguise; both points verify
+    # Z^4 + W^4 + (X^3 Y + Y^4), where X^3 Y + Y^4 = Y (X + Y)(X^2 - XY + Y^2)
+    # has distinct factors: the two-point form in disguise, and both
+    # points verify
     g = parse_poly("X^3*Y+Y^4+Z^4+W^4", 4)
     rep = enumerate_outer_galois_points(g)
     assert rep.normal_form == "form-2"
@@ -228,13 +228,41 @@ def test_recognize_permuted_split_form():
 
 
 def test_recognize_unrecognized():
-    # no split variable, and the search proves there is no Galois point
+    # the search proves there is no Galois point
     h = parse_poly("X^4+Y^4+Z^4+W^4+X*Y*Z*W", 4)
     rep = enumerate_outer_galois_points(h)
     assert rep.normal_form == "unrecognized"
     assert rep.completeness == "proved-complete"
     assert rep.reason is None
     assert rep.point_list() == []
+
+
+@pytest.mark.parametrize("surface, label, completeness", [
+    # 2*Z^4+12*Z^2*W^2+2*W^4 = (Z+W)^4 + (Z-W)^4: two pure fourth powers in
+    # the coordinates, but Fermat, with four points
+    ("X^4+Y^4+2*Z^4+12*Z^2*W^2+2*W^4", "form-3", "proved-complete"),
+    # 2*X^4+24*X^2*Y^2+8*Y^4 = (X+r*Y)^4 + (X-r*Y)^4 with r**2 = 2: Fermat
+    # again, but two of its four points lie outside Q(i), so two verified
+    # points, no proof of completeness and no known count
+    ("2*X^4+24*X^2*Y^2+8*Y^4+Z^4+W^4", "unrecognized", "candidates-only"),
+], ids=["fermat-in-disguise", "candidates-only"])
+def test_recognize_reads_the_point_count(surface, label, completeness):
+    rep = enumerate_outer_galois_points(parse_poly(surface, 4))
+    assert rep.completeness == completeness
+    assert rep.normal_form == label
+
+
+SHEAR = Matrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+
+
+@pytest.mark.parametrize("f, label", [(FORM1, "form-1"), (FORM2, "form-2"),
+                                      (FERMAT, "form-3")],
+                         ids=["form-1", "form-2", "form-3"])
+def test_recognize_conjugated_normal_forms(f, label):
+    for a in (SHEAR, height1_gaussian(19)):
+        rep = enumerate_outer_galois_points(substitute_linear(f, a))
+        assert rep.completeness == "proved-complete"
+        assert rep.normal_form == label
 
 
 def test_recognize_random_families():

@@ -7,8 +7,7 @@ import pytest
 import sympy
 
 from quartic_galois.gaussian import (FOURTH_ROOTS, GaussianRational, I,
-                                     MINUS_ONE, ONE, ZERO, gaussian_sqrt,
-                                     parse_gaussian)
+                                     MINUS_ONE, ONE, ZERO, parse_gaussian)
 
 from helpers import rand_gr
 from oracles import gr_to_sympy
@@ -97,24 +96,6 @@ def test_fourth_roots_constant():
     assert [str(r) for r in FOURTH_ROOTS] == ["1", "-1", "i", "-i"]
     for r in FOURTH_ROOTS:
         assert r ** 4 == ONE
-
-
-def test_gaussian_sqrt_exact():
-    assert gaussian_sqrt(ZERO) == ZERO
-    assert gaussian_sqrt(GaussianRational(4)) == GaussianRational(2)
-    assert gaussian_sqrt(MINUS_ONE) in (I, -I)
-    s = gaussian_sqrt(GaussianRational(0, 2))
-    assert s is not None and s * s == GaussianRational(0, 2)
-    assert gaussian_sqrt(GaussianRational(2)) is None
-    assert gaussian_sqrt(GaussianRational(0, 3)) is None
-
-
-def test_gaussian_sqrt_random_squares():
-    rng = random.Random(11)
-    for _ in range(100):
-        a = rand_gr(rng, denominators=(1, 2, 3))
-        s = gaussian_sqrt(a * a)
-        assert s is not None and s * s == a * a
 
 
 def test_sort_key_total_order():

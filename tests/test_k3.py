@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from quartic_galois import geometry, k3
+from quartic_galois import geometry, k3, poly
 
 from quartic_galois.errors import (DegenerateInputError, NoMatchingTypeError,
                                    SingularSurfaceError, SurfaceNotPreservedError,
@@ -22,7 +22,8 @@ from quartic_galois.k3 import (FixedLocusReport, GramMatrix2, MAX_OUTER_GALOIS_C
                                serialize_classification, solve_m,
                                symplectic_character, transform_gram)
 from quartic_galois.linalg import Matrix
-from quartic_galois.poly import ProjPoint, parse_poly, substitute_linear
+from quartic_galois.poly import (HomPoly, ProjPoint, monomials, parse_poly,
+                                 substitute_linear)
 
 from helpers import (SIGMA1, SIGMA2, SIGMA3, SIGMA4, calls_of, diag, engine_sizes,
                      height1_gaussian, lift_form1, lift_form2, pullbacks, rand_sl2,
@@ -31,6 +32,7 @@ from helpers import (SIGMA1, SIGMA2, SIGMA3, SIGMA4, calls_of, diag, engine_size
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
 FORM1 = parse_poly("X^4+Y^4+Z^4+W^4+Y^2*Z*W", 4)
 FORM2 = parse_poly("X^4+Y^4+Z^4+Z*W^3+W^4", 4)
+KLEIN_W4 = parse_poly("X^3*Y+Y^3*Z+Z^3*X+W^4", 4)
 
 
 # -- characters -----------------------------------------------------------------
@@ -166,17 +168,69 @@ def _assert_same_report(f, rep, ref, square=False):
         _assert_same_report(f, rep.sigma_squared, ref.sigma_squared, True)
 
 
-@pytest.mark.parametrize("conjugated", [False, True], ids=["aligned", "conj"])
-@pytest.mark.parametrize("family, values", AUTOS,
-                         ids=[f"{fam}-{k}" for k, (fam, _) in enumerate(AUTOS)])
-def test_fixed_locus_matches_separate_square_decomposition(family, values,
-                                                           conjugated):
-    f, m = AUTO_FAMILIES[family], diag(*values)
+def _random_member(family, seed):
+    """A seeded smooth member of a family with a diagonal automorphism M, and
+    M: X^4 + G and X^4 + Y^4 + G(Z, W) with M of order 4; X^4 + X^2 Q + G
+    under the involution diag(-1, 1, 1, 1), whose fixed plane is no block
+    of the surface; and the invariants of diag(1, 1, i, -i)."""
+    rng = random.Random(f"{family}:{seed}")
+    if family == "x4+g":
+        return lift_form1(rand_smooth_plane_quartic(rng)), diag(I, 1, 1, 1)
+    if family == "x4+y4+g":
+        return lift_form2(rand_squarefree_binary_quartic(rng)), diag(I, I, 1, 1)
+    powers, m = (((2, 0, 0, 0), diag(-1, 1, 1, 1)) if family == "involution"
+                 else ((0, 0, 1, 3), diag(1, 1, I, -I)))
+    mons = [e for e in monomials(4, 4)
+            if sum(k * a for k, a in zip(powers, e)) % 4 == 0]
+    while True:
+        f = HomPoly(4, 4, {e: GR(c) for e in mons if (c := rng.randint(-2, 2))})
+        if len(f.num) > 4 and geometry.is_smooth_surface(f):
+            return f, m
+
+
+# (family, seed) of seeded random members, next to the (family, values) of AUTOS
+RANDOM_MEMBERS = [(family, seed) for family in ("x4+g", "x4+y4+g", "involution",
+                                                "zw-invariant")
+                  for seed in range(3)]
+CASES = AUTOS + RANDOM_MEMBERS
+CASE_IDS = ([f"{fam}-{k}" for k, (fam, _) in enumerate(AUTOS)]
+            + [f"{fam}-seed{seed}" for fam, seed in RANDOM_MEMBERS])
+
+
+def _case(family, values, conjugated):
+    """The surface and automorphism of a case, conjugated by a fixed
+    height-1 Gaussian matrix or not."""
+    f, m = (_random_member(family, values) if isinstance(values, int)
+            else (AUTO_FAMILIES[family], diag(*values)))
     if conjugated:
         a = height1_gaussian(19)
         f, m = substitute_linear(f, a), a.inverse() * m * a
+    return f, m
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["aligned", "conj"])
+@pytest.mark.parametrize("family, values", CASES, ids=CASE_IDS)
+def test_fixed_locus_matches_separate_square_decomposition(family, values,
+                                                           conjugated):
+    # the sections read off their zero tests agree with geometry.section's
+    # certificates: plane smoothness and distinct points on lines
+    f, m = _case(family, values, conjugated)
     rep = fixed_locus(f, linear_auto(f, m))
     _assert_same_report(f, rep, _reference_fixed_locus(f, m))
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["aligned", "conj"])
+@pytest.mark.parametrize("family, values", CASES, ids=CASE_IDS)
+def test_fixed_locus_certifies_only_the_surface(monkeypatch, family, values,
+                                                conjugated):
+    f, m = _case(family, values, conjugated)
+    auto = linear_auto(f, m)
+    profiles = calls_of(monkeypatch, poly.squarefree_profile)
+    planes = calls_of(monkeypatch, geometry.is_smooth_plane_quartic)
+    forms = _certified(monkeypatch)
+    fixed_locus(f, auto)
+    assert profiles == [] and planes == []
+    assert len(forms) == 1
 
 
 @pytest.mark.parametrize("f, values", [
@@ -308,7 +362,11 @@ K3_ENTRY_POINTS = [symplectic_character, fixed_locus, classify,
 @pytest.mark.parametrize("f, auto", [
     (FORM1, LinearAuto(diag(1, I, 1, 1), ONE)),   # does not preserve form-1
     (FERMAT, LinearAuto(diag(I, 1, 1, 1), I)),    # preserves Fermat with multiplier 1
-], ids=["not-preserved", "wrong-multiplier"])
+    # the record of diag(1, 1, 1, i), which preserves KLEIN_W4, carried by
+    # diag(1, i, 1, 1), which does not
+    (KLEIN_W4, LinearAuto(diag(1, I, 1, 1), ONE,
+                          linear_auto(KLEIN_W4, diag(1, 1, 1, I)).eigen)),
+], ids=["not-preserved", "wrong-multiplier", "borrowed-record"])
 def test_hand_built_automorphism_is_validated(entry, f, auto):
     with pytest.raises(SurfaceNotPreservedError):
         entry(f, auto)
@@ -361,16 +419,17 @@ def test_block_plane_section_is_not_certified_again(monkeypatch):
     assert planes == [rep.curves[0].form] and forms[0].nvars == 4
 
 
-def test_plane_section_that_is_not_a_block_is_certified(monkeypatch):
+def test_plane_section_that_is_not_a_block_is_not_certified(monkeypatch):
     # X^2*W^2 joins the fixed plane W = 0 of diag(1, 1, 1, -1) to W, so the
     # plane's section X^4+Y^4+Z^4 is no block of the surface, whose blocks
-    # are {X, W}, {Y}, {Z}: it is certified on its own
+    # are {X, W}, {Y}, {Z}; a fixed plane of a smooth surface cuts a smooth
+    # quartic all the same, so no plane certificate is made
     f = parse_poly("X^4+Y^4+Z^4+W^4+X^2*W^2", 4)
     forms = _certificates(monkeypatch)
     rep = fixed_locus(f, linear_auto(f, diag(1, 1, 1, -1)))
-    planes = [g for g in forms if g.nvars == 3]
     assert [(c.genus, c.smooth) for c in rep.curves] == [(3, True)]
-    assert planes == [rep.curves[0].form]
+    assert [g for g in forms if g.nvars == 3] == []
+    assert section(f, rep.curves[0].ambient).smooth is True
 
 
 def test_character_fixed_locus_consistency():

@@ -186,12 +186,23 @@ def _readme_commands():
             if line.strip() and not line.lstrip().startswith("#")]
 
 
+def _readme_transcript(argv, out, code):
+    """One command of the README transcript: the command, its stdout and
+    its exit code."""
+    return f"$ {shlex.join(argv)}\n{out}[exit {code}]\n"
+
+
 def test_readme_command_line_examples_run(capsys):
+    # stdout is pinned byte for byte by tests/golden/readme.txt
     commands = _readme_commands()
     assert commands
+    transcript = []
     for argv in commands:
         assert argv[0] == "quartic-galois", argv
         code = main(argv[1:])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code in (0, 2), argv
         assert err == "", argv
+        transcript.append(_readme_transcript(argv, out, code))
+    golden = ROOT / "tests" / "golden" / "readme.txt"
+    assert "".join(transcript) == golden.read_text(encoding="utf-8")

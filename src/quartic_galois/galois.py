@@ -39,19 +39,55 @@ labels form-1, form-2 and form-3 name the strata N = 1, 2 and 4, whose
 members are projectively X**4 + G(Y, Z, W), X**4 + Y**4 + g(Z, W) and the
 Fermat quartic.  So a report's normal form is read off N, in any
 coordinates, whenever the report knows N.
+
+Descent through the polar plane.  The criterion reads the same for a
+quartic form in any number n >= 2 of variables.  Let P be a point of it
+for f, in coordinates (T, x) with P = e_T and H_P = ker grad f(P) = {T = 0},
+so that f = c*T**4 + G(x) with c = f(P) != 0, and let B = f|H_P = G.
+  (a) f is smooth exactly when B is.  The partials of f are 4*c*T**3 and
+      those of G, so their common zeros are the points (0 : x) with x a
+      common zero of the partials of G, a singular point of B.
+  (b) If f is smooth, its points other than P are those of B, in H_P.
+      Let Q = (q0 : q) be another; its first polar 4*c*q0*T**3 + D_q G is a
+      nonzero cube (a*T + b.x)**3.  If q0 != 0, then a != 0, and the terms
+      in T**2 and T force b = 0, so D_q G = 0: G is a cone with vertex q,
+      singular there, against (a).  So q0 = 0, Q lies in H_P, and
+      D_Q f = D_q G: the first-polar identity for B at q, one dimension
+      down.  The converse is the same computation.
+  (c) So N <= 4.  Applied to B at a second point Q, (b) puts every further
+      point on the line H_P n H_Q, as a point of the binary quartic f
+      there, which is smooth (squarefree) by (a); applied to that binary
+      quartic at a point, on the one point of its polar.  So
+      N <= 1 + 1 + 2.
+  (d) Let K be the apolar space of f: the operators sum_jk A_jk d_j d_k,
+      A a symmetric matrix, that kill f; it is the kernel of f's 10x10
+      catalecticant.  For q in H_P, D_P D_q f = 12*c*ell**2*ell(q) = 0, so
+      K contains P.H_P = {P q^t + q P^t : q in H_P}, of dimension 3, whose
+      members have the column spaces span(P, q).  So dim K < 3 proves
+      N = 0.  When dim K = 3 and P exists, K = P.H_P, and the column spaces
+      of any basis of K meet in P alone; so there is at most one point, it
+      is the common point of those column spaces, and verifying it
+      decides N in {0, 1}.
+The enumerator thus proves a report complete in one of three ways: dim K
+< 3 or dim K = 3, by (d); the solver's Hilbert-function count, when dim
+K >= 4; or four verified points, by (c).  And once a point P verifies, it
+certifies the smoothness of f on the plane quartic B, by (a): 36 columns
+in place of the surface's 220.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (ConsistencyError, InnerPointError, SingularSurfaceError,
                      SurfaceNotPreservedError, UnnormalizedAutomorphismError)
 from .gaussian import ZERO, ONE, I, GaussianRational
-from .geometry import EigenForm, eigen_form, is_smooth_surface
-from .linalg import Matrix
-from .poly import HomPoly, ProjPoint, partials
+from .geometry import (EigenForm, eigen_form, is_smooth_plane_quartic,
+                       is_smooth_surface, variable_blocks)
+from .linalg import Matrix, SparseRow, kernel_basis_sparse
+from .poly import HomPoly, ProjPoint, partials, substitute_linear
 from .solver import cube_locus_quadrics, solve_projective
 
 PROVED_COMPLETE = "proved-complete"
@@ -120,12 +156,12 @@ class GaloisReport:
     def normal_form(self) -> str:
         """The paper's normal form for the number N of outer Galois points:
         form-1, form-2 or form-3 for N = 1, 2 or 4, in some coordinates.  N
-        is known when the list is proved complete or has four points, the
-        most a smooth quartic has; else, and for N = 0, "unrecognized"."""
-        n = len(self.points)
-        if self.reason is not None and n != 4:
+        is known when the list is proved complete; else, and for N = 0,
+        "unrecognized"."""
+        if self.reason is not None:
             return "unrecognized"
-        return {1: "form-1", 2: "form-2", 4: "form-3"}.get(n, "unrecognized")
+        return {1: "form-1", 2: "form-2", 4: "form-3"}.get(len(self.points),
+                                                          "unrecognized")
 
     def point_list(self) -> List[ProjPoint]:
         return [p for p, _g in self.points]
@@ -149,8 +185,18 @@ class GaloisReport:
         return out
 
 
-def _require_smooth(f: HomPoly) -> None:
-    if not is_smooth_surface(f):
+def _require_smooth(f: HomPoly, p: Optional[ProjPoint] = None) -> None:
+    """Refuse a singular f.  With p a verified outer Galois point, f is
+    smooth exactly when its plane quartic f|H_P is ((a) of the module
+    docstring), and that is certified in its place."""
+    if p is None:
+        smooth = is_smooth_surface(f)
+    else:
+        grad = [g.eval(p.coords) for g in partials(f)]
+        plane = Matrix.from_columns(Matrix(1, 4, grad).kernel_basis())
+        b = substitute_linear(f, plane)
+        smooth = not b.is_zero() and is_smooth_plane_quartic(b)
+    if not smooth:
         raise SingularSurfaceError(
             "the quartic is singular; Galois-point analysis is refused")
 
@@ -170,17 +216,23 @@ def adapted_basis(p: ProjPoint) -> Matrix:
     return Matrix.from_columns(cols)
 
 
-def _check_off_surface(f: HomPoly, p: ProjPoint) -> None:
-    _require_smooth(f)
+def _tested_generator(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
+    """_generator_or_none at p on a certified f.  A point on the surface is
+    refused once f is certified, as a singular f is refused first; a point
+    off it is verified first, so that the certificate can be the plane
+    quartic of a Galois point."""
     if f.eval(p.coords).is_zero():
+        _require_smooth(f)
         raise InnerPointError(
             "point lies on the surface: inner Galois points are out of scope")
+    gen = _generator_or_none(f, p)
+    _require_smooth(f, None if gen is None else p)
+    return gen
 
 
 def is_outer_galois_point(f: HomPoly, p: ProjPoint) -> bool:
     """Decide whether p (off the surface) is an outer Galois point of f."""
-    _check_off_surface(f, p)
-    return _generator_or_none(f, p) is not None
+    return _tested_generator(f, p) is not None
 
 
 def galois_generator(f: HomPoly, p: ProjPoint) -> LinearAuto:
@@ -189,8 +241,7 @@ def galois_generator(f: HomPoly, p: ProjPoint) -> LinearAuto:
     sigma_P does not preserve f, that is when p is not an outer Galois
     point.
     """
-    _check_off_surface(f, p)
-    gen = _generator_or_none(f, p)
+    gen = _tested_generator(f, p)
     if gen is None:
         raise SurfaceNotPreservedError(
             f"{p} is not an outer Galois point of this quartic")
@@ -248,6 +299,35 @@ def _verified_pairs(f: HomPoly, candidates: Sequence[ProjPoint]
     return out
 
 
+def _apolar_space(f: HomPoly) -> List[Matrix]:
+    """A basis of the apolar space K of f (the module docstring, (d)), the
+    kernel of its catalecticant, whose column (j, k), j <= k, holds the
+    coefficients of d_j d_k f; each member as its symmetric matrix A,
+    scaled by 2."""
+    ops = list(combinations_with_replacement(range(4), 2))
+    rows: Dict[Tuple[int, ...], SparseRow] = {}
+    for col, (j, k) in enumerate(ops):
+        for e, (a, b) in f.num.items():
+            w = e[j] * (e[k] - (j == k))
+            if w:
+                m = tuple(x - (t == j) - (t == k) for t, x in enumerate(e))
+                rows.setdefault(m, {})[col] = GaussianRational(a * w, b * w)
+    at = {jk: col for col, jk in enumerate(ops)}
+    return [Matrix(4, 4, [v[at[min(r, c), max(r, c)]] * (2 if r == c else 1)
+                          for r in range(4) for c in range(4)])
+            for v in kernel_basis_sparse(list(rows.values()), len(ops))]
+
+
+def _common_column_point(space: List[Matrix]) -> List[ProjPoint]:
+    """The one point common to the column spaces of the symmetric
+    matrices, or [] when they share none or more than one.  The column
+    space of a symmetric A is the annihilator of ker A, so the common
+    points are the kernel of all the kernels, stacked."""
+    normals = [v for a in space for v in a.kernel_basis()]
+    common = Matrix.from_rows(normals or [[ZERO] * 4]).kernel_basis()
+    return [ProjPoint(common[0])] if len(common) == 1 else []
+
+
 def recognize_normal_form(f: HomPoly) -> GaloisReport:
     """The report of enumerate_outer_galois_points, whose normal_form names
     the paper's normal form of f from its number of outer Galois points."""
@@ -259,30 +339,52 @@ def enumerate_outer_galois_points(
         extra_candidates: Sequence[ProjPoint] = ()) -> GaloisReport:
     """Search for every outer Galois point of a smooth quartic.
 
-    The outer Galois points are among the common zeros of the
-    cube-locus quadrics, a basis mod each certificate prime of the cube
-    condition's minors, whose zeros contain those of all the minors.
-    solver.solve_projective finds them mod p, lifts them to Q(i) and
-    keeps each only as an exact zero, and each is kept when sigma_P (see
-    the module docstring) preserves f, with sigma_P as its verified
+    The apolar space K decides first ((d) of the module docstring): when
+    dim K < 3 there is no point, and when dim K = 3 the one candidate is
+    the common point of the column spaces of K, so the report is proved
+    complete with no search.  Otherwise the outer Galois points are among
+    the common zeros of the cube-locus quadrics, a basis mod each
+    certificate prime of the cube condition's minors, whose zeros contain
+    those of all the minors.  solver.solve_projective finds them mod p,
+    lifts them to Q(i) and keeps each only as an exact zero, and the
+    report is proved complete when its Hilbert-function count certifies
+    that no complex zero was missed; the four coordinate points and the
+    extra candidates could then add nothing, and are tested only when
+    the count does not close, with the solver's reason.  Four verified
+    points are all there are, by (c), whatever the count.  Each candidate
+    is kept when sigma_P preserves f, with sigma_P as its verified
     generator; so every reported point is correct whatever the search
-    proved.  The report is proved-complete only when the solver's
-    Hilbert-function count certifies that no complex zero was missed;
-    the four coordinate points and the extra candidates could then add
-    nothing, and are tested only when the report is candidates-only,
-    with the solver's reason.  A proved-complete point count outside
-    {0, 1, 2, 4} is impossible for smooth quartics and raises
-    ConsistencyError.
+    proved.
+
+    A singular f is refused before any answer: on the plane quartic of
+    the first verified point, by (a), or else on f itself.  A surface
+    whose variables split into blocks is certified on f before anything
+    else, as its certificate then costs less than a search.  A
+    proved-complete point count outside {0, 1, 2, 4} is impossible for
+    smooth quartics and raises ConsistencyError.
     """
     if f.nvars != 4 or f.degree != 4:
         raise ValueError("expected a quartic form in 4 variables")
-    _require_smooth(f)
-    sols, reason = solve_projective(cube_locus_quadrics(f), 4)
-    candidates = list(sols)
-    if reason is not None:
-        candidates.extend(_coordinate_point(v) for v in range(4))
-        candidates.extend(extra_candidates)
-    pairs = _verified_pairs(f, candidates)
+    split = len(variable_blocks(f)) > 1
+    if split:
+        _require_smooth(f)
+    apolar = _apolar_space(f)
+    reason: Optional[str] = None
+    if len(apolar) < 3:
+        pairs = []
+    elif len(apolar) == 3:
+        pairs = _verified_pairs(f, _common_column_point(apolar))
+    else:
+        sols, reason = solve_projective(cube_locus_quadrics(f), 4)
+        candidates = list(sols)
+        if reason is not None:
+            candidates.extend(_coordinate_point(v) for v in range(4))
+            candidates.extend(extra_candidates)
+        pairs = _verified_pairs(f, candidates)
+    if not split:
+        _require_smooth(f, pairs[0][0] if pairs else None)
+    if len(pairs) >= 4:
+        reason = None
     if reason is None and len(pairs) not in (0, 1, 2, 4):
         raise ConsistencyError(
             f"certified search returned {len(pairs)} Galois points; "

@@ -31,6 +31,9 @@ c*x**4 is smooth; a larger one is decided alone, in up to three steps:
      are never computed, so the degree-D matrix is built and eliminated
      once per verdict;
   3. otherwise the next prime, and at the end exact elimination.
+A surface with a verified outer Galois point P is smooth exactly when
+its plane quartic f|H_P on the polar plane of P is, so the galois module
+certifies that 36-column form in its place (its docstring, (a)).
 `section` certifies what it reports: the smoothness of a plane section
 and the distinct points of a line section (squarefree_profile).  A
 section along a fixed eigenspace of an automorphism of a certified
@@ -41,7 +44,7 @@ proved in the k3 module docstring).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DegenerateInputError, UnnormalizedAutomorphismError
 from .gaussian import FOURTH_ROOTS, GaussianRational
@@ -77,6 +80,16 @@ def macaulay_rows(gens: Sequence[HomPoly], target_degree: int) -> Tuple[List[Spa
     return rows, len(cols)
 
 
+def variable_blocks(f: HomPoly) -> List[Set[int]]:
+    """The classes of f's variables that no monomial of f mixes; a variable
+    that f lacks is a class alone."""
+    blocks = [{v} for v in range(f.nvars)]
+    for exp in f.num:  # merge the blocks that the monomial meets
+        hit = [b for b in blocks if any(exp[v] for v in b)]
+        blocks = [b for b in blocks if b not in hit] + [set().union(*hit)]
+    return blocks
+
+
 def jacobian_ideal_is_irrelevant(f: HomPoly) -> bool:
     """True iff the partials of f have no common projective zero, by the
     steps of the module docstring."""
@@ -85,10 +98,7 @@ def jacobian_ideal_is_irrelevant(f: HomPoly) -> bool:
         return False
     if f.nvars == 1:  # c*x**4 with c != 0 has no projective critical point
         return True
-    blocks = [{v} for v in range(f.nvars)]
-    for exp in f.num:  # merge the blocks that the monomial meets
-        hit = [b for b in blocks if any(exp[v] for v in b)]
-        blocks = [b for b in blocks if b not in hit] + [set().union(*hit)]
+    blocks = variable_blocks(f)
     if len(blocks) > 1:
         return all(jacobian_ideal_is_irrelevant(restrict(f, sorted(b)))
                    for b in blocks)

@@ -74,6 +74,17 @@ def rand_invertible(rng: random.Random, size: int = 4) -> Matrix:
             return m
 
 
+def gaussian_matrix(seed: int, height: int) -> Matrix:
+    """A seeded invertible matrix with entries a + b*i, |a|, |b| <= height."""
+    rng = random.Random(seed)
+    while True:
+        a = Matrix(4, 4, [GaussianRational(rng.randint(-height, height),
+                                           rng.randint(-height, height))
+                          for _ in range(16)])
+        if not a.det().is_zero():
+            return a
+
+
 def height1_gaussian(seed: int) -> Matrix:
     """A seeded invertible matrix with entries a + b*i, a, b in {-1, 0, 1}."""
     rng = random.Random(seed)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,11 +14,12 @@ from quartic_galois.galois import (adapted_basis, enumerate_outer_galois_points,
 from quartic_galois import galois, geometry, solver
 from quartic_galois.geometry import eigen_decompose_order4, is_smooth_surface
 from quartic_galois.linalg import Matrix
-from quartic_galois.poly import (ProjPoint, parse_poly, substitute_linear,
-                                 x_decompose)
+from quartic_galois.poly import (HomPoly, ProjPoint, parse_poly,
+                                 substitute_linear, x_decompose)
 
-from helpers import (SIGMA1, height1_gaussian, lift_form1, lift_form2,
-                     pullbacks, rand_invertible, rand_smooth_plane_quartic,
+from helpers import (SIGMA1, calls_of, gaussian_matrix, height1_gaussian,
+                     lift_form1, lift_form2, pullbacks, rand_gr, rand_invertible,
+                     rand_smooth_plane_quartic,
                      rand_squarefree_binary_quartic, zeros_mod_p)
 from oracles import oracle_is_outer_galois_point, oracle_preserves
 
@@ -366,6 +368,8 @@ def test_enumerate_retries_next_prime():
     assert p == 2130706433
     h4, h5, zeros = zeros_mod_p(solver.cube_locus_quadrics(h), 4, p)
     assert (h4, h5, len(list(zeros))) == (4, 4, 4)
+    assert solver.solve_projective(solver.cube_locus_quadrics(h), 4) == ([], None)
+    # its apolar space is 0: the enumeration needs no search at all
     rep = enumerate_outer_galois_points(h)
     assert rep.point_list() == []
     assert rep.completeness == "proved-complete"
@@ -641,7 +645,171 @@ def test_proved_complete_search_tests_only_solver_points(monkeypatch, extra):
 def test_candidates_only_search_tests_coordinate_points(monkeypatch):
     monkeypatch.setattr(galois, "solve_projective",
                         lambda forms, n: ([], "hilbert-not-stable"))
-    rep = enumerate_outer_galois_points(FERMAT)
+    rep = enumerate_outer_galois_points(FORM2)
     assert rep.completeness == "candidates-only"
     assert rep.reason == "hilbert-not-stable"
+    assert rep.point_list() == [E2, E1]
+    # four verified coordinate points are all there are: complete anyway
+    rep = enumerate_outer_galois_points(FERMAT)
+    assert rep.completeness == "proved-complete"
     assert rep.point_list() == [E4, E3, E2, E1]
+
+
+# -- descent through the polar plane ---------------------------------------------
+
+C = math.prod(solver._CERT_PRIMES)   # vanishes modulo every certificate prime
+XYZW = parse_poly("X^4+Y^4+Z^4+W^4+X*Y*Z*W", 4)
+
+
+def test_apolar_gate_proves_no_point_without_a_search(monkeypatch):
+    # the search gave up on this conjugate (0 points, points-not-recovered);
+    # its apolar space is 0, so it has no Galois point
+    fa = substitute_linear(parse_poly(f"X^4+Y^4+Z^4+W^4+{C}*X*Y*Z*W", 4),
+                           gaussian_matrix(5, 1))
+    searches = calls_of(monkeypatch, solver.solve_projective)
+    rep = enumerate_outer_galois_points(fa)
+    assert galois._apolar_space(fa) == []
+    assert (rep.point_list(), rep.completeness) == ([], "proved-complete")
+    assert searches == []
+
+
+def test_apolar_space_of_dimension_three_without_a_point(monkeypatch):
+    # a sum of seven fourth powers of seeded linear forms: dim K = 3, but
+    # the column spaces of K share no point, so there is no Galois point,
+    # as the search proves too
+    rng, f = random.Random(5), HomPoly.zero(4, 4)
+    for _ in range(7):
+        row = [rng.randint(-2, 2) for _ in range(4)]
+        f = f + substitute_linear(parse_poly("X^4", 4),
+                                  Matrix.from_rows([row] + [list(e) for e in (E2, E3, E4)]))
+    apolar = galois._apolar_space(f)
+    assert len(apolar) == 3 and galois._common_column_point(apolar) == []
+    assert solver.solve_projective(solver.cube_locus_quadrics(f), 4) == ([], None)
+    searches = calls_of(monkeypatch, solver.solve_projective)
+    rep = enumerate_outer_galois_points(f)
+    assert (rep.points, rep.reason, searches) == ([], None, [])
+
+
+def test_four_verified_points_prove_completeness():
+    # c*W^4 vanishes modulo every certificate prime, so the count never
+    # closes; the four coordinate candidates verify, and four are all there are
+    rep = enumerate_outer_galois_points(parse_poly(f"X^4+Y^4+Z^4+{C}*W^4", 4))
+    assert rep.completeness == "proved-complete" and rep.reason is None
+    assert rep.point_list() == [E4, E3, E2, E1]
+    assert rep.normal_form == "form-3"
+
+
+def test_large_apolar_space_with_one_point():
+    # X^4 + G(Y, Z, W) with G = Y^4+Z^4+W^4+3(Y+Z+W)^4, four fourth powers:
+    # dim K = 3 + 2, so the gate leaves it to the search, which proves N = 1
+    lin = Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 1]])
+    f = FERMAT + substitute_linear(parse_poly("W^4", 4), lin).scale(3)
+    assert len(galois._apolar_space(f)) == 5
+    rep = enumerate_outer_galois_points(f)
+    assert (rep.point_list(), rep.completeness) == ([E1], "proved-complete")
+
+
+def test_singular_surface_is_refused_through_its_plane_quartic(monkeypatch):
+    # (X^2+Y^2)^2+Z^4+W^4 under SHEAR keeps its two Galois points, the moved
+    # E3 and E4; the plane quartic of the first refuses the surface
+    f = substitute_linear(parse_poly("X^4+2*X^2*Y^2+Y^4+Z^4+W^4", 4), SHEAR)
+    planes = calls_of(monkeypatch, geometry.is_smooth_plane_quartic)
+    surfaces = calls_of(monkeypatch, geometry.is_smooth_surface)
+    generator, verified = galois._generator_or_none, []
+
+    def spy_generator(f, p):
+        gen = generator(f, p)
+        if gen is not None:
+            verified.append(p)
+        return gen
+
+    monkeypatch.setattr(galois, "_generator_or_none", spy_generator)
+    with pytest.raises(SingularSurfaceError):
+        enumerate_outer_galois_points(f)
+    inv = SHEAR.inverse()
+    assert set(verified) == {ProjPoint(inv.apply(list(e))) for e in (E3, E4)}
+    assert len(planes) == 1 and surfaces == []
+
+
+@pytest.mark.parametrize("f, dim_k, searched, plane", [
+    (FORM1, 3, False, True), (FORM2, 5, True, True), (XYZW, 0, False, False),
+], ids=["form-1", "form-2", "xyzw"])
+def test_descent_certifies_the_smallest_form(monkeypatch, f, dim_k, searched, plane):
+    # in generic coordinates: dim K = 3 and dim K = 0 decide with no search,
+    # and a verified point certifies its plane quartic in place of the surface
+    fa = substitute_linear(f, height1_gaussian(19))
+    assert len(galois._apolar_space(fa)) == dim_k
+    searches = calls_of(monkeypatch, solver.solve_projective)
+    planes = calls_of(monkeypatch, geometry.is_smooth_plane_quartic)
+    surfaces = calls_of(monkeypatch, geometry.is_smooth_surface)
+    rep = enumerate_outer_galois_points(fa)
+    assert rep.reason is None
+    assert (len(searches), len(planes), len(surfaces)) == (
+        int(searched), int(plane), int(not plane))
+
+
+@pytest.mark.parametrize("f, p, outcome, plane", [
+    (FORM2, E1, True, True), (FORM2, E3, False, False),
+    (parse_poly("X^4+Y^4+Z^4", 4), E1, SingularSurfaceError, True),
+    (parse_poly("X^4+Y^4+Z^4", 4), E4, SingularSurfaceError, False),
+], ids=["galois", "not-galois", "singular-galois", "singular-inner"])
+def test_tester_certifies_the_smallest_form(monkeypatch, f, p, outcome, plane):
+    # a point off the surface is verified first, and a Galois point
+    # certifies its plane quartic; a point on a singular surface is refused
+    # as singular, before it is refused as inner
+    a = height1_gaussian(19)
+    fa, moved = substitute_linear(f, a), ProjPoint(a.inverse().apply(list(p)))
+    planes = calls_of(monkeypatch, geometry.is_smooth_plane_quartic)
+    surfaces = calls_of(monkeypatch, geometry.is_smooth_surface)
+    if isinstance(outcome, bool):
+        assert is_outer_galois_point(fa, moved) == outcome
+    else:
+        with pytest.raises(outcome):
+            is_outer_galois_point(fa, moved)
+    assert (len(planes), len(surfaces)) == (int(plane), int(not plane))
+
+
+def _members(rng):
+    """Seeded form-1, form-2 and Fermat members, each family three times
+    smooth and once singular: a node at (0:1:0:0), a double root of the
+    binary quartic at W = 0, or a zero coefficient (a cone)."""
+    def drop_high_first_power(g):
+        return HomPoly(g.nvars, 4, {e: c for e, c in g.terms.items() if e[0] < 3})
+
+    out = []
+    for k in range(4):
+        singular = k == 3
+        g = rand_smooth_plane_quartic(rng)
+        h = rand_squarefree_binary_quartic(rng)
+        if singular:
+            g, h = drop_high_first_power(g), drop_high_first_power(h)
+        coeffs = [rand_gr(rng, 1, 3) for _ in range(4)]
+        if singular:
+            coeffs[3] = ZERO
+        out += [lift_form1(g), lift_form2(h),
+                HomPoly(4, 4, {tuple(4 * (t == j) for t in range(4)): c
+                               for j, c in enumerate(coeffs)})]
+    return out
+
+
+def test_descent_agrees_with_the_search():
+    # the report by descent against the route that searches every surface
+    # and certifies it whole: the same points and generators, the same
+    # completeness, the same smoothness
+    outcomes = []
+    for seed, f in enumerate(_members(random.Random(72)), 72):
+        fa = substitute_linear(f, height1_gaussian(seed))
+        sols, reason = solver.solve_projective(solver.cube_locus_quadrics(fa), 4)
+        if reason is not None:
+            sols += [galois._coordinate_point(v) for v in range(4)]
+        old = ((galois._verified_pairs(fa, sols), reason)
+               if is_smooth_surface(fa) else None)
+        try:
+            rep = enumerate_outer_galois_points(fa)
+            new = (rep.points, rep.reason)
+        except SingularSurfaceError:
+            new = None
+        assert new == old
+        outcomes.append(None if new is None else len(new[0]))
+    assert outcomes.count(None) == 3
+    assert sorted(outcomes[:9]) == [1, 1, 1, 2, 2, 2, 4, 4, 4]

@@ -16,8 +16,8 @@ from quartic_galois.linalg import Matrix
 from quartic_galois.poly import (HomPoly, ProjPoint, monomials, parse_poly, partials,
                                  substitute_linear)
 
-from helpers import (SMOOTH_SURFACES, SMOOTHNESS_CORPUS, engine_sizes, rand_invertible,
-                     zeros_mod_p)
+from helpers import (SMOOTH_SURFACES, SMOOTHNESS_CORPUS, engine_sizes,
+                     gaussian_matrix, rand_invertible, zeros_mod_p)
 from oracles import oracle_is_smooth
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
@@ -97,15 +97,6 @@ SQUARE = parse_poly("X^4+2*X^2*Y^2+Y^4+Z^4+W^4", 4)   # (X^2+Y^2)^2+Z^4+W^4
 DWORK = parse_poly("X^4+Y^4+Z^4+W^4-4*X*Y*Z*W", 4)
 
 
-def _gaussian_matrix(seed, height):
-    rng = random.Random(seed)
-    while True:
-        a = Matrix(4, 4, [GR(rng.randint(-height, height), rng.randint(-height, height))
-                          for _ in range(16)])
-        if not a.det().is_zero():
-            return a
-
-
 def _forbid_exact_rank(monkeypatch):
     def no_exact_rank(rows):
         raise AssertionError("exact elimination was reached")
@@ -150,8 +141,8 @@ def _spy_searches(monkeypatch):
 
 
 @pytest.mark.parametrize("f, a", [
-    (CONE, SHEAR), (CONE, ZERO_ONE), (SQUARE, SHEAR), (DWORK, _gaussian_matrix(7, 1)),
-    (DWORK, _gaussian_matrix(7, 3)),
+    (CONE, SHEAR), (CONE, ZERO_ONE), (SQUARE, SHEAR), (DWORK, gaussian_matrix(7, 1)),
+    (DWORK, gaussian_matrix(7, 3)),
 ], ids=["cone-shear", "cone-zero-one", "square-shear", "dwork-gaussian",
         "dwork-gaussian-height3"])
 def test_singular_point_witness(monkeypatch, f, a):
@@ -231,7 +222,7 @@ def test_bogus_modular_zero_is_not_a_witness(monkeypatch):
     assert first_search() == []
 
 
-@pytest.mark.parametrize("f", [substitute_linear(FERMAT, _gaussian_matrix(1, 1)),
+@pytest.mark.parametrize("f", [substitute_linear(FERMAT, gaussian_matrix(1, 1)),
                                parse_poly("Y^3*Z+Z^3*W+W^3*Y", 4, names=("Y", "Z", "W"))],
                          ids=["fermat-gaussian", "klein"])
 def test_smooth_verdict_builds_only_the_degree_D_echelon(monkeypatch, f):
@@ -278,7 +269,7 @@ def test_singular_witness_stops_at_the_first_exact_zero(monkeypatch):
 
 
 @pytest.mark.parametrize("f", [parse_poly(t, 4) for t in SMOOTH_SURFACES]
-                         + [substitute_linear(FERMAT, _gaussian_matrix(s, 1))
+                         + [substitute_linear(FERMAT, gaussian_matrix(s, 1))
                             for s in (1, 2, 3)]
                          + [parse_poly("Y^3*Z+Z^3*W+W^3*Y", 4, names=("Y", "Z", "W"))],
                          ids=[f"corpus-{k}" for k in range(len(SMOOTH_SURFACES))]

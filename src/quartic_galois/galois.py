@@ -40,15 +40,16 @@ members are projectively X**4 + G(Y, Z, W), X**4 + Y**4 + g(Z, W) and the
 Fermat quartic.  So a report's normal form is read off N, in any
 coordinates, whenever the report knows N.
 
-Descent through the polar plane.  The criterion reads the same for a
-quartic form in any number n >= 2 of variables.  Let P be a point of it
-for f, in coordinates (T, x) with P = e_T and H_P = ker grad f(P) = {T = 0},
-so that f = c*T**4 + G(x) with c = f(P) != 0, and let B = f|H_P = G.
+Descent through the polar plane.  The criterion, and what follows, hold
+for a quartic form f in any number n >= 2 of variables; call a point off
+f whose first polar is 4 f(P) ell**3 a point of f.  Let P be one, in
+coordinates (T, x) with P = e_T and H_P = ker grad f(P) = {T = 0}, so that
+f = c*T**4 + G(x) with c = f(P) != 0, and let B = f|H_P = G.
   (a) f is smooth exactly when B is.  The partials of f are 4*c*T**3 and
       those of G, so their common zeros are the points (0 : x) with x a
       common zero of the partials of G, a singular point of B.
-  (b) If f is smooth, its points other than P are those of B, in H_P.
-      Let Q = (q0 : q) be another; its first polar 4*c*q0*T**3 + D_q G is a
+  (b) If f is smooth, the points of f other than P are those of B, in
+      H_P.  Let Q = (q0 : q) be one; its first polar 4*c*q0*T**3 + D_q G is a
       nonzero cube (a*T + b.x)**3.  If q0 != 0, then a != 0, and the terms
       in T**2 and T force b = 0, so D_q G = 0: G is a cone with vertex q,
       singular there, against (a).  So q0 = 0, Q lies in H_P, and
@@ -185,16 +186,16 @@ class GaloisReport:
         return out
 
 
-def _require_smooth(f: HomPoly, p: Optional[ProjPoint] = None) -> None:
-    """Refuse a singular f.  With p a verified outer Galois point, f is
-    smooth exactly when its plane quartic f|H_P is ((a) of the module
-    docstring), and that is certified in its place."""
-    if p is None:
+def _require_smooth(f: HomPoly, gen: Optional[LinearAuto] = None) -> None:
+    """Refuse a singular f.  With gen the verified sigma_P of a Galois
+    point P, f is smooth exactly when its plane quartic f|H_P is ((a) of
+    the module docstring), and that is certified in its place; H_P is the
+    axis of sigma_P, ker(sigma_P - 1)."""
+    if gen is None:
         smooth = is_smooth_surface(f)
     else:
-        grad = [g.eval(p.coords) for g in partials(f)]
-        plane = Matrix.from_columns(Matrix(1, 4, grad).kernel_basis())
-        b = substitute_linear(f, plane)
+        axis = (gen.matrix - Matrix.identity(4)).kernel_basis()
+        b = substitute_linear(f, Matrix.from_columns(axis))
         smooth = not b.is_zero() and is_smooth_plane_quartic(b)
     if not smooth:
         raise SingularSurfaceError(
@@ -226,7 +227,7 @@ def _tested_generator(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
         raise InnerPointError(
             "point lies on the surface: inner Galois points are out of scope")
     gen = _generator_or_none(f, p)
-    _require_smooth(f, None if gen is None else p)
+    _require_smooth(f, gen)
     return gen
 
 
@@ -382,7 +383,7 @@ def enumerate_outer_galois_points(
             candidates.extend(extra_candidates)
         pairs = _verified_pairs(f, candidates)
     if not split:
-        _require_smooth(f, pairs[0][0] if pairs else None)
+        _require_smooth(f, pairs[0][1] if pairs else None)
     if len(pairs) >= 4:
         reason = None
     if reason is None and len(pairs) not in (0, 1, 2, 4):

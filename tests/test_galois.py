@@ -679,9 +679,10 @@ def test_apolar_space_of_dimension_three_without_a_point(monkeypatch):
     # as the search proves too
     rng, f = random.Random(5), HomPoly.zero(4, 4)
     for _ in range(7):
-        row = [rng.randint(-2, 2) for _ in range(4)]
-        f = f + substitute_linear(parse_poly("X^4", 4),
-                                  Matrix.from_rows([row] + [list(e) for e in (E2, E3, E4)]))
+        # X -> a linear form with seeded coefficients
+        lin = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(4)],
+                                list(E2), list(E3), list(E4)])
+        f = f + substitute_linear(parse_poly("X^4", 4), lin)
     apolar = galois._apolar_space(f)
     assert len(apolar) == 3 and galois._common_column_point(apolar) == []
     assert solver.solve_projective(solver.cube_locus_quadrics(f), 4) == ([], None)

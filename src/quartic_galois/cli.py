@@ -219,6 +219,8 @@ def cmd_moduli(args: argparse.Namespace) -> int:
         _emit(payload, [f"l = {args.l}", f"moduli dimension: {dim}"],
               args.format)
         return EXIT_OK
+    if args.count is not None and args.monomials is not None:
+        raise ParseError("moduli dim takes --count or --monomials, not both")
     if args.count is not None:
         if args.count < 0:
             raise ParseError(f"--count {args.count} is negative; it counts "
@@ -226,11 +228,8 @@ def cmd_moduli(args: argparse.Namespace) -> int:
         count = args.count
     elif args.monomials is not None:
         count = _count_monomials(_read_arg(args.monomials))
-    elif args.family_file is not None:
-        with open(args.family_file, "r", encoding="utf-8") as fh:
-            count = _count_monomials(fh.read())
     else:
-        raise ParseError("moduli dim requires --count, --monomials or --family-file")
+        raise ParseError("moduli dim requires --count or --monomials")
     mats = [_load_matrix(m) for m in (args.matrix or [])]
     dim = moduli_dimension(count, mats)
     cdim = count - dim
@@ -402,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moduli", help="naive moduli dimension counts")
     p.add_argument("mode", choices=("dim", "npns"))
     p.add_argument("--count", help="family monomial count")
-    p.add_argument("--monomials", help="whitespace-separated monomials")
-    p.add_argument("--family-file", help="file of monomials")
+    p.add_argument("--monomials", help="whitespace-separated monomials, or @file")
     p.add_argument("--matrix", action="append",
                    help="automorphism matrix (repeatable)")
     p.add_argument("--l", default="4",

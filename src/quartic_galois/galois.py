@@ -104,14 +104,6 @@ class LinearAuto:
     multiplier: GaussianRational
     eigen: Optional[EigenForm] = field(default=None, compare=False, repr=False)
 
-    def projective_order(self) -> int:
-        m = self.matrix
-        if m.is_scalar():
-            return 1
-        if (m * m).is_scalar():
-            return 2
-        return 4
-
 
 def linear_auto(f: HomPoly, m: Matrix) -> LinearAuto:
     """Validate that m preserves the surface of f and package it.
@@ -260,12 +252,12 @@ def _generator_or_none(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
     grads = partials(f)
     grad = [g.eval(p.coords) for g in grads]
     dot = sum((a * x for a, x in zip(grad, p)), ZERO)
-    polar = HomPoly.zero(4, 3, f.names)
+    polar = HomPoly.zero(4, 3)
     for g, x in zip(grads, p):
         if not x.is_zero():
             polar = polar + g.scale(x)
     lin = HomPoly(4, 1, {tuple(int(t == j) for t in range(4)): a
-                         for j, a in enumerate(grad)}, f.names)
+                         for j, a in enumerate(grad)})
     if polar.scale(dot * dot) != lin * lin * lin:
         return None
     # (i - 1) * ell, with ell = grad f(P) / (grad f(P) . P) and ell(P) = 1

@@ -14,8 +14,11 @@ A variable that f lacks proves singular.  The others are grouped into
 blocks that no monomial mixes, and f is smooth exactly when each
 block's form F_i (f with the other variables set to 0) is: a common
 zero of the partials is nonzero on some block, where it is a critical
-point of F_i, and one of F_i padded with zeros is one of f.  A block
-c*x**4 is smooth; a larger one is decided alone, in up to three steps:
+point of F_i, and one of F_i padded with zeros is one of f.  A block of
+one or two variables needs no matrix: c*x**4 is smooth, and a binary
+form is exactly when its linear factors are distinct, the gcd test of
+squarefree_profile that line sections use.  A block of 3 or more
+variables is decided alone, in up to three steps:
   1. at each certificate prime p the search builds the matrix modulo a
      Gaussian prime above p, with its columns in degree-reverse-lex
      order and without the rows that the Koszul syzygies among the
@@ -96,8 +99,8 @@ def jacobian_ideal_is_irrelevant(f: HomPoly) -> bool:
     gens = partials(f)
     if any(g.is_zero() for g in gens):
         return False
-    if f.nvars == 1:  # c*x**4 with c != 0 has no projective critical point
-        return True
+    if f.nvars <= 2:
+        return f.nvars == 1 or max(squarefree_profile(f)) == 1
     blocks = variable_blocks(f)
     if len(blocks) > 1:
         return all(jacobian_ideal_is_irrelevant(restrict(f, sorted(b)))

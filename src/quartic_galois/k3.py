@@ -220,7 +220,7 @@ def _classification(f: HomPoly, auto: LinearAuto
                 "for K3 surfaces")
         return u, report, AutomorphismType(CHAR_SYMPLECTIC, None, None)
     if u == MINUS_ONE:
-        if auto.projective_order() != 4:
+        if len(auto.eigen.eigenspaces(2)) == 1:  # M**2 is scalar
             raise NoMatchingTypeError(
                 "character -1 but projective order is not 4; the order-4 "
                 "tables do not apply")

@@ -3,9 +3,11 @@
 The central type is HomPoly: a strictly homogeneous form in at most 4
 variables with Gaussian-rational coefficients, stored sparsely as one
 denominator and Z[i] numerators keyed by exponent vectors; every
-operation below runs on those integers.  Printing uses the
-graded-lexicographic term order, so all textual output is canonical and
-round-trips through the parser bit-exactly.
+operation below runs on those integers.  A form in n variables prints
+in the first n of the letters X, Y, Z, W, its terms in descending lex
+order, so the text depends only on the form's value, and equal forms
+print the same.  parse_poly reads that text back as a form in all four
+letters, which restrict takes down to the original variables.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import math
 import re
 from functools import lru_cache
 from types import MappingProxyType
-from typing import (Dict, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .errors import ParseError
 from .gaussian import (ZERO, ONE, GaussianRational, parse_literals,
@@ -49,11 +50,10 @@ class HomPoly:
     equal data.  terms is the read-only view of the coefficients in Q(i).
     """
 
-    __slots__ = ("nvars", "degree", "num", "den", "names")
+    __slots__ = ("nvars", "degree", "num", "den")
 
     def __init__(self, nvars: int, degree: int,
-                 terms: Mapping[Exponent, GaussianRational],
-                 names: Optional[Tuple[str, ...]] = None):
+                 terms: Mapping[Exponent, GaussianRational]):
         if not 1 <= nvars <= 4:
             raise ValueError("HomPoly supports 1..4 variables")
         clean: Dict[Exponent, GaussianRational] = {}
@@ -72,12 +72,10 @@ class HomPoly:
         self.num = dict(zip(clean, nums))
         self.nvars = nvars
         self.degree = degree
-        self.names = tuple(names) if names else DEFAULT_NAMES[:nvars]
 
     @classmethod
     def _from_num(cls, nvars: int, degree: int, num: Dict[Exponent, GInt],
-                  den: int, names: Optional[Tuple[str, ...]] = None
-                  ) -> "HomPoly":
+                  den: int) -> "HomPoly":
         """num / den for Z[i] numerators and a positive integer den: the
         zero numerators are dropped and the integer factor common to den
         and every numerator is cancelled."""
@@ -85,20 +83,19 @@ class HomPoly:
         g = math.gcd(den, *(x for c in num.values() for x in c))
         if g > 1:
             num = {e: (a // g, b // g) for e, (a, b) in num.items()}
-        f = cls(nvars, degree, {}, names)
+        f = cls(nvars, degree, {})
         f.num, f.den = num, den // g
         return f
 
     # -- basics -----------------------------------------------------------
 
     @staticmethod
-    def zero(nvars: int, degree: int,
-             names: Optional[Tuple[str, ...]] = None) -> "HomPoly":
-        return HomPoly(nvars, degree, {}, names)
+    def zero(nvars: int, degree: int) -> "HomPoly":
+        return HomPoly(nvars, degree, {})
 
     @staticmethod
-    def constant(nvars: int, value, names=None) -> "HomPoly":
-        return HomPoly(nvars, 0, {(0,) * nvars: value}, names)
+    def constant(nvars: int, value) -> "HomPoly":
+        return HomPoly(nvars, 0, {(0,) * nvars: value})
 
     def is_zero(self) -> bool:
         return not self.num
@@ -146,7 +143,7 @@ class HomPoly:
             re, im = out.get(e, (0, 0))
             out[e] = (re + a * t, im + b * t)
         deg = self.degree if not self.is_zero() else other.degree
-        return HomPoly._from_num(self.nvars, deg, out, den, self.names)
+        return HomPoly._from_num(self.nvars, deg, out, den)
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
         return self + (-other)
@@ -164,18 +161,18 @@ class HomPoly:
                 re, im = out.get(e, (0, 0))
                 out[e] = (re + a * c - b * d, im + a * d + b * c)
         return HomPoly._from_num(self.nvars, self.degree + other.degree, out,
-                                 self.den * other.den, self.names)
+                                 self.den * other.den)
 
     def scale(self, c) -> "HomPoly":
         dc, (z,) = _common_denominator([GaussianRational.coerce(c)])
         return HomPoly._from_num(self.nvars, self.degree,
                                  {e: _gi_mul(z, v) for e, v in self.num.items()},
-                                 self.den * dc, self.names)
+                                 self.den * dc)
 
     def __pow__(self, n: int) -> "HomPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = HomPoly(self.nvars, 0, {(0,) * self.nvars: ONE}, self.names)
+        result = HomPoly.constant(self.nvars, ONE)
         base = self
         while n:
             if n & 1:
@@ -219,7 +216,7 @@ class HomPoly:
 
     def _fmt_monomial(self, exp: Exponent) -> str:
         pieces = []
-        for name, e in zip(self.names, exp):
+        for name, e in zip(DEFAULT_NAMES, exp):
             if e == 1:
                 pieces.append(name)
             elif e > 1:
@@ -247,15 +244,14 @@ def _fmt_coeff(coeff: GaussianRational, mono: str) -> Tuple[str, bool]:
 # Parsing.
 # ---------------------------------------------------------------------------
 
-def parse_poly(text: str, expected_degree: int,
-               names: Tuple[str, ...] = DEFAULT_NAMES) -> HomPoly:
-    """Parse a homogeneous form in the given one-letter variables.
+def parse_poly(text: str, expected_degree: int) -> HomPoly:
+    """Parse a homogeneous form in X, Y, Z, W, as a form in 4 variables.
 
     The grammar is that of gaussian.scan_terms, e.g. "2X^2Y^2 + i*Z^4",
     "X^4 + (1+i)*Y^2*Z^2 - 1/2*W^4".  Rejects inhomogeneous input and
     wrong total degree.
     """
-    terms = scan_terms(text, names)
+    terms = scan_terms(text, DEFAULT_NAMES)
     degrees = {sum(e) for e, _c, _p in terms}
     if len(degrees) > 1:
         offender = next(p for e, _c, p in terms if sum(e) != expected_degree)
@@ -268,7 +264,7 @@ def parse_poly(text: str, expected_degree: int,
     acc: Dict[Exponent, GaussianRational] = {}
     for exp, coeff, _p in terms:
         acc[exp] = acc.get(exp, ZERO) + coeff
-    return HomPoly(len(names), expected_degree, acc, names)
+    return HomPoly(4, expected_degree, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +413,7 @@ def partials(f: HomPoly) -> List[HomPoly]:
     for k in range(f.nvars):
         num = {exp[:k] + (e - 1,) + exp[k + 1:]: (a * e, b * e)
                for exp, (a, b) in f.num.items() if (e := exp[k])}
-        out.append(HomPoly._from_num(f.nvars, f.degree - 1, num, f.den, f.names))
+        out.append(HomPoly._from_num(f.nvars, f.degree - 1, num, f.den))
     return out
 
 
@@ -428,22 +424,20 @@ class XDecomposition:
     scalar coefficient of the pure chart power.  reassemble() is exact.
     """
 
-    __slots__ = ("chart", "c", "nvars", "degree", "names")
+    __slots__ = ("chart", "c", "nvars", "degree")
 
-    def __init__(self, chart: int, c: List[HomPoly], nvars: int,
-                 degree: int, names: Tuple[str, ...]):
+    def __init__(self, chart: int, c: List[HomPoly], nvars: int, degree: int):
         self.chart = chart
         self.c = c
         self.nvars = nvars
         self.degree = degree
-        self.names = names
 
     def reassemble(self) -> HomPoly:
-        out = HomPoly.zero(self.nvars, self.degree, self.names)
+        out = HomPoly.zero(self.nvars, self.degree)
         for k, ck in enumerate(self.c):
             out = out + HomPoly._from_num(self.nvars, self.degree, {
                 exp[:self.chart] + (self.degree - k,) + exp[self.chart:]: c
-                for exp, c in ck.num.items()}, ck.den, self.names)
+                for exp, c in ck.num.items()}, ck.den)
         return out
 
 
@@ -453,16 +447,15 @@ def x_decompose(f: HomPoly, chart: int) -> XDecomposition:
         raise ValueError("chart index out of range")
     if f.nvars < 2:
         raise ValueError("decomposition needs at least 2 variables")
-    rest_names = tuple(nm for k, nm in enumerate(f.names) if k != chart)
     d = f.degree
     buckets: List[Dict[Exponent, GInt]] = [{} for _ in range(d + 1)]
     for exp, coeff in f.num.items():
         k = d - exp[chart]
         rest = exp[:chart] + exp[chart + 1:]
         buckets[k][rest] = coeff
-    c = [HomPoly._from_num(f.nvars - 1, k, buckets[k], f.den, rest_names)
+    c = [HomPoly._from_num(f.nvars - 1, k, buckets[k], f.den)
          for k in range(d + 1)]
-    return XDecomposition(chart, c, f.nvars, d, f.names)
+    return XDecomposition(chart, c, f.nvars, d)
 
 
 def polar_forms(f: HomPoly, p: Union[ProjPoint, Sequence]) -> List[HomPoly]:
@@ -488,7 +481,7 @@ def polar_forms(f: HomPoly, p: Union[ProjPoint, Sequence]) -> List[HomPoly]:
             bucket = out[sum(sub)]
             re, im = bucket.get(sub, (0, 0))
             bucket[sub] = (re + m * c[0], im + m * c[1])
-    return [HomPoly._from_num(f.nvars, k, out[k], f.den * dp ** (d - k), f.names)
+    return [HomPoly._from_num(f.nvars, k, out[k], f.den * dp ** (d - k))
             for k in range(d + 1)]
 
 

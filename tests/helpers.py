@@ -132,7 +132,7 @@ def rand_plane_quartic(rng: random.Random, nterms: int = 8) -> HomPoly:
             c = rng.choice((1, 2, -1))
         if c:
             terms[e] = GaussianRational(c)
-    return HomPoly(3, 4, terms, ("Y", "Z", "W"))
+    return HomPoly(3, 4, terms)
 
 
 def rand_smooth_plane_quartic(rng: random.Random) -> HomPoly:
@@ -151,7 +151,7 @@ def rand_squarefree_binary_quartic(rng: random.Random) -> HomPoly:
                 c = rng.choice((1, 2, -1))
             if c:
                 terms[e] = GaussianRational(c)
-        f = HomPoly(2, 4, terms, ("Z", "W"))
+        f = HomPoly(2, 4, terms)
         if not f.is_zero() and squarefree_profile(f) == [1] * 4:
             return f
 
@@ -170,10 +170,9 @@ def rand_sparse_quartic(rng: random.Random, nterms: int = 6) -> HomPoly:
 
 def euler_identity_holds(f: HomPoly) -> bool:
     """sum_k x_k df/dx_k == deg(f) * f, exactly."""
-    acc = HomPoly.zero(f.nvars, f.degree, f.names)
+    acc = HomPoly.zero(f.nvars, f.degree)
     for k, d in enumerate(poly.partials(f)):
-        xk = HomPoly(f.nvars, 1, {tuple(int(t == k) for t in range(f.nvars)): ONE},
-                     f.names)
+        xk = HomPoly(f.nvars, 1, {tuple(int(t == k) for t in range(f.nvars)): ONE})
         acc = acc + xk * d
     return acc == f.scale(f.degree)
 

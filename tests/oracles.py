@@ -58,8 +58,7 @@ def sympy_to_gr(value) -> GaussianRational:
 
 
 def oracle_substitute_linear(f: HomPoly, m: Matrix) -> HomPoly:
-    """f(M x) expanded by sympy's Poly arithmetic over QQ_I, in the
-    default variable names."""
+    """f(M x) expanded by sympy's Poly arithmetic over QQ_I."""
     ys = sympy.symbols(f"y0:{m.cols}")
     sm = sympy_matrix(m)
     images = [sympy.Poly(sum(sm[k, j] * ys[j] for j in range(m.cols)),
@@ -76,7 +75,7 @@ def oracle_substitute_linear(f: HomPoly, m: Matrix) -> HomPoly:
 
 def sympy_to_hompoly(expr, syms, degree: int) -> HomPoly:
     """A form of the given degree in syms, its coefficients read by
-    sympy's Poly over QQ_I, as a HomPoly in the default variable names."""
+    sympy's Poly over QQ_I, as a HomPoly."""
     poly = sympy.Poly(expr, *syms, domain="QQ_I")
     return HomPoly(len(syms), degree,
                    {exp: sympy_to_gr(c) for exp, c in poly.terms() if c != 0})

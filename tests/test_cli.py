@@ -305,11 +305,19 @@ def test_moduli_monomials_reads_every_token(tmp_path, capsys):
             ("X^4 Y^4 Z^4*", "monomial 'Z^4*': '*' must stand between")):
         family.write_text(monomials + "\n")
         for source in (["--monomials", monomials],
-                       ["--family-file", str(family)]):
+                       ["--monomials", f"@{family}"]):
             code, out, err = run(capsys, "moduli", "dim", *source)
             assert code == 1 and out == ""
             assert err.startswith(f"error: {named}")
             assert "Traceback" not in err
+
+
+def test_moduli_dim_refuses_count_with_monomials(capsys):
+    # both flags give the family: the call is refused, naming the two
+    code, out, err = run(capsys, "moduli", "dim", "--count", "7",
+                         "--monomials", "X^4 Y^4")
+    assert code == 1 and out == ""
+    assert err == "error: moduli dim takes --count or --monomials, not both\n"
 
 
 def test_moduli_npns(capsys):

@@ -14,13 +14,18 @@ from quartic_galois.geometry import (eigen_decompose_order4,
                                      is_smooth_surface, macaulay_rows, section)
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import (HomPoly, ProjPoint, monomials, parse_poly, partials,
-                                 substitute_linear)
+                                 restrict, substitute_linear)
 
 from helpers import (SMOOTH_SURFACES, SMOOTHNESS_CORPUS, engine_sizes,
                      gaussian_matrix, rand_invertible, zeros_mod_p)
 from oracles import oracle_is_smooth
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
+
+
+def plane(text):
+    """The plane quartic in Y, Z, W of the given text."""
+    return restrict(parse_poly(text, 4), (1, 2, 3))
 
 
 # -- smoothness ---------------------------------------------------------------
@@ -47,16 +52,16 @@ def test_macaulay_dimensions():
     rows, ncols = macaulay_rows(partials(FERMAT), 9)
     assert ncols == 220 and len(rows) == 336
     rows3, ncols3 = macaulay_rows(
-        partials(parse_poly("Y^4+Z^4+W^4", 4, names=("Y", "Z", "W"))), 7)
+        partials(plane("Y^4+Z^4+W^4")), 7)
     assert ncols3 == 36 and len(rows3) == 45
 
 
 def test_plane_quartic_examples():
-    smooth = parse_poly("Y^4+Z^4+W^4", 4, names=("Y", "Z", "W"))
+    smooth = plane("Y^4+Z^4+W^4")
     assert is_smooth_plane_quartic(smooth)
-    cusp = parse_poly("Y^4+Z^4", 4, names=("Y", "Z", "W"))
+    cusp = plane("Y^4+Z^4")
     assert not is_smooth_plane_quartic(cusp)
-    klein = parse_poly("Y^3*Z+Z^3*W+W^3*Y", 4, names=("Y", "Z", "W"))
+    klein = plane("Y^3*Z+Z^3*W+W^3*Y")
     assert is_smooth_plane_quartic(klein)
     assert oracle_is_smooth(klein)
 
@@ -75,7 +80,7 @@ def test_margin_stability():
     for text in SMOOTHNESS_CORPUS:
         f = parse_poly(text, 4)
         assert is_smooth_surface(f) == (_hilbert_above_certificate_degree(f) == 0)
-    g = parse_poly("Y^3*Z+Z^3*W+W^3*Y", 4, names=("Y", "Z", "W"))
+    g = plane("Y^3*Z+Z^3*W+W^3*Y")
     assert is_smooth_plane_quartic(g) == (_hilbert_above_certificate_degree(g) == 0)
 
 
@@ -188,8 +193,7 @@ def test_singular_plane_quartic_witness(monkeypatch):
     # coordinates, singular at two points of length 9
     _forbid_exact_rank(monkeypatch)
     shear = Matrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-    g = substitute_linear(parse_poly("Y^4+2*Y^2*Z^2+Z^4+W^4", 4,
-                                     names=("Y", "Z", "W")), shear)
+    g = substitute_linear(plane("Y^4+2*Y^2*Z^2+Z^4+W^4"), shear)
     assert is_smooth_plane_quartic(g) is False
 
 
@@ -223,7 +227,7 @@ def test_bogus_modular_zero_is_not_a_witness(monkeypatch):
 
 
 @pytest.mark.parametrize("f", [substitute_linear(FERMAT, gaussian_matrix(1, 1)),
-                               parse_poly("Y^3*Z+Z^3*W+W^3*Y", 4, names=("Y", "Z", "W"))],
+                               plane("Y^3*Z+Z^3*W+W^3*Y")],
                          ids=["fermat-gaussian", "klein"])
 def test_smooth_verdict_builds_only_the_degree_D_echelon(monkeypatch, f):
     # a full-rank image at the first prime proves smooth: one Macaulay
@@ -271,7 +275,7 @@ def test_singular_witness_stops_at_the_first_exact_zero(monkeypatch):
 @pytest.mark.parametrize("f", [parse_poly(t, 4) for t in SMOOTH_SURFACES]
                          + [substitute_linear(FERMAT, gaussian_matrix(s, 1))
                             for s in (1, 2, 3)]
-                         + [parse_poly("Y^3*Z+Z^3*W+W^3*Y", 4, names=("Y", "Z", "W"))],
+                         + [plane("Y^3*Z+Z^3*W+W^3*Y")],
                          ids=[f"corpus-{k}" for k in range(len(SMOOTH_SURFACES))]
                          + [f"fermat-gaussian-{s}" for s in (1, 2, 3)] + ["klein"])
 def test_smooth_verdict_needs_no_exact_elimination(monkeypatch, f):
@@ -291,24 +295,25 @@ def test_smoothness_projective_invariance():
 
 @pytest.mark.parametrize("text, smooth, sizes", [
     ("X^4+Y^4+Z^4", False, []),                          # W is absent
-    ("X^4+2*X^2*Y^2+Y^4+Z^4+W^4", False, [2]),           # (X^2+Y^2)^2+Z^4+W^4
-    ("X^2*Y^2+Z^2*W^2", False, [2]),                     # singular along lines
-    ("X^4-4*X^2*Y^2+4*Y^4+Z^4+W^4", False, [2]),         # (X^2-2Y^2)^2: sqrt2 nodes
+    ("X^4+2*X^2*Y^2+Y^4+Z^4+W^4", False, []),            # (X^2+Y^2)^2+Z^4+W^4
+    ("X^2*Y^2+Z^2*W^2", False, []),                      # singular along lines
+    ("X^4-4*X^2*Y^2+4*Y^4+Z^4+W^4", False, []),          # (X^2-2Y^2)^2: sqrt2 nodes
     ("X^4+Y^4+Z^4+W^4+Y^2*Z*W", True, [3]),              # form-1
     ("2*X^4-Y^4+i*Z^4+W^4+3*Y^2*Z*W", True, [3]),
-    ("X^4+Y^4+Z^4+Z*W^3+W^4", True, [2]),                # form-2
-    ("-X^4+2*Y^4+Z^4+i*Z*W^3+W^4", True, [2]),
-    ("X^3*Y+Y^4+Z^4+W^4", True, [2]),
+    ("X^4+Y^4+Z^4+Z*W^3+W^4", True, []),                 # form-2
+    ("-X^4+2*Y^4+Z^4+i*Z*W^3+W^4", True, []),
+    ("X^3*Y+Y^4+Z^4+W^4", True, []),
     ("X^4+Y^4+Z^4+W^4", True, []),
 ], ids=["cone", "square", "curve", "irrational-nodes", "form-1", "form-1-member",
         "form-2", "form-2-member", "x3y", "fermat"])
 def test_block_verdicts(monkeypatch, text, smooth, sizes):
     # a form whose monomials split the variables into blocks is decided
     # block by block, each in its own variables; a missing variable is
-    # singular before any engine runs, and a one-variable block c*x^4 is
-    # smooth without one; the first singular block ends the
-    # verdict.  The irrational nodes are not Q(i) points, so their block
-    # is decided by exact elimination
+    # singular before any engine runs, a one-variable block c*x^4 is
+    # smooth without one, and a binary block is decided by its squarefree
+    # profile, also when its nodes are irrational; the first singular
+    # block ends the verdict.  Only a block of 3 or more variables reaches
+    # the engine
     f = parse_poly(text, 4)
     seen = engine_sizes(monkeypatch)
     assert is_smooth_surface(f) is smooth
@@ -387,7 +392,7 @@ def test_block_verdict_matches_the_mixed_image(monkeypatch):
 
 def test_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        is_smooth_surface(parse_poly("Y^4+Z^4+W^4", 4, names=("Y", "Z", "W")))
+        is_smooth_surface(plane("Y^4+Z^4+W^4"))
     with pytest.raises(ValueError):
         is_smooth_plane_quartic(FERMAT)
 

@@ -8,7 +8,7 @@ from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, ONE, ZERO, parse_gaussian
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import (HomPoly, ProjPoint, monomials, parse_point,
-                                 parse_poly, partials, polar_forms,
+                                 parse_poly, partials, polar_forms, restrict,
                                  squarefree_profile, substitute_linear,
                                  x_decompose)
 
@@ -43,7 +43,6 @@ def _assert_matches_oracle(f, m):
     assert g == expected
     assert str(g) == str(expected)
     assert hash(g) == hash(expected)
-    assert g.names == ("X", "Y", "Z", "W")[:m.cols]
     assert (g.nvars, g.degree) == (m.cols, f.degree)
 
 
@@ -158,6 +157,35 @@ def test_zero_polynomial():
     assert str(f) == "0"
 
 
+_MIXED = parse_poly("X^4+2*X^2*Y*Z-i*Y^3*W+1/3*Z^4-(1+i)*Z*W^3+W^4", 4)
+
+
+@pytest.mark.parametrize("keep", [(2, 3), (1, 2, 3), (0, 1, 2, 3)],
+                         ids=["binary", "plane", "surface"])
+def test_equal_forms_print_equal_text(keep):
+    # a form's text depends only on its value: equal forms reached by
+    # restriction, pullback, differentiation, arithmetic and the chart
+    # decomposition print the same, and the text parses back to the form
+    f, n = _MIXED, len(keep)
+    g = restrict(f, keep)
+    columns = Matrix(4, n, [ONE if keep[c] == r else ZERO
+                            for r in range(4) for c in range(n)])
+    # f's terms in the kept variables, printed in f's own letters
+    kept = HomPoly(4, 4, {e: c for e, c in f.terms.items()
+                          if sum(e[v] for v in keep) == 4})
+    pairs = [
+        (g, substitute_linear(f, columns)),
+        (g, restrict(parse_poly(str(kept), 4), keep)),
+        (partials(g)[0], restrict(partials(f)[keep[0]], keep)),
+        (g * g, restrict(f * f, keep)),
+        (g + g, restrict(f.scale(2), keep)),
+        (x_decompose(g, 0).c[4], restrict(f, keep[1:])),
+    ]
+    for a, b in pairs:
+        assert a == b and str(a) == str(b)
+        assert restrict(parse_poly(str(a), a.degree), range(a.nvars)) == a
+
+
 # -- arithmetic -------------------------------------------------------------
 
 def test_addition_degree_guard():
@@ -213,7 +241,7 @@ def test_equal_polynomials_store_equal_data(seed):
 
 
 def test_mul_degrees_add():
-    q = parse_poly("X^2+Y^2", 2, names=("X", "Y", "Z", "W"))
+    q = parse_poly("X^2+Y^2", 2)
     assert (q * q).degree == 4
     assert (q * q).coeff((2, 2, 0, 0)) == GR(2)
 
@@ -313,17 +341,18 @@ def test_substitute_line_inside_surface_is_zero():
     line = a.inverse() * Matrix.from_rows([[1, 0], [1, 0], [0, 1], [0, 1]])
     h = substitute_linear(g, line)
     assert h.is_zero() and str(h) == "0"
-    assert (h.nvars, h.degree, h.names) == (2, 4, ("X", "Y"))
+    assert (h.nvars, h.degree) == (2, 4)
     _assert_matches_oracle(g, line)
 
 
 def test_substitute_keeps_default_names():
-    f = parse_poly("a^4+1/3*b^3*c-(2+i)*a*b*c*d+7/2*i*d^4", 4,
-                   names=("a", "b", "c", "d"))
+    # the pullback prints in X, Y, Z, W, and that text parses back to it
+    f = parse_poly("X^4+1/3*Y^3*Z-(2+i)*X*Y*Z*W+7/2*i*W^4", 4)
     rng = random.Random(13)
     m = _rand_matrix(rng, 4, 4, denominators=(1, 7))
     _assert_matches_oracle(f, m)
-    assert "a" not in str(substitute_linear(f, m))
+    g = substitute_linear(f, m)
+    assert parse_poly(str(g), 4) == g
 
 
 # -- partial derivatives ------------------------------------------------------
@@ -355,19 +384,20 @@ def test_x_decompose_split_form():
     xd = x_decompose(f, 0)
     assert xd.c[0].eval([0, 0, 0]) == ONE
     assert xd.c[1].is_zero() and xd.c[2].is_zero() and xd.c[3].is_zero()
-    assert str(xd.c[4]) == "Y^4+Y^2*Z*W+Z^4+W^4"
+    assert xd.c[4] == restrict(parse_poly("Y^4+Y^2*Z*W+Z^4+W^4", 4), (1, 2, 3))
+    assert str(xd.c[4]) == "X^4+X^2*Y*Z+Y^4+Z^4"
 
 
 def test_x_decompose_fermat():
     xd = x_decompose(FERMAT, 0)
-    assert str(xd.c[4]) == "Y^4+Z^4+W^4"
+    assert str(xd.c[4]) == "X^4+Y^4+Z^4"
 
 
 def test_x_decompose_binomial():
     # (X + Y)**4, frozen from the binomial expansion
-    f = parse_poly("X^4+4*X^3*Y+6*X^2*Y^2+4*X*Y^3+Y^4", 4, names=("X", "Y"))
+    f = restrict(parse_poly("X^4+4*X^3*Y+6*X^2*Y^2+4*X*Y^3+Y^4", 4), (0, 1))
     xd = x_decompose(f, 0)
-    assert [str(c) for c in xd.c] == ["1", "4*Y", "6*Y^2", "4*Y^3", "Y^4"]
+    assert [str(c) for c in xd.c] == ["1", "4*X", "6*X^2", "4*X^3", "X^4"]
 
 
 def test_x_decompose_round_trip_many():
@@ -418,11 +448,13 @@ def test_polar_expansion_consistency():
 # -- binary forms ------------------------------------------------------------------
 
 def test_squarefree_profile_examples():
-    f = parse_poly("Z^4+W^4", 4, names=("Z", "W"))
+    def binary(text):
+        return restrict(parse_poly(text, 4), (2, 3))
+    f = binary("Z^4+W^4")
     assert squarefree_profile(f) == [1, 1, 1, 1]
-    g = parse_poly("Z^2*W^2", 4, names=("Z", "W"))
+    g = binary("Z^2*W^2")
     assert squarefree_profile(g) == [2, 2]
-    h = parse_poly("Z^4-4*Z^3*W+6*Z^2*W^2-4*Z*W^3+W^4", 4, names=("Z", "W"))
+    h = binary("Z^4-4*Z^3*W+6*Z^2*W^2-4*Z*W^3+W^4")
     assert squarefree_profile(h) == [4]
 
 
@@ -434,7 +466,7 @@ def test_squarefree_profile_sums():
             c = rng.randint(-3, 3)
             if c:
                 terms[e] = GR(c)
-        f = HomPoly(2, 4, terms, ("Z", "W"))
+        f = HomPoly(2, 4, terms)
         if f.is_zero():
             continue
         assert sum(squarefree_profile(f)) == 4
@@ -442,7 +474,7 @@ def test_squarefree_profile_sums():
 
 def test_squarefree_profile_rejects_zero():
     with pytest.raises(ValueError):
-        squarefree_profile(HomPoly(2, 4, {}, ("Z", "W")))
+        squarefree_profile(HomPoly(2, 4, {}))
 
 
 # -- projective points -----------------------------------------------------------

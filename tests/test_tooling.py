@@ -206,3 +206,54 @@ def test_readme_command_line_examples_run(capsys):
         transcript.append(_readme_transcript(argv, out, code))
     golden = ROOT / "tests" / "golden" / "readme.txt"
     assert "".join(transcript) == golden.read_text(encoding="utf-8")
+
+
+# the order-4 automorphisms diag(...) of the normal forms that the benchmark
+# corpus runs through `auto`, and matrices that each entry point must refuse
+AUTO_SURFACES = {
+    "fermat": "X^4+Y^4+Z^4+W^4",
+    "form-1": "X^4+Y^4+Z^4+W^4+Y^2*Z*W",
+    "form-2": "X^4+Y^4+Z^4+Z*W^3+W^4",
+    "x3y": "X^3*Y+Y^4+Z^4+W^4",
+    "xyzw": "X^4+Y^4+Z^4+W^4+X*Y*Z*W",
+    # singular at (1 : i : 0 : 0)
+    "singular": "X^4+2*X^2*Y^2+Y^4+Z^4+W^4",
+}
+AUTO_DIAGONALS = [
+    ("fermat", "i 1 1 1"), ("fermat", "i i 1 1"), ("fermat", "i -i 1 1"),
+    ("form-1", "i 1 1 1"), ("form-1", "1 1 i -i"),
+    ("form-2", "i i 1 1"), ("form-2", "i 1 1 1"),
+    ("x3y", "1 1 i 1"), ("xyzw", "i -i 1 1"),
+    # errors: scalar, scalar and unnormalized, unnormalized, singular,
+    # not preserved
+    ("fermat", "i i i i"), ("fermat", "2 2 2 2"), ("fermat", "2 1 1 1"),
+    ("singular", "2 2 2 2"), ("singular", "2 1 1 1"), ("singular", "1 1 1 i"),
+    ("form-1", "1 i 1 1"),
+]
+
+
+def _diagonal_text(values):
+    d = values.split()
+    return "  ".join(" ".join(d[r] if c == r else "0" for c in range(4))
+                     for r in range(4))
+
+
+def _auto_commands():
+    for fmt in ([], ["--format", "json"]):
+        for mode in ("character", "fixed-locus", "classify"):
+            for family, values in AUTO_DIAGONALS:
+                yield ["quartic-galois", *fmt, "auto", mode, AUTO_SURFACES[family],
+                       "--matrix", _diagonal_text(values)]
+
+
+def test_auto_transcript(capsys):
+    # stdout or stderr (never both) and the exit code of every command,
+    # pinned byte for byte by tests/golden/auto.txt
+    transcript = []
+    for argv in _auto_commands():
+        code = main(argv[1:])
+        out, err = capsys.readouterr()
+        assert out == "" or err == "", argv
+        transcript.append(_readme_transcript(argv, out + err, code))
+    golden = ROOT / "tests" / "golden" / "auto.txt"
+    assert "".join(transcript) == golden.read_text(encoding="utf-8")

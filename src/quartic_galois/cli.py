@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import ConsistencyError, ParseError, SurfaceNotPreservedError
 from .gaussian import GaussianRational, I, ONE, parse_integer, scan_piece
 from .galois import (enumerate_outer_galois_points, galois_generator,
-                     is_outer_galois_point, linear_auto)
+                     is_outer_galois_point)
 from .geometry import is_smooth_surface
 from .k3 import (GramMatrix2, MAX_OUTER_GALOIS_COUNT,
                  MAX_OUTER_GALOIS_TRANSCENDENTAL_GRAM, SINGULAR_K3_PICARD_NUMBER,
@@ -129,15 +129,14 @@ def cmd_galois(args: argparse.Namespace) -> int:
 def cmd_auto(args: argparse.Namespace) -> int:
     f = _load_surface(args.surface)
     m = _load_matrix(args.matrix)
-    auto = linear_auto(f, m)
     if args.mode == "character":
-        u = symplectic_character(f, auto)
+        u = symplectic_character(f, m)
         payload = {"command": "auto-character", "surface": str(f),
                    "character_value": str(u)}
         _emit(payload, [f"surface: {f}", f"character: {u}"], args.format)
         return EXIT_OK
     if args.mode == "fixed-locus":
-        rep = fixed_locus(f, auto)
+        rep = fixed_locus(f, m)
         payload = {"command": "auto-fixed-locus", "surface": str(f),
                    **rep.to_dict()}
         lines = [f"surface: {f}",
@@ -152,7 +151,7 @@ def cmd_auto(args: argparse.Namespace) -> int:
         _emit(payload, lines, args.format)
         return EXIT_OK
     # classify
-    doc = serialize_classification(f, auto)
+    doc = serialize_classification(f, m)
     payload = {"command": "auto-classify", "surface": str(f), **doc}
     lines = [f"surface: {f}",
              f"character: {doc['character']} ({doc['character_value']})",
@@ -214,10 +213,10 @@ def _count_monomials(text: str) -> int:
 
 def cmd_moduli(args: argparse.Namespace) -> int:
     if args.mode == "npns":
-        dim = npns_moduli_dim(args.l)
-        payload = {"command": "moduli-npns", "l": args.l, "dimension": dim}
-        _emit(payload, [f"l = {args.l}", f"moduli dimension: {dim}"],
-              args.format)
+        l = 4 if args.l is None else args.l
+        dim = npns_moduli_dim(l)
+        payload = {"command": "moduli-npns", "l": l, "dimension": dim}
+        _emit(payload, [f"l = {l}", f"moduli dimension: {dim}"], args.format)
         return EXIT_OK
     if args.count is not None and args.monomials is not None:
         raise ParseError("moduli dim takes --count or --monomials, not both")
@@ -267,22 +266,21 @@ def _demo_checks(seed: int) -> List[Tuple[str, bool, str]]:
     checks.append(("four-pure-powers: generators are the diagonal homologies",
                    diag_ok, "exact match" if diag_ok else "mismatch"))
 
-    auto1, auto12 = linear_auto(form1, s1), linear_auto(form2, s12)
-    t1 = classify(form1, auto1)
+    t1 = classify(form1, s1)
     checks.append(("split form, one point: type (1, 0, 0, 3)",
                    t1.type_tuple == (1, 0, 0, 3), str(t1.type_tuple)))
 
-    t2 = classify(form2, auto12)
+    t2 = classify(form2, s12)
     checks.append(("split form, two points: type (10, 4, 8)",
                    t2.type_tuple == (10, 4, 8), str(t2.type_tuple)))
 
-    u1 = symplectic_character(form1, auto1)
-    u2 = symplectic_character(form2, auto12)
-    u3 = symplectic_character(fermat, linear_auto(fermat, Matrix.diagonal([I, -I, 1, 1])))
+    u1 = symplectic_character(form1, s1)
+    u2 = symplectic_character(form2, s12)
+    u3 = symplectic_character(fermat, Matrix.diagonal([I, -I, 1, 1]))
     ok = u1 == I and u2 == GaussianRational(-1) and u3 == ONE
     checks.append(("characters: i, -1, 1", ok, f"{u1}, {u2}, {u3}"))
 
-    fl = fixed_locus(form2, auto12)
+    fl = fixed_locus(form2, s12)
     checks.append(("two-point form: eight isolated fixed points, no curves",
                    fl.isolated_points == 8 and not fl.curves,
                    f"n={fl.isolated_points}, curves={len(fl.curves)}"))
@@ -355,6 +353,13 @@ def cmd_demo(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 INTEGER_OPTIONS = ("seed", "count", "l")
+# the options that a mode does not read, refused rather than ignored
+UNREAD_OPTIONS = {
+    ("galois", "test"): ("candidate",),
+    ("galois", "find"): ("point",),
+    ("moduli", "dim"): ("l",),
+    ("moduli", "npns"): ("count", "monomials", "matrix"),
+}
 SURFACE_HELP = "quartic in X, Y, Z, W, or @file"
 
 
@@ -404,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monomials", help="whitespace-separated monomials, or @file")
     p.add_argument("--matrix", action="append",
                    help="automorphism matrix (repeatable)")
-    p.add_argument("--l", default="4",
-                   help="rank of the (-1)-eigenspace for npns")
+    p.add_argument("--l", help="rank of the (-1)-eigenspace for npns")
 
     sub.add_parser("demo", help="replay the worked examples")
     return parser
@@ -423,6 +427,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
+        mode = getattr(args, "mode", None)
+        for name in UNREAD_OPTIONS.get((args.command, mode), ()):
+            if getattr(args, name) is not None:
+                raise ParseError(f"{args.command} {mode} does not take --{name}")
         # argparse's type=int would take non-ASCII digits and '_'
         for name in INTEGER_OPTIONS:
             value = getattr(args, name, None)

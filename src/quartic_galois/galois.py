@@ -98,7 +98,9 @@ CANDIDATES_ONLY = "candidates-only"
 @dataclass(frozen=True)
 class LinearAuto:
     """An exact linear automorphism of a quartic: f(M x) == multiplier * f.
-    eigen, left out of equality, is f in M's eigen-coordinates (linear_auto).
+    eigen, left out of equality, is f in M's eigen-coordinates, which
+    linear_auto records and a homology built by galois_generator leaves
+    out; k3 takes M alone and calls linear_auto itself.
     """
     matrix: Matrix
     multiplier: GaussianRational

@@ -183,14 +183,13 @@ _ROOT_POWERS = (0, 2, 1, 3)  # i**_ROOT_POWERS[n] == FOURTH_ROOTS[n]
 
 @dataclass(frozen=True)
 class EigenForm:
-    """The quartic f = `surface` in the eigen-coordinates of m = `matrix`,
-    m**4 == I: B has the eigenvectors of eigen_decompose_order4(m) as its
-    columns (`points`, each scaled as a ProjPoint), m B e_j = i**powers[j]
-    B e_j, and form is g = f(B y).  Every eigenspace of a power of m is then
-    a coordinate subspace of y, along which f is g with the others set to 0.
+    """A quartic f in the eigen-coordinates of a matrix m with m**4 == I, as
+    eigen_form(f, m) builds it: B has the eigenvectors of
+    eigen_decompose_order4(m) as its columns (`points`, each scaled as a
+    ProjPoint), m B e_j = i**powers[j] B e_j, and form is g = f(B y).  Every
+    eigenspace of a power of m is then a coordinate subspace of y, along
+    which f is g with the others set to 0.
     """
-    surface: HomPoly
-    matrix: Matrix
     points: List[ProjPoint]
     powers: List[int]
     form: HomPoly
@@ -214,7 +213,7 @@ def eigen_form(f: HomPoly, m: Matrix) -> EigenForm:
     powers = [_ROOT_POWERS[FOURTH_ROOTS.index(mu)]
               for mu, space in zip(eig.eigenvalues, eig.spaces) for _ in space]
     b = Matrix.from_columns([list(p.coords) for p in points])
-    return EigenForm(f, m, points, powers, substitute_linear(f, b))
+    return EigenForm(points, powers, substitute_linear(f, b))
 
 
 @dataclass(eq=False)

@@ -8,16 +8,15 @@ M with f(M x) = multiplier * f acts on the nowhere-vanishing 2-form by
 (through the residue representation of the 2-form), so u decides the
 character: u == 1 symplectic, u primitive 4th root purely
 non-symplectic of order 4, u == -1 with projective order 4 non-purely
-non-symplectic.  Every answer is read from f in the eigen-coordinates of
-M, the record (geometry.EigenForm) that galois.linear_auto validates M
-with: M decomposed once, f pulled back once to g = f(B y), where
-M = diag(i**k_j).  A LinearAuto without the record for f is validated by
-linear_auto once per call.  So det(M) = i**(k_1 + ... + k_4), and the
-fixed loci of M and M**2 are sections of g along coordinate subspaces,
-classified against the embedded tables for order-4 automorphisms.  The
-invariant-lattice rank r is never computed from cohomology: it is read
-off the table row selected by the computable data, and reports label it
-as such.
+non-symplectic.  Every entry point takes the pair (f, M) and derives the
+rest from it with one call of galois.linear_auto: the multiplier, and f
+in the eigen-coordinates of M (geometry.EigenForm), M decomposed once and
+f pulled back once to g = f(B y), where M = diag(i**k_j).  So
+det(M) = i**(k_1 + ... + k_4), and the fixed loci of M and M**2 are
+sections of g along coordinate subspaces, classified against the
+embedded tables for order-4 automorphisms.  The invariant-lattice rank r
+is never computed from cohomology: it is read off the table row selected
+by the computable data, and reports label it as such.
 
 The sections need no certificate beyond the surface's.  The fixed scheme
 of a finite-order automorphism of a smooth variety is smooth (Cartan's
@@ -38,8 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (ConsistencyError, DegenerateInputError,
-                     NoMatchingTypeError, SingularSurfaceError,
-                     SurfaceNotPreservedError)
+                     NoMatchingTypeError, SingularSurfaceError)
 from .gaussian import I, MINUS_ONE, ONE, GaussianRational
 from .galois import LinearAuto, linear_auto
 from .geometry import (CurveSection, EigenForm, is_smooth_surface,
@@ -77,30 +75,13 @@ CHAR_PURELY_NS = "purely-ns-4"
 CHAR_NPNS = "npns"
 
 
-def _record(f: HomPoly, auto: LinearAuto) -> Optional[EigenForm]:
-    """auto's EigenForm when it is linear_auto's record for f and auto's
-    matrix, else None."""
-    eig = auto.eigen
-    mine = eig is not None and (eig.surface, eig.matrix) == (f, auto.matrix)
-    return eig if mine else None
+def symplectic_character(f: HomPoly, m: Matrix) -> GaussianRational:
+    """The eigenvalue of the automorphism m of f on the holomorphic 2-form:
+    det(m), the product of m's eigenvalues, over the multiplier."""
+    return _character(linear_auto(f, m))
 
 
-def _validated(f: HomPoly, auto: LinearAuto) -> LinearAuto:
-    """auto with its record for f: auto itself, or linear_auto(f, M), with
-    its errors, which must find auto's multiplier."""
-    if _record(f, auto) is not None:
-        return auto
-    checked = linear_auto(f, auto.matrix)
-    if checked.multiplier != auto.multiplier:
-        raise SurfaceNotPreservedError(
-            f"matrix has multiplier {checked.multiplier}, not {auto.multiplier}")
-    return checked
-
-
-def symplectic_character(f: HomPoly, auto: LinearAuto) -> GaussianRational:
-    """The eigenvalue of the automorphism on the holomorphic 2-form: det(M),
-    the product of M's eigenvalues, over the multiplier."""
-    auto = _validated(f, auto)
+def _character(auto: LinearAuto) -> GaussianRational:
     u = I ** sum(auto.eigen.powers) / auto.multiplier
     if u ** 4 != ONE:
         raise ConsistencyError("character is not a 4th root of unity")
@@ -115,14 +96,20 @@ class FixedLocusReport:
     eigenvalue order 1, -1, i, -i; curves collects the curve components
     (with genus); isolated_points is the exact count n of isolated
     fixed points.  sigma_squared holds the same data for the square of
-    the automorphism, and a_count the number of curve pairs in its
-    fixed locus that the automorphism swaps.
+    the automorphism, None when the square is scalar.
     """
     sections: List[Tuple[GaussianRational, CurveSection]]
     curves: List[CurveSection]
     isolated_points: int
     sigma_squared: Optional["FixedLocusReport"]
-    a_count: Optional[int]
+
+    @property
+    def a_count(self) -> Optional[int]:
+        """The number of curve pairs fixed by the square that the
+        automorphism swaps, None without a square: 0, since a fixed curve
+        of M**2 spans a coordinate subspace of y, which the diagonal M
+        preserves, and it is irreducible, so M swaps no pair."""
+        return None if self.sigma_squared is None else 0
 
     def to_dict(self) -> Dict:
         data: Dict = {
@@ -156,33 +143,33 @@ def _fixed_data(eig: EigenForm, power: int) -> Tuple[List, List, int]:
     return taken, curves, sum(s.point_count or 0 for _, s in taken)
 
 
-def fixed_locus(f: HomPoly, auto: LinearAuto) -> FixedLocusReport:
-    """Exact fixed locus of the automorphism on the surface, and of its
-    square, with the swapped-curve count.
+def fixed_locus(f: HomPoly, m: Matrix) -> FixedLocusReport:
+    """Exact fixed locus of the automorphism m of f on the surface, and of
+    its square, with the swapped-curve count.
 
     The fixed set in P^3 is the disjoint union of the projectivized
     eigenspaces, each a coordinate subspace of y in the eigen-coordinates
     of M, intersected with the surface.  Smoothness is certified on
-    g = f(B y) when auto has the record and g has fewer terms than f, else
-    on f: both are smooth together, and g often splits into blocks
-    certified alone; it is the only certificate (module docstring).  Errors
-    come in the order: singular surface, scalar matrix, then linear_auto's
-    error on M.
+    g = f(B y) when g has fewer terms than f, else on f: both are smooth
+    together, and g often splits into blocks certified alone; it is the
+    only certificate (module docstring).  Errors come in the order:
+    linear_auto's error on M, singular surface, then scalar matrix.
     """
-    eig = _record(f, auto)
-    g = eig.form if eig is not None and len(eig.form.num) < len(f.num) else f
+    return _fixed_locus(f, linear_auto(f, m))
+
+
+def _fixed_locus(f: HomPoly, auto: LinearAuto) -> FixedLocusReport:
+    eig = auto.eigen
+    g = eig.form if len(eig.form.num) < len(f.num) else f
     if not is_smooth_surface(g):
         raise SingularSurfaceError("fixed loci require a smooth quartic")
     if auto.matrix.is_scalar():
         raise DegenerateInputError("matrix is scalar: the identity on P^3")
-    eig = _validated(f, auto).eigen
     sections, curves, isolated = _fixed_data(eig, 1)
     if len(eig.eigenspaces(2)) == 1:  # M**2 is scalar
-        return FixedLocusReport(sections, curves, isolated, None, None)
-    square = FixedLocusReport(*_fixed_data(eig, 2), None, None)
-    # a fixed curve of M**2 spans a coordinate subspace of y, which the
-    # diagonal M preserves; it is irreducible, so M swaps no pair: a = 0
-    return FixedLocusReport(sections, curves, isolated, square, 0)
+        return FixedLocusReport(sections, curves, isolated, None)
+    square = FixedLocusReport(*_fixed_data(eig, 2), None)
+    return FixedLocusReport(sections, curves, isolated, square)
 
 
 @dataclass(frozen=True)
@@ -198,21 +185,22 @@ def isolated_point_formula(genera: Sequence[int]) -> int:
     return 2 * sum(1 - g for g in genera) + 4
 
 
-def classify(f: HomPoly, auto: LinearAuto) -> AutomorphismType:
-    """Match the character and fixed-locus data against the order-4 tables.
+def classify(f: HomPoly, m: Matrix) -> AutomorphismType:
+    """Match the character and fixed-locus data of the automorphism m of f
+    against the order-4 tables.
 
     Raises NoMatchingTypeError when the data fits no table row, which
     signals a degenerate surface or a violated hypothesis rather than a
     new type.
     """
-    return _classification(f, auto)[2]
+    return _classification(f, m)[2]
 
 
-def _classification(f: HomPoly, auto: LinearAuto
+def _classification(f: HomPoly, m: Matrix
                     ) -> Tuple[GaussianRational, FixedLocusReport, AutomorphismType]:
-    """The character, the fixed locus and the type, auto validated once."""
-    auto = _validated(f, auto)
-    u, report = symplectic_character(f, auto), fixed_locus(f, auto)
+    """The character, the fixed locus and the type, m decomposed once."""
+    auto = linear_auto(f, m)
+    u, report = _character(auto), _fixed_locus(f, auto)
     if u == ONE:
         if report.curves:
             raise NoMatchingTypeError(
@@ -262,9 +250,9 @@ def _classification(f: HomPoly, auto: LinearAuto
         "order-4 purely non-symplectic table (r table-derived)")
 
 
-def serialize_classification(f: HomPoly, auto: LinearAuto) -> Dict:
+def serialize_classification(f: HomPoly, m: Matrix) -> Dict:
     """Stable report document; field names are fixed for golden tests."""
-    u, report, atype = _classification(f, auto)
+    u, report, atype = _classification(f, m)
     return {
         "character": atype.character,
         "character_value": str(u),

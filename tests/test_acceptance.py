@@ -12,7 +12,7 @@ import time
 from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, MINUS_ONE, ONE
 from quartic_galois.galois import (enumerate_outer_galois_points,
-                                   is_outer_galois_point, linear_auto)
+                                   is_outer_galois_point)
 from quartic_galois.geometry import is_smooth_surface
 from quartic_galois.k3 import (GramMatrix2, classify, fixed_locus,
                                isolated_point_formula, moduli_dimension,
@@ -62,11 +62,10 @@ def test_criterion_2_form1_family():
         f = lift_form1(f4)
         t0 = time.time()
         assert is_outer_galois_point(f, E1)
-        auto = linear_auto(f, SIGMA1)
-        rep = fixed_locus(f, auto)
+        rep = fixed_locus(f, SIGMA1)
         assert [(c.genus, c.smooth) for c in rep.curves] == [(3, True)]
         assert rep.isolated_points == 0
-        at = classify(f, auto)
+        at = classify(f, SIGMA1)
         assert at.character == "purely-ns-4"
         assert at.type_tuple == (1, 0, 0, 3)
         elapsed = time.time() - t0
@@ -86,11 +85,10 @@ def test_criterion_3_form2_family():
         t0 = time.time()
         assert is_outer_galois_point(f, E1)
         assert is_outer_galois_point(f, ProjPoint([0, 1, 0, 0]))
-        auto = linear_auto(f, s12)
-        rep = fixed_locus(f, auto)
+        rep = fixed_locus(f, s12)
         assert rep.curves == []
         assert rep.isolated_points == 8
-        at = classify(f, auto)
+        at = classify(f, s12)
         assert at.character == "npns"
         assert at.type_tuple == (10, 4, 8)
         elapsed = time.time() - t0
@@ -109,10 +107,9 @@ def test_criterion_4_characters_exact():
         (FERMAT, diag(I, -I, 1, 1), ONE),
     ]
     for f, m, expected in cases:
-        auto = linear_auto(f, m)
-        u = symplectic_character(f, auto)
+        u = symplectic_character(f, m)
         assert u == expected
-        rep = fixed_locus(f, auto)
+        rep = fixed_locus(f, m)
         if u in (ONE, MINUS_ONE):
             assert rep.curves == []   # fixed locus is isolated points only
     _report(4, time.time() - t0, 5, "characters i, -1, 1, exact; "
@@ -125,10 +122,9 @@ def test_criterion_5_isolated_point_formula():
     checked = 0
     for _ in range(10):
         f = lift_form1(rand_smooth_plane_quartic(rng))
-        auto = linear_auto(f, SIGMA1)
-        u = symplectic_character(f, auto)
+        u = symplectic_character(f, SIGMA1)
         assert u == I
-        rep = fixed_locus(f, auto)
+        rep = fixed_locus(f, SIGMA1)
         genera = [c.genus for c in rep.curves]
         assert rep.isolated_points == isolated_point_formula(genera)
         checked += 1

@@ -320,6 +320,26 @@ def test_moduli_dim_refuses_count_with_monomials(capsys):
     assert err == "error: moduli dim takes --count or --monomials, not both\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("galois", "find", FERMAT, "--point", "0:1:0:0"), "--point"),
+    (("galois", "test", FERMAT, "--point", "1:0:0:0", "--candidate", "0:1:0:0"),
+     "--candidate"),
+    (("moduli", "npns", "--l", "4", "--count", "3"), "--count"),
+    (("moduli", "npns", "--monomials", "X^4 Y^4"), "--monomials"),
+    (("moduli", "npns", "--matrix", SIGMA1), "--matrix"),
+    (("moduli", "dim", "--count", "7", "--l", "4"), "--l"),
+], ids=["find-point", "test-candidate", "npns-count", "npns-monomials",
+        "npns-matrix", "dim-l"])
+def test_flag_that_the_mode_does_not_read_is_refused(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {argv[0]} {argv[1]} does not take {flag}\n"
+
+
+def test_moduli_npns_reads_rank_4_by_default(capsys):
+    assert run(capsys, "moduli", "npns") == (0, "l = 4\nmoduli dimension: 2\n", "")
+
+
 def test_moduli_npns(capsys):
     code, payload, _ = run_json(capsys, "moduli", "npns", "--l", "4")
     assert code == 0 and payload["dimension"] == 2

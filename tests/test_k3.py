@@ -9,8 +9,9 @@ from quartic_galois.errors import (DegenerateInputError, NoMatchingTypeError,
                                    SingularSurfaceError, SurfaceNotPreservedError,
                                    UnnormalizedAutomorphismError)
 from quartic_galois.gaussian import GaussianRational as GR
-from quartic_galois.gaussian import I, MINUS_ONE, ONE
-from quartic_galois.galois import LinearAuto, galois_generator, linear_auto
+from quartic_galois.gaussian import FOURTH_ROOTS, I, MINUS_ONE, ONE
+from quartic_galois.cli import main
+from quartic_galois.galois import galois_generator
 from quartic_galois.geometry import eigen_decompose_order4, section
 from quartic_galois.k3 import (FixedLocusReport, GramMatrix2, MAX_OUTER_GALOIS_COUNT,
                                MAX_OUTER_GALOIS_TRANSCENDENTAL_GRAM,
@@ -26,45 +27,38 @@ from quartic_galois.poly import (HomPoly, ProjPoint, monomials, parse_poly,
                                  substitute_linear)
 
 from helpers import (SIGMA1, SIGMA2, SIGMA3, SIGMA4, calls_of, diag, engine_sizes,
-                     height1_gaussian, lift_form1, lift_form2, pullbacks, rand_sl2,
+                     gaussian_matrix, height1_gaussian, lift_form1, lift_form2, pullbacks, rand_sl2,
                      rand_smooth_plane_quartic, rand_squarefree_binary_quartic)
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
 FORM1 = parse_poly("X^4+Y^4+Z^4+W^4+Y^2*Z*W", 4)
 FORM2 = parse_poly("X^4+Y^4+Z^4+Z*W^3+W^4", 4)
-KLEIN_W4 = parse_poly("X^3*Y+Y^3*Z+Z^3*X+W^4", 4)
 
 
 # -- characters -----------------------------------------------------------------
 
 def test_character_purely_ns_on_form1():
-    auto = linear_auto(FORM1, SIGMA1)
-    assert symplectic_character(FORM1, auto) == I
+    assert symplectic_character(FORM1, SIGMA1) == I
 
 
 def test_character_npns_on_form2():
-    auto = linear_auto(FORM2, diag(I, I, 1, 1))
-    assert symplectic_character(FORM2, auto) == MINUS_ONE
+    assert symplectic_character(FORM2, diag(I, I, 1, 1)) == MINUS_ONE
 
 
 def test_character_symplectic_on_fermat():
-    auto = linear_auto(FERMAT, diag(I, -I, 1, 1))
-    assert symplectic_character(FERMAT, auto) == ONE
+    assert symplectic_character(FERMAT, diag(I, -I, 1, 1)) == ONE
 
 
 def test_character_multiplicative():
-    a1 = linear_auto(FERMAT, SIGMA1)
-    a2 = linear_auto(FERMAT, SIGMA2)
-    a12 = linear_auto(FERMAT, SIGMA1 * SIGMA2)
-    assert (symplectic_character(FERMAT, a12)
-            == symplectic_character(FERMAT, a1)
-            * symplectic_character(FERMAT, a2))
+    assert (symplectic_character(FERMAT, SIGMA1 * SIGMA2)
+            == symplectic_character(FERMAT, SIGMA1)
+            * symplectic_character(FERMAT, SIGMA2))
 
 
 # -- fixed loci --------------------------------------------------------------------
 
 def test_fixed_locus_form1_genus3_curve():
-    rep = fixed_locus(FORM1, linear_auto(FORM1, SIGMA1))
+    rep = fixed_locus(FORM1, SIGMA1)
     assert [(c.genus, c.smooth) for c in rep.curves] == [(3, True)]
     assert rep.isolated_points == 0
     assert rep.a_count == 0
@@ -73,14 +67,14 @@ def test_fixed_locus_form1_genus3_curve():
 
 
 def test_fixed_locus_form2_eight_points():
-    rep = fixed_locus(FORM2, linear_auto(FORM2, diag(I, I, 1, 1)))
+    rep = fixed_locus(FORM2, diag(I, I, 1, 1))
     assert rep.curves == []
     assert rep.isolated_points == 8
     assert rep.sigma_squared.isolated_points == 8
 
 
 def test_fixed_locus_symplectic_fermat():
-    rep = fixed_locus(FERMAT, linear_auto(FERMAT, diag(I, -I, 1, 1)))
+    rep = fixed_locus(FERMAT, diag(I, -I, 1, 1))
     assert rep.curves == []
     assert rep.isolated_points == 4
 
@@ -89,7 +83,7 @@ def test_fixed_locus_contained_in_square():
     # every component fixed by the automorphism is fixed by its square
     for f, m in ((FORM1, SIGMA1), (FORM2, diag(I, I, 1, 1)),
                  (FERMAT, diag(I, -I, 1, 1))):
-        rep = fixed_locus(f, linear_auto(f, m))
+        rep = fixed_locus(f, m)
         sq = rep.sigma_squared
         assert sq is not None
         assert len(rep.curves) <= len(sq.curves)
@@ -135,8 +129,8 @@ def _reference_fixed_locus(f, m):
                        if s.kind in ("finite-points", "point"))
         return sections, curves, isolated
     m2 = m * m
-    square = None if m2.is_scalar() else FixedLocusReport(*data(m2), None, None)
-    return FixedLocusReport(*data(m), square, None if square is None else 0)
+    square = None if m2.is_scalar() else FixedLocusReport(*data(m2), None)
+    return FixedLocusReport(*data(m), square)
 
 
 def _assert_same_section(f, s, ref, span_only):
@@ -215,7 +209,7 @@ def test_fixed_locus_matches_separate_square_decomposition(family, values,
     # the sections read off their zero tests agree with geometry.section's
     # certificates: plane smoothness and distinct points on lines
     f, m = _case(family, values, conjugated)
-    rep = fixed_locus(f, linear_auto(f, m))
+    rep = fixed_locus(f, m)
     _assert_same_report(f, rep, _reference_fixed_locus(f, m))
 
 
@@ -226,11 +220,10 @@ def test_fixed_locus_certifies_only_the_surface(monkeypatch, family, values,
     # no section is certified: the one certified form's binary blocks
     # take at most one squarefree profile each, and nothing else takes one
     f, m = _case(family, values, conjugated)
-    auto = linear_auto(f, m)
     profiles = calls_of(monkeypatch, poly.squarefree_profile)
     planes = calls_of(monkeypatch, geometry.is_smooth_plane_quartic)
     forms = _certified(monkeypatch)
-    fixed_locus(f, auto)
+    fixed_locus(f, m)
     assert planes == [] and len(forms) == 1
     binary = [b for b in geometry.variable_blocks(forms[0]) if len(b) == 2]
     assert len(profiles) <= len(binary)
@@ -263,7 +256,7 @@ def test_fixed_locus_decomposes_once(monkeypatch, f, values, conjugated):
                         counting("kernel", Matrix.kernel_basis))
     monkeypatch.setattr(geometry, "section", counting("section", geometry.section))
     calls = pullbacks(monkeypatch)
-    fixed_locus(f, linear_auto(f, m))
+    fixed_locus(f, m)
     assert len(calls) == 1
     assert counts["kernel"] <= 4
     assert counts["section"] == 0
@@ -271,7 +264,7 @@ def test_fixed_locus_decomposes_once(monkeypatch, f, values, conjugated):
 
 def test_fixed_locus_rejects_scalar():
     with pytest.raises(DegenerateInputError):
-        fixed_locus(FERMAT, linear_auto(FERMAT, Matrix.identity(4)))
+        fixed_locus(FERMAT, Matrix.identity(4))
 
 
 # the surface W^4 + (X^2+Y^2)^2 + Z^4, singular at (1 : i : 0 : 0), and its
@@ -300,7 +293,7 @@ def test_fixed_locus_rejects_a_singular_surface(monkeypatch, conjugated):
         f, m = substitute_linear(f, a), a.inverse() * m * a
     forms = _certified(monkeypatch)
     with pytest.raises(SingularSurfaceError):
-        fixed_locus(f, linear_auto(f, m))
+        fixed_locus(f, m)
     # in generic coordinates the eigen-coordinates give a sparser form
     assert len(forms) == 1 and (forms[0] == f) is not conjugated
     assert len(forms[0].num) <= len(f.num)
@@ -312,7 +305,7 @@ def test_fixed_locus_certifies_the_sparser_form(monkeypatch):
     a = height1_gaussian(19)
     f, m = substitute_linear(FORM2, a), a.inverse() * diag(I, I, 1, 1) * a
     forms, sizes = _certified(monkeypatch), engine_sizes(monkeypatch)
-    fixed_locus(f, linear_auto(f, m))
+    fixed_locus(f, m)
     assert len(forms) == 1 and len(forms[0].num) < len(f.num)
     assert 4 not in sizes
 
@@ -322,38 +315,40 @@ def test_fixed_locus_keeps_f_when_the_eigen_form_is_denser(monkeypatch):
     # (1, mu, mu^2, mu^3): Fermat in them has more terms, so f is certified
     cycle = Matrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
     forms = _certified(monkeypatch)
-    fixed_locus(FERMAT, linear_auto(FERMAT, cycle))
+    fixed_locus(FERMAT, cycle)
     assert forms == [FERMAT] and forms[0] is FERMAT
 
 
 @pytest.mark.parametrize("f, m, error", [
     (FERMAT, diag(I, I, I, I), DegenerateInputError),
-    (FERMAT, diag(2, 2, 2, 2), DegenerateInputError),
+    (FERMAT, diag(2, 2, 2, 2), UnnormalizedAutomorphismError),
     (FERMAT, diag(2, 1, 1, 1), UnnormalizedAutomorphismError),
-    (SINGULAR_WITH_AUTO[0], diag(2, 2, 2, 2), SingularSurfaceError),
-    (SINGULAR_WITH_AUTO[0], diag(2, 1, 1, 1), SingularSurfaceError),
+    (SINGULAR_WITH_AUTO[0], diag(2, 2, 2, 2), UnnormalizedAutomorphismError),
+    (SINGULAR_WITH_AUTO[0], diag(2, 1, 1, 1), UnnormalizedAutomorphismError),
+    (SINGULAR_WITH_AUTO[0], diag(I, I, I, I), SingularSurfaceError),
 ], ids=["scalar-i", "scalar-2", "unnormalized", "singular-scalar",
-        "singular-unnormalized"])
-def test_fixed_locus_error_order(f, m, error):
-    # a singular surface is reported first, then a scalar matrix, then a
-    # matrix that the decomposition rejects (a LinearAuto built by hand,
-    # since linear_auto checks m**4 == I)
-    with pytest.raises(error):
-        fixed_locus(f, LinearAuto(m, ONE))
+        "singular-unnormalized", "singular-scalar-i"])
+def test_fixed_locus_error_order(capsys, f, m, error):
+    # linear_auto's error on the matrix is reported first, then a singular
+    # surface, then a scalar matrix; auto fixed-locus reports the same
+    with pytest.raises(error) as caught:
+        fixed_locus(f, m)
+    entries = " ".join(str(x) for x in m.entries)
+    code = main(["auto", "fixed-locus", str(f), "--matrix", entries])
+    assert (code, *capsys.readouterr()) == (1, "", f"error: {caught.value}\n")
 
 
 def test_hand_built_generator_has_the_fixed_locus_of_linear_auto():
-    # galois_generator's sigma_P is a LinearAuto built by hand, with no
-    # eigen-coordinates; k3 validates it through linear_auto, to the same data
+    # galois_generator's sigma_P is built by hand, with no eigen-coordinates;
+    # it reaches k3 as its matrix, with the answers of form-1's homology
     a = height1_gaussian(19)
     fa = substitute_linear(FORM1, a)
     sigma = galois_generator(fa, ProjPoint(a.inverse().apply([1, 0, 0, 0])))
     assert sigma.eigen is None
-    checked = linear_auto(fa, sigma.matrix)
-    assert checked == sigma and checked.eigen is not None
-    _assert_same_report(fa, fixed_locus(fa, sigma), fixed_locus(fa, checked))
-    assert symplectic_character(fa, sigma) == symplectic_character(fa, checked) == I
-    assert classify(fa, sigma) == classify(fa, checked)
+    _assert_same_report(fa, fixed_locus(fa, sigma.matrix),
+                        _reference_fixed_locus(fa, sigma.matrix))
+    assert symplectic_character(fa, sigma.matrix) == I
+    assert classify(fa, sigma.matrix) == classify(FORM1, SIGMA1)
 
 
 K3_ENTRY_POINTS = [symplectic_character, fixed_locus, classify,
@@ -362,36 +357,49 @@ K3_ENTRY_POINTS = [symplectic_character, fixed_locus, classify,
 
 @pytest.mark.parametrize("entry", K3_ENTRY_POINTS,
                          ids=[e.__name__ for e in K3_ENTRY_POINTS])
-@pytest.mark.parametrize("f, auto", [
-    (FORM1, LinearAuto(diag(1, I, 1, 1), ONE)),   # does not preserve form-1
-    (FERMAT, LinearAuto(diag(I, 1, 1, 1), I)),    # preserves Fermat with multiplier 1
-    # the record of diag(1, 1, 1, i), which preserves KLEIN_W4, carried by
-    # diag(1, i, 1, 1), which does not
-    (KLEIN_W4, LinearAuto(diag(1, I, 1, 1), ONE,
-                          linear_auto(KLEIN_W4, diag(1, 1, 1, I)).eigen)),
-], ids=["not-preserved", "wrong-multiplier", "borrowed-record"])
-def test_hand_built_automorphism_is_validated(entry, f, auto):
+@pytest.mark.parametrize("f, m", [
+    (FORM1, diag(1, I, 1, 1)),   # does not preserve form-1
+], ids=["not-preserved"])
+def test_hand_built_automorphism_is_validated(entry, f, m):
     with pytest.raises(SurfaceNotPreservedError):
-        entry(f, auto)
+        entry(f, m)
 
 
-def test_record_for_another_surface_is_not_used():
-    # linear_auto's record is for f only: on FORM1 the matrix is validated
-    # again, and diag(i, i, 1, 1) does not preserve FORM1
-    auto = linear_auto(FERMAT, diag(I, I, 1, 1))
-    assert symplectic_character(FERMAT, auto) == MINUS_ONE
-    with pytest.raises(SurfaceNotPreservedError):
-        symplectic_character(FORM1, auto)
+# the automorphisms of AUTOS, aligned and conjugated, and (values None) the
+# generator sigma_P of a conjugated form-1
+DET_CASES = ([(family, values, conjugated) for conjugated in (False, True)
+              for family, values in AUTOS] + [("form-1", None, True)])
+DET_IDS = ([f"{family}-{k}-{kind}" for kind in ("aligned", "conj")
+            for k, (family, _) in enumerate(AUTOS)] + ["form-1-sigma-P-conj"])
 
 
-@pytest.mark.parametrize("entry", [classify, serialize_classification])
+@pytest.mark.parametrize("family, values, conjugated", DET_CASES, ids=DET_IDS)
+def test_character_is_det_over_the_multiplier(family, values, conjugated):
+    # lambda is found apart from linear_auto: the 4th root of unity mu with
+    # f(M x) == mu * f(x), read off one pullback
+    a = gaussian_matrix(5, 1)
+    f = AUTO_FAMILIES[family]
+    if conjugated:
+        f = substitute_linear(f, a)
+    if values is None:
+        m = galois_generator(f, ProjPoint(a.inverse().apply([1, 0, 0, 0]))).matrix
+    else:
+        m = a.inverse() * diag(*values) * a if conjugated else diag(*values)
+    g = substitute_linear(f, m)
+    [lam] = [mu for mu in FOURTH_ROOTS if g == f.scale(mu)]
+    assert symplectic_character(f, m) == m.det() / lam
+
+
+@pytest.mark.parametrize("entry", K3_ENTRY_POINTS,
+                         ids=[e.__name__ for e in K3_ENTRY_POINTS])
 def test_hand_built_generator_is_decomposed_once(monkeypatch, entry):
     a = height1_gaussian(19)
     fa = substitute_linear(FORM1, a)
     sigma = galois_generator(fa, ProjPoint(a.inverse().apply([1, 0, 0, 0])))
+    forms = calls_of(monkeypatch, geometry.eigen_form)
     calls = calls_of(monkeypatch, geometry.eigen_decompose_order4)
-    entry(fa, sigma)
-    assert len(calls) == 1
+    entry(fa, sigma.matrix)
+    assert len(forms) == len(calls) == 1
 
 
 def _certificates(monkeypatch):
@@ -414,9 +422,8 @@ def test_block_plane_section_is_not_certified_again(monkeypatch):
     # smooth by the block rule; only the surface's certificate reaches it
     a = height1_gaussian(19)
     f, m = substitute_linear(FORM1, a), a.inverse() * diag(I, 1, 1, 1) * a
-    auto = linear_auto(f, m)
     forms = _certificates(monkeypatch)
-    rep = fixed_locus(f, auto)
+    rep = fixed_locus(f, m)
     planes = [g for g in forms if g.nvars == 3]
     assert [c.genus for c in rep.curves] == [3]
     assert planes == [rep.curves[0].form] and forms[0].nvars == 4
@@ -429,7 +436,7 @@ def test_plane_section_that_is_not_a_block_is_not_certified(monkeypatch):
     # quartic all the same, so no plane certificate is made
     f = parse_poly("X^4+Y^4+Z^4+W^4+X^2*W^2", 4)
     forms = _certificates(monkeypatch)
-    rep = fixed_locus(f, linear_auto(f, diag(1, 1, 1, -1)))
+    rep = fixed_locus(f, diag(1, 1, 1, -1))
     assert [(c.genus, c.smooth) for c in rep.curves] == [(3, True)]
     assert [g for g in forms if g.nvars == 3] == []
     assert section(f, rep.curves[0].ambient).smooth is True
@@ -439,9 +446,8 @@ def test_character_fixed_locus_consistency():
     # character 1 or -1 forces an isolated fixed locus
     for f, m in ((FERMAT, diag(I, -I, 1, 1)), (FORM2, diag(I, I, 1, 1)),
                  (FERMAT, diag(1, 1, -1, -1))):
-        auto = linear_auto(f, m)
-        u = symplectic_character(f, auto)
-        rep = fixed_locus(f, auto)
+        u = symplectic_character(f, m)
+        rep = fixed_locus(f, m)
         if u in (ONE, MINUS_ONE):
             assert rep.curves == []
 
@@ -449,36 +455,36 @@ def test_character_fixed_locus_consistency():
 # -- classification ------------------------------------------------------------------
 
 def test_classify_form1():
-    at = classify(FORM1, linear_auto(FORM1, SIGMA1))
+    at = classify(FORM1, SIGMA1)
     assert at.character == "purely-ns-4"
     assert at.type_tuple == (1, 0, 0, 3)
 
 
 def test_classify_form2():
-    at = classify(FORM2, linear_auto(FORM2, diag(I, I, 1, 1)))
+    at = classify(FORM2, diag(I, I, 1, 1))
     assert at.character == "npns"
     assert at.type_tuple == (10, 4, 8)
 
 
 def test_classify_symplectic():
-    at = classify(FERMAT, linear_auto(FERMAT, diag(I, -I, 1, 1)))
+    at = classify(FERMAT, diag(I, -I, 1, 1))
     assert at.character == "symplectic"
     assert at.type_tuple is None
 
 
 def test_classify_order2_rejected():
     # an anti-symplectic involution is outside the order-4 tables
-    auto = linear_auto(FERMAT, diag(1, 1, 1, -1))
-    assert symplectic_character(FERMAT, auto) == MINUS_ONE
+    m = diag(1, 1, 1, -1)
+    assert symplectic_character(FERMAT, m) == MINUS_ONE
     with pytest.raises(NoMatchingTypeError):
-        classify(FERMAT, auto)
+        classify(FERMAT, m)
 
 
 def test_classify_random_form1_members():
     rng = random.Random(71)
     for _ in range(5):
         f = lift_form1(rand_smooth_plane_quartic(rng))
-        at = classify(f, linear_auto(f, SIGMA1))
+        at = classify(f, SIGMA1)
         assert at.type_tuple == (1, 0, 0, 3)
 
 
@@ -486,7 +492,7 @@ def test_classify_random_form2_members():
     rng = random.Random(72)
     for _ in range(5):
         f = lift_form2(rand_squarefree_binary_quartic(rng))
-        at = classify(f, linear_auto(f, diag(I, I, 1, 1)))
+        at = classify(f, diag(I, I, 1, 1))
         assert at.type_tuple == (10, 4, 8)
 
 
@@ -505,7 +511,7 @@ def test_isolated_point_formula():
 
 
 def test_serialize_classification_golden():
-    doc = serialize_classification(FORM2, linear_auto(FORM2, diag(I, I, 1, 1)))
+    doc = serialize_classification(FORM2, diag(I, I, 1, 1))
     assert doc == {
         "character": "npns",
         "character_value": "-1",
@@ -516,7 +522,7 @@ def test_serialize_classification_golden():
         "table_source": "order-4 non-purely non-symplectic table "
                         "(r table-derived)",
     }
-    doc1 = serialize_classification(FORM1, linear_auto(FORM1, SIGMA1))
+    doc1 = serialize_classification(FORM1, SIGMA1)
     assert doc1["character"] == "purely-ns-4"
     assert doc1["curves"] == [{"genus": 3, "smooth": True}]
     assert doc1["n"] == 0 and doc1["a"] == 0

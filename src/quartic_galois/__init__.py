@@ -26,10 +26,10 @@ from .galois import (GaloisReport, LinearAuto, adapted_basis,
 from .k3 import (AutomorphismType, FixedLocusReport, GramMatrix2,
                  MAX_OUTER_GALOIS_COUNT, MAX_OUTER_GALOIS_TRANSCENDENTAL_GRAM,
                  NPNS_ROWS, PURELY_NS_ROWS, SINGULAR_K3_PICARD_NUMBER,
-                 classify, fixed_locus, hurwitz_check, is_isomorphic_gram,
+                 classify, fixed_locus, is_isomorphic_gram,
                  isolated_point_formula, moduli_dimension, npns_moduli_dim,
                  reduce_gram, serialize_classification, solve_m,
-                 symplectic_character, transform_gram)
+                 symplectic_character)
 
 __version__ = "0.1.0"
 
@@ -45,13 +45,12 @@ __all__ = [
     "UnnormalizedAutomorphismError", "XDecomposition", "ZERO",
     "adapted_basis", "centralizer_dimension", "classify",
     "eigen_decompose_order4", "enumerate_outer_galois_points", "fixed_locus",
-    "galois_generator", "hurwitz_check",
-    "is_isomorphic_gram", "is_outer_galois_point", "is_smooth_plane_quartic",
-    "is_smooth_surface", "isolated_point_formula", "linear_auto",
+    "galois_generator", "is_isomorphic_gram", "is_outer_galois_point",
+    "is_smooth_plane_quartic", "is_smooth_surface", "isolated_point_formula",
+    "linear_auto",
     "moduli_dimension", "monomials", "npns_moduli_dim", "parse_gaussian",
     "parse_matrix", "parse_point", "parse_poly", "partials", "polar_forms",
     "recognize_normal_form", "reduce_gram", "section",
     "serialize_classification", "solve_m", "squarefree_profile",
-    "substitute_linear", "symplectic_character", "transform_gram",
-    "x_decompose",
+    "substitute_linear", "symplectic_character", "x_decompose",
 ]

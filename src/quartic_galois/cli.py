@@ -98,8 +98,7 @@ def cmd_galois(args: argparse.Namespace) -> int:
         _emit(payload, lines, args.format)
         return EXIT_OK if verdict else EXIT_NEGATIVE
     # find
-    extra = [parse_point(_read_arg(c)) for c in (args.candidate or [])]
-    report = enumerate_outer_galois_points(f, extra)
+    report = enumerate_outer_galois_points(f)
     payload = {"command": "galois-find", **report.to_dict()}
     # four verified points: the quartic of k3's maximal-case constants
     if len(report.points) == MAX_OUTER_GALOIS_COUNT:
@@ -336,7 +335,7 @@ def _random_invertible(rng: random.Random) -> Matrix:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    checks = _demo_checks(args.seed)
+    checks = _demo_checks(0 if args.seed is None else args.seed)
     all_ok = all(ok for _n, ok, _d in checks)
     payload = {"command": "demo",
                "checks": [{"name": n, "pass": ok, "detail": d}
@@ -353,9 +352,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 INTEGER_OPTIONS = ("seed", "count", "l")
-# the options that a mode does not read, refused rather than ignored
+# the options that a mode does not read, refused rather than ignored; only
+# demo reads the global --seed
 UNREAD_OPTIONS = {
-    ("galois", "test"): ("candidate",),
     ("galois", "find"): ("point",),
     ("moduli", "dim"): ("l",),
     ("moduli", "npns"): ("count", "monomials", "matrix"),
@@ -378,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact toolkit for outer Galois points of smooth quartic "
                     "surfaces and order-4 automorphisms of quartic K3s.")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", default="0",
+    parser.add_argument("--seed",
                         help="seed for randomized demo spot checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -389,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=("test", "find"))
     p.add_argument("surface", help=SURFACE_HELP)
     p.add_argument("--point", help="colon-separated homogeneous coordinates")
-    p.add_argument("--candidate", action="append",
-                   help="extra candidate point for find (repeatable)")
 
     p = sub.add_parser("auto", help="analyze a surface automorphism")
     p.add_argument("mode", choices=("fixed-locus", "classify", "character"))
@@ -428,9 +425,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         mode = getattr(args, "mode", None)
-        for name in UNREAD_OPTIONS.get((args.command, mode), ()):
+        unread = UNREAD_OPTIONS.get((args.command, mode), ())
+        if args.command != "demo":
+            unread += ("seed",)
+        for name in unread:
             if getattr(args, name) is not None:
-                raise ParseError(f"{args.command} {mode} does not take --{name}")
+                where = args.command if mode is None else f"{args.command} {mode}"
+                raise ParseError(f"{where} does not take --{name}")
         # argparse's type=int would take non-ASCII digits and '_'
         for name in INTEGER_OPTIONS:
             value = getattr(args, name, None)

@@ -60,26 +60,33 @@ f = c*T**4 + G(x) with c = f(P) != 0, and let B = f|H_P = G.
       there, which is smooth (squarefree) by (a); applied to that binary
       quartic at a point, on the one point of its polar.  So
       N <= 1 + 1 + 2.
-  (d) Let K be the apolar space of f: the operators sum_jk A_jk d_j d_k,
-      A a symmetric matrix, that kill f; it is the kernel of f's 10x10
-      catalecticant.  For q in H_P, D_P D_q f = 12*c*ell**2*ell(q) = 0, so
-      K contains P.H_P = {P q^t + q P^t : q in H_P}, of dimension 3, whose
-      members have the column spaces span(P, q).  So dim K < 3 proves
-      N = 0.  When dim K = 3 and P exists, K = P.H_P, and the column spaces
-      of any basis of K meet in P alone; so there is at most one point, it
-      is the common point of those column spaces, and verifying it
-      decides N in {0, 1}.
-The enumerator thus proves a report complete in one of three ways: dim K
-< 3 or dim K = 3, by (d); the solver's Hilbert-function count, when dim
-K >= 4; or four verified points, by (c).  And once a point P verifies, it
-certifies the smoothness of f on the plane quartic B, by (a): 36 columns
-in place of the surface's 220.
+  (d) The Hessian pencil.  Let H(y) be the Hessian matrix of f at y.
+      Differentiating D_P f = 4*c*ell**3 once gives H(y) P =
+      12*c*ell(y)**2 grad ell for every y.  Take y0 with det H(y0) != 0,
+      so that ell(y0) != 0 (else H(y0) P = 0), and M_j = H(y0)^-1 H(y_j):
+      then M_j P = (ell(y_j) / ell(y0))**2 P.  So the points of f are
+      common eigenvectors of M_1 and M_2, their span lies in
+      ker [M_1, M_2] and both map it into itself, and so it lies in W*,
+      the largest subspace of ker [M_1, M_2] that M_1 and M_2 map into
+      itself, where the two commute.  Each point of f lies in a joint
+      eigenspace of M_1 and M_2 on W*.  So when all their eigenvalues
+      there lie in Q(i) and each joint eigenspace is a line, the points
+      of f are among those lines, and verifying each decides N; dim W* = 0
+      proves N = 0.  A smooth f has such a y0: a form whose Hessian
+      determinant vanishes identically is a cone (Gordan and Noether, in
+      at most 4 variables), and a cone is singular.  So det H(y) is a
+      nonzero form of degree 2n, which cannot vanish at every point of
+      S**n for a set S of more than 2n integers.
+The enumerator thus proves a report complete in one way, by (d).  And
+once a point P verifies, it certifies the smoothness of f on the plane
+quartic B, by (a): 36 columns in place of the surface's 220.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import chain, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (ConsistencyError, InnerPointError, SingularSurfaceError,
@@ -87,12 +94,19 @@ from .errors import (ConsistencyError, InnerPointError, SingularSurfaceError,
 from .gaussian import ZERO, ONE, I, GaussianRational
 from .geometry import (EigenForm, eigen_form, is_smooth_plane_quartic,
                        is_smooth_surface, variable_blocks)
-from .linalg import Matrix, SparseRow, kernel_basis_sparse
+from .linalg import Matrix, Vector
 from .poly import HomPoly, ProjPoint, partials, substitute_linear
-from .solver import cube_locus_quadrics, solve_projective
+from .univariate import gaussian_roots
 
 PROVED_COMPLETE = "proved-complete"
 CANDIDATES_ONLY = "candidates-only"
+POINTS_NOT_RECOVERED = "points-not-recovered"
+# y0 is the first of these at which the Hessian is invertible, and y1, y2
+# the other two ((d) of the module docstring); no small linear form takes
+# equal ratios at them, so the Galois points of surfaces in small
+# coordinates get distinct joint eigenvalues
+_PENCIL = ((14, -17, 16, 4), (-4, -12, -15, 9), (-1, -20, -18, 14))
+_PAIRS = [(j, k) for j in range(4) for k in range(j, 4)]
 
 
 @dataclass(frozen=True)
@@ -135,9 +149,10 @@ def linear_auto(f: HomPoly, m: Matrix) -> LinearAuto:
 class GaloisReport:
     """Outcome of a Galois-point test or search.
 
-    reason is None when the list of points is proved complete, and says
-    why it is not otherwise: "hilbert-not-stable" or
-    "points-not-recovered" (see the solver module).
+    reason is None when the list of points is proved complete, and is
+    POINTS_NOT_RECOVERED otherwise: the Hessian pencil of the module
+    docstring, (d), left an eigenvalue outside Q(i) or a joint eigenspace
+    that is not a line.
     """
     surface: HomPoly
     points: List[Tuple[ProjPoint, LinearAuto]]
@@ -180,12 +195,16 @@ class GaloisReport:
         return out
 
 
-def _require_smooth(f: HomPoly, gen: Optional[LinearAuto] = None) -> None:
+def _require_smooth(f: HomPoly, gen: Optional[LinearAuto] = None,
+                    vertex: Optional[Vector] = None) -> None:
     """Refuse a singular f.  With gen the verified sigma_P of a Galois
     point P, f is smooth exactly when its plane quartic f|H_P is ((a) of
     the module docstring), and that is certified in its place; H_P is the
-    axis of sigma_P, ker(sigma_P - 1)."""
-    if gen is None:
+    axis of sigma_P, ker(sigma_P - 1).  A vertex at which every partial
+    of f vanishes refuses f with no certificate."""
+    if vertex is not None and all(g.eval(vertex).is_zero() for g in partials(f)):
+        smooth = False
+    elif gen is None:
         smooth = is_smooth_surface(f)
     else:
         axis = (gen.matrix - Matrix.identity(4)).kernel_basis()
@@ -273,18 +292,10 @@ def _generator_or_none(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
 # Enumeration.
 # ---------------------------------------------------------------------------
 
-def _coordinate_point(v: int) -> ProjPoint:
-    return ProjPoint([ONE if t == v else ZERO for t in range(4)])
-
-
 def _verified_pairs(f: HomPoly, candidates: Sequence[ProjPoint]
                     ) -> List[Tuple[ProjPoint, LinearAuto]]:
     out = []
-    seen = set()
     for p in candidates:
-        if p in seen:
-            continue
-        seen.add(p)
         if f.eval(p.coords).is_zero():
             continue
         gen = _generator_or_none(f, p)
@@ -294,33 +305,96 @@ def _verified_pairs(f: HomPoly, candidates: Sequence[ProjPoint]
     return out
 
 
-def _apolar_space(f: HomPoly) -> List[Matrix]:
-    """A basis of the apolar space K of f (the module docstring, (d)), the
-    kernel of its catalecticant, whose column (j, k), j <= k, holds the
-    coefficients of d_j d_k f; each member as its symmetric matrix A,
-    scaled by 2."""
-    ops = list(combinations_with_replacement(range(4), 2))
-    rows: Dict[Tuple[int, ...], SparseRow] = {}
-    for col, (j, k) in enumerate(ops):
-        for e, (a, b) in f.num.items():
-            w = e[j] * (e[k] - (j == k))
-            if w:
-                m = tuple(x - (t == j) - (t == k) for t, x in enumerate(e))
-                rows.setdefault(m, {})[col] = GaussianRational(a * w, b * w)
-    at = {jk: col for col, jk in enumerate(ops)}
-    return [Matrix(4, 4, [v[at[min(r, c), max(r, c)]] * (2 if r == c else 1)
-                          for r in range(4) for c in range(4)])
-            for v in kernel_basis_sparse(list(rows.values()), len(ops))]
+def _hessian(f: HomPoly, y: Sequence[int]) -> Matrix:
+    """The Hessian matrix of f at y, an integer point with no zero
+    coordinate, times f's common denominator, from its ten distinct
+    second partials: entry (j, k) sums c * e_j * (e_k - [j == k]) *
+    y**e / (y_j y_k) over the terms c x**e of f."""
+    acc = {jk: [0, 0] for jk in _PAIRS}
+    for e, (a, b) in f.num.items():
+        mono = math.prod(v ** n for v, n in zip(y, e))
+        for j, k in _PAIRS:
+            if w := e[j] * (e[k] - (j == k)):
+                w = w * mono // (y[j] * y[k])
+                acc[j, k][0] += a * w
+                acc[j, k][1] += b * w
+    return Matrix(4, 4, [GaussianRational(*acc[min(r, c), max(r, c)])
+                         for r in range(4) for c in range(4)])
 
 
-def _common_column_point(space: List[Matrix]) -> List[ProjPoint]:
-    """The one point common to the column spaces of the symmetric
-    matrices, or [] when they share none or more than one.  The column
-    space of a symmetric A is the annihilator of ker A, so the common
-    points are the kernel of all the kernels, stacked."""
-    normals = [v for a in space for v in a.kernel_basis()]
-    common = Matrix.from_rows(normals or [[ZERO] * 4]).kernel_basis()
-    return [ProjPoint(common[0])] if len(common) == 1 else []
+def _restriction(m: Matrix, basis: List[Vector]) -> Tuple[Matrix, Matrix]:
+    """(R, D) for the span of basis, a kernel_basis, with B its matrix: R
+    is read off the image m B, and D = m B - B R is 0 exactly when m maps
+    the span into itself, R then being the matrix of m on it.  The i-th
+    vector of a kernel_basis is 1 at its last nonzero coordinate t_i and
+    0 at the other t_j, and t_1 < t_2 < ...; so B c has the entries c at
+    the t_i, R is the image read there, and the vectors B c for c in a
+    kernel_basis of coordinates are a kernel_basis again (_span)."""
+    b = Matrix.from_columns(basis)
+    at = [max(t for t in range(4) if not v[t].is_zero()) for v in basis]
+    image = m * b
+    r = Matrix(len(at), len(at), [x for t in at for x in image.row(t)])
+    return r, image - b * r
+
+
+def _span(basis: List[Vector], coords: List[Vector]) -> List[Vector]:
+    b = Matrix.from_columns(basis)
+    return [b.apply(c) for c in coords]
+
+
+def _invariant_kernel(m1: Matrix, m2: Matrix, h1: Matrix) -> List[Vector]:
+    """A basis of W*, the largest subspace of ker [M1, M2] that M1 and M2
+    map into itself ((d) of the module docstring): from W = ker [M1, M2],
+    W <- {v in W : M1 v, M2 v in W} until W stops shrinking; with D1, D2
+    the defects of _restriction, v = B c is kept when D1 c = D2 c = 0.
+    ker [M1, M2] is that of T - T^t for T = H(y1) M2, with h1 = H(y1):
+    H(y0) [M1, M2] = H1 H0^-1 H2 - H2 H0^-1 H1, and each H is symmetric."""
+    t = h1 * m2
+    basis = (t - Matrix.from_columns([t.row(i) for i in range(4)])).kernel_basis()
+    while basis:
+        (_, d1), (_, d2) = (_restriction(m, basis) for m in (m1, m2))
+        kept = Matrix(8, len(basis), d1.entries + d2.entries).kernel_basis()
+        if len(kept) == len(basis):
+            break
+        basis = _span(basis, kept)
+    return basis
+
+
+def _charpoly(r: Matrix) -> List[GaussianRational]:
+    """det(x I - r), low degree first, by Faddeev-LeVerrier."""
+    n = r.rows
+    coeffs, m = [ONE], Matrix.identity(n)
+    for k in range(1, n + 1):
+        am = r * m
+        c = -sum(am.entries[::n + 1], ZERO) / k
+        coeffs.append(c)
+        m = am + Matrix.identity(n).scale(c)
+    return coeffs[::-1]
+
+
+def _eigenlines(ms: Sequence[Matrix], basis: List[Vector]
+                ) -> Tuple[List[ProjPoint], bool]:
+    """Split the span of basis, a kernel_basis that each of ms maps into
+    itself and on which they commute, into the eigenspaces of ms[0] for
+    its eigenvalues in Q(i), and each of those into the eigenspaces of
+    ms[1]: (the lines among those joint eigenspaces, whether every
+    eigenvalue lay in Q(i) and every joint eigenspace is a line)."""
+    spaces, split = [basis] if basis else [], True
+    for m in ms:
+        parts = []
+        for space in spaces:
+            if len(space) == 1:
+                parts.append(space)
+                continue
+            r = _restriction(m, space)[0]
+            roots, full = gaussian_roots(_charpoly(r))
+            split = split and full
+            for lam in roots:
+                eigen = (r - Matrix.identity(r.rows).scale(lam)).kernel_basis()
+                parts.append(_span(space, eigen))
+        spaces = parts
+    return ([ProjPoint(s[0]) for s in spaces if len(s) == 1],
+            split and all(len(s) == 1 for s in spaces))
 
 
 def recognize_normal_form(f: HomPoly) -> GaloisReport:
@@ -329,59 +403,52 @@ def recognize_normal_form(f: HomPoly) -> GaloisReport:
     return enumerate_outer_galois_points(f)
 
 
-def enumerate_outer_galois_points(
-        f: HomPoly,
-        extra_candidates: Sequence[ProjPoint] = ()) -> GaloisReport:
-    """Search for every outer Galois point of a smooth quartic.
+def enumerate_outer_galois_points(f: HomPoly) -> GaloisReport:
+    """Every outer Galois point of a smooth quartic, by the Hessian pencil
+    ((d) of the module docstring).
 
-    The apolar space K decides first ((d) of the module docstring): when
-    dim K < 3 there is no point, and when dim K = 3 the one candidate is
-    the common point of the column spaces of K, so the report is proved
-    complete with no search.  Otherwise the outer Galois points are among
-    the common zeros of the cube-locus quadrics, a basis mod each
-    certificate prime of the cube condition's minors, whose zeros contain
-    those of all the minors.  solver.solve_projective finds them mod p,
-    lifts them to Q(i) and keeps each only as an exact zero, and the
-    report is proved complete when its Hilbert-function count certifies
-    that no complex zero was missed; the four coordinate points and the
-    extra candidates could then add nothing, and are tested only when
-    the count does not close, with the solver's reason.  Four verified
-    points are all there are, by (c), whatever the count.  Each candidate
-    is kept when sigma_P preserves f, with sigma_P as its verified
-    generator; so every reported point is correct whatever the search
-    proved.
+    y0 is the first point of _PENCIL at which the Hessian is invertible,
+    and y1, y2 are the other two.  The candidates are the lines among the
+    joint eigenspaces of M1 and M2 on W*, and each is kept only when
+    sigma_P preserves f, with sigma_P as its verified generator; so every
+    reported point is correct.  The report is proved complete exactly when
+    every eigenvalue lies in Q(i) and every joint eigenspace is a line.
 
     A singular f is refused before any answer: on the plane quartic of
-    the first verified point, by (a), or else on f itself.  A surface
-    whose variables split into blocks is certified on f before anything
-    else, as its certificate then costs less than a search.  A
-    proved-complete point count outside {0, 1, 2, 4} is impossible for
+    the first verified point, by (a), or else on f itself.  f is certified
+    first when its variables split into blocks, as that certificate is
+    cheap, and when its Hessian is singular at all three points of
+    _PENCIL, as a cone's is everywhere; y0 then walks the grid {1..9}**4.
+    A proved-complete point count outside {0, 1, 2, 4} is impossible for
     smooth quartics and raises ConsistencyError.
     """
     if f.nvars != 4 or f.degree != 4:
         raise ValueError("expected a quartic form in 4 variables")
-    split = len(variable_blocks(f)) > 1
-    if split:
+    certified = len(variable_blocks(f)) > 1
+    if certified:
         _require_smooth(f)
-    apolar = _apolar_space(f)
-    reason: Optional[str] = None
-    if len(apolar) < 3:
-        pairs = []
-    elif len(apolar) == 3:
-        pairs = _verified_pairs(f, _common_column_point(apolar))
-    else:
-        sols, reason = solve_projective(cube_locus_quadrics(f), 4)
-        candidates = list(sols)
-        if reason is not None:
-            candidates.extend(_coordinate_point(v) for v in range(4))
-            candidates.extend(extra_candidates)
-        pairs = _verified_pairs(f, candidates)
-    if not split:
+    hs = [_hessian(f, y) for y in _PENCIL]
+    grid = (_hessian(f, y) for y in product(range(1, 10), repeat=4))
+    for k, h0 in enumerate(chain(hs, grid)):
+        if k == len(hs) and not certified:
+            # a cone, whose det H vanishes, is singular at its vertex, which
+            # every H(y) kills: try a common null vector of the three first
+            null = Matrix(12, 4, sum((h.entries for h in hs), ())).kernel_basis()
+            _require_smooth(f, vertex=null[0] if null else None)
+            certified = True
+        try:
+            inv = h0.inverse()
+        except ValueError:
+            continue
+        h1, h2 = (hs[:k] + hs[k + 1:])[:2]
+        m1, m2 = inv * h1, inv * h2
+        break
+    lines, complete = _eigenlines((m1, m2), _invariant_kernel(m1, m2, h1))
+    pairs = _verified_pairs(f, lines)
+    if not certified:
         _require_smooth(f, pairs[0][1] if pairs else None)
-    if len(pairs) >= 4:
-        reason = None
-    if reason is None and len(pairs) not in (0, 1, 2, 4):
+    if complete and len(pairs) not in (0, 1, 2, 4):
         raise ConsistencyError(
             f"certified search returned {len(pairs)} Galois points; "
             "only 0, 1, 2 or 4 are possible for a smooth quartic")
-    return GaloisReport(f, pairs, reason)
+    return GaloisReport(f, pairs, None if complete else POINTS_NOT_RECOVERED)

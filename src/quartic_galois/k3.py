@@ -269,13 +269,6 @@ def serialize_classification(f: HomPoly, m: Matrix) -> Dict:
 # Hurwitz utility.
 # ---------------------------------------------------------------------------
 
-def hurwitz_check(g_top: int, g_base: int, degree: int, ramification: int) -> bool:
-    """2*g_top - 2 == degree*(2*g_base - 2) + ramification, degree 2 only."""
-    if degree != 2:
-        raise ValueError("only double covers are supported")
-    return 2 * g_top - 2 == 2 * (2 * g_base - 2) + ramification
-
-
 def solve_m(g_top: int, g_base: int) -> int:
     """Ramification count forced by the double-cover Hurwitz formula."""
     return (2 * g_top - 2) - 2 * (2 * g_base - 2)
@@ -378,15 +371,6 @@ def _transform(g: GramMatrix2, u: IntMat2) -> Tuple[int, int, int]:
     b2 = 2 * g.a * p * q + g.b * (p * s + q * r) + 2 * g.c * r * s
     c2 = g.a * q * q + g.b * q * s + g.c * s * s
     return (a2, b2, c2)
-
-
-def transform_gram(g: GramMatrix2, u: IntMat2) -> GramMatrix2:
-    """U^T G U for an integer unimodular U."""
-    det = u[0][0] * u[1][1] - u[0][1] * u[1][0]
-    if det not in (1, -1):
-        raise ValueError("transform must be unimodular")
-    a2, b2, c2 = _transform(g, u)
-    return GramMatrix2(a2, b2, c2)
 
 
 def is_isomorphic_gram(g1: GramMatrix2, g2: GramMatrix2) -> bool:

@@ -10,6 +10,9 @@ and x, every minor coefficient is a quadratic form in P over Z[i].
 cube_locus_quadrics keeps of these only a basis mod each certificate
 prime: their ideal I_S lies in the ideal I of all the minors, so the
 search below sees the same system mod p, and V(I) lies in V(I_S).
+galois finds its points on the Hessian pencil instead, so
+solve_projective on these quadrics has no caller in the package: it is
+the reference search that the tests hold galois find to.
 
 The system is solved by one modular computation whose completeness is
 certified by counting.  Modulo a Gaussian prime pi above a prime
@@ -36,7 +39,9 @@ mod p, and so the exact points, one at a time as the caller asks (see
 _zeros_mod_p).  Each caller keeps only its policy: the smoothness test
 of the geometry module stops at a full-rank image, or at the first
 exact singular point at the first prime; solve_projective and
-univariate.gaussian_roots take every point.
+univariate.gaussian_roots take every point, and gaussian_roots bounds
+the height of its roots, so that a zero stops lifting once none of that
+height is left to find.
 """
 
 from __future__ import annotations
@@ -199,7 +204,8 @@ def solve_projective(quadrics: List[Quadric], nvars: int
     return found, reason
 
 
-def _searches(forms: List[Form], n: int, k: int, d: int
+def _searches(forms: List[Form], n: int, k: int, d: int,
+              height: Optional[int] = None
               ) -> Iterator[Tuple[int, Callable[[], Tuple[int, Iterator[ProjPoint]]]]]:
     """The package's one walk over the certificate primes: for each p of
     _CERT_PRIMES in order, the Z[i] forms of degree k in n variables are
@@ -208,9 +214,9 @@ def _searches(forms: List[Form], n: int, k: int, d: int
     search() gives (H_p(d), exact zeros): the degree-d echelon is built
     only then, and the zeros come one at a time, each a zero mod p from
     _zeros_mod_p that _lift takes to an exact zero of every form over
-    Q(i); a zero that does not lift is skipped.  A caller that stops
-    early, or advances to the next prime without a search, pays for no
-    more."""
+    Q(i), with the caller's height; a zero that does not lift is skipped.
+    A caller that stops early, or advances to the next prime without a
+    search, pays for no more."""
     for p in _CERT_PRIMES:
         basis = _generator_rows(forms, n, k, p)
         top = _macaulay_echelon(basis, n, k, d + 1, p)
@@ -218,7 +224,7 @@ def _searches(forms: List[Form], n: int, k: int, d: int
         def search(basis=basis, top=top, p=p):
             h, _, zeros = _zeros_mod_p(basis, n, k, d, p, top)
             return h, (point for z in zeros
-                       if (point := _lift(forms, z, p)) is not None)
+                       if (point := _lift(forms, z, p, height)) is not None)
         yield top.ncols - len(top.pivots), search
 
 
@@ -390,7 +396,8 @@ def _charpoly_mod_p(a: np.ndarray, p: int) -> Poly:
 # Lifting a zero mod p to an exact zero over Q(i).
 # ---------------------------------------------------------------------------
 
-def _lift(forms: List[Form], zero: List[int], p: int) -> Optional[ProjPoint]:
+def _lift(forms: List[Form], zero: List[int], p: int,
+          height: Optional[int] = None) -> Optional[ProjPoint]:
     """The exact zero of the forms that reduces to the given zero mod the
     Gaussian prime _CERT_PIS[p], or None.  The reconstruction at p itself
     is tried first: it is the only chance of a non-reduced zero, whose
@@ -398,7 +405,12 @@ def _lift(forms: List[Form], zero: List[int], p: int) -> Optional[ProjPoint]:
     coordinate, the zero is Newton-lifted mod p^(2^j) on the first n-1
     forms whose gradients mod p are independent; each coordinate is
     reconstructed in Q(i), and the point is returned once two successive
-    precisions agree and it is an exact zero of every form."""
+    precisions agree and it is an exact zero of every form.  height, when
+    given, bounds the norms of the numerators and denominators of every
+    exact zero as _reconstruct writes it: once the reconstruction bound at
+    the previous precision reaches it, such a zero has been reconstructed
+    at both precisions, so none is left and the lift stops there, short
+    of the cap."""
     n, i_p = len(zero), _CERT_ROOTS[p]
     chart = next(t for t in range(n) if zero[t])
     x = [v * pow(zero[chart], -1, p) % p for v in zero]
@@ -423,6 +435,7 @@ def _lift(forms: List[Form], zero: List[int], p: int) -> Optional[ProjPoint]:
     m, i_m, pik = p, i_p, _CERT_PIS[p]
     keys = set().union(*chosen)
     for _ in range(_MAX_PRECISION.bit_length() - 1):
+        last = height is not None and math.isqrt(m >> 8) >= height
         m2 = m * m
         i_m = (i_m - (i_m * i_m + 1) * pow(2 * i_m, -1, m2)) % m2
         m, pik = m2, _gi_mul(pik, pik)
@@ -434,6 +447,8 @@ def _lift(forms: List[Form], zero: List[int], p: int) -> Optional[ProjPoint]:
         cur = _reconstruct(x, pik, m)
         if cur is not None and cur == prev and _is_exact_zero(forms, cur):
             return ProjPoint(cur)
+        if last:
+            return None
         prev = cur
     return None
 

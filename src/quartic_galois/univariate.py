@@ -329,10 +329,14 @@ def gaussian_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
     Each squarefree factor of degree d >= 2 is solved as a binary form
     by the solver's modular search (solver._searches), whose exact zeros
     (r : 1) are candidates, prime after prime, until d roots are found.
+    With a_0, ..., a_d the form's primitive Z[i] coefficients, a root u/v
+    of sum a_j x^j in lowest terms has u | a_0 and v | a_d, so neither
+    norm exceeds max(N(a_0), N(a_d)), the height at which the search
+    stops lifting.
     The modular step only proposes candidates: a root is returned only
     after exact evaluation over Q(i) gives zero, and fully_split counts
     verified roots against the degree, so the certificate never rests on
-    the primes or the precision cap.
+    the primes, the height or the precision cap.
     """
     from .poly import HomPoly
     from .solver import _primitive, _searches
@@ -355,7 +359,8 @@ def gaussian_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
         found = [-factor[0] / factor[1]] if d == 1 else []
         # the form sum a_j x^j y^(d-j), whose zeros (r : 1) are the roots r
         form = _primitive(HomPoly(2, d, {(j, d - j): c for j, c in enumerate(factor)}))
-        for _, search in _searches([form], 2, d, d) if d > 1 else ():
+        height = max(_gi_norm(form[0, d]), _gi_norm(form[d, 0]))
+        for _, search in _searches([form], 2, d, d, height) if d > 1 else ():
             for point in search()[1]:
                 r = point.coords[0] / point.coords[1]
                 if r not in found and eval_poly(factor, r).is_zero():

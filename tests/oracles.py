@@ -13,7 +13,9 @@ over Z[i], with no modular step.  Outer Galois points are decided by
 the chart criterion, not by the homology the package builds: f pulled
 back by sympy to a basis adapted to P, and two shear identities on its
 coefficients in the first variable, and a generator is checked by
-pulling f back by it.
+pulling f back by it.  A Gram matrix is moved as U^T G U by 2x2 integer
+products, and the apolar space of a quartic is measured by sympy's rank
+of its catalecticant.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from sympy.polys.matrices import DomainMatrix
 
 from quartic_galois.galois import adapted_basis
 from quartic_galois.gaussian import GaussianRational
+from quartic_galois.k3 import GramMatrix2
 from quartic_galois.linalg import Matrix
-from quartic_galois.poly import HomPoly, ProjPoint, partials, x_decompose
+from quartic_galois.poly import (HomPoly, ProjPoint, monomials, partials,
+                                 x_decompose)
 from quartic_galois.solver import _primitive
 from quartic_galois.univariate import _gi_mul
 
@@ -269,3 +273,24 @@ def oracle_cube_locus_quadrics(f: HomPoly) -> List[dict]:
                 if key:
                     unique.setdefault(key, dict(key))
     return list(unique.values())
+
+
+def oracle_transform_gram(g: GramMatrix2, u) -> GramMatrix2:
+    """U^T G U for an integer unimodular U, as 2x2 matrix products."""
+    assert abs(u[0][0] * u[1][1] - u[0][1] * u[1][0]) == 1
+    m = ((2 * g.a, g.b), (g.b, 2 * g.c))
+    out = [[sum(u[k][i] * m[k][l] * u[l][j] for k in range(2) for l in range(2))
+            for j in range(2)] for i in range(2)]
+    return GramMatrix2.from_entries(out[0][0], out[0][1], out[1][1])
+
+
+def oracle_apolar_dimension(f: HomPoly) -> int:
+    """The dimension of the apolar space of f: the operators
+    sum_jk A_jk d_j d_k that kill f, 10 minus the rank of the
+    catalecticant whose column (j, k) holds the coefficients of d_j d_k f."""
+    syms = sympy.symbols("x0:4")
+    expr = hompoly_to_sympy(f, syms)
+    cols = [sympy.Poly(sympy.diff(expr, syms[j], syms[k]), *syms)
+            for j, k in combinations_with_replacement(range(4), 2)]
+    rows = [[c.coeff_monomial(e) for c in cols] for e in monomials(4, 2)]
+    return 10 - sympy.Matrix(rows).rank()

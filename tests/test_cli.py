@@ -322,18 +322,36 @@ def test_moduli_dim_refuses_count_with_monomials(capsys):
 
 @pytest.mark.parametrize("argv, flag", [
     (("galois", "find", FERMAT, "--point", "0:1:0:0"), "--point"),
-    (("galois", "test", FERMAT, "--point", "1:0:0:0", "--candidate", "0:1:0:0"),
-     "--candidate"),
     (("moduli", "npns", "--l", "4", "--count", "3"), "--count"),
     (("moduli", "npns", "--monomials", "X^4 Y^4"), "--monomials"),
     (("moduli", "npns", "--matrix", SIGMA1), "--matrix"),
     (("moduli", "dim", "--count", "7", "--l", "4"), "--l"),
-], ids=["find-point", "test-candidate", "npns-count", "npns-monomials",
-        "npns-matrix", "dim-l"])
+], ids=["find-point", "npns-count", "npns-monomials", "npns-matrix", "dim-l"])
 def test_flag_that_the_mode_does_not_read_is_refused(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: {argv[0]} {argv[1]} does not take {flag}\n"
+
+
+@pytest.mark.parametrize("argv, where", [
+    (("smooth", FERMAT), "smooth"),
+    (("galois", "find", FERMAT), "galois find"),
+    (("galois", "test", FERMAT, "--point", "1:0:0:0"), "galois test"),
+    (("auto", "character", FERMAT, "--matrix", SIGMA1), "auto character"),
+    (("lattice", "reduce", "8", "8", "16"), "lattice reduce"),
+    (("moduli", "npns"), "moduli npns"),
+], ids=["smooth", "find", "test", "auto", "lattice", "moduli"])
+def test_seed_is_refused_outside_demo(capsys, argv, where):
+    # only demo reads --seed; a valid seed anywhere else is refused, not
+    # ignored, and so is one that is not an integer
+    for seed in ("7", "x"):
+        code, out, err = run(capsys, "--seed", seed, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {where} does not take --seed\n"
+
+
+def test_demo_reads_seed_0_by_default(capsys):
+    assert run(capsys, "demo") == run(capsys, "--seed", "0", "demo")
 
 
 def test_moduli_npns_reads_rank_4_by_default(capsys):
@@ -396,9 +414,11 @@ def test_auto_classify_symplectic(capsys):
 
 
 def test_galois_find_with_candidate(capsys):
-    code, payload, _ = run_json(capsys, "galois", "find", FERMAT,
-                                "--candidate", "1:1:1:1")
-    assert code == 0 and len(payload["points"]) == 4
+    # galois find has no --candidate: the pencil's list is complete or
+    # says why not, so there is nothing for a candidate to add
+    code, out, err = run(capsys, "galois", "find", FERMAT, "--candidate", "1:1:1:1")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --candidate 1:1:1:1" in err
 
 
 def test_demo_seed_variation(capsys):
@@ -416,8 +436,8 @@ def test_consistency_error_is_reported_without_traceback(capsys, monkeypatch):
 
 
 REUSE_SEQUENCE = [
-    ["galois", "find", FERMAT, "--candidate", "1:1:1:1"],
-    ["galois", "find", FERMAT, "--candidate", "1:1:1:1"],
+    ["galois", "test", FERMAT, "--point", "1:1:1:1"],
+    ["galois", "test", FERMAT, "--point", "1:1:1:1"],
     ["--format", "json", "smooth", FERMAT], ["smooth", FERMAT],
     ["--seed", "3", "demo"], ["demo"],
     ["smooth"], ["lattice", "reduce", "8", "8", "16"],
@@ -434,8 +454,8 @@ def test_reused_parser_changes_no_output(capsys):
     cli._parser.cache_clear()
     assert [run(capsys, *argv) for argv in REUSE_SEQUENCE] == first
     assert first[6][0] == 1 and first[6][2]
-    argv = ["galois", "find", FERMAT, "--candidate", "1:1:1:1"]
-    assert cli._parser().parse_args(argv).candidate == ["1:1:1:1"]
+    argv = ["galois", "test", FERMAT, "--point", "1:1:1:1"]
+    assert cli._parser().parse_args(argv).point == "1:1:1:1"
 
 
 def _fresh_help(capsys, argv):

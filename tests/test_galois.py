@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from quartic_galois.errors import (InnerPointError, SingularSurfaceError,
+from quartic_galois.errors import (ConsistencyError, InnerPointError,
+                                   SingularSurfaceError,
                                    SurfaceNotPreservedError,
                                    UnnormalizedAutomorphismError)
 from quartic_galois.gaussian import GaussianRational as GR
@@ -14,14 +15,16 @@ from quartic_galois.galois import (adapted_basis, enumerate_outer_galois_points,
 from quartic_galois import galois, geometry, solver
 from quartic_galois.geometry import eigen_decompose_order4, is_smooth_surface
 from quartic_galois.linalg import Matrix
-from quartic_galois.poly import (HomPoly, ProjPoint, parse_poly,
+from quartic_galois.poly import (HomPoly, ProjPoint, parse_poly, partials,
                                  substitute_linear, x_decompose)
+from quartic_galois.univariate import gaussian_roots
 
 from helpers import (SIGMA1, calls_of, gaussian_matrix, height1_gaussian,
                      lift_form1, lift_form2, pullbacks, rand_gr, rand_invertible,
                      rand_smooth_plane_quartic,
                      rand_squarefree_binary_quartic, zeros_mod_p)
-from oracles import oracle_is_outer_galois_point, oracle_preserves
+from oracles import (oracle_apolar_dimension, oracle_is_outer_galois_point,
+                     oracle_preserves)
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
 FORM1 = parse_poly("X^4+Y^4+Z^4+W^4+Y^2*Z*W", 4)
@@ -325,11 +328,6 @@ def test_enumerate_no_galois_points():
     assert rep.completeness == "proved-complete"
 
 
-def test_enumerate_accepts_extra_candidates():
-    rep = enumerate_outer_galois_points(FERMAT, [ProjPoint([1, 1, 1, 1])])
-    assert set(rep.point_list()) == {E1, E2, E3, E4}
-
-
 def test_enumerate_conjugated_fermat():
     # conjugating moves the Galois points along; the search still finds them
     rng = random.Random(66)
@@ -370,7 +368,7 @@ def test_enumerate_retries_next_prime():
     h4, h5, zeros = zeros_mod_p(solver.cube_locus_quadrics(h), 4, p)
     assert (h4, h5, len(list(zeros))) == (4, 4, 4)
     assert solver.solve_projective(solver.cube_locus_quadrics(h), 4) == ([], None)
-    # its apolar space is 0: the enumeration needs no search at all
+    # the pencil needs no prime: the commutator of M1 and M2 has kernel 0
     rep = enumerate_outer_galois_points(h)
     assert rep.point_list() == []
     assert rep.completeness == "proved-complete"
@@ -407,32 +405,37 @@ def _conjugate_5():
 
 
 def test_enumerate_downgrades_on_lost_point(monkeypatch):
-    # a zero that fails to lift must downgrade completeness, never fake it
+    # an eigenvalue of the pencil whose root fails to lift, at every prime,
+    # must downgrade completeness, never fake it: its eigenline is lost
     fa = _conjugate_5()
     full = enumerate_outer_galois_points(fa)
     assert full.completeness == "proved-complete"
     assert len(full.points) == 4
-    lost = full.point_list()[0]
-    lift = solver._lift
+    lift, lost = solver._lift, []
 
     def drop_one(*args):
-        point = lift(*args)
-        return None if point == lost else point
+        root = lift(*args)
+        if root is not None and not lost:
+            lost.append(root)
+        return None if root in lost else root
 
     monkeypatch.setattr(solver, "_lift", drop_one)
     capped = enumerate_outer_galois_points(fa)
     assert capped.completeness == "candidates-only"
     assert capped.reason == "points-not-recovered"
-    assert set(capped.point_list()) == set(full.point_list()) - {lost}
+    assert len(capped.points) == 3
+    assert set(capped.point_list()) < set(full.point_list())
 
 
 def test_lift_computes_gradients_until_it_has_chosen(monkeypatch):
-    # with the reconstruction at p refused, every zero is Newton-lifted;
-    # the forms to lift on are chosen from gradients mod p computed one
-    # form at a time, and here the first n - 1 = 3 quadrics already have
-    # independent gradients: 3 gradients mod p per lift, not one per quadric
-    fa = _conjugate_5()
-    full = enumerate_outer_galois_points(fa)
+    # with the reconstruction at p refused, every zero of the cube-locus
+    # quadrics is Newton-lifted; the forms to lift on are chosen from
+    # gradients mod p computed one form at a time, and here the first
+    # n - 1 = 3 quadrics already have independent gradients: 3 gradients
+    # mod p per lift, not one per quadric
+    quadrics = solver.cube_locus_quadrics(_conjugate_5())
+    full = solver.solve_projective(quadrics, 4)
+    assert full[1] is None and len(full[0]) == 4
     reconstruct, gradient, lift = solver._reconstruct, solver._gradient, solver._lift
     at_p = []
 
@@ -453,9 +456,8 @@ def test_lift_computes_gradients_until_it_has_chosen(monkeypatch):
                         if m in solver._CERT_PRIMES else reconstruct(x, pik, m))
     monkeypatch.setattr(solver, "_gradient", counted)
     monkeypatch.setattr(solver, "_lift", counting_lift)
-    rep = enumerate_outer_galois_points(fa)
+    assert solver.solve_projective(quadrics, 4) == full
     assert per_lift == [3] * 4
-    assert rep.point_list() == full.point_list() and rep.reason is None
 
 
 @pytest.mark.parametrize("text, count", [
@@ -618,42 +620,25 @@ def test_tester_and_generator_agree_with_the_chart_criterion():
     assert verdicts.count(True) == 12 and verdicts.count(False) == 16
 
 
-@pytest.mark.parametrize("extra", [[], [ProjPoint([1, 1, 1, 1])]],
-                         ids=["solver", "with-candidate"])
-def test_proved_complete_search_tests_only_solver_points(monkeypatch, extra):
-    # when the count closes, every Galois point is among the solver's
-    # zeros: the coordinate points and the candidates are not tested
+def test_proved_complete_search_verifies_every_eigenline(monkeypatch):
+    # each eigenline of the pencil is verified once, and a report is
+    # proved complete on those verdicts alone: with the last one turned
+    # to "not Galois", three points contradict N in {0, 1, 2, 4}
     fa = _conjugate_5()
-    solved, tested = [], []
-    solve, generator = galois.solve_projective, galois._generator_or_none
-
-    def spy_solve(*args):
-        sols, reason = solve(*args)
-        solved.extend(sols)
-        return sols, reason
+    generator, tested = galois._generator_or_none, []
 
     def spy_generator(f, p):
         tested.append(p)
         return generator(f, p)
 
-    monkeypatch.setattr(galois, "solve_projective", spy_solve)
     monkeypatch.setattr(galois, "_generator_or_none", spy_generator)
-    rep = enumerate_outer_galois_points(fa, extra)
+    rep = enumerate_outer_galois_points(fa)
     assert rep.reason is None and len(rep.points) == 4
-    assert tested == solved and len(solved) == 4
-
-
-def test_candidates_only_search_tests_coordinate_points(monkeypatch):
-    monkeypatch.setattr(galois, "solve_projective",
-                        lambda forms, n: ([], "hilbert-not-stable"))
-    rep = enumerate_outer_galois_points(FORM2)
-    assert rep.completeness == "candidates-only"
-    assert rep.reason == "hilbert-not-stable"
-    assert rep.point_list() == [E2, E1]
-    # four verified coordinate points are all there are: complete anyway
-    rep = enumerate_outer_galois_points(FERMAT)
-    assert rep.completeness == "proved-complete"
-    assert rep.point_list() == [E4, E3, E2, E1]
+    assert sorted(tested, key=ProjPoint.sort_key) == rep.point_list()
+    monkeypatch.setattr(galois, "_generator_or_none",
+                        lambda f, p: None if p == tested[-1] else generator(f, p))
+    with pytest.raises(ConsistencyError, match="returned 3 Galois points"):
+        enumerate_outer_galois_points(fa)
 
 
 # -- descent through the polar plane ---------------------------------------------
@@ -662,51 +647,73 @@ C = math.prod(solver._CERT_PRIMES)   # vanishes modulo every certificate prime
 XYZW = parse_poly("X^4+Y^4+Z^4+W^4+X*Y*Z*W", 4)
 
 
-def test_apolar_gate_proves_no_point_without_a_search(monkeypatch):
-    # the search gave up on this conjugate (0 points, points-not-recovered);
-    # its apolar space is 0, so it has no Galois point
+def _no_search(monkeypatch):
+    """The calls of the quadric search, which the pencil never makes."""
+    return (calls_of(monkeypatch, solver.cube_locus_quadrics)
+            + calls_of(monkeypatch, solver.solve_projective))
+
+
+def test_pencil_proves_no_point_without_a_search(monkeypatch):
+    # the quadric search gives up on this conjugate (0 points,
+    # points-not-recovered: C vanishes modulo every certificate prime);
+    # the pencil's W* is 0, so it has no Galois point
     fa = substitute_linear(parse_poly(f"X^4+Y^4+Z^4+W^4+{C}*X*Y*Z*W", 4),
                            gaussian_matrix(5, 1))
-    searches = calls_of(monkeypatch, solver.solve_projective)
+    assert solver.solve_projective(solver.cube_locus_quadrics(fa), 4)[0] == []
+    searches, roots = _no_search(monkeypatch), calls_of(monkeypatch, gaussian_roots)
     rep = enumerate_outer_galois_points(fa)
-    assert galois._apolar_space(fa) == []
     assert (rep.point_list(), rep.completeness) == ([], "proved-complete")
-    assert searches == []
+    assert (searches, roots) == ([], [])
 
 
 def test_apolar_space_of_dimension_three_without_a_point(monkeypatch):
-    # a sum of seven fourth powers of seeded linear forms: dim K = 3, but
-    # the column spaces of K share no point, so there is no Galois point,
-    # as the search proves too
+    # a sum of seven fourth powers of seeded linear forms: its apolar space
+    # has dimension 3, as when there is one point, but there is no Galois
+    # point, as the quadric search proves too; the pencil proves it with
+    # no search and no root
     rng, f = random.Random(5), HomPoly.zero(4, 4)
     for _ in range(7):
         # X -> a linear form with seeded coefficients
         lin = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(4)],
                                 list(E2), list(E3), list(E4)])
         f = f + substitute_linear(parse_poly("X^4", 4), lin)
-    apolar = galois._apolar_space(f)
-    assert len(apolar) == 3 and galois._common_column_point(apolar) == []
+    assert oracle_apolar_dimension(f) == 3
     assert solver.solve_projective(solver.cube_locus_quadrics(f), 4) == ([], None)
-    searches = calls_of(monkeypatch, solver.solve_projective)
+    searches, roots = _no_search(monkeypatch), calls_of(monkeypatch, gaussian_roots)
     rep = enumerate_outer_galois_points(f)
-    assert (rep.points, rep.reason, searches) == ([], None, [])
+    assert (rep.points, rep.reason, searches, roots) == ([], None, [], [])
 
 
 def test_four_verified_points_prove_completeness():
-    # c*W^4 vanishes modulo every certificate prime, so the count never
-    # closes; the four coordinate candidates verify, and four are all there are
+    # c*W^4 vanishes modulo every certificate prime, so the quadric
+    # search's count never closes; the pencil needs no prime: four
+    # eigenlines in Q(i), each verified
     rep = enumerate_outer_galois_points(parse_poly(f"X^4+Y^4+Z^4+{C}*W^4", 4))
     assert rep.completeness == "proved-complete" and rep.reason is None
     assert rep.point_list() == [E4, E3, E2, E1]
     assert rep.normal_form == "form-3"
 
 
+def test_cw4_conjugate_is_proved_complete(monkeypatch):
+    # the same surface in generic coordinates, where the quadric search
+    # finds no point at all: the pencil finds and proves all four
+    a = height1_gaussian(19)
+    fa = substitute_linear(parse_poly(f"X^4+Y^4+Z^4+{C}*W^4", 4), a)
+    searches = _no_search(monkeypatch)
+    rep = enumerate_outer_galois_points(fa)
+    assert (rep.completeness, rep.normal_form) == ("proved-complete", "form-3")
+    inv = a.inverse()
+    assert set(rep.point_list()) == {ProjPoint(inv.apply(list(e)))
+                                     for e in (E1, E2, E3, E4)}
+    assert searches == []
+
+
 def test_large_apolar_space_with_one_point():
     # X^4 + G(Y, Z, W) with G = Y^4+Z^4+W^4+3(Y+Z+W)^4, four fourth powers:
-    # dim K = 3 + 2, so the gate leaves it to the search, which proves N = 1
+    # its apolar space has dimension 3 + 2, and the pencil proves N = 1
     lin = Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 1]])
     f = FERMAT + substitute_linear(parse_poly("W^4", 4), lin).scale(3)
-    assert len(galois._apolar_space(f)) == 5
+    assert oracle_apolar_dimension(f) == 5
     rep = enumerate_outer_galois_points(f)
     assert (rep.point_list(), rep.completeness) == ([E1], "proved-complete")
 
@@ -733,21 +740,25 @@ def test_singular_surface_is_refused_through_its_plane_quartic(monkeypatch):
     assert len(planes) == 1 and surfaces == []
 
 
-@pytest.mark.parametrize("f, dim_k, searched, plane", [
-    (FORM1, 3, False, True), (FORM2, 5, True, True), (XYZW, 0, False, False),
+@pytest.mark.parametrize("f, dim_w, plane", [
+    (FORM1, 1, True), (FORM2, 2, True), (XYZW, 0, False),
 ], ids=["form-1", "form-2", "xyzw"])
-def test_descent_certifies_the_smallest_form(monkeypatch, f, dim_k, searched, plane):
-    # in generic coordinates: dim K = 3 and dim K = 0 decide with no search,
-    # and a verified point certifies its plane quartic in place of the surface
+def test_descent_certifies_the_smallest_form(monkeypatch, f, dim_w, plane):
+    # in generic coordinates: dim W* = N, and only dim W* >= 2 asks for
+    # roots; a verified point certifies its plane quartic in place of the
+    # surface, and nothing searches the cube locus
     fa = substitute_linear(f, height1_gaussian(19))
-    assert len(galois._apolar_space(fa)) == dim_k
-    searches = calls_of(monkeypatch, solver.solve_projective)
+    kernel, kernels = galois._invariant_kernel, []
+    monkeypatch.setattr(galois, "_invariant_kernel",
+                        lambda *ms: kernels.append(kernel(*ms)) or kernels[-1])
+    searches, roots = _no_search(monkeypatch), calls_of(monkeypatch, gaussian_roots)
     planes = calls_of(monkeypatch, geometry.is_smooth_plane_quartic)
     surfaces = calls_of(monkeypatch, geometry.is_smooth_surface)
     rep = enumerate_outer_galois_points(fa)
-    assert rep.reason is None
-    assert (len(searches), len(planes), len(surfaces)) == (
-        int(searched), int(plane), int(not plane))
+    assert rep.reason is None and len(rep.points) == dim_w
+    assert [len(k) for k in kernels] == [dim_w] and searches == []
+    assert (len(roots), len(planes), len(surfaces)) == (
+        int(dim_w > 1), int(plane), int(not plane))
 
 
 @pytest.mark.parametrize("f, p, outcome, plane", [
@@ -795,15 +806,14 @@ def _members(rng):
 
 
 def test_descent_agrees_with_the_search():
-    # the report by descent against the route that searches every surface
-    # and certifies it whole: the same points and generators, the same
-    # completeness, the same smoothness
+    # the pencil's report against the quadric search, which finds every
+    # Q(i) point of the cube locus, and the whole-surface certificate:
+    # the same points and generators, the same completeness, the same
+    # smoothness
     outcomes = []
     for seed, f in enumerate(_members(random.Random(72)), 72):
         fa = substitute_linear(f, height1_gaussian(seed))
         sols, reason = solver.solve_projective(solver.cube_locus_quadrics(fa), 4)
-        if reason is not None:
-            sols += [galois._coordinate_point(v) for v in range(4)]
         old = ((galois._verified_pairs(fa, sols), reason)
                if is_smooth_surface(fa) else None)
         try:
@@ -815,3 +825,90 @@ def test_descent_agrees_with_the_search():
         outcomes.append(None if new is None else len(new[0]))
     assert outcomes.count(None) == 3
     assert sorted(outcomes[:9]) == [1, 1, 1, 2, 2, 2, 4, 4, 4]
+
+
+# -- the Hessian pencil --------------------------------------------------------------
+
+def _pencil(f):
+    """M1, M2 and H(y1) of the enumerator, on a surface whose Hessian is
+    invertible at the first point of the pencil."""
+    h0, h1, h2 = (galois._hessian(f, y) for y in galois._PENCIL)
+    return h0.inverse() * h1, h0.inverse() * h2, h1
+
+
+def test_hessian_is_the_matrix_of_second_partials():
+    # against the second partials of the form, evaluated at each point of
+    # the pencil and a grid point, and scaled by the common denominator
+    f = substitute_linear(FORM2.scale(GR(1, 2) / 3), height1_gaussian(19))
+    for y in galois._PENCIL + ((1, 1, 1, 9),):
+        second = [[d2.eval(y) for d2 in partials(d1)] for d1 in partials(f)]
+        assert galois._hessian(f, y) == Matrix.from_rows(second).scale(f.den)
+
+
+@pytest.mark.parametrize("f, dims", [
+    (FORM1, (2, 1)), (FORM2, (2, 2)), (FERMAT, (4, 4)), (XYZW, (0, 0)),
+], ids=["form-1", "form-2", "form-3", "xyzw"])
+def test_invariance_iteration_cuts_the_commutator_kernel(f, dims):
+    # H(y0) [M1, M2] = S - S^t with S = H(y1) H(y0)^-1 H(y2) is
+    # antisymmetric, of even rank; so ker [M1, M2] has even dimension, and
+    # with one Galois point it is a plane of which only the point's line
+    # is mapped into itself by M1 and M2
+    fa = substitute_linear(f, height1_gaussian(19))
+    m1, m2, h1 = _pencil(fa)
+    w0 = (m1 * m2 - m2 * m1).kernel_basis()
+    w = galois._invariant_kernel(m1, m2, h1)
+    assert (len(w0), len(w)) == dims
+    lines, complete = galois._eigenlines((m1, m2), w)
+    assert complete and len(lines) == dims[1]
+    assert all(Matrix.from_columns([p.coords, m.apply(p.coords)]).rank() == 1
+               for p in lines for m in (m1, m2))
+
+
+def test_cone_in_generic_coordinates_is_refused(monkeypatch):
+    # X^4+Y^4+Z^4 under SHEAR: a cone, whose Hessian determinant vanishes
+    # identically, so no point of the pencil or of the grid serves as y0;
+    # its vertex, the common null vector of the three Hessians, is a zero
+    # of every partial, and refuses it with no certificate
+    f = substitute_linear(parse_poly("X^4+Y^4+Z^4", 4), SHEAR)
+    assert all(galois._hessian(f, y).det() == ZERO for y in galois._PENCIL)
+    surfaces = calls_of(monkeypatch, geometry.is_smooth_surface)
+    with pytest.raises(SingularSurfaceError):
+        enumerate_outer_galois_points(f)
+    assert surfaces == []
+
+
+def test_grid_point_serves_when_the_pencil_points_fail(monkeypatch):
+    # form-1 pulled back by A whose first row l vanishes at the three
+    # points of the pencil: the Hessian is A^t diag(12 l(y)^2, H_G) A, of
+    # determinant 0 at each of them, so the surface is certified first, y0
+    # comes from the grid, and the one point is still found and proved
+    ell = Matrix.from_rows(galois._PENCIL).kernel_basis()[0]
+    a = Matrix.from_rows([ell, list(E2), list(E3), list(E4)])
+    f = substitute_linear(FORM1, a)
+    assert all(galois._hessian(f, y).det() == ZERO for y in galois._PENCIL)
+    surfaces = calls_of(monkeypatch, geometry.is_smooth_surface)
+    planes = calls_of(monkeypatch, geometry.is_smooth_plane_quartic)
+    rep = enumerate_outer_galois_points(f)
+    assert rep.point_list() == [ProjPoint(a.inverse().apply(list(E1)))]
+    assert (rep.reason, len(surfaces), planes) == (None, 1, [])
+
+
+def test_second_matrix_splits_a_repeated_eigenvalue():
+    # Fermat in the forms X, l1, Y, W, with l1 chosen so that l1(y1) / l1(y0)
+    # = y1_X / y0_X: the Galois points of X and l1 share their eigenvalue
+    # of M1, whose eigenspace on W* is a plane, and M2 splits it
+    y0, y1, _ = galois._PENCIL
+    r = GR(y1[0]) / y0[0]
+    v = [b - r * a for a, b in zip(y0, y1)]
+    ell = Matrix.from_rows([v]).kernel_basis()[1]
+    a = Matrix.from_rows([list(E1), ell, list(E2), list(E4)])
+    fa = substitute_linear(FERMAT, a)
+    m1, m2, h1 = _pencil(fa)
+    w = galois._invariant_kernel(m1, m2, h1)
+    roots, split = gaussian_roots(galois._charpoly(galois._restriction(m1, w)[0]))
+    assert (len(w), len(roots), split) == (4, 3, True)
+    rep = enumerate_outer_galois_points(fa)
+    assert (rep.completeness, rep.normal_form) == ("proved-complete", "form-3")
+    inv = a.inverse()
+    assert set(rep.point_list()) == {ProjPoint(inv.apply(list(e)))
+                                     for e in (E1, E2, E3, E4)}

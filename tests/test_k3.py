@@ -17,11 +17,11 @@ from quartic_galois.k3 import (FixedLocusReport, GramMatrix2, MAX_OUTER_GALOIS_C
                                MAX_OUTER_GALOIS_TRANSCENDENTAL_GRAM,
                                NPNS_ROWS, PURELY_NS_ROWS,
                                SINGULAR_K3_PICARD_NUMBER, classify,
-                               fixed_locus, hurwitz_check, is_isomorphic_gram,
+                               fixed_locus, is_isomorphic_gram,
                                isolated_point_formula, moduli_dimension,
                                npns_moduli_dim, reduce_gram,
                                serialize_classification, solve_m,
-                               symplectic_character, transform_gram)
+                               symplectic_character)
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import (HomPoly, ProjPoint, monomials, parse_poly,
                                  substitute_linear)
@@ -29,6 +29,7 @@ from quartic_galois.poly import (HomPoly, ProjPoint, monomials, parse_poly,
 from helpers import (SIGMA1, SIGMA2, SIGMA3, SIGMA4, calls_of, diag, engine_sizes,
                      gaussian_matrix, height1_gaussian, lift_form1, lift_form2, pullbacks, rand_sl2,
                      rand_smooth_plane_quartic, rand_squarefree_binary_quartic)
+from oracles import oracle_transform_gram
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
 FORM1 = parse_poly("X^4+Y^4+Z^4+W^4+Y^2*Z*W", 4)
@@ -532,17 +533,12 @@ def test_serialize_classification_golden():
 # -- Hurwitz -----------------------------------------------------------------------
 
 def test_hurwitz_double_cover_cases():
-    assert hurwitz_check(1, 1, 2, 0)
-    assert hurwitz_check(1, 0, 2, 4)
-    assert not hurwitz_check(1, 1, 2, 2)
     assert solve_m(1, 1) == 0
     assert solve_m(1, 0) == 4
     assert solve_m(3, 0) == 8
-
-
-def test_hurwitz_degree_guard():
-    with pytest.raises(ValueError):
-        hurwitz_check(1, 1, 3, 0)
+    # the double-cover formula 2 g - 2 = 2 (2 h - 2) + m holds for each
+    for g, h in ((1, 1), (1, 0), (3, 0), (5, 2)):
+        assert 2 * g - 2 == 2 * (2 * h - 2) + solve_m(g, h)
 
 
 # -- lattices -----------------------------------------------------------------------
@@ -558,7 +554,7 @@ def test_reduce_sheared():
     g = GramMatrix2.from_entries(8, 8, 16)
     reduced, u = reduce_gram(g)
     assert reduced == GramMatrix2.from_entries(8, 0, 8)
-    assert transform_gram(g, u) == reduced
+    assert oracle_transform_gram(g, u) == reduced
 
 
 def test_not_isomorphic_same_determinant():
@@ -590,7 +586,7 @@ def test_reduce_class_invariance():
     base = GramMatrix2.from_entries(8, 0, 8)
     for _ in range(100):
         t = rand_sl2(rng)
-        moved = transform_gram(base, t)
+        moved = oracle_transform_gram(base, t)
         assert reduce_gram(moved)[0] == base
 
 

@@ -3,11 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from quartic_galois import solver
 from quartic_galois import univariate as uv
 from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, ONE, ZERO
 
-from helpers import rand_gr
+from helpers import calls_of, rand_gr
 
 
 def poly(*coeffs):
@@ -141,6 +142,25 @@ def test_gaussian_roots_modular_extraction(roots, cofactor):
     assert split == (cofactor is None)
     assert all(uv.eval_poly(p, r).is_zero() for r in got)
     assert uv.gaussian_roots(p) == (got, split)
+
+
+def test_gaussian_roots_stops_lifting_at_the_root_bound(monkeypatch):
+    # 2 is a square mod the certificate primes, so x^2 - 2 has roots there,
+    # but none in Q(i): a root u/v of a primitive Z[i] polynomial has
+    # u | a_0 and v | a_d, so the lift of each stops once the reconstruction
+    # bound passes max(N(a_0), N(a_d)) = 4, after one Newton step, not the
+    # seven that reach the precision cap p^128
+    steps = calls_of(monkeypatch, solver._solve_mod)
+    lifts = calls_of(monkeypatch, solver._lift)
+    assert uv.gaussian_roots(poly(-2, 0, 1)) == ([], False)
+    assert len(lifts) == 6 and len(steps) == 6
+    # next to the four roots of the eliminant, whose height is about
+    # 10^18, a failed lift stops at p^8, after three steps
+    steps.clear()
+    lifts.clear()
+    p = uv.mul(from_roots(*CONJ_ROOTS), poly(-2, 0, 1))
+    assert set(uv.gaussian_roots(p)[0]) == set(CONJ_ROOTS)
+    assert len(steps) <= 3 * len(lifts)
 
 
 def test_fp_roots_repeated_factor():

@@ -507,7 +507,5 @@ def squarefree_profile(f: HomPoly) -> List[int]:
     g = univariate.trim(list(coeffs))
     e = univariate.degree(g)
     profile = [d - e] if d > e else []
-    if e > 0:
-        profile.extend(univariate.multiplicity_profile(g))
-    return sorted(profile)
+    return sorted(profile + univariate.multiplicity_profile(g))
 

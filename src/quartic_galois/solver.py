@@ -23,32 +23,32 @@ of the quotient ring (Auzinger-Stetter).  Each zero is reconstructed in
 Q(i) at p or after Newton lifting pi-adically, and kept only when it is
 an exact zero of every quadric, so no point rests on the modular step.
 The engine (_generator_rows, _macaulay, _macaulay_echelon) and the zero
-finder and lift (_zeros_mod_p, _lift) take forms of any degree, and are
-the package's one modular Macaulay engine and one route from a zero mod
-p to a Q(i) point.  A form is the Z[i] numerator map of a HomPoly
-(HomPoly.num), divided by its Z[i] content where a polynomial enters
-the engine (_primitive).  The engine orders its columns by
+finder and lift (_zeros_mod_p, _lift) take forms of any degree: the
+package's one modular Macaulay engine, and its one route from a zero
+mod p of a system to a Q(i) point.  A form is the Z[i] numerator map of
+a HomPoly (HomPoly.num), divided by its Z[i] content where a polynomial
+enters the engine (_primitive).  The engine orders its columns by
 degree-reverse-lex, caches each column layout, and leaves out every row
 that a Koszul syzygy puts in the span of the rows kept, so ranks, pivot
 columns and reduced echelon forms are those of the full matrix.  Each
 matrix is eliminated once, by linalg._pivots_mod_p.
 
-This module alone holds the certificate primes (_CERT_PRIMES) and walks
-them, in _searches, which builds each echelon once and finds the zeros
-mod p, and so the exact points, one at a time as the caller asks (see
-_zeros_mod_p).  Each caller keeps only its policy: the smoothness test
-of the geometry module stops at a full-rank image, or at the first
-exact singular point at the first prime; solve_projective and
-univariate.gaussian_roots take every point, and gaussian_roots bounds
-the height of its roots, so that a zero stops lifting once none of that
-height is left to find.
+This module alone holds the certificate primes (_CERT_PRIMES), and every
+walk over them takes them from _primes: _searches builds each echelon
+once and finds the zeros mod p, and so the exact points, one at a time
+as the caller asks (see _zeros_mod_p); _root_candidates lifts the roots
+mod p of one polynomial in one variable, with no matrix.  Each caller
+keeps only its policy: the smoothness test of the geometry module stops
+at a full-rank image, or at the first exact singular point at the first
+prime; solve_projective takes every point; univariate.gaussian_roots
+keeps the candidates that are exact roots, up to the degree.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, islice, product
 from random import Random
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -204,27 +204,31 @@ def solve_projective(quadrics: List[Quadric], nvars: int
     return found, reason
 
 
-def _searches(forms: List[Form], n: int, k: int, d: int,
-              height: Optional[int] = None
+def _primes() -> Iterator[int]:
+    """The certificate primes, in the order every walk over them takes."""
+    return iter(_CERT_PRIMES)
+
+
+def _searches(forms: List[Form], n: int, k: int, d: int
               ) -> Iterator[Tuple[int, Callable[[], Tuple[int, Iterator[ProjPoint]]]]]:
-    """The package's one walk over the certificate primes: for each p of
-    _CERT_PRIMES in order, the Z[i] forms of degree k in n variables are
+    """The walk of the Macaulay engine over the certificate primes: for
+    each p of _primes(), the Z[i] forms of degree k in n variables are
     reduced mod the Gaussian prime _CERT_PIS[p] and their degree-(d+1)
     Macaulay echelon is built once, and (H_p(d+1), search) is yielded.
     search() gives (H_p(d), exact zeros): the degree-d echelon is built
     only then, and the zeros come one at a time, each a zero mod p from
     _zeros_mod_p that _lift takes to an exact zero of every form over
-    Q(i), with the caller's height; a zero that does not lift is skipped.
-    A caller that stops early, or advances to the next prime without a
-    search, pays for no more."""
-    for p in _CERT_PRIMES:
+    Q(i); a zero that does not lift is skipped.  A caller that stops
+    early, or advances to the next prime without a search, pays for no
+    more."""
+    for p in _primes():
         basis = _generator_rows(forms, n, k, p)
         top = _macaulay_echelon(basis, n, k, d + 1, p)
 
         def search(basis=basis, top=top, p=p):
             h, _, zeros = _zeros_mod_p(basis, n, k, d, p, top)
             return h, (point for z in zeros
-                       if (point := _lift(forms, z, p, height)) is not None)
+                       if (point := _lift(forms, z, p)) is not None)
         yield top.ncols - len(top.pivots), search
 
 
@@ -396,8 +400,7 @@ def _charpoly_mod_p(a: np.ndarray, p: int) -> Poly:
 # Lifting a zero mod p to an exact zero over Q(i).
 # ---------------------------------------------------------------------------
 
-def _lift(forms: List[Form], zero: List[int], p: int,
-          height: Optional[int] = None) -> Optional[ProjPoint]:
+def _lift(forms: List[Form], zero: List[int], p: int) -> Optional[ProjPoint]:
     """The exact zero of the forms that reduces to the given zero mod the
     Gaussian prime _CERT_PIS[p], or None.  The reconstruction at p itself
     is tried first: it is the only chance of a non-reduced zero, whose
@@ -405,12 +408,7 @@ def _lift(forms: List[Form], zero: List[int], p: int,
     coordinate, the zero is Newton-lifted mod p^(2^j) on the first n-1
     forms whose gradients mod p are independent; each coordinate is
     reconstructed in Q(i), and the point is returned once two successive
-    precisions agree and it is an exact zero of every form.  height, when
-    given, bounds the norms of the numerators and denominators of every
-    exact zero as _reconstruct writes it: once the reconstruction bound at
-    the previous precision reaches it, such a zero has been reconstructed
-    at both precisions, so none is left and the lift stops there, short
-    of the cap."""
+    precisions agree and it is an exact zero of every form."""
     n, i_p = len(zero), _CERT_ROOTS[p]
     chart = next(t for t in range(n) if zero[t])
     x = [v * pow(zero[chart], -1, p) % p for v in zero]
@@ -435,10 +433,7 @@ def _lift(forms: List[Form], zero: List[int], p: int,
     m, i_m, pik = p, i_p, _CERT_PIS[p]
     keys = set().union(*chosen)
     for _ in range(_MAX_PRECISION.bit_length() - 1):
-        last = height is not None and math.isqrt(m >> 8) >= height
-        m2 = m * m
-        i_m = (i_m - (i_m * i_m + 1) * pow(2 * i_m, -1, m2)) % m2
-        m, pik = m2, _gi_mul(pik, pik)
+        m, i_m, pik = _square_precision(m, i_m, pik)
         at_m = _powers(keys, x, m)
         delta = _solve_mod([_gradient(f, x, i_m, m, free) for f in chosen],
                            [_evaluate(f, at_m, i_m, m) for f in chosen], m)
@@ -447,10 +442,45 @@ def _lift(forms: List[Form], zero: List[int], p: int,
         cur = _reconstruct(x, pik, m)
         if cur is not None and cur == prev and _is_exact_zero(forms, cur):
             return ProjPoint(cur)
-        if last:
-            return None
         prev = cur
     return None
+
+
+def _square_precision(m: int, i_m: int, pik: GInt) -> Tuple[int, int, GInt]:
+    """(m^2, i_m2, pi^2k) from (m, i_m, pi^k), m = p^k: the image i_m2 of i
+    mod pi^2k is one Newton step on x^2 + 1 from its image i_m mod pi^k."""
+    m2 = m * m
+    return m2, (i_m - (i_m * i_m + 1) * pow(2 * i_m, -1, m2)) % m2, _gi_mul(pik, pik)
+
+
+def _root_candidates(f: List[GInt], bound: int) -> Iterator[GaussianRational]:
+    """Candidate Q(i) roots of the Z[i] polynomial f (low degree first,
+    degree >= 1), no root u/v of which in lowest terms has N(u) or N(v)
+    above bound.  At each prime where the leading coefficient does not
+    vanish, each root mod the Gaussian prime is Newton-lifted mod p^(2^j)
+    until the bound sqrt(p^(2^j))/16 of _reconstruct passes bound (or
+    p^(2^j) the cap), then reconstructed: a root of f is then the one
+    reconstruction of its residue.  A multiple root mod p cannot lift and
+    is reconstructed at p, as in _lift.  The caller checks each exactly."""
+    for p in _primes():
+        fp, cap = [_residue(c, _CERT_ROOTS[p], p) for c in f], p ** _MAX_PRECISION
+        for x in _fp_roots(fp, p) if fp[-1] else ():
+            m, i_m, pik = p, _CERT_ROOTS[p], _CERT_PIS[p]
+            simple = sum(j * c * pow(x, j - 1, p) for j, c in enumerate(fp) if j) % p
+            while simple and math.isqrt(m >> 8) < bound and m < cap:
+                m, i_m, pik = _square_precision(m, i_m, pik)
+                x = _newton_step([_residue(c, i_m, m) for c in f], x, m)
+            for u, v in islice(_rational_reconstructions(x, pik, math.isqrt(m >> 8)), 1):
+                yield GaussianRational(*u) / GaussianRational(*v)
+
+
+def _newton_step(f: List[int], x: int, m: int) -> int:
+    """x - f(x)/f'(x) mod m, for f with coefficients mod m: a root of f
+    mod sqrt(m) that is simple there, lifted to a root mod m."""
+    v = dv = 0
+    for c in reversed(f):
+        v, dv = (v * x + c) % m, (dv * x + v) % m
+    return (x - v * pow(dv, -1, m)) % m
 
 
 def _powers(keys: Set[Tuple[int, ...]], x: List[int], m: int

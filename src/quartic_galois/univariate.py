@@ -8,8 +8,9 @@ the modular steps of the linalg and solver modules: one common
 denominator, the one reduction of Z[i] modulo a Gaussian prime, the
 int64 matrix product mod p, roots mod p and rational reconstruction.
 The roots mod p come one at a time, from powers of companion matrices
-on that matrix product.  gaussian_roots finds Q(i) roots with the
-solver's point search, each verified by exact evaluation.
+on that matrix product.  gaussian_roots finds Q(i) roots from the roots
+mod p, Newton-lifted in one variable and reconstructed by the solver
+(solver._root_candidates), each verified by exact evaluation.
 """
 
 from __future__ import annotations
@@ -49,26 +50,8 @@ def add(p: Poly, q: Poly) -> Poly:
     return trim(out)
 
 
-def neg(p: Poly) -> Poly:
-    return [-c for c in p]
-
-
 def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return []
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            if b.is_zero():
-                continue
-            out[i + j] = out[i + j] + a * b
-    return trim(out)
+    return add(p, [-c for c in q])
 
 
 def divmod_poly(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
@@ -326,48 +309,35 @@ def gaussian_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
     over Q(i).  Roots are reported once each (multiplicity dropped) in
     canonical order.
 
-    Each squarefree factor of degree d >= 2 is solved as a binary form
-    by the solver's modular search (solver._searches), whose exact zeros
-    (r : 1) are candidates, prime after prime, until d roots are found.
-    With a_0, ..., a_d the form's primitive Z[i] coefficients, a root u/v
-    of sum a_j x^j in lowest terms has u | a_0 and v | a_d, so neither
-    norm exceeds max(N(a_0), N(a_d)), the height at which the search
-    stops lifting.
+    Each squarefree factor of degree d >= 2 is cleared to its primitive
+    Z[i] coefficients a_0, ..., a_d; a root u/v of sum a_j x^j in lowest
+    terms has u | a_0 and v | a_d, so neither norm exceeds the height
+    max(N(a_0), N(a_d)) to which solver._root_candidates lifts the roots
+    mod p, prime after prime, until d roots are found.
     The modular step only proposes candidates: a root is returned only
     after exact evaluation over Q(i) gives zero, and fully_split counts
     verified roots against the degree, so the certificate never rests on
     the primes, the height or the precision cap.
     """
     from .poly import HomPoly
-    from .solver import _primitive, _searches
+    from .solver import _primitive, _root_candidates
     if not p:
         raise ValueError("zero polynomial")
-    if degree(p) == 0:
-        return [], True
-    roots: List[GaussianRational] = []
-    work = monic(p)
-    # pull out the root at zero
-    while work and work[0].is_zero():
-        if ZERO not in roots:
-            roots.append(ZERO)
-        work = work[1:]
-    # root-find on the squarefree factors; completeness is unaffected
-    sf_pairs = squarefree_decomposition(work) if degree(work) > 0 else []
-    fully_split = True
-    for factor, _m in sf_pairs:
+    k = next(j for j, c in enumerate(p) if not c.is_zero())  # the root at zero
+    roots, fully_split = [ZERO] if k else [], True
+    # the squarefree factors are coprime and prime to x, and monic
+    for factor, _m in squarefree_decomposition(p[k:]):
         d = degree(factor)
-        found = [-factor[0] / factor[1]] if d == 1 else []
-        # the form sum a_j x^j y^(d-j), whose zeros (r : 1) are the roots r
-        form = _primitive(HomPoly(2, d, {(j, d - j): c for j, c in enumerate(factor)}))
-        height = max(_gi_norm(form[0, d]), _gi_norm(form[d, 0]))
-        for _, search in _searches([form], 2, d, d, height) if d > 1 else ():
-            for point in search()[1]:
-                r = point.coords[0] / point.coords[1]
+        found = [-factor[0]] if d == 1 else []
+        if d > 1:
+            form = _primitive(HomPoly(2, d, {(j, d - j): c for j, c in enumerate(factor)}))
+            num = [form.get((j, d - j), (0, 0)) for j in range(d + 1)]
+            for r in _root_candidates(num, max(_gi_norm(num[0]), _gi_norm(num[-1]))):
                 if r not in found and eval_poly(factor, r).is_zero():
                     found.append(r)
-            if len(found) == d:
-                break
-        roots.extend(found)  # the factors are coprime and prime to x
+                    if len(found) == d:
+                        break
+        roots.extend(found)
         fully_split = fully_split and len(found) == d
     roots.sort(key=lambda z: z.sort_key())
     return roots, fully_split

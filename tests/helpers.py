@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from quartic_galois import geometry, poly
-from quartic_galois.gaussian import ONE, GaussianRational, I
+from quartic_galois.gaussian import ONE, ZERO, GaussianRational, I
 from quartic_galois.geometry import is_smooth_plane_quartic
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import HomPoly, monomials, squarefree_profile
@@ -64,6 +64,20 @@ def rand_gr(rng: random.Random, lo: int = -3, hi: int = 3,
     re = Fraction(rng.randint(lo, hi), rng.choice(denominators))
     im = Fraction(rng.randint(lo, hi), rng.choice(denominators)) if complex_part else Fraction(0)
     return GaussianRational(re, im)
+
+
+def poly_mul(p, q):
+    """The product of two dense univariate Q(i) polynomials (coefficient
+    lists, lowest degree first, no trailing zeros), by schoolbook sums."""
+    if not p or not q:
+        return []
+    out = [ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    while out and out[-1].is_zero():
+        out.pop()
+    return out
 
 
 def rand_invertible(rng: random.Random, size: int = 4) -> Matrix:

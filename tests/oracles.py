@@ -15,7 +15,9 @@ back by sympy to a basis adapted to P, and two shear identities on its
 coefficients in the first variable, and a generator is checked by
 pulling f back by it.  A Gram matrix is moved as U^T G U by 2x2 integer
 products, and the apolar space of a quartic is measured by sympy's rank
-of its catalecticant.
+of its catalecticant.  The Q(i) roots of a univariate polynomial are
+read off the linear and quadratic factors over Q of its norm, which
+sympy factors over Z, with no modular step of the package's own.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import sympy
@@ -294,3 +296,37 @@ def oracle_apolar_dimension(f: HomPoly) -> int:
             for j, k in combinations_with_replacement(range(4), 2)]
     rows = [[c.coeff_monomial(e) for c in cols] for e in monomials(4, 2)]
     return 10 - sympy.Matrix(rows).rank()
+
+
+def oracle_gaussian_roots(p: Sequence[GaussianRational]
+                          ) -> Tuple[List[GaussianRational], bool]:
+    """The roots in Q(i) of a nonconstant polynomial p (coefficients lowest
+    degree first), once each in canonical order, and whether they account
+    for all deg p of its roots with their multiplicities.  A root in Q(i)
+    has degree at most 2 over Q, so it is a root of a linear or a
+    quadratic factor over Q of the norm re(p)^2 + im(p)^2 = p * conj(p)
+    (re, im taken coefficientwise); a candidate is kept as often as sympy
+    divides p by x - r over QQ_I with no remainder."""
+    x = sympy.Symbol("x")
+    f = sympy.Poly([gr_to_sympy(c) for c in reversed(p)], x, domain=sympy.QQ_I)
+    re, im = (sympy.Poly([sympy.Rational(v.numerator, v.denominator) for v in part],
+                         x, domain=sympy.QQ)
+              for part in zip(*((c.re, c.im) for c in reversed(p))))
+    candidates = set()
+    for g, _ in (re ** 2 + im ** 2).factor_list()[1]:
+        if g.degree() == 1:
+            candidates.add(-g.nth(0) / g.nth(1))
+        elif g.degree() == 2:
+            a, b, c = g.all_coeffs()
+            q = sympy.sqrt(4 * a * c - b * b)
+            if q.is_Rational:  # the roots (-b +- q i) / 2a
+                candidates |= {(-b + sign * q * sympy.I) / (2 * a) for sign in (1, -1)}
+    roots, count = [], 0
+    for r in candidates:
+        lin = sympy.Poly(x - r, x, domain=sympy.QQ_I)
+        quot, rem = f.div(lin)
+        if rem.is_zero:
+            roots.append(sympy_to_gr(r))
+        while rem.is_zero:
+            count, (quot, rem) = count + 1, quot.div(lin)
+    return sorted(roots, key=lambda z: z.sort_key()), count == f.degree()

@@ -17,7 +17,7 @@ from quartic_galois.geometry import eigen_decompose_order4, is_smooth_surface
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import (HomPoly, ProjPoint, parse_poly, partials,
                                  substitute_linear, x_decompose)
-from quartic_galois.univariate import gaussian_roots
+from quartic_galois.univariate import eval_poly, gaussian_roots
 
 from helpers import (SIGMA1, calls_of, gaussian_matrix, height1_gaussian,
                      lift_form1, lift_form2, pullbacks, rand_gr, rand_invertible,
@@ -411,15 +411,17 @@ def test_enumerate_downgrades_on_lost_point(monkeypatch):
     full = enumerate_outer_galois_points(fa)
     assert full.completeness == "proved-complete"
     assert len(full.points) == 4
-    lift, lost = solver._lift, []
+    candidates, lost = solver._root_candidates, []
 
-    def drop_one(*args):
-        root = lift(*args)
-        if root is not None and not lost:
-            lost.append(root)
-        return None if root in lost else root
+    def drop_one(f, bound):
+        for root in candidates(f, bound):
+            exact = eval_poly([GR(*c) for c in f], root).is_zero()
+            if exact and not lost:
+                lost.append(root)
+            if root not in lost:
+                yield root
 
-    monkeypatch.setattr(solver, "_lift", drop_one)
+    monkeypatch.setattr(solver, "_root_candidates", drop_one)
     capped = enumerate_outer_galois_points(fa)
     assert capped.completeness == "candidates-only"
     assert capped.reason == "points-not-recovered"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,7 +9,8 @@ from quartic_galois import univariate as uv
 from quartic_galois.gaussian import GaussianRational as GR
 from quartic_galois.gaussian import I, ONE, ZERO
 
-from helpers import calls_of, rand_gr
+from helpers import calls_of, poly_mul, rand_gr
+from oracles import oracle_gaussian_roots
 
 
 def poly(*coeffs):
@@ -18,7 +20,7 @@ def poly(*coeffs):
 def from_roots(*roots):
     p = [ONE]
     for r in roots:
-        p = uv.mul(p, [-GR.coerce(r), ONE])
+        p = poly_mul(p, [-GR.coerce(r), ONE])
     return p
 
 
@@ -31,7 +33,7 @@ def test_divmod_exact():
         if uv.is_zero(b):
             continue
         q, r = uv.divmod_poly(a, b)
-        assert uv.add(uv.mul(q, b), r) == a
+        assert uv.add(poly_mul(q, b), r) == a
         assert uv.degree(r) < uv.degree(b)
 
 
@@ -41,8 +43,8 @@ def test_gcd_of_common_factor():
         c = uv.trim([rand_gr(rng) for _ in range(3)])
         if uv.degree(c) < 1:
             continue
-        a = uv.mul(c, poly(1, 1))
-        b = uv.mul(c, poly(-1, 0, 1))
+        a = poly_mul(c, poly(1, 1))
+        b = poly_mul(c, poly(-1, 0, 1))
         g = uv.gcd(a, b)
         # gcd is divisible by the monic form of c
         _, rem = uv.divmod_poly(g, c)
@@ -51,7 +53,7 @@ def test_gcd_of_common_factor():
 
 def test_multiplicity_profile_known():
     # (t - 1)**2 * (t + 2)
-    p = uv.mul(uv.mul(from_roots(1), from_roots(1)), from_roots(-2))
+    p = poly_mul(poly_mul(from_roots(1), from_roots(1)), from_roots(-2))
     assert uv.multiplicity_profile(p) == [1, 2]
     assert uv.multiplicity_profile(from_roots(1, 2, 3)) == [1, 1, 1]
     assert uv.multiplicity_profile(poly(5)) == []
@@ -78,7 +80,7 @@ def test_gaussian_roots_linear_and_quadratic():
 
 def test_gaussian_roots_cubic_mixed():
     # (u - 2)(u**2 - 2): one rational root, two irrational
-    p = uv.mul(from_roots(2), poly(-2, 0, 1))
+    p = poly_mul(from_roots(2), poly(-2, 0, 1))
     roots, split = uv.gaussian_roots(p)
     assert roots == [GR(2)] and not split
 
@@ -94,7 +96,7 @@ def test_gaussian_roots_quintic_full_split():
 
 def test_gaussian_roots_gaussian_integer_roots():
     # roots 1+i, 3, -i plus an irreducible quadratic factor u**2 + u + 1
-    p = uv.mul(from_roots(GR(1, 1), GR(3), GR(0, -1)), poly(1, 1, 1))
+    p = poly_mul(from_roots(GR(1, 1), GR(3), GR(0, -1)), poly(1, 1, 1))
     roots, split = uv.gaussian_roots(p)
     assert not split
     assert set(roots) == {GR(1, 1), GR(3), GR(0, -1)}
@@ -102,7 +104,7 @@ def test_gaussian_roots_gaussian_integer_roots():
 
 def test_gaussian_roots_with_multiplicity_and_zero():
     # u**2 * (u - 1)**3
-    p = uv.mul([ZERO, ZERO, ONE], uv.mul(uv.mul(from_roots(1), from_roots(1)),
+    p = poly_mul([ZERO, ZERO, ONE], poly_mul(poly_mul(from_roots(1), from_roots(1)),
                                          from_roots(1)))
     roots, split = uv.gaussian_roots(p)
     assert set(roots) == {ZERO, ONE} and split
@@ -136,7 +138,7 @@ BAD_PRIME_ROOTS = [GR(F(1, 10009)), GR(F(2, 10037), F(1, 10037)),
 def test_gaussian_roots_modular_extraction(roots, cofactor):
     p = from_roots(*roots)
     if cofactor is not None:
-        p = uv.mul(p, cofactor)
+        p = poly_mul(p, cofactor)
     got, split = uv.gaussian_roots(p)
     assert set(got) == set(roots) and len(got) == len(roots)
     assert split == (cofactor is None)
@@ -145,22 +147,76 @@ def test_gaussian_roots_modular_extraction(roots, cofactor):
 
 
 def test_gaussian_roots_stops_lifting_at_the_root_bound(monkeypatch):
-    # 2 is a square mod the certificate primes, so x^2 - 2 has roots there,
-    # but none in Q(i): a root u/v of a primitive Z[i] polynomial has
-    # u | a_0 and v | a_d, so the lift of each stops once the reconstruction
-    # bound passes max(N(a_0), N(a_d)) = 4, after one Newton step, not the
-    # seven that reach the precision cap p^128
-    steps = calls_of(monkeypatch, solver._solve_mod)
-    lifts = calls_of(monkeypatch, solver._lift)
+    # 2 is a square mod the certificate primes, so x^2 - 2 has two simple
+    # roots mod each, but none in Q(i): a root u/v of a primitive Z[i]
+    # polynomial has u | a_0 and v | a_d, so both norms are at most
+    # max(N(a_0), N(a_d)) = 4, which the reconstruction bound sqrt(p)/16
+    # passes at p itself: no Newton step, where the cap p^128 is seven
+    steps = calls_of(monkeypatch, solver._newton_step)
     assert uv.gaussian_roots(poly(-2, 0, 1)) == ([], False)
-    assert len(lifts) == 6 and len(steps) == 6
-    # next to the four roots of the eliminant, whose height is about
-    # 10^18, a failed lift stops at p^8, after three steps
-    steps.clear()
-    lifts.clear()
-    p = uv.mul(from_roots(*CONJ_ROOTS), poly(-2, 0, 1))
-    assert set(uv.gaussian_roots(p)[0]) == set(CONJ_ROOTS)
-    assert len(steps) <= 3 * len(lifts)
+    assert steps == []
+    # x^2 - c, c = 2*10^40, bound c^2: each of the two roots mod p takes a
+    # step to p^(2^k) exactly while the bound at p^(2^(k-1)) is below c^2
+    c = 2 * 10 ** 40
+    assert uv.gaussian_roots(poly(-c, 0, 1)) == ([], False)
+    bound = c * c
+    for p in solver._CERT_PRIMES:
+        need = next(k for k in range(1, 8) if math.isqrt(p ** 2 ** k >> 8) >= bound)
+        taken = sorted(m for _, _, m in steps if m % p == 0)
+        assert taken == sorted([p ** 2 ** k for k in range(1, need + 1)] * 2)
+        assert need < 7
+
+
+def test_gaussian_roots_runs_no_macaulay_step(monkeypatch):
+    # one variable needs no matrix: no Macaulay echelon, no zero search by
+    # multiplication maps, no multivariate lift
+    spies = [calls_of(monkeypatch, step) for step in (
+        solver._generator_rows, solver._macaulay_echelon, solver._zeros_mod_p,
+        solver._lift)]
+    p = poly_mul(from_roots(*CONJ_ROOTS, *BAD_PRIME_ROOTS), poly(-2, 0, 1))
+    got, split = uv.gaussian_roots(poly_mul(p, poly(0, 0, 1)))
+    assert set(got) == set(CONJ_ROOTS + BAD_PRIME_ROOTS + [ZERO]) and not split
+    assert spies == [[], [], [], []]
+
+
+def _root_of_height(rng, h):
+    """u/v for Gaussian integers u, v != 0 of norms at most h."""
+    s = math.isqrt(h // 2)
+    u = GR(rng.randint(-s, s), rng.randint(-s, s))
+    v = ZERO
+    while v.is_zero():
+        v = GR(rng.randint(-s, s), rng.randint(-s, s))
+    return u / v
+
+
+def _oracle_case(rng):
+    """A seeded polynomial: a few roots of height up to 10^6, each with a
+    multiplicity, a power of x, an optional random quadratic or cubic
+    cofactor, and some of the roots of BAD_PRIME_ROOTS, or a root whose
+    denominator is the Gaussian prime of the first certificate prime (the
+    leading coefficient vanishes there), or two roots equal modulo it."""
+    p0 = solver._CERT_PRIMES[0]
+    roots = [_root_of_height(rng, rng.choice([2, 100, 10 ** 3, 10 ** 6]))
+             for _ in range(rng.randint(0, 3))]
+    extra = rng.choice([[], [], rng.sample(BAD_PRIME_ROOTS, rng.randint(1, 3)),
+                        [ONE / GR(*solver._CERT_PIS[p0])], [GR(5), GR(5 + p0)]])
+    p = [rand_gr(rng, 1, 9)]
+    for r in roots + extra:
+        for _ in range(rng.choice([1, 1, 1, 2, 3])):
+            p = poly_mul(p, [-r, ONE])
+    p = [ZERO] * rng.choice([0, 0, 0, 1, 2]) + p
+    cofactor = rng.choice([None, None, 2, 3])
+    if cofactor:
+        p = poly_mul(p, [rand_gr(rng, -5, 5) for _ in range(cofactor)] + [ONE])
+    return p if uv.degree(p) > 0 else poly_mul(p, [GR(-2), ZERO, ONE])
+
+
+def test_gaussian_roots_against_the_oracle():
+    # roots and fully_split as sympy's factorisation of the norm gives them
+    rng = random.Random(32)
+    for _ in range(100):
+        p = _oracle_case(rng)
+        assert uv.gaussian_roots(p) == oracle_gaussian_roots(p), p
 
 
 def test_fp_roots_repeated_factor():

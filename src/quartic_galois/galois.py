@@ -31,8 +31,8 @@ is 4 f(P) * ell**3.  In the coordinates above D_P f = 4*c0*T**3, ell = T.
 Conversely, g = f - f(P) * ell**4 has D_P g = 0, so g(x + t P) = g(x);
 sigma_P(x) = x + (i - 1) * ell(x) * P adds a multiple of P to x and gives
 ell(sigma_P x) = i * ell(x), so f(sigma_P x) = f(P) * ell(x)**4 + g(x)
-= f(x).  No quartic is pulled back.  The enumerator searches the locus
-where the first polar is a cube.
+= f(x).  No quartic is pulled back.  The enumerator reads its
+candidates off the joint eigenlines of the Hessian pencil, (d) below.
 
 A smooth quartic has N in {0, 1, 2, 4} outer Galois points, and the
 labels form-1, form-2 and form-3 name the strata N = 1, 2 and 4, whose

@@ -9,7 +9,8 @@ cleared of denominators once, and each entry of the product is divided
 once.
 
 The modular side is row reduction of numpy matrices modulo a prime
-p < 2**31, whatever the prime: the solver alone chooses the certificate
+p < 2**31, whatever the prime, with numpy loaded at the first modular
+step (univariate.np): the solver alone chooses the certificate
 primes and walks them, and builds its Macaulay matrices on these
 kernels.  One forward elimination gives a rank and an echelon form; a
 caller that needs the reduced form reads only the columns it uses, by
@@ -22,11 +23,9 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-import numpy as np
-
 from .errors import ParseError
 from .gaussian import MINUS_ONE, ZERO, ONE, GaussianRational, parse_literals
-from .univariate import _common_denominator
+from .univariate import _common_denominator, np
 
 Vector = Tuple[GaussianRational, ...]
 SparseRow = Dict[int, GaussianRational]

@@ -318,12 +318,17 @@ class ProjPoint:
 
 
 def parse_point(text: str) -> ProjPoint:
-    """Parse four colon-separated homogeneous coordinates, optionally in [ ]."""
-    body = re.fullmatch(r"\s*\[*(.*?)\]*\s*", text, re.S)
-    parts = body.group(1).split(":")
+    """Parse four colon-separated homogeneous coordinates, optionally in
+    one pair of [ ]."""
+    body = re.fullmatch(r"\s*(\[(.*)\]|.*?)\s*", text, re.S)
+    lo, hi = body.span(2 if body.group(2) is not None else 1)
+    stray = re.compile(r"[][]").search(text, lo, hi)
+    if stray:
+        raise ParseError(f"unmatched or nested {stray.group()!r}", stray.start())
+    parts = text[lo:hi].split(":")
     if len(parts) != 4:
         raise ParseError(f"expected 4 coordinates, got {len(parts)}")
-    spans, lo = [], body.start(1)
+    spans = []
     for part in parts:
         spans.append((lo, lo + len(part)))
         lo += len(part) + 1

@@ -52,8 +52,6 @@ from itertools import combinations, combinations_with_replacement, islice, produ
 from random import Random
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-import numpy as np
-
 from .gaussian import ZERO, ONE, GaussianRational
 from .linalg import (Echelon, Matrix, _back_substitute, _echelon_mod_p,
                      _pivots_mod_p)
@@ -61,7 +59,7 @@ from .poly import HomPoly, ProjPoint, monomials
 from .univariate import (GInt, Poly, _common_denominator, _fp_roots,
                          _gaussian_prime_above, _gi_divmod, _gi_gcd, _gi_mul,
                          _gi_norm, _matmul_mod_p, _rational_reconstructions,
-                         degree)
+                         degree, np)
 
 # a form with Z[i] coefficients, keyed by exponent vectors: the numerator
 # map of a HomPoly (HomPoly.num)

@@ -19,11 +19,23 @@ import math
 from random import Random
 from typing import Iterator, List, Sequence, Tuple
 
-import numpy as np
-
 from .gaussian import ZERO, ONE, GaussianRational
 
 Poly = List[GaussianRational]
+
+
+class _LazyNumpy:
+    """numpy, imported at the first attribute read, so that the exact core
+    runs without it; each attribute read is then cached on the handle."""
+
+    def __getattr__(self, name: str):
+        import numpy
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _LazyNumpy()
 
 
 def trim(p: Poly) -> Poly:

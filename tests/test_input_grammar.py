@@ -61,6 +61,10 @@ ARGV = {"point": lambda text: ["galois", "test", FERMAT, "--point", text],
     ("point", "1:1 2:0:0", "point coordinate 2: ", 4),
     ("point", "0:0:i2:1", "point coordinate 3: ", 5),
     ("point", " [1:0:1x:0]", "point coordinate 3: ", 7),
+    ("point", "[1:0:0:0", "unmatched or nested '['", 0),
+    ("point", "1:0:0:0]]", "unmatched or nested ']'", 7),
+    ("point", "[[1:0:0:0]]", "unmatched or nested '['", 1),
+    ("point", "[1:0:0:0] [0:1:0:0]", "unmatched or nested ']'", 8),
     ("matrix", "1 0 0 0  0 1* 0 0  0 0 1 0  0 0 0 1", "matrix entry 6: ", 12),
     ("matrix", "1 0 0 0  0 1x 0 0  0 0 1 0  0 0 0 1", "matrix entry 6: ", 12),
     ("surface", "(1 2)*X^4+Y^4+Z^4+W^4", "", 3),
@@ -81,6 +85,11 @@ def test_rejected_with_one_offset_into_the_argument(capsys, kind, text, named,
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["[1:0:0:i]", " [ 1:0:0:i ] ", "1:0:0:i"])
+def test_point_takes_one_pair_of_brackets_at_most(text):
+    assert parse_point(text) == parse_point("1:0:0:i")
 
 
 def test_nested_parenthesis_is_named_at_its_offset(capsys):

@@ -77,9 +77,26 @@ f = c*T**4 + G(x) with c = f(P) != 0, and let B = f|H_P = G.
       at most 4 variables), and a cone is singular.  So det H(y) is a
       nonzero form of degree 2n, which cannot vanish at every point of
       S**n for a set S of more than 2n integers.
-The enumerator thus proves a report complete in one way, by (d).  And
-once a point P verifies, it certifies the smoothness of f on the plane
-quartic B, by (a): 36 columns in place of the surface's 220.
+  (e) The ladder.  Let P_1, ..., P_N be verified points of a quartic
+      surface f, in no particular coordinates, and ell_k that of P_k, so
+      ell_k(P_k) = 1; nothing here assumes f smooth.  If ell_j(P_k) != 0
+      for some j != k, f is singular, by (b).  Else ell_j(P_k) is 1 for
+      j = k and 0 otherwise, so the points are independent and N <= 4.
+      With N = 4, in the coordinates y_k = ell_k(x) of the basis P_k each
+      sigma_k is diagonal, i at P_k and 1 at the others, so a monomial y**a
+      of f has a_k = 0 mod 4 for every k: f = sum f(P_k) y_k**4 with each
+      f(P_k) != 0, which is smooth.  With N >= 2, Q = P_2 lies on
+      H_P = H_{P_1} and is a point of B = f|H_P: its first polar there is
+      that of f restricted, 4 f(Q) (ell_Q|H_P)**3, and ell_Q is nonzero on
+      H_P as ell_Q(Q) = 1.  So by (a), twice, f is smooth exactly when the
+      binary quartic f on H_P n H_Q, the kernel of the two gradients, is:
+      when it is nonzero with distinct linear factors, an exact gcd test.
+      With N = 1, by (a) once, exactly when the plane quartic B is.
+The enumerator thus proves a report complete in one way, by (d), and
+certifies the smoothness of f on its verified points by (e): with none
+on f itself, with one on a plane quartic (36 columns in place of the
+surface's 220), with two or three on a binary quartic, with four by
+nothing more.
 """
 
 from __future__ import annotations
@@ -95,8 +112,9 @@ from .gaussian import ZERO, ONE, I, GaussianRational
 from .geometry import (EigenForm, eigen_form, is_smooth_plane_quartic,
                        is_smooth_surface, variable_blocks)
 from .linalg import Matrix, Vector
-from .poly import HomPoly, ProjPoint, partials, substitute_linear
-from .univariate import gaussian_roots
+from .poly import (HomPoly, ProjPoint, _gi_powers, partials, squarefree_profile,
+                   substitute_linear)
+from .univariate import GInt, _common_denominator, _gi_mul, gaussian_roots
 
 PROVED_COMPLETE = "proved-complete"
 CANDIDATES_ONLY = "candidates-only"
@@ -107,6 +125,10 @@ POINTS_NOT_RECOVERED = "points-not-recovered"
 # coordinates get distinct joint eigenvalues
 _PENCIL = ((14, -17, 16, 4), (-4, -12, -15, 9), (-1, -20, -18, 14))
 _PAIRS = [(j, k) for j in range(4) for k in range(j, 4)]
+# the cubic monomials m with their multinomial weights 3! / m!, the
+# coefficients of (g . x)**3 = sum_m weight * g**m * x**m
+_CUBIC = [(m, 6 // math.prod(map(math.factorial, m)))
+          for m in product(range(4), repeat=4) if sum(m) == 3]
 
 
 @dataclass(frozen=True)
@@ -195,24 +217,44 @@ class GaloisReport:
         return out
 
 
-def _require_smooth(f: HomPoly, gen: Optional[LinearAuto] = None,
+def _require_smooth(f: HomPoly,
+                    pairs: Sequence[Tuple[ProjPoint, LinearAuto]] = (),
                     vertex: Optional[Vector] = None) -> None:
-    """Refuse a singular f.  With gen the verified sigma_P of a Galois
-    point P, f is smooth exactly when its plane quartic f|H_P is ((a) of
-    the module docstring), and that is certified in its place; H_P is the
-    axis of sigma_P, ker(sigma_P - 1).  A vertex at which every partial
-    of f vanishes refuses f with no certificate."""
+    """Refuse a singular f, by the ladder (e) of the module docstring over
+    pairs, verified Galois points P with their homologies sigma_P.  Each
+    point must lie on the polar plane H_Q = ker(sigma_Q - 1) of every
+    other, or f is refused; then four points certify f with no matrix,
+    two or three certify it on the binary quartic on H_P n H_Q of the
+    first two, one on its plane quartic f|H_P, and none on f itself.  A
+    vertex at which every partial of f vanishes refuses f with no
+    certificate."""
+    rows = [_polar_row(p, gen) for p, gen in pairs]
     if vertex is not None and all(g.eval(vertex).is_zero() for g in partials(f)):
         smooth = False
-    elif gen is None:
-        smooth = is_smooth_surface(f)
-    else:
-        axis = (gen.matrix - Matrix.identity(4)).kernel_basis()
+    elif any(sum((a * x for a, x in zip(row, q)), ZERO)
+             for j, row in enumerate(rows)
+             for k, (q, _g) in enumerate(pairs) if j != k):
+        smooth = False
+    elif len(rows) == 4:
+        smooth = True
+    elif rows:
+        rows = rows[:2]
+        axis = Matrix(len(rows), 4, sum(rows, [])).kernel_basis()
         b = substitute_linear(f, Matrix.from_columns(axis))
-        smooth = not b.is_zero() and is_smooth_plane_quartic(b)
+        smooth = not b.is_zero() and (max(squarefree_profile(b)) == 1 if b.nvars == 2
+                                      else is_smooth_plane_quartic(b))
+    else:
+        smooth = is_smooth_surface(f)
     if not smooth:
         raise SingularSurfaceError(
             "the quartic is singular; Galois-point analysis is refused")
+
+
+def _polar_row(p: ProjPoint, gen: LinearAuto) -> Vector:
+    """(i - 1) ell_P for sigma_P = 1 + (i - 1) P ell_P: the row of
+    sigma_P - 1 at p's first nonzero coordinate, which is 1."""
+    k = p.pivot_index()
+    return [a - ONE if c == k else a for c, a in enumerate(gen.matrix.row(k))]
 
 
 def adapted_basis(p: ProjPoint) -> Matrix:
@@ -240,7 +282,7 @@ def _tested_generator(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
         raise InnerPointError(
             "point lies on the surface: inner Galois points are out of scope")
     gen = _generator_or_none(f, p)
-    _require_smooth(f, gen)
+    _require_smooth(f, [] if gen is None else [(p, gen)])
     return gen
 
 
@@ -263,29 +305,64 @@ def galois_generator(f: HomPoly, p: ProjPoint) -> LinearAuto:
 
 
 def _generator_or_none(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
-    """sigma_P at p (off the surface) when it preserves f exactly, or None.
+    """sigma_P at p when p is off the surface and sigma_P preserves f
+    exactly, or None.
 
     By the module docstring, sigma_P preserves f exactly when the first
     polar sum_j p_j df/dx_j is the cube 4 f(P) ell**3 =
-    (grad f(P) . x)**3 / (grad f(P) . P)**2: that one identity is the
-    test, the generator and its proof.
+    (grad f(P) . x)**3 / D**2, with D = grad f(P) . P = 4 f(P): that one
+    identity is the test, the generator and its proof.  It is checked on
+    f's Z[i] numerators F at p with its denominators cleared, where both
+    sides scale alike, as D_p F * D**2 == (grad F(p) . x)**3 coefficient
+    by coefficient: one pass over the terms c x**e of F gives
+    e_j c p**(e - e_j) to grad F(p)_j and e_j c p_j to the coefficient of
+    x**(e - e_j) in D_p F.  D is 0 exactly on the surface, where p is
+    refused; the homology is built only for a verified point.
     """
-    grads = partials(f)
-    grad = [g.eval(p.coords) for g in grads]
-    dot = sum((a * x for a, x in zip(grad, p)), ZERO)
-    polar = HomPoly.zero(4, 3)
-    for g, x in zip(grads, p):
-        if not x.is_zero():
-            polar = polar + g.scale(x)
-    lin = HomPoly(4, 1, {tuple(int(t == j) for t in range(4)): a
-                         for j, a in enumerate(grad)})
-    if polar.scale(dot * dot) != lin * lin * lin:
+    den, xs = _common_denominator(p.coords)
+    powers = [_gi_powers(x, 3) for x in xs]
+    cubes = {m: _gi_monomial(powers, m) for m, _w in _CUBIC}
+    grad = [[0, 0] for _ in range(4)]
+    polar: Dict[Tuple[int, ...], List[int]] = {}
+    for e, (a, b) in f.num.items():
+        for j, n in enumerate(e):
+            if n:
+                m = e[:j] + (n - 1,) + e[j + 1:]
+                u, v = cubes[m]
+                g = grad[j]
+                g[0] += n * (a * u - b * v)
+                g[1] += n * (a * v + b * u)
+                u, v = xs[j]
+                acc = polar.setdefault(m, [0, 0])
+                acc[0] += n * (a * u - b * v)
+                acc[1] += n * (a * v + b * u)
+    dot = (0, 0)
+    for g, x in zip(grad, xs):
+        a, b = _gi_mul(g, x)
+        dot = (dot[0] + a, dot[1] + b)
+    if dot == (0, 0):
         return None
+    dot2 = _gi_mul(dot, dot)
+    gpowers = [_gi_powers(g, 3) for g in grad]
+    for m, weight in _CUBIC:
+        a, b = _gi_mul(dot2, polar.get(m, (0, 0)))
+        c = _gi_monomial(gpowers, m)
+        if (a, b) != (weight * c[0], weight * c[1]):
+            return None
     # (i - 1) * ell, with ell = grad f(P) / (grad f(P) . P) and ell(P) = 1
-    scale = (I - ONE) / dot
-    row = [scale * a for a in grad]
+    scale = (I - ONE) / GaussianRational(*dot, den)
+    row = [scale * GaussianRational(*g, 1) for g in grad]
     return LinearAuto(Matrix(4, 4, [(ONE if r == c else ZERO) + p[r] * row[c]
                                     for r in range(4) for c in range(4)]), ONE)
+
+
+def _gi_monomial(powers: Sequence[Sequence[GInt]], m: Tuple[int, ...]) -> GInt:
+    """The Z[i] value of the monomial x**m, from powers[t][k] = x_t**k."""
+    out = (1, 0)
+    for t, k in enumerate(m):
+        if k:
+            out = _gi_mul(out, powers[t][k])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +373,6 @@ def _verified_pairs(f: HomPoly, candidates: Sequence[ProjPoint]
                     ) -> List[Tuple[ProjPoint, LinearAuto]]:
     out = []
     for p in candidates:
-        if f.eval(p.coords).is_zero():
-            continue
         gen = _generator_or_none(f, p)
         if gen is not None:
             out.append((p, gen))
@@ -414,8 +489,8 @@ def enumerate_outer_galois_points(f: HomPoly) -> GaloisReport:
     reported point is correct.  The report is proved complete exactly when
     every eigenvalue lies in Q(i) and every joint eigenspace is a line.
 
-    A singular f is refused before any answer: on the plane quartic of
-    the first verified point, by (a), or else on f itself.  f is certified
+    A singular f is refused before any answer, by the ladder (e) over the
+    verified points: on f itself when there is none.  f is certified
     first when its variables split into blocks, as that certificate is
     cheap, and when its Hessian is singular at all three points of
     _PENCIL, as a cone's is everywhere; y0 then walks the grid {1..9}**4.
@@ -446,7 +521,7 @@ def enumerate_outer_galois_points(f: HomPoly) -> GaloisReport:
     lines, complete = _eigenlines((m1, m2), _invariant_kernel(m1, m2, h1))
     pairs = _verified_pairs(f, lines)
     if not certified:
-        _require_smooth(f, pairs[0][1] if pairs else None)
+        _require_smooth(f, pairs)
     if complete and len(pairs) not in (0, 1, 2, 4):
         raise ConsistencyError(
             f"certified search returned {len(pairs)} Galois points; "

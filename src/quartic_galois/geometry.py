@@ -36,7 +36,8 @@ variables is decided alone, in up to three steps:
   3. otherwise the next prime, and at the end exact elimination.
 A surface with a verified outer Galois point P is smooth exactly when
 its plane quartic f|H_P on the polar plane of P is, so the galois module
-certifies that 36-column form in its place (its docstring, (a)).
+certifies that 36-column form in its place (its docstring, (a)); with
+two points it tests a binary quartic, and with four nothing ((e)).
 `section` certifies what it reports: the smoothness of a plane section
 and the distinct points of a line section (squarefree_profile).  A
 section along a fixed eigenspace of an automorphism of a certified

@@ -222,10 +222,13 @@ class Matrix:
 
 
 def parse_matrix(text: str) -> Matrix:
-    """Parse 16 whitespace-separated Q(i) entries of a 4x4 matrix, row-major."""
+    """Parse 16 whitespace-separated Q(i) entries of a 4x4 matrix,
+    row-major.  A wrong count is a ParseError at the 17th entry, or at
+    the end of text when there are fewer than 16."""
     spans = [m.span() for m in re.finditer(r"\S+", text)]
     if len(spans) != 16:
-        raise ParseError(f"expected 16 matrix entries, got {len(spans)}")
+        raise ParseError(f"expected 16 matrix entries, got {len(spans)}",
+                         spans[16][0] if len(spans) > 16 else len(text))
     return Matrix(4, 4, parse_literals(text, spans, "matrix entry"))
 
 

@@ -319,19 +319,20 @@ class ProjPoint:
 
 def parse_point(text: str) -> ProjPoint:
     """Parse four colon-separated homogeneous coordinates, optionally in
-    one pair of [ ]."""
+    one pair of [ ].  A wrong count is a ParseError at the fifth
+    coordinate, or at the end of text when there are fewer than four."""
     body = re.fullmatch(r"\s*(\[(.*)\]|.*?)\s*", text, re.S)
     lo, hi = body.span(2 if body.group(2) is not None else 1)
     stray = re.compile(r"[][]").search(text, lo, hi)
     if stray:
         raise ParseError(f"unmatched or nested {stray.group()!r}", stray.start())
-    parts = text[lo:hi].split(":")
-    if len(parts) != 4:
-        raise ParseError(f"expected 4 coordinates, got {len(parts)}")
     spans = []
-    for part in parts:
+    for part in text[lo:hi].split(":"):
         spans.append((lo, lo + len(part)))
         lo += len(part) + 1
+    if len(spans) != 4:
+        raise ParseError(f"expected 4 coordinates, got {len(spans)}",
+                         spans[4][0] if len(spans) > 4 else len(text))
     return ProjPoint(parse_literals(text, spans, "point coordinate"))
 
 

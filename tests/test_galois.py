@@ -12,7 +12,7 @@ from quartic_galois.gaussian import I, ONE, ZERO
 from quartic_galois.galois import (adapted_basis, enumerate_outer_galois_points,
                                    galois_generator, is_outer_galois_point,
                                    linear_auto, recognize_normal_form)
-from quartic_galois import galois, geometry, solver
+from quartic_galois import galois, geometry, poly, solver
 from quartic_galois.geometry import eigen_decompose_order4, is_smooth_surface
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import (HomPoly, ProjPoint, parse_poly, partials,
@@ -710,6 +710,47 @@ def test_cw4_conjugate_is_proved_complete(monkeypatch):
     assert searches == []
 
 
+def _certificates(monkeypatch):
+    """The calls of the plane, binary and surface smoothness certificates."""
+    return [calls_of(monkeypatch, step) for step in (
+        geometry.is_smooth_plane_quartic, poly.squarefree_profile,
+        geometry.is_smooth_surface)]
+
+
+@pytest.mark.parametrize("f, a", [
+    (FERMAT, height1_gaussian(19)),
+    (parse_poly(f"X^4+Y^4+Z^4+{C}*W^4", 4), gaussian_matrix(5, 1)),
+], ids=["fermat", "cw4"])
+def test_four_points_certify_smoothness_with_no_matrix(monkeypatch, f, a):
+    # the four homologies are diagonal in the basis of their points, so a
+    # surface with four verified points whose polar planes hold the other
+    # three is sum f(P_k) y_k^4, smooth: no certificate runs.  On the c*W^4
+    # conjugate three of the four plane quartics are deficient at every
+    # certificate prime, and the exact fallback takes about a second on each
+    fa = substitute_linear(f, a)
+    certificates = _certificates(monkeypatch)
+    rep = enumerate_outer_galois_points(fa)
+    assert (rep.completeness, len(rep.points)) == ("proved-complete", 4)
+    assert set(rep.point_list()) == {ProjPoint(a.inverse().apply(list(e)))
+                                     for e in (E1, E2, E3, E4)}
+    assert certificates == [[], [], []]
+
+
+def test_point_off_another_polar_plane_refuses_the_surface(monkeypatch):
+    # on the cone X^4+Y^4+Z^4, e_X and (1:0:0:1) both have first polar 4X^3,
+    # and (1:0:0:1) lies off X = 0, the polar plane of e_X: by (b) the
+    # surface is singular, and no certificate runs
+    f = parse_poly("X^4+Y^4+Z^4", 4)
+    points = [E1, ProjPoint([1, 0, 0, 1])]
+    pairs = [(p, galois._generator_or_none(f, p)) for p in points]
+    assert all(gen is not None for _p, gen in pairs)
+    certificates = _certificates(monkeypatch)
+    for order in (pairs, pairs[::-1]):
+        with pytest.raises(SingularSurfaceError):
+            galois._require_smooth(f, order)
+    assert certificates == [[], [], []]
+
+
 def test_large_apolar_space_with_one_point():
     # X^4 + G(Y, Z, W) with G = Y^4+Z^4+W^4+3(Y+Z+W)^4, four fourth powers:
     # its apolar space has dimension 3 + 2, and the pencil proves N = 1
@@ -722,10 +763,10 @@ def test_large_apolar_space_with_one_point():
 
 def test_singular_surface_is_refused_through_its_plane_quartic(monkeypatch):
     # (X^2+Y^2)^2+Z^4+W^4 under SHEAR keeps its two Galois points, the moved
-    # E3 and E4; the plane quartic of the first refuses the surface
+    # E3 and E4; the binary quartic (X^2+Y^2)^2 on the line of their polar
+    # planes refuses the surface, with no plane quartic certified
     f = substitute_linear(parse_poly("X^4+2*X^2*Y^2+Y^4+Z^4+W^4", 4), SHEAR)
-    planes = calls_of(monkeypatch, geometry.is_smooth_plane_quartic)
-    surfaces = calls_of(monkeypatch, geometry.is_smooth_surface)
+    planes, binaries, surfaces = _certificates(monkeypatch)
     generator, verified = galois._generator_or_none, []
 
     def spy_generator(f, p):
@@ -739,28 +780,29 @@ def test_singular_surface_is_refused_through_its_plane_quartic(monkeypatch):
         enumerate_outer_galois_points(f)
     inv = SHEAR.inverse()
     assert set(verified) == {ProjPoint(inv.apply(list(e))) for e in (E3, E4)}
-    assert len(planes) == 1 and surfaces == []
+    assert len(binaries) == 1 and planes == [] and surfaces == []
 
 
-@pytest.mark.parametrize("f, dim_w, plane", [
-    (FORM1, 1, True), (FORM2, 2, True), (XYZW, 0, False),
+@pytest.mark.parametrize("f, dim_w, step", [
+    (FORM1, 1, "plane"), (FORM2, 2, "binary"), (XYZW, 0, "surface"),
 ], ids=["form-1", "form-2", "xyzw"])
-def test_descent_certifies_the_smallest_form(monkeypatch, f, dim_w, plane):
+def test_descent_certifies_the_smallest_form(monkeypatch, f, dim_w, step):
     # in generic coordinates: dim W* = N, and only dim W* >= 2 asks for
-    # roots; a verified point certifies its plane quartic in place of the
-    # surface, and nothing searches the cube locus
+    # roots; one verified point certifies its plane quartic in place of
+    # the surface, two the binary quartic on the line of their polar
+    # planes, and nothing searches the cube locus
     fa = substitute_linear(f, height1_gaussian(19))
     kernel, kernels = galois._invariant_kernel, []
     monkeypatch.setattr(galois, "_invariant_kernel",
                         lambda *ms: kernels.append(kernel(*ms)) or kernels[-1])
     searches, roots = _no_search(monkeypatch), calls_of(monkeypatch, gaussian_roots)
-    planes = calls_of(monkeypatch, geometry.is_smooth_plane_quartic)
-    surfaces = calls_of(monkeypatch, geometry.is_smooth_surface)
+    planes, binaries, surfaces = _certificates(monkeypatch)
     rep = enumerate_outer_galois_points(fa)
     assert rep.reason is None and len(rep.points) == dim_w
     assert [len(k) for k in kernels] == [dim_w] and searches == []
-    assert (len(roots), len(planes), len(surfaces)) == (
-        int(dim_w > 1), int(plane), int(not plane))
+    assert (len(roots), len(planes), len(binaries), len(surfaces)) == (
+        int(dim_w > 1), int(step == "plane"), int(step == "binary"),
+        int(step == "surface"))
 
 
 @pytest.mark.parametrize("f, p, outcome, plane", [

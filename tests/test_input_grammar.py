@@ -65,6 +65,11 @@ ARGV = {"point": lambda text: ["galois", "test", FERMAT, "--point", text],
     ("point", "1:0:0:0]]", "unmatched or nested ']'", 7),
     ("point", "[[1:0:0:0]]", "unmatched or nested '['", 1),
     ("point", "[1:0:0:0] [0:1:0:0]", "unmatched or nested ']'", 8),
+    ("point", "1:0:0", "expected 4 coordinates, got 3", 5),
+    ("point", " [1:0:0] ", "expected 4 coordinates, got 3", 9),
+    ("point", "1:0:0:0:1:1", "expected 4 coordinates, got 6", 8),
+    ("matrix", "1 0 0", "expected 16 matrix entries, got 3", 5),
+    ("matrix", "1" + MATRIX_REST + "  7 8", "expected 16 matrix entries, got 18", 36),
     ("matrix", "1 0 0 0  0 1* 0 0  0 0 1 0  0 0 0 1", "matrix entry 6: ", 12),
     ("matrix", "1 0 0 0  0 1x 0 0  0 0 1 0  0 0 0 1", "matrix entry 6: ", 12),
     ("surface", "(1 2)*X^4+Y^4+Z^4+W^4", "", 3),

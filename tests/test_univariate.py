@@ -167,6 +167,26 @@ def test_gaussian_roots_stops_lifting_at_the_root_bound(monkeypatch):
         assert need < 7
 
 
+def test_gaussian_roots_stops_at_d_verified_roots(monkeypatch):
+    # the four roots of the eliminant all lift at the first certificate
+    # prime, so no second prime is walked; x^2 - 2, with no root in Q(i),
+    # walks them all
+    walked, primes = [], solver._primes
+
+    def spying():
+        for p in primes():
+            walked.append(p)
+            yield p
+
+    monkeypatch.setattr(solver, "_primes", spying)
+    roots, split = uv.gaussian_roots(from_roots(*CONJ_ROOTS))
+    assert split and set(roots) == set(CONJ_ROOTS)
+    assert walked == list(solver._CERT_PRIMES[:1])
+    walked.clear()
+    assert uv.gaussian_roots(poly(-2, 0, 1)) == ([], False)
+    assert walked == list(solver._CERT_PRIMES)
+
+
 def test_gaussian_roots_runs_no_macaulay_step(monkeypatch):
     # one variable needs no matrix: no Macaulay echelon, no zero search by
     # multiplication maps, no multivariate lift

@@ -18,11 +18,11 @@ import sys
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ConsistencyError, ParseError, SurfaceNotPreservedError
+from .errors import (ConsistencyError, ParseError, SingularSurfaceError,
+                     SurfaceNotPreservedError)
 from .gaussian import GaussianRational, I, ONE, parse_integer, scan_piece
 from .galois import (enumerate_outer_galois_points, galois_generator,
-                     is_outer_galois_point)
-from .geometry import is_smooth_surface
+                     is_outer_galois_point, require_smooth)
 from .k3 import (GramMatrix2, MAX_OUTER_GALOIS_COUNT,
                  MAX_OUTER_GALOIS_TRANSCENDENTAL_GRAM, SINGULAR_K3_PICARD_NUMBER,
                  classify, fixed_locus, is_isomorphic_gram, moduli_dimension,
@@ -67,7 +67,11 @@ def _emit(payload: Dict, lines: List[str], fmt: str) -> None:
 
 def cmd_smooth(args: argparse.Namespace) -> int:
     f = _load_surface(args.surface)
-    smooth = is_smooth_surface(f)
+    try:
+        require_smooth(f)
+        smooth = True
+    except SingularSurfaceError:
+        smooth = False
     payload = {"command": "smooth", "surface": str(f), "smooth": smooth}
     _emit(payload, [f"surface: {f}", f"smooth: {'yes' if smooth else 'no'}"],
           args.format)

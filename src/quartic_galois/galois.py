@@ -92,11 +92,13 @@ f = c*T**4 + G(x) with c = f(P) != 0, and let B = f|H_P = G.
       binary quartic f on H_P n H_Q, the kernel of the two gradients, is:
       when it is nonzero with distinct linear factors, an exact gcd test.
       With N = 1, by (a) once, exactly when the plane quartic B is.
-The enumerator thus proves a report complete in one way, by (d), and
-certifies the smoothness of f on its verified points by (e): with none
-on f itself, with one on a plane quartic (36 columns in place of the
-surface's 220), with two or three on a binary quartic, with four by
-nothing more.
+  (f) One route: require_smooth alone chooses a certificate, for every
+      command.  With verified points from the caller (galois test's one:
+      a plane quartic, 36 columns in place of 220), (e) over them; else
+      f's blocks when its variables split, with no pencil; else (e) over
+      the pencil's points, f itself last when N = 0, the grid walk of
+      (d) waiting until a cone is refused at its vertex or f certified.
+The enumerator proves a report complete in one way, by (d).
 """
 
 from __future__ import annotations
@@ -114,11 +116,11 @@ from .geometry import (EigenForm, eigen_form, is_smooth_plane_quartic,
 from .linalg import Matrix, Vector
 from .poly import (HomPoly, ProjPoint, _gi_powers, partials, squarefree_profile,
                    substitute_linear)
+from .solver import POINTS_NOT_RECOVERED
 from .univariate import GInt, _common_denominator, _gi_mul, gaussian_roots
 
 PROVED_COMPLETE = "proved-complete"
 CANDIDATES_ONLY = "candidates-only"
-POINTS_NOT_RECOVERED = "points-not-recovered"
 # y0 is the first of these at which the Hessian is invertible, and y1, y2
 # the other two ((d) of the module docstring); no small linear form takes
 # equal ratios at them, so the Galois points of surfaces in small
@@ -167,15 +169,15 @@ def linear_auto(f: HomPoly, m: Matrix) -> LinearAuto:
     return LinearAuto(m, I ** shifts.pop(), eig)
 
 
+Pairs = Sequence[Tuple[ProjPoint, LinearAuto]]   # verified points with sigma_P
+
+
 @dataclass
 class GaloisReport:
-    """Outcome of a Galois-point test or search.
-
-    reason is None when the list of points is proved complete, and is
-    POINTS_NOT_RECOVERED otherwise: the Hessian pencil of the module
-    docstring, (d), left an eigenvalue outside Q(i) or a joint eigenspace
-    that is not a line.
-    """
+    """Outcome of a Galois-point search.  reason is None when the list of
+    points is proved complete, and POINTS_NOT_RECOVERED when the Hessian
+    pencil, (d) of the module docstring, left an eigenvalue outside Q(i)
+    or a joint eigenspace that is not a line."""
     surface: HomPoly
     points: List[Tuple[ProjPoint, LinearAuto]]
     reason: Optional[str] = None
@@ -186,10 +188,9 @@ class GaloisReport:
 
     @property
     def normal_form(self) -> str:
-        """The paper's normal form for the number N of outer Galois points:
-        form-1, form-2 or form-3 for N = 1, 2 or 4, in some coordinates.  N
-        is known when the list is proved complete; else, and for N = 0,
-        "unrecognized"."""
+        """The paper's normal form for the number N of outer Galois points,
+        known when the list is proved complete: form-1, form-2 or form-3
+        for N = 1, 2 or 4, in some coordinates; else "unrecognized"."""
         if self.reason is not None:
             return "unrecognized"
         return {1: "form-1", 2: "form-2", 4: "form-3"}.get(len(self.points),
@@ -217,17 +218,26 @@ class GaloisReport:
         return out
 
 
-def _require_smooth(f: HomPoly,
-                    pairs: Sequence[Tuple[ProjPoint, LinearAuto]] = (),
-                    vertex: Optional[Vector] = None) -> None:
-    """Refuse a singular f, by the ladder (e) of the module docstring over
-    pairs, verified Galois points P with their homologies sigma_P.  Each
-    point must lie on the polar plane H_Q = ker(sigma_Q - 1) of every
-    other, or f is refused; then four points certify f with no matrix,
-    two or three certify it on the binary quartic on H_P n H_Q of the
-    first two, one on its plane quartic f|H_P, and none on f itself.  A
-    vertex at which every partial of f vanishes refuses f with no
-    certificate."""
+def require_smooth(f: HomPoly, pairs: Pairs = ()) -> Optional[Tuple[Pairs, bool]]:
+    """Refuse a singular quartic surface f with SingularSurfaceError: the
+    one smoothness route of every command, (f) of the module docstring.
+    The ladder (e) runs over pairs, the caller's verified points; with
+    none, f is certified on its blocks when its variables split, else
+    through the Hessian pencil, whose (points, completeness) it returns."""
+    if f.nvars != 4 or f.degree != 4:
+        raise ValueError("expected a quartic form in 4 variables")
+    if pairs or len(variable_blocks(f)) > 1:
+        _ladder(f, pairs)
+        return None
+    return _pencil(f, certified=False)
+
+
+def _ladder(f: HomPoly, pairs: Pairs = (), vertex: Optional[Vector] = None) -> None:
+    """Refuse a singular f by the ladder (e) over pairs, or at a vertex
+    where every partial of f vanishes: a point off the polar plane
+    H_Q = ker(sigma_Q - 1) of another refuses f; else four points certify
+    f with no matrix, two or three on the binary quartic on H_P n H_Q of
+    the first two, one on its plane quartic f|H_P, and none on f itself."""
     rows = [_polar_row(p, gen) for p, gen in pairs]
     if vertex is not None and all(g.eval(vertex).is_zero() for g in partials(f)):
         smooth = False
@@ -273,16 +283,14 @@ def adapted_basis(p: ProjPoint) -> Matrix:
 
 
 def _tested_generator(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
-    """_generator_or_none at p on a certified f.  A point on the surface is
-    refused once f is certified, as a singular f is refused first; a point
-    off it is verified first, so that the certificate can be the plane
-    quartic of a Galois point."""
-    if f.eval(p.coords).is_zero():
-        _require_smooth(f)
+    """_generator_or_none at p on a certified f: a Galois point certifies
+    f by its plane quartic, and a point on a singular surface is refused
+    as singular before it is refused as inner."""
+    gen = _generator_or_none(f, p)
+    require_smooth(f, [] if gen is None else [(p, gen)])
+    if gen is None and f.eval(p.coords).is_zero():
         raise InnerPointError(
             "point lies on the surface: inner Galois points are out of scope")
-    gen = _generator_or_none(f, p)
-    _require_smooth(f, [] if gen is None else [(p, gen)])
     return gen
 
 
@@ -306,15 +314,11 @@ def galois_generator(f: HomPoly, p: ProjPoint) -> LinearAuto:
 
 def _generator_or_none(f: HomPoly, p: ProjPoint) -> Optional[LinearAuto]:
     """sigma_P at p when p is off the surface and sigma_P preserves f
-    exactly, or None.
-
-    By the module docstring, sigma_P preserves f exactly when the first
-    polar sum_j p_j df/dx_j is the cube 4 f(P) ell**3 =
-    (grad f(P) . x)**3 / D**2, with D = grad f(P) . P = 4 f(P): that one
-    identity is the test, the generator and its proof.  It is checked on
-    f's Z[i] numerators F at p with its denominators cleared, where both
-    sides scale alike, as D_p F * D**2 == (grad F(p) . x)**3 coefficient
-    by coefficient: one pass over the terms c x**e of F gives
+    exactly, or None: when the first polar D_p f is the cube 4 f(P) ell**3
+    = (grad f(P) . x)**3 / D**2, D = grad f(P) . P = 4 f(P) (module
+    docstring).  It is checked on f's Z[i] numerators F at p with its
+    denominators cleared, as D_p F * D**2 == (grad F(p) . x)**3
+    coefficient by coefficient: one pass over the terms c x**e of F gives
     e_j c p**(e - e_j) to grad F(p)_j and e_j c p_j to the coefficient of
     x**(e - e_j) in D_p F.  D is 0 exactly on the surface, where p is
     refused; the homology is built only for a verified point.
@@ -369,8 +373,7 @@ def _gi_monomial(powers: Sequence[Sequence[GInt]], m: Tuple[int, ...]) -> GInt:
 # Enumeration.
 # ---------------------------------------------------------------------------
 
-def _verified_pairs(f: HomPoly, candidates: Sequence[ProjPoint]
-                    ) -> List[Tuple[ProjPoint, LinearAuto]]:
+def _verified_pairs(f: HomPoly, candidates: Sequence[ProjPoint]) -> Pairs:
     out = []
     for p in candidates:
         gen = _generator_or_none(f, p)
@@ -479,37 +482,33 @@ def recognize_normal_form(f: HomPoly) -> GaloisReport:
 
 
 def enumerate_outer_galois_points(f: HomPoly) -> GaloisReport:
-    """Every outer Galois point of a smooth quartic, by the Hessian pencil
-    ((d) of the module docstring).
-
-    y0 is the first point of _PENCIL at which the Hessian is invertible,
-    and y1, y2 are the other two.  The candidates are the lines among the
-    joint eigenspaces of M1 and M2 on W*, and each is kept only when
-    sigma_P preserves f, with sigma_P as its verified generator; so every
-    reported point is correct.  The report is proved complete exactly when
+    """Every outer Galois point of a smooth quartic: the lines among the
+    joint eigenspaces of the Hessian pencil ((d) of the module docstring),
+    each kept with sigma_P as its verified generator, proved complete when
     every eigenvalue lies in Q(i) and every joint eigenspace is a line.
+    require_smooth refuses a singular f first, and when it stops at f's
+    blocks the pencil runs after it.  A proved-complete count outside
+    {0, 1, 2, 4} raises ConsistencyError."""
+    pairs, complete = require_smooth(f) or _pencil(f, certified=True)
+    if complete and len(pairs) not in (0, 1, 2, 4):
+        raise ConsistencyError(
+            f"certified search returned {len(pairs)} Galois points; "
+            "only 0, 1, 2 or 4 are possible for a smooth quartic")
+    return GaloisReport(f, pairs, None if complete else POINTS_NOT_RECOVERED)
 
-    A singular f is refused before any answer, by the ladder (e) over the
-    verified points: on f itself when there is none.  f is certified
-    first when its variables split into blocks, as that certificate is
-    cheap, and when its Hessian is singular at all three points of
-    _PENCIL, as a cone's is everywhere; y0 then walks the grid {1..9}**4.
-    A proved-complete point count outside {0, 1, 2, 4} is impossible for
-    smooth quartics and raises ConsistencyError.
-    """
-    if f.nvars != 4 or f.degree != 4:
-        raise ValueError("expected a quartic form in 4 variables")
-    certified = len(variable_blocks(f)) > 1
-    if certified:
-        _require_smooth(f)
+
+def _pencil(f: HomPoly, certified: bool) -> Tuple[Pairs, bool]:
+    """The verified points of f off the Hessian pencil, and whether they
+    are proved complete: y0 is the first point of _PENCIL at which the
+    Hessian is invertible, y1 and y2 the other two, else y0 walks the
+    grid {1..9}**4 once f is certified ((f) of the module docstring)."""
     hs = [_hessian(f, y) for y in _PENCIL]
     grid = (_hessian(f, y) for y in product(range(1, 10), repeat=4))
     for k, h0 in enumerate(chain(hs, grid)):
         if k == len(hs) and not certified:
-            # a cone, whose det H vanishes, is singular at its vertex, which
-            # every H(y) kills: try a common null vector of the three first
+            # a cone's vertex, killed by every H(y)
             null = Matrix(12, 4, sum((h.entries for h in hs), ())).kernel_basis()
-            _require_smooth(f, vertex=null[0] if null else None)
+            _ladder(f, vertex=null[0] if null else None)
             certified = True
         try:
             inv = h0.inverse()
@@ -521,9 +520,5 @@ def enumerate_outer_galois_points(f: HomPoly) -> GaloisReport:
     lines, complete = _eigenlines((m1, m2), _invariant_kernel(m1, m2, h1))
     pairs = _verified_pairs(f, lines)
     if not certified:
-        _require_smooth(f, pairs)
-    if complete and len(pairs) not in (0, 1, 2, 4):
-        raise ConsistencyError(
-            f"certified search returned {len(pairs)} Galois points; "
-            "only 0, 1, 2 or 4 are possible for a smooth quartic")
-    return GaloisReport(f, pairs, None if complete else POINTS_NOT_RECOVERED)
+        _ladder(f, pairs)
+    return pairs, complete

@@ -39,9 +39,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (ConsistencyError, DegenerateInputError,
                      NoMatchingTypeError, SingularSurfaceError)
 from .gaussian import I, MINUS_ONE, ONE, GaussianRational
-from .galois import LinearAuto, linear_auto
-from .geometry import (CurveSection, EigenForm, is_smooth_surface,
-                       section_of_form)
+from .galois import LinearAuto, linear_auto, require_smooth
+from .geometry import CurveSection, EigenForm, section_of_form
 from .linalg import Matrix, centralizer_dimension
 from .poly import HomPoly, restrict
 
@@ -149,8 +148,8 @@ def fixed_locus(f: HomPoly, m: Matrix) -> FixedLocusReport:
 
     The fixed set in P^3 is the disjoint union of the projectivized
     eigenspaces, each a coordinate subspace of y in the eigen-coordinates
-    of M, intersected with the surface.  Smoothness is certified on
-    g = f(B y) when g has fewer terms than f, else on f: both are smooth
+    of M, intersected with the surface.  galois.require_smooth certifies
+    g = f(B y) when g has fewer terms than f, else f: both are smooth
     together, and g often splits into blocks certified alone; it is the
     only certificate (module docstring).  Errors come in the order:
     linear_auto's error on M, singular surface, then scalar matrix.
@@ -161,8 +160,10 @@ def fixed_locus(f: HomPoly, m: Matrix) -> FixedLocusReport:
 def _fixed_locus(f: HomPoly, auto: LinearAuto) -> FixedLocusReport:
     eig = auto.eigen
     g = eig.form if len(eig.form.num) < len(f.num) else f
-    if not is_smooth_surface(g):
-        raise SingularSurfaceError("fixed loci require a smooth quartic")
+    try:
+        require_smooth(g)
+    except SingularSurfaceError:
+        raise SingularSurfaceError("fixed loci require a smooth quartic") from None
     if auto.matrix.is_scalar():
         raise DegenerateInputError("matrix is scalar: the identity on P^3")
     sections, curves, isolated = _fixed_data(eig, 1)

@@ -1,15 +1,16 @@
 import argparse
 import json
+import math
 
 import pytest
 
-from quartic_galois import cli, galois, linalg
+from quartic_galois import cli, galois, geometry, linalg, solver
 from quartic_galois.cli import main
 from quartic_galois.errors import ConsistencyError
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import parse_poly, substitute_linear
 
-from helpers import calls_of, height1_gaussian
+from helpers import calls_of, gaussian_matrix, height1_gaussian
 
 FERMAT = "X^4+Y^4+Z^4+W^4"
 FORM1 = "X^4+Y^4+Z^4+W^4+Y^2*Z*W"
@@ -37,6 +38,30 @@ def test_smooth_exit_codes(capsys):
     assert code == 2 and "smooth: no" in out
     code, _, err = run(capsys, "smooth", "X^4 + garbage")
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("text, a, verdict, code", [
+    (f"X^4+Y^4+Z^4+{math.prod(solver._CERT_PRIMES)}*W^4", gaussian_matrix(5, 1),
+     "yes", 0),
+    ("X^4-4*X^2*Y^2+4*Y^4+Z^4+W^4", height1_gaussian(19), "no", 2),
+], ids=["cw4", "square"])
+def test_smooth_decides_hostile_coefficients_with_no_exact_fallback(
+        monkeypatch, capsys, tmp_path, text, a, verdict, code):
+    # the product of the certificate primes makes every modular image of
+    # the c*W^4 conjugate's surface matrix deficient, and (X^2-2Y^2)^2 +
+    # Z^4 + W^4 is singular only at points off Q(i): the surface
+    # certificate decides both by exact elimination alone, in seconds.
+    # Through the pencil, four points certify the first with no matrix,
+    # and the binary quartic (X^2-2Y^2)^2 of two points refuses the second
+    def no_fallback(*args):
+        raise AssertionError("exact Q(i) fallback")
+
+    for module in (linalg, geometry):
+        monkeypatch.setattr(module, "prove_full_column_rank", no_fallback)
+    path = tmp_path / "surface.txt"
+    path.write_text(str(substitute_linear(parse_poly(text, 4), a)), encoding="utf-8")
+    got, out, _ = run(capsys, "smooth", f"@{path}")
+    assert (got, out.splitlines()[-1]) == (code, f"smooth: {verdict}")
 
 
 def test_smooth_rejects_trailing_star(capsys):

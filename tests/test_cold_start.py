@@ -50,12 +50,17 @@ RUN = ("import sys\n"
 
 
 def test_exact_commands_load_no_numpy():
+    # a surface whose variables split stops at its block certificate, and
+    # a Galois point certifies its plane quartic: no Hessian pencil runs
     diag = "1 0 0 0  0 1 0 0  0 0 1 0  0 0 0 i"
-    for argv in (["lattice", "reduce", "8", "8", "16"],
-                 ["moduli", "npns", "--l", "4"],
-                 ["auto", "character", FERMAT, "--matrix", diag],
-                 ["smooth", FERMAT]):
-        assert fresh(RUN, *argv).splitlines()[-1] == "0 False", argv
+    for argv, code in ((["lattice", "reduce", "8", "8", "16"], 0),
+                       (["moduli", "npns", "--l", "4"], 0),
+                       (["auto", "character", FERMAT, "--matrix", diag], 0),
+                       (["auto", "fixed-locus", FERMAT, "--matrix", diag], 0),
+                       (["smooth", FERMAT], 0),
+                       (["galois", "test", FERMAT, "--point", "1:0:0:0"], 0),
+                       (["galois", "test", FERMAT, "--point", "1:1:0:0"], 2)):
+        assert fresh(RUN, *argv).splitlines()[-1] == f"{code} False", argv
 
 
 def test_modular_smoothness_loads_numpy():

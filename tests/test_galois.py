@@ -747,7 +747,7 @@ def test_point_off_another_polar_plane_refuses_the_surface(monkeypatch):
     certificates = _certificates(monkeypatch)
     for order in (pairs, pairs[::-1]):
         with pytest.raises(SingularSurfaceError):
-            galois._require_smooth(f, order)
+            galois.require_smooth(f, order)
     assert certificates == [[], [], []]
 
 
@@ -805,25 +805,27 @@ def test_descent_certifies_the_smallest_form(monkeypatch, f, dim_w, step):
         int(step == "surface"))
 
 
-@pytest.mark.parametrize("f, p, outcome, plane", [
-    (FORM2, E1, True, True), (FORM2, E3, False, False),
-    (parse_poly("X^4+Y^4+Z^4", 4), E1, SingularSurfaceError, True),
-    (parse_poly("X^4+Y^4+Z^4", 4), E4, SingularSurfaceError, False),
+@pytest.mark.parametrize("f, p, outcome, step", [
+    (FORM2, E1, True, "plane"), (FORM2, E3, False, "binary"),
+    (parse_poly("X^4+Y^4+Z^4", 4), E1, SingularSurfaceError, "plane"),
+    (parse_poly("X^4+Y^4+Z^4", 4), E4, SingularSurfaceError, "vertex"),
 ], ids=["galois", "not-galois", "singular-galois", "singular-inner"])
-def test_tester_certifies_the_smallest_form(monkeypatch, f, p, outcome, plane):
+def test_tester_certifies_the_smallest_form(monkeypatch, f, p, outcome, step):
     # a point off the surface is verified first, and a Galois point
-    # certifies its plane quartic; a point on a singular surface is refused
-    # as singular, before it is refused as inner
+    # certifies its plane quartic; with none, the surface goes through the
+    # pencil: form-2's two points certify its binary quartic, and the
+    # cone's vertex refuses it with no certificate.  A point on a singular
+    # surface is refused as singular, before it is refused as inner
     a = height1_gaussian(19)
     fa, moved = substitute_linear(f, a), ProjPoint(a.inverse().apply(list(p)))
-    planes = calls_of(monkeypatch, geometry.is_smooth_plane_quartic)
-    surfaces = calls_of(monkeypatch, geometry.is_smooth_surface)
+    planes, binaries, surfaces = _certificates(monkeypatch)
     if isinstance(outcome, bool):
         assert is_outer_galois_point(fa, moved) == outcome
     else:
         with pytest.raises(outcome):
             is_outer_galois_point(fa, moved)
-    assert (len(planes), len(surfaces)) == (int(plane), int(not plane))
+    assert (len(planes), len(binaries), len(surfaces)) == (
+        int(step == "plane"), int(step == "binary"), 0)
 
 
 def _members(rng):

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from quartic_galois import geometry, k3, poly
+from quartic_galois import galois, geometry, k3, poly
 
 from quartic_galois.errors import (DegenerateInputError, NoMatchingTypeError,
                                    SingularSurfaceError, SurfaceNotPreservedError,
@@ -218,16 +218,25 @@ def test_fixed_locus_matches_separate_square_decomposition(family, values,
 @pytest.mark.parametrize("family, values", CASES, ids=CASE_IDS)
 def test_fixed_locus_certifies_only_the_surface(monkeypatch, family, values,
                                                 conjugated):
-    # no section is certified: the one certified form's binary blocks
-    # take at most one squarefree profile each, and nothing else takes one
+    # no section is certified: every plane quartic and squarefree profile
+    # is one that certifying the one form takes alone, where binary blocks
+    # take at most one profile each, and a form of one block the ladder's
+    # plane quartic or binary quartic
     f, m = _case(family, values, conjugated)
     profiles = calls_of(monkeypatch, poly.squarefree_profile)
     planes = calls_of(monkeypatch, geometry.is_smooth_plane_quartic)
     forms = _certified(monkeypatch)
     fixed_locus(f, m)
-    assert planes == [] and len(forms) == 1
-    binary = [b for b in geometry.variable_blocks(forms[0]) if len(b) == 2]
-    assert len(profiles) <= len(binary)
+    assert len(forms) == 1
+    taken = (len(planes), len(profiles))
+    del planes[:], profiles[:]
+    galois.require_smooth(forms[0])
+    assert taken == (len(planes), len(profiles))
+    blocks = geometry.variable_blocks(forms[0])
+    if len(blocks) > 1:
+        assert planes == [] and len(profiles) <= sum(len(b) == 2 for b in blocks)
+    else:
+        assert len(planes) + len(profiles) <= 1
 
 
 @pytest.mark.parametrize("f, values", [
@@ -276,13 +285,13 @@ SINGULAR_WITH_AUTO = (parse_poly("X^4+2*X^2*Y^2+Y^4+Z^4+W^4", 4), diag(1, 1, 1, 
 def _certified(monkeypatch):
     """The forms whose smoothness fixed_locus certifies."""
     forms = []
-    smooth = k3.is_smooth_surface
+    require = k3.require_smooth
 
     def spying(f):
         forms.append(f)
-        return smooth(f)
+        return require(f)
 
-    monkeypatch.setattr(k3, "is_smooth_surface", spying)
+    monkeypatch.setattr(k3, "require_smooth", spying)
     return forms
 
 

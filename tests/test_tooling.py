@@ -176,6 +176,23 @@ def test_only_the_solver_walks_the_certificate_primes():
     assert named == []
 
 
+def test_only_galois_chooses_a_smoothness_certificate():
+    """Every command reaches smoothness through galois.require_smooth: no
+    module but the one that defines the surface certificate, the one that
+    chooses it, and the package's re-export names it."""
+    import ast
+    package = Path(importlib.import_module("quartic_galois").__file__).parent
+    named = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("geometry.py", "galois.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "id", getattr(node, "attr", None))])
+            named += [path.name for name in names if name == "is_smooth_surface"]
+    assert named == []
+
+
 def _readme_commands():
     """The commands of the sh block under the README's "## Command line"."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")

@@ -72,32 +72,29 @@ f = c*T**4 + G(x) with c = f(P) != 0, and let B = f|H_P = G.
       eigenspace of M_1 and M_2 on W*.  So when all their eigenvalues
       there lie in Q(i) and each joint eigenspace is a line, the points
       of f are among those lines, and verifying each decides N; dim W* = 0
-      proves N = 0.  A smooth f has such a y0: a form whose Hessian
-      determinant vanishes identically is a cone (Gordan and Noether, in
-      at most 4 variables), and a cone is singular.  So det H(y) is a
-      nonzero form of degree 2n, which cannot vanish at every point of
+      proves N = 0.  The cone test: the partials of f are linearly
+      dependent, sum c_j df/dx_j = 0, exactly when f(x + t c) = f(x), a
+      cone with vertex c, which is singular there.  Every other form has
+      such a y0: a form whose Hessian determinant vanishes identically is
+      a cone (Gordan and Noether, in at most 4 variables), so det H(y) is
+      a nonzero form of degree 2n, which cannot vanish at every point of
       S**n for a set S of more than 2n integers.
   (e) The ladder.  Let P_1, ..., P_N be verified points of a quartic
       surface f, in no particular coordinates, and ell_k that of P_k, so
       ell_k(P_k) = 1; nothing here assumes f smooth.  If ell_j(P_k) != 0
       for some j != k, f is singular, by (b).  Else ell_j(P_k) is 1 for
       j = k and 0 otherwise, so the points are independent and N <= 4.
-      With N = 4, in the coordinates y_k = ell_k(x) of the basis P_k each
-      sigma_k is diagonal, i at P_k and 1 at the others, so a monomial y**a
-      of f has a_k = 0 mod 4 for every k: f = sum f(P_k) y_k**4 with each
-      f(P_k) != 0, which is smooth.  With N >= 2, Q = P_2 lies on
-      H_P = H_{P_1} and is a point of B = f|H_P: its first polar there is
-      that of f restricted, 4 f(Q) (ell_Q|H_P)**3, and ell_Q is nonzero on
-      H_P as ell_Q(Q) = 1.  So by (a), twice, f is smooth exactly when the
-      binary quartic f on H_P n H_Q, the kernel of the two gradients, is:
-      when it is nonzero with distinct linear factors, an exact gcd test.
-      With N = 1, by (a) once, exactly when the plane quartic B is.
+      Each Q = P_k, k >= 2, lies on H_P = H_{P_1} and is a point of
+      B = f|H_P: its first polar there is that of f restricted,
+      4 f(Q) (ell_Q|H_P)**3, and ell_Q is nonzero on H_P as ell_Q(Q) = 1.
+      So f is smooth exactly when its restriction to H_P1 n ... n H_PN,
+      the kernel of the N gradients, is, by (a) once per point: a form in
+      4 - N variables, with nothing left to certify at N = 4.
   (f) One route: require_smooth alone chooses a certificate, for every
       command.  With verified points from the caller (galois test's one:
       a plane quartic, 36 columns in place of 220), (e) over them; else
       f's blocks when its variables split, with no pencil; else (e) over
-      the pencil's points, f itself last when N = 0, the grid walk of
-      (d) waiting until a cone is refused at its vertex or f certified.
+      the pencil's points, f itself when N = 0.
 The enumerator proves a report complete in one way, by (d).
 """
 
@@ -111,16 +108,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (ConsistencyError, InnerPointError, SingularSurfaceError,
                      SurfaceNotPreservedError, UnnormalizedAutomorphismError)
 from .gaussian import ZERO, ONE, I, GaussianRational
-from .geometry import (EigenForm, eigen_form, is_smooth_plane_quartic,
-                       is_smooth_surface, variable_blocks)
+from .geometry import (EigenForm, eigen_form, is_smooth_surface,
+                       jacobian_ideal_is_irrelevant, variable_blocks)
 from .linalg import Matrix, Vector
-from .poly import (HomPoly, ProjPoint, _gi_powers, partials, squarefree_profile,
-                   substitute_linear)
+from .poly import HomPoly, ProjPoint, _gi_powers, partials, substitute_linear
 from .solver import POINTS_NOT_RECOVERED
 from .univariate import GInt, _common_denominator, _gi_mul, gaussian_roots
 
 PROVED_COMPLETE = "proved-complete"
 CANDIDATES_ONLY = "candidates-only"
+_SINGULAR = "the quartic is singular; Galois-point analysis is refused"
 # y0 is the first of these at which the Hessian is invertible, and y1, y2
 # the other two ((d) of the module docstring); no small linear form takes
 # equal ratios at them, so the Galois points of surfaces in small
@@ -222,42 +219,37 @@ def require_smooth(f: HomPoly, pairs: Pairs = ()) -> Optional[Tuple[Pairs, bool]
     """Refuse a singular quartic surface f with SingularSurfaceError: the
     one smoothness route of every command, (f) of the module docstring.
     The ladder (e) runs over pairs, the caller's verified points; with
-    none, f is certified on its blocks when its variables split, else
-    through the Hessian pencil, whose (points, completeness) it returns."""
+    none, over the points of the Hessian pencil, whose (points,
+    completeness) it returns, unless f's variables split into blocks."""
     if f.nvars != 4 or f.degree != 4:
         raise ValueError("expected a quartic form in 4 variables")
-    if pairs or len(variable_blocks(f)) > 1:
-        _ladder(f, pairs)
-        return None
-    return _pencil(f, certified=False)
+    found = None
+    if not pairs and len(variable_blocks(f)) == 1:
+        found = _pencil(f)
+        pairs = found[0]
+    _ladder(f, pairs)
+    return found
 
 
-def _ladder(f: HomPoly, pairs: Pairs = (), vertex: Optional[Vector] = None) -> None:
-    """Refuse a singular f by the ladder (e) over pairs, or at a vertex
-    where every partial of f vanishes: a point off the polar plane
-    H_Q = ker(sigma_Q - 1) of another refuses f; else four points certify
-    f with no matrix, two or three on the binary quartic on H_P n H_Q of
-    the first two, one on its plane quartic f|H_P, and none on f itself."""
+def _ladder(f: HomPoly, pairs: Pairs) -> None:
+    """Refuse a singular f by the ladder (e) over pairs: with no point, on
+    f itself; else a point off the polar plane H_Q = ker(sigma_Q - 1) of
+    another refuses f, and otherwise f is certified on the form left on
+    the common polar plane of the N points, in 4 - N variables, with
+    nothing left at N = 4."""
     rows = [_polar_row(p, gen) for p, gen in pairs]
-    if vertex is not None and all(g.eval(vertex).is_zero() for g in partials(f)):
-        smooth = False
+    if not rows:
+        smooth = is_smooth_surface(f)
     elif any(sum((a * x for a, x in zip(row, q)), ZERO)
              for j, row in enumerate(rows)
              for k, (q, _g) in enumerate(pairs) if j != k):
         smooth = False
-    elif len(rows) == 4:
-        smooth = True
-    elif rows:
-        rows = rows[:2]
-        axis = Matrix(len(rows), 4, sum(rows, [])).kernel_basis()
-        b = substitute_linear(f, Matrix.from_columns(axis))
-        smooth = not b.is_zero() and (max(squarefree_profile(b)) == 1 if b.nvars == 2
-                                      else is_smooth_plane_quartic(b))
     else:
-        smooth = is_smooth_surface(f)
+        axis = Matrix(len(rows), 4, sum(rows, [])).kernel_basis()
+        smooth = not axis or jacobian_ideal_is_irrelevant(
+            substitute_linear(f, Matrix.from_columns(axis)))
     if not smooth:
-        raise SingularSurfaceError(
-            "the quartic is singular; Galois-point analysis is refused")
+        raise SingularSurfaceError(_SINGULAR)
 
 
 def _polar_row(p: ProjPoint, gen: LinearAuto) -> Vector:
@@ -489,7 +481,7 @@ def enumerate_outer_galois_points(f: HomPoly) -> GaloisReport:
     require_smooth refuses a singular f first, and when it stops at f's
     blocks the pencil runs after it.  A proved-complete count outside
     {0, 1, 2, 4} raises ConsistencyError."""
-    pairs, complete = require_smooth(f) or _pencil(f, certified=True)
+    pairs, complete = require_smooth(f) or _pencil(f)
     if complete and len(pairs) not in (0, 1, 2, 4):
         raise ConsistencyError(
             f"certified search returned {len(pairs)} Galois points; "
@@ -497,19 +489,20 @@ def enumerate_outer_galois_points(f: HomPoly) -> GaloisReport:
     return GaloisReport(f, pairs, None if complete else POINTS_NOT_RECOVERED)
 
 
-def _pencil(f: HomPoly, certified: bool) -> Tuple[Pairs, bool]:
+def _pencil(f: HomPoly) -> Tuple[Pairs, bool]:
     """The verified points of f off the Hessian pencil, and whether they
     are proved complete: y0 is the first point of _PENCIL at which the
     Hessian is invertible, y1 and y2 the other two, else y0 walks the
-    grid {1..9}**4 once f is certified ((f) of the module docstring)."""
+    grid {1..9}**4 once the cone test of (d) in the module docstring has
+    passed: a cone is refused by its dependent partials.  No smoothness
+    certificate runs here."""
     hs = [_hessian(f, y) for y in _PENCIL]
     grid = (_hessian(f, y) for y in product(range(1, 10), repeat=4))
     for k, h0 in enumerate(chain(hs, grid)):
-        if k == len(hs) and not certified:
-            # a cone's vertex, killed by every H(y)
-            null = Matrix(12, 4, sum((h.entries for h in hs), ())).kernel_basis()
-            _ladder(f, vertex=null[0] if null else None)
-            certified = True
+        # before the grid: a cone, whose partials are dependent
+        if k == len(hs) and Matrix.from_rows(
+                [[g.coeff(m) for m, _w in _CUBIC] for g in partials(f)]).rank() < 4:
+            raise SingularSurfaceError(_SINGULAR)
         try:
             inv = h0.inverse()
         except ValueError:
@@ -518,7 +511,4 @@ def _pencil(f: HomPoly, certified: bool) -> Tuple[Pairs, bool]:
         m1, m2 = inv * h1, inv * h2
         break
     lines, complete = _eigenlines((m1, m2), _invariant_kernel(m1, m2, h1))
-    pairs = _verified_pairs(f, lines)
-    if not certified:
-        _ladder(f, pairs)
-    return pairs, complete
+    return _verified_pairs(f, lines), complete

@@ -34,9 +34,10 @@ variables is decided alone, in up to three steps:
      are never computed, so the degree-D matrix is built and eliminated
      once per verdict;
   3. otherwise the next prime, and at the end exact elimination.
-No command calls is_smooth_surface itself: galois.require_smooth
-chooses each certificate ((f) of its docstring), and takes this one for
-a surface whose variables split, and for one with no Galois point.
+No command calls these tests itself: galois.require_smooth chooses each
+certificate ((f) of its docstring), is_smooth_surface for a surface
+whose variables split or with no Galois point, and
+jacobian_ideal_is_irrelevant for the form left on its points' polar planes.
 `section` certifies what it reports: the smoothness of a plane section
 and the distinct points of a line section (squarefree_profile).  A
 section along a fixed eigenspace of an automorphism of a certified

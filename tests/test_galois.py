@@ -711,10 +711,25 @@ def test_cw4_conjugate_is_proved_complete(monkeypatch):
 
 
 def _certificates(monkeypatch):
-    """The calls of the plane, binary and surface smoothness certificates."""
-    return [calls_of(monkeypatch, step) for step in (
-        geometry.is_smooth_plane_quartic, poly.squarefree_profile,
-        geometry.is_smooth_surface)]
+    """The forms of the plane, binary and surface smoothness certificates:
+    the top-level calls of geometry.jacobian_ideal_is_irrelevant, by the
+    variable count of the form.  A block of a form re-enters it, and is
+    not counted."""
+    certify, depth = geometry.jacobian_ideal_is_irrelevant, []
+    forms = {n: [] for n in range(1, 5)}
+
+    def spying(f):
+        if not depth:
+            forms[f.nvars].append(f)
+        depth.append(f)
+        try:
+            return certify(f)
+        finally:
+            depth.pop()
+
+    for module in (geometry, galois):
+        monkeypatch.setattr(module, "jacobian_ideal_is_irrelevant", spying)
+    return [forms[3], forms[2], forms[4]]
 
 
 @pytest.mark.parametrize("f, a", [
@@ -808,14 +823,15 @@ def test_descent_certifies_the_smallest_form(monkeypatch, f, dim_w, step):
 @pytest.mark.parametrize("f, p, outcome, step", [
     (FORM2, E1, True, "plane"), (FORM2, E3, False, "binary"),
     (parse_poly("X^4+Y^4+Z^4", 4), E1, SingularSurfaceError, "plane"),
-    (parse_poly("X^4+Y^4+Z^4", 4), E4, SingularSurfaceError, "vertex"),
+    (parse_poly("X^4+Y^4+Z^4", 4), E4, SingularSurfaceError, "cone"),
 ], ids=["galois", "not-galois", "singular-galois", "singular-inner"])
 def test_tester_certifies_the_smallest_form(monkeypatch, f, p, outcome, step):
     # a point off the surface is verified first, and a Galois point
     # certifies its plane quartic; with none, the surface goes through the
     # pencil: form-2's two points certify its binary quartic, and the
-    # cone's vertex refuses it with no certificate.  A point on a singular
-    # surface is refused as singular, before it is refused as inner
+    # cone's dependent partials refuse it with no certificate.  A point on
+    # a singular surface is refused as singular, before it is refused as
+    # inner
     a = height1_gaussian(19)
     fa, moved = substitute_linear(f, a), ProjPoint(a.inverse().apply(list(p)))
     planes, binaries, surfaces = _certificates(monkeypatch)
@@ -913,8 +929,8 @@ def test_invariance_iteration_cuts_the_commutator_kernel(f, dims):
 def test_cone_in_generic_coordinates_is_refused(monkeypatch):
     # X^4+Y^4+Z^4 under SHEAR: a cone, whose Hessian determinant vanishes
     # identically, so no point of the pencil or of the grid serves as y0;
-    # its vertex, the common null vector of the three Hessians, is a zero
-    # of every partial, and refuses it with no certificate
+    # its four partials are linearly dependent, the derivative along the
+    # vertex being 0, and that refuses it with no certificate
     f = substitute_linear(parse_poly("X^4+Y^4+Z^4", 4), SHEAR)
     assert all(galois._hessian(f, y).det() == ZERO for y in galois._PENCIL)
     surfaces = calls_of(monkeypatch, geometry.is_smooth_surface)
@@ -926,17 +942,63 @@ def test_cone_in_generic_coordinates_is_refused(monkeypatch):
 def test_grid_point_serves_when_the_pencil_points_fail(monkeypatch):
     # form-1 pulled back by A whose first row l vanishes at the three
     # points of the pencil: the Hessian is A^t diag(12 l(y)^2, H_G) A, of
-    # determinant 0 at each of them, so the surface is certified first, y0
-    # comes from the grid, and the one point is still found and proved
+    # determinant 0 at each of them, so y0 comes from the grid, the one
+    # point is still found and proved, and its plane quartic certifies the
+    # surface after the grid
+    f, a = _grid_case()
+    planes, binaries, surfaces = _certificates(monkeypatch)
+    rep = enumerate_outer_galois_points(f)
+    assert rep.point_list() == [ProjPoint(a.inverse().apply(list(E1)))]
+    assert (rep.reason, len(planes), binaries, surfaces) == (None, 1, [], [])
+
+
+def _grid_case():
+    """form-1 pulled back by A, whose first row vanishes at the three
+    points of the pencil, and A."""
     ell = Matrix.from_rows(galois._PENCIL).kernel_basis()[0]
     a = Matrix.from_rows([ell, list(E2), list(E3), list(E4)])
     f = substitute_linear(FORM1, a)
     assert all(galois._hessian(f, y).det() == ZERO for y in galois._PENCIL)
-    surfaces = calls_of(monkeypatch, geometry.is_smooth_surface)
-    planes = calls_of(monkeypatch, geometry.is_smooth_plane_quartic)
-    rep = enumerate_outer_galois_points(f)
-    assert rep.point_list() == [ProjPoint(a.inverse().apply(list(E1)))]
-    assert (rep.reason, len(surfaces), planes) == (None, 1, [])
+    return f, a
+
+
+def test_pencil_certifies_nothing(monkeypatch):
+    # the pencil finds points and refuses a cone, and certifies no form:
+    # on the grid case it walks the grid with no certificate, and the SHEAR
+    # cone is refused by the pencil itself, by its dependent partials
+    cone = substitute_linear(parse_poly("X^4+Y^4+Z^4", 4), SHEAR)
+    calls = [calls_of(monkeypatch, step) for step in (
+        galois._ladder, geometry.jacobian_ideal_is_irrelevant,
+        geometry.is_smooth_surface)]
+    pairs, complete = galois._pencil(_grid_case()[0])
+    assert (len(pairs), complete) == (1, True)
+    with pytest.raises(SingularSurfaceError):
+        galois._pencil(cone)
+    assert calls == [[], [], []]
+
+
+def test_three_points_certify_by_the_form_left_on_their_polar_planes(monkeypatch):
+    # three of Fermat's four Galois points in generic coordinates leave
+    # c*T^4 on the line of their polar planes, with c = f at the fourth
+    # point: nonzero, so the surface is certified with no binary profile
+    # and no Macaulay search.  The cone X^4+Y^4+Z^4 keeps the three points
+    # and vanishes at the fourth, its vertex, and is refused
+    a = height1_gaussian(19)
+    profiles = calls_of(monkeypatch, poly.squarefree_profile)
+    searches = calls_of(monkeypatch, solver._searches)
+    for f, refused in ((FERMAT, False),
+                       (parse_poly("X^4+Y^4+Z^4", 4), True)):
+        fa = substitute_linear(f, a)
+        pairs = [(p, galois._generator_or_none(fa, p))
+                 for p in (ProjPoint(a.inverse().apply(list(e)))
+                           for e in (E1, E2, E3))]
+        assert all(gen is not None for _p, gen in pairs)
+        if refused:
+            with pytest.raises(SingularSurfaceError):
+                galois.require_smooth(fa, pairs)
+        else:
+            assert galois.require_smooth(fa, pairs) is None
+    assert (profiles, searches) == ([], [])
 
 
 def test_second_matrix_splits_a_repeated_eigenvalue():

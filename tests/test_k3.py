@@ -220,8 +220,9 @@ def test_fixed_locus_certifies_only_the_surface(monkeypatch, family, values,
                                                 conjugated):
     # no section is certified: every plane quartic and squarefree profile
     # is one that certifying the one form takes alone, where binary blocks
-    # take at most one profile each, and a form of one block the ladder's
-    # plane quartic or binary quartic
+    # take at most one profile each, and a form of one block at most the
+    # ladder's binary quartic (the ladder hands a plane quartic to
+    # jacobian_ideal_is_irrelevant, not to is_smooth_plane_quartic)
     f, m = _case(family, values, conjugated)
     profiles = calls_of(monkeypatch, poly.squarefree_profile)
     planes = calls_of(monkeypatch, geometry.is_smooth_plane_quartic)
@@ -413,8 +414,9 @@ def test_hand_built_generator_is_decomposed_once(monkeypatch, entry):
 
 
 def _certificates(monkeypatch):
-    """The forms handed to geometry.jacobian_ideal_is_irrelevant, blocks
-    of a surface included, in order."""
+    """The forms handed to geometry.jacobian_ideal_is_irrelevant, by
+    geometry or by galois's ladder, blocks of a surface included, in
+    order."""
     forms = []
     certify = geometry.jacobian_ideal_is_irrelevant
 
@@ -422,7 +424,8 @@ def _certificates(monkeypatch):
         forms.append(f)
         return certify(f)
 
-    monkeypatch.setattr(geometry, "jacobian_ideal_is_irrelevant", spying)
+    for module in (geometry, galois):
+        monkeypatch.setattr(module, "jacobian_ideal_is_irrelevant", spying)
     return forms
 
 

@@ -178,8 +178,9 @@ def test_only_the_solver_walks_the_certificate_primes():
 
 def test_only_galois_chooses_a_smoothness_certificate():
     """Every command reaches smoothness through galois.require_smooth: no
-    module but the one that defines the surface certificate, the one that
-    chooses it, and the package's re-export names it."""
+    module but the one that defines the surface, plane and Jacobian
+    certificates, the one that chooses among them, and the package's
+    re-export names any of them."""
     import ast
     package = Path(importlib.import_module("quartic_galois").__file__).parent
     named = []
@@ -189,7 +190,9 @@ def test_only_galois_chooses_a_smoothness_certificate():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
                      else [getattr(node, "id", getattr(node, "attr", None))])
-            named += [path.name for name in names if name == "is_smooth_surface"]
+            named += [path.name for name in names if name in (
+                "is_smooth_surface", "is_smooth_plane_quartic",
+                "jacobian_ideal_is_irrelevant")]
     assert named == []
 
 

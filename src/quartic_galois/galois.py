@@ -72,7 +72,16 @@ f = c*T**4 + G(x) with c = f(P) != 0, and let B = f|H_P = G.
       eigenspace of M_1 and M_2 on W*.  So when all their eigenvalues
       there lie in Q(i) and each joint eigenspace is a line, the points
       of f are among those lines, and verifying each decides N; dim W* = 0
-      proves N = 0.  The cone test: the partials of f are linearly
+      proves N = 0.  All of it runs on Z[i] integers, with no division
+      but exact ones: adj H(y0) H(y_j) = det H(y0) M_j has M_j's
+      eigenvectors, invariant subspaces and commutator kernel, and each
+      kernel comes from fraction-free (Bareiss) elimination as a basis
+      scaled by one delta.  On such a span the matrix R read off the
+      image is s = delta det H(y0) times that of M_j, so coefficient k of
+      det(x I - R), by Berkowitz's division-free algorithm, over
+      s**(d - k) gives M_j's own characteristic polynomial there, whose
+      roots are sought; an eigenvalue u/v enters as v R - s u I.  The
+      cone test: the partials of f are linearly
       dependent, sum c_j df/dx_j = 0, exactly when f(x + t c) = f(x), a
       cone with vertex c, which is singular there.  Every other form has
       such a y0: a form whose Hessian determinant vanishes identically is
@@ -102,7 +111,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain, combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (ConsistencyError, InnerPointError, SingularSurfaceError,
@@ -113,7 +122,8 @@ from .geometry import (EigenForm, eigen_form, is_smooth_surface,
 from .linalg import Matrix, Vector
 from .poly import HomPoly, ProjPoint, _gi_powers, partials, substitute_linear
 from .solver import POINTS_NOT_RECOVERED
-from .univariate import GInt, _common_denominator, _gi_mul, gaussian_roots
+from .univariate import (GInt, Poly, _common_denominator, _gi_divmod, _gi_mul,
+                         _gi_norm, gaussian_roots)
 
 PROVED_COMPLETE = "proved-complete"
 CANDIDATES_ONLY = "candidates-only"
@@ -123,7 +133,12 @@ _SINGULAR = "the quartic is singular; Galois-point analysis is refused"
 # equal ratios at them, so the Galois points of surfaces in small
 # coordinates get distinct joint eigenvalues
 _PENCIL = ((14, -17, 16, 4), (-4, -12, -15, 9), (-1, -20, -18, 14))
-_PAIRS = [(j, k) for j in range(4) for k in range(j, 4)]
+_QUADRATIC = [q for q in product(range(3), repeat=4) if sum(q) == 2]
+# for j <= k, the second partial d2/dx_j dx_k of x**e is w * x**q, for the
+# quartic monomials e = q + u_j + u_k, with w = e_j * (e_k - [j == k])
+_SECOND = {(j, k): [(q, e, e[j] * (e[k] - (j == k))) for q in _QUADRATIC
+                    for e in [tuple(n + (t == j) + (t == k) for t, n in enumerate(q))]]
+           for j in range(4) for k in range(j, 4)}
 # the cubic monomials m with their multinomial weights 3! / m!, the
 # coefficients of (g . x)**3 = sum_m weight * g**m * x**m
 _CUBIC = [(m, 6 // math.prod(map(math.factorial, m)))
@@ -167,6 +182,8 @@ def linear_auto(f: HomPoly, m: Matrix) -> LinearAuto:
 
 
 Pairs = Sequence[Tuple[ProjPoint, LinearAuto]]   # verified points with sigma_P
+# a Z[i] matrix of the pencil, row by row
+ZMat = List[List[GInt]]
 
 
 @dataclass
@@ -375,80 +392,210 @@ def _verified_pairs(f: HomPoly, candidates: Sequence[ProjPoint]) -> Pairs:
     return out
 
 
-def _hessian(f: HomPoly, y: Sequence[int]) -> Matrix:
-    """The Hessian matrix of f at y, an integer point with no zero
-    coordinate, times f's common denominator, from its ten distinct
-    second partials: entry (j, k) sums c * e_j * (e_k - [j == k]) *
-    y**e / (y_j y_k) over the terms c x**e of f."""
-    acc = {jk: [0, 0] for jk in _PAIRS}
-    for e, (a, b) in f.num.items():
-        mono = math.prod(v ** n for v, n in zip(y, e))
-        for j, k in _PAIRS:
-            if w := e[j] * (e[k] - (j == k)):
-                w = w * mono // (y[j] * y[k])
-                acc[j, k][0] += a * w
-                acc[j, k][1] += b * w
-    return Matrix(4, 4, [GaussianRational(*acc[min(r, c), max(r, c)])
-                         for r in range(4) for c in range(4)])
+def _hessian(f: HomPoly, y: Sequence[int]) -> ZMat:
+    """The Hessian matrix of f at the integer point y, times f's common
+    denominator, over Z[i], from its ten distinct second partials: entry
+    (j, k) sums c * w * y**q over the terms (q, e, w) of _SECOND[j, k]
+    with c x**e a term of f."""
+    ys = {q: math.prod(v ** n for v, n in zip(y, q)) for q in _QUADRATIC}
+    acc = {}
+    for jk, terms in _SECOND.items():
+        re = im = 0
+        for q, e, w in terms:
+            if (c := f.num.get(e)) is not None:
+                w *= ys[q]
+                re += c[0] * w
+                im += c[1] * w
+        acc[jk] = (re, im)
+    return [[acc[min(r, c), max(r, c)] for c in range(4)] for r in range(4)]
 
 
-def _restriction(m: Matrix, basis: List[Vector]) -> Tuple[Matrix, Matrix]:
-    """(R, D) for the span of basis, a kernel_basis, with B its matrix: R
-    is read off the image m B, and D = m B - B R is 0 exactly when m maps
-    the span into itself, R then being the matrix of m on it.  The i-th
-    vector of a kernel_basis is 1 at its last nonzero coordinate t_i and
-    0 at the other t_j, and t_1 < t_2 < ...; so B c has the entries c at
-    the t_i, R is the image read there, and the vectors B c for c in a
-    kernel_basis of coordinates are a kernel_basis again (_span)."""
-    b = Matrix.from_columns(basis)
-    at = [max(t for t in range(4) if not v[t].is_zero()) for v in basis]
-    image = m * b
-    r = Matrix(len(at), len(at), [x for t in at for x in image.row(t)])
-    return r, image - b * r
+def _dot(u: Sequence[GInt], v: Sequence[GInt]) -> GInt:
+    re = im = 0
+    for (a, b), (c, d) in zip(u, v):
+        re += a * c - b * d
+        im += a * d + b * c
+    return re, im
 
 
-def _span(basis: List[Vector], coords: List[Vector]) -> List[Vector]:
-    b = Matrix.from_columns(basis)
-    return [b.apply(c) for c in coords]
+def _product(a: ZMat, b: ZMat) -> ZMat:
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
 
 
-def _invariant_kernel(m1: Matrix, m2: Matrix, h1: Matrix) -> List[Vector]:
+def _sub(x: GInt, y: GInt) -> GInt:
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _adjugate(a: ZMat) -> Tuple[ZMat, GInt]:
+    """(adj a, det a) of a 4x4 Z[i] matrix by Laplace expansion: the minor
+    of a at (r, c) expands along r's partner row (r xor 1) over the 2x2
+    minors of the other pair of rows, with signs +, -, +."""
+    minors = {}
+    for r in (0, 2):
+        for j, k in combinations(range(4), 2):
+            minors[r, j, k] = _sub(_gi_mul(a[r][j], a[r + 1][k]),
+                                   _gi_mul(a[r][k], a[r + 1][j]))
+    adj = [[(0, 0)] * 4 for _ in range(4)]
+    for r in range(4):
+        row, pair = a[r ^ 1], 2 - (r & 2)
+        for c in range(4):
+            j, k, l = (t for t in range(4) if t != c)
+            mid = minors[pair, j, l]
+            u = _dot((row[j], row[k], row[l]),
+                     (minors[pair, k, l], (-mid[0], -mid[1]), minors[pair, j, k]))
+            adj[c][r] = u if (r + c) % 2 == 0 else (-u[0], -u[1])
+    return adj, _dot(a[0], [adj[c][0] for c in range(4)])
+
+
+def _echelon(a: ZMat, n: int) -> Tuple[ZMat, List[int]]:
+    """(rows, pivot columns) of the fraction-free (Bareiss) echelon form of
+    the Z[i] rows a with n columns, its zero rows dropped.  After the k-th
+    pivot every entry left below it is a (k+1) x (k+1) minor of a, rows
+    reordered, so each division by the previous pivot is exact (the
+    nearest quotient of _gi_divmod is then the quotient), and the last
+    pivot is the minor of a at the pivot rows and columns."""
+    rows, pivots, prev = [list(r) for r in a], [], (1, 0)
+    for c in range(n):
+        k = len(pivots)
+        i = next((i for i in range(k, len(rows)) if rows[i][c] != (0, 0)), None)
+        if i is None:
+            continue
+        rows[k], rows[i] = rows[i], rows[k]
+        top, p = rows[k], rows[k][c]
+        for row in rows[k + 1:]:
+            q = row[c]
+            row[c] = (0, 0)
+            for j in range(c + 1, n):
+                row[j] = _gi_divmod(_sub(_gi_mul(p, row[j]), _gi_mul(q, top[j])), prev)[0]
+        prev = p
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def _kernel(a: ZMat, n: int) -> List[List[GInt]]:
+    """A basis of the right kernel of the Z[i] rows a with n columns: the
+    vectors of Matrix.kernel_basis times the last pivot D of _echelon, one
+    for each free column f, in increasing order.  Each is D at f, 0 at the
+    other free columns and at the pivot columns after f, and at the pivot
+    columns before f what back-substitution gives, Z[i] integers by
+    Cramer's rule since D is the minor of a at the pivot rows and columns."""
+    rows, pivots = _echelon(a, n)
+    d = rows[-1][pivots[-1]] if pivots else (1, 0)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        x = [(0, 0)] * n
+        x[f] = d
+        for row, c in reversed(list(zip(rows, pivots))):
+            if c < f:
+                s = _dot(row[c + 1:f + 1], x[c + 1:f + 1])
+                x[c] = _gi_divmod((-s[0], -s[1]), row[c])[0]
+        basis.append(x)
+    return basis
+
+
+def _scale(basis: List[List[GInt]]) -> GInt:
+    """The common value of the vectors of a _kernel (or a _span of one) at
+    their last nonzero coordinates."""
+    v = basis[0]
+    return next(x for x in reversed(v) if x != (0, 0))
+
+
+def _restriction(m: ZMat, basis: List[List[GInt]]) -> Tuple[ZMat, ZMat]:
+    """(R, D) for the span of basis, a _kernel: its i-th vector is delta =
+    _scale(basis) at its last nonzero coordinate t_i and 0 at the other
+    t_j, and t_1 < t_2 < ...  With B its matrix, R is the image m B read
+    at the rows t_i, delta times the matrix of m on the span when m maps
+    the span into itself, and D = delta m B - B R is 0 exactly then.  B c
+    has c times delta at the t_i, so the vectors B c for c in a _kernel of
+    coordinates are again such a basis (_span)."""
+    at = [max(t for t in range(4) if v[t] != (0, 0)) for v in basis]
+    delta = basis[0][at[0]]
+    image = [[_dot(row, v) for row in m] for v in basis]
+    r = [[w[t] for w in image] for t in at]
+    defect = []
+    for t in range(4):
+        b = [v[t] for v in basis]
+        defect.append([])
+        for j, w in enumerate(image):
+            defect[-1].append(_sub(_gi_mul(delta, w[t]), _dot(b, [row[j] for row in r])))
+    return r, defect
+
+
+def _span(basis: List[List[GInt]], coords: List[List[GInt]]) -> List[List[GInt]]:
+    return [[_dot([v[t] for v in basis], c) for t in range(4)] for c in coords]
+
+
+def _invariant_kernel(m1: ZMat, m2: ZMat, h1: ZMat) -> List[List[GInt]]:
     """A basis of W*, the largest subspace of ker [M1, M2] that M1 and M2
-    map into itself ((d) of the module docstring): from W = ker [M1, M2],
-    W <- {v in W : M1 v, M2 v in W} until W stops shrinking; with D1, D2
-    the defects of _restriction, v = B c is kept when D1 c = D2 c = 0.
-    ker [M1, M2] is that of T - T^t for T = H(y1) M2, with h1 = H(y1):
-    H(y0) [M1, M2] = H1 H0^-1 H2 - H2 H0^-1 H1, and each H is symmetric."""
-    t = h1 * m2
-    basis = (t - Matrix.from_columns([t.row(i) for i in range(4)])).kernel_basis()
+    map into itself ((d) of the module docstring), for m_j = adj H(y0)
+    H(y_j) = det H(y0) M_j: from W = ker [m1, m2], W <- {v in W : m1 v,
+    m2 v in W} until W stops shrinking; with D1, D2 the defects of
+    _restriction, v = B c is kept when D1 c = D2 c = 0.  ker [m1, m2] is
+    that of T - T^t for T = H(y1) m2, with h1 = H(y1): H(y0) [m1, m2] =
+    det H(y0) (H1 adj H0 H2 - H2 adj H0 H1), and each H is symmetric."""
+    t = _product(h1, m2)
+    basis = _kernel([list(map(_sub, row, col)) for row, col in zip(t, zip(*t))], 4)
     while basis:
         (_, d1), (_, d2) = (_restriction(m, basis) for m in (m1, m2))
-        kept = Matrix(8, len(basis), d1.entries + d2.entries).kernel_basis()
+        kept = _kernel(d1 + d2, len(basis))
         if len(kept) == len(basis):
             break
         basis = _span(basis, kept)
     return basis
 
 
-def _charpoly(r: Matrix) -> List[GaussianRational]:
-    """det(x I - r), low degree first, by Faddeev-LeVerrier."""
-    n = r.rows
-    coeffs, m = [ONE], Matrix.identity(n)
-    for k in range(1, n + 1):
-        am = r * m
-        c = -sum(am.entries[::n + 1], ZERO) / k
-        coeffs.append(c)
-        m = am + Matrix.identity(n).scale(c)
-    return coeffs[::-1]
+def _berkowitz(a: ZMat) -> List[GInt]:
+    """det(x I - a), low degree first, by Berkowitz's division-free
+    algorithm: for a = [[a11, R], [C, A1]], the coefficients of det(x I -
+    a), highest first, are those of det(x I - A1) times the lower
+    triangular Toeplitz matrix on 1, -a11, -R C, -R A1 C, ..., -R A1**(n-2) C."""
+    n, poly = len(a), [(1, 0)]
+    for k in range(n - 1, -1, -1):
+        a1, r = [row[k + 1:] for row in a[k + 1:]], a[k][k + 1:]
+        col, toeplitz = [row[k] for row in a[k + 1:]], [(1, 0), (-a[k][k][0], -a[k][k][1])]
+        for j in range(n - k - 1):
+            if j:
+                col = [_dot(row, col) for row in a1]
+            u = _dot(r, col)
+            toeplitz.append((-u[0], -u[1]))
+        poly = [_dot(toeplitz[i::-1], poly) for i in range(len(poly) + 1)]
+    return poly[::-1]
 
 
-def _eigenlines(ms: Sequence[Matrix], basis: List[Vector]
+def _eigenpolynomial(r: ZMat, s: GInt) -> Poly:
+    """det(x I - r / s), low degree first: coefficient k of Berkowitz's
+    det(x I - r) over s**(d - k).  For r = R of _restriction and s =
+    _scale(basis) det H(y0), r / s is the matrix of M_j on the span, so
+    this is its characteristic polynomial, as small as M_j's."""
+    coeffs, conj, norm = _berkowitz(r), (s[0], -s[1]), _gi_norm(s)
+    out, w, den = [], (1, 0), 1
+    for c in reversed(coeffs):
+        out.append(GaussianRational(*_gi_mul(c, w), den))
+        w, den = _gi_mul(w, conj), den * norm
+    return out[::-1]
+
+
+def _point(v: Sequence[GInt]) -> ProjPoint:
+    """The point of a nonzero Z[i] vector, scaled to 1 at its first nonzero
+    coordinate by the conjugate over the norm."""
+    x = next(x for x in v if x != (0, 0))
+    return ProjPoint([GaussianRational(*_gi_mul(y, (x[0], -x[1])), _gi_norm(x))
+                      for y in v])
+
+
+def _eigenlines(ms: Sequence[ZMat], det: GInt, basis: List[List[GInt]]
                 ) -> Tuple[List[ProjPoint], bool]:
-    """Split the span of basis, a kernel_basis that each of ms maps into
-    itself and on which they commute, into the eigenspaces of ms[0] for
-    its eigenvalues in Q(i), and each of those into the eigenspaces of
-    ms[1]: (the lines among those joint eigenspaces, whether every
-    eigenvalue lay in Q(i) and every joint eigenspace is a line)."""
+    """Split the span of basis, a _kernel that each of ms, m_j = det M_j
+    with det = det H(y0), maps into itself and on which they commute,
+    into the eigenspaces of M_1 for its eigenvalues in Q(i), and each of
+    those into the eigenspaces of M_2: (the lines among those joint
+    eigenspaces, whether every eigenvalue lay in Q(i) and every joint
+    eigenspace is a line).  On a span, R / s is the matrix of M_j
+    (_eigenpolynomial), and an eigenvalue (a + b i) / d enters as
+    d R - s (a + b i) I."""
     spaces, split = [basis] if basis else [], True
     for m in ms:
         parts = []
@@ -456,14 +603,16 @@ def _eigenlines(ms: Sequence[Matrix], basis: List[Vector]
             if len(space) == 1:
                 parts.append(space)
                 continue
-            r = _restriction(m, space)[0]
-            roots, full = gaussian_roots(_charpoly(r))
+            r, s = _restriction(m, space)[0], _gi_mul(det, _scale(space))
+            roots, full = gaussian_roots(_eigenpolynomial(r, s))
             split = split and full
             for lam in roots:
-                eigen = (r - Matrix.identity(r.rows).scale(lam)).kernel_basis()
-                parts.append(_span(space, eigen))
+                u = _gi_mul(s, (lam.a, lam.b))
+                shifted = [[(lam.d * x[0] - u[0] * (i == j), lam.d * x[1] - u[1] * (i == j))
+                            for j, x in enumerate(row)] for i, row in enumerate(r)]
+                parts.append(_span(space, _kernel(shifted, len(space))))
         spaces = parts
-    return ([ProjPoint(s[0]) for s in spaces if len(s) == 1],
+    return ([_point(s[0]) for s in spaces if len(s) == 1],
             split and all(len(s) == 1 for s in spaces))
 
 
@@ -494,21 +643,20 @@ def _pencil(f: HomPoly) -> Tuple[Pairs, bool]:
     are proved complete: y0 is the first point of _PENCIL at which the
     Hessian is invertible, y1 and y2 the other two, else y0 walks the
     grid {1..9}**4 once the cone test of (d) in the module docstring has
-    passed: a cone is refused by its dependent partials.  No smoothness
+    passed: a cone is refused by its dependent partials.  All of it runs
+    on Z[i] integers, with adj H(y0) in place of H(y0)^-1.  No smoothness
     certificate runs here."""
     hs = [_hessian(f, y) for y in _PENCIL]
     grid = (_hessian(f, y) for y in product(range(1, 10), repeat=4))
     for k, h0 in enumerate(chain(hs, grid)):
         # before the grid: a cone, whose partials are dependent
-        if k == len(hs) and Matrix.from_rows(
-                [[g.coeff(m) for m, _w in _CUBIC] for g in partials(f)]).rank() < 4:
+        if k == len(hs) and len(_echelon([[g.num.get(m, (0, 0)) for m, _w in _CUBIC]
+                                          for g in partials(f)], len(_CUBIC))[1]) < 4:
             raise SingularSurfaceError(_SINGULAR)
-        try:
-            inv = h0.inverse()
-        except ValueError:
-            continue
-        h1, h2 = (hs[:k] + hs[k + 1:])[:2]
-        m1, m2 = inv * h1, inv * h2
-        break
-    lines, complete = _eigenlines((m1, m2), _invariant_kernel(m1, m2, h1))
+        adj, det = _adjugate(h0)
+        if det != (0, 0):
+            break
+    h1, h2 = (hs[:k] + hs[k + 1:])[:2]
+    m1, m2 = _product(adj, h1), _product(adj, h2)
+    lines, complete = _eigenlines((m1, m2), det, _invariant_kernel(m1, m2, h1))
     return _verified_pairs(f, lines), complete

@@ -285,7 +285,7 @@ class ProjPoint:
         pivot = next((v for v in vals if not v.is_zero()), None)
         if pivot is None:
             raise ValueError("projective point needs a nonzero coordinate")
-        self.coords = tuple(v / pivot for v in vals)
+        self.coords = tuple(vals if pivot == 1 else (v / pivot for v in vals))
 
     def __len__(self) -> int:
         return len(self.coords)

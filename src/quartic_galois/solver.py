@@ -37,7 +37,9 @@ This module alone holds the certificate primes (_CERT_PRIMES), and every
 walk over them takes them from _primes: _searches builds each echelon
 once and finds the zeros mod p, and so the exact points, one at a time
 as the caller asks (see _zeros_mod_p); _root_candidates lifts the roots
-mod p of one polynomial in one variable, with no matrix.  Each caller
+mod p of one polynomial in one variable, with no matrix, and
+_squarefree_candidates begins that walk with a squarefree test at its
+first prime.  Each caller
 keeps only its policy: the smoothness test of the geometry module stops
 at a full-rank image, or at the first exact singular point at the first
 prime; solve_projective takes every point; univariate.gaussian_roots
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-from itertools import combinations, combinations_with_replacement, islice, product
+from itertools import chain, combinations, combinations_with_replacement, islice, product
 from random import Random
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -56,7 +58,7 @@ from .gaussian import ZERO, ONE, GaussianRational
 from .linalg import (Echelon, Matrix, _back_substitute, _echelon_mod_p,
                      _pivots_mod_p)
 from .poly import HomPoly, ProjPoint, monomials
-from .univariate import (GInt, Poly, _common_denominator, _fp_roots,
+from .univariate import (GInt, Poly, _common_denominator, _fp_gcd, _fp_roots,
                          _gaussian_prime_above, _gi_divmod, _gi_gcd, _gi_mul,
                          _gi_norm, _matmul_mod_p, _rational_reconstructions,
                          degree, np)
@@ -451,7 +453,24 @@ def _square_precision(m: int, i_m: int, pik: GInt) -> Tuple[int, int, GInt]:
     return m2, (i_m - (i_m * i_m + 1) * pow(2 * i_m, -1, m2)) % m2, _gi_mul(pik, pik)
 
 
-def _root_candidates(f: List[GInt], bound: int) -> Iterator[GaussianRational]:
+def _squarefree_candidates(f: List[GInt], bound: int
+                           ) -> Optional[Iterator[GaussianRational]]:
+    """_root_candidates of f when f keeps its degree modulo the Gaussian
+    prime of the first prime and is prime to its derivative there: then
+    its discriminant is nonzero there, so nonzero, and f is squarefree
+    over Q(i).  Else None, which proves nothing.  The candidates walk on
+    from that prime, so the walk takes each prime once."""
+    primes = _primes()
+    p = next(primes)
+    fp = [_residue(c, _CERT_ROOTS[p], p) for c in f]
+    derivative = [j * c % p for j, c in enumerate(fp) if j]
+    if not fp[-1] or len(_fp_gcd(fp, derivative, p)) > 1:
+        return None
+    return _root_candidates(f, bound, chain([p], primes))
+
+
+def _root_candidates(f: List[GInt], bound: int, primes: Optional[Iterator[int]] = None
+                     ) -> Iterator[GaussianRational]:
     """Candidate Q(i) roots of the Z[i] polynomial f (low degree first,
     degree >= 1), no root u/v of which in lowest terms has N(u) or N(v)
     above bound.  At each prime where the leading coefficient does not
@@ -459,8 +478,9 @@ def _root_candidates(f: List[GInt], bound: int) -> Iterator[GaussianRational]:
     until the bound sqrt(p^(2^j))/16 of _reconstruct passes bound (or
     p^(2^j) the cap), then reconstructed: a root of f is then the one
     reconstruction of its residue.  A multiple root mod p cannot lift and
-    is reconstructed at p, as in _lift.  The caller checks each exactly."""
-    for p in _primes():
+    is reconstructed at p, as in _lift.  The caller checks each exactly.
+    The primes are those of _primes(), or what is left of a walk."""
+    for p in _primes() if primes is None else primes:
         fp, cap = [_residue(c, _CERT_ROOTS[p], p) for c in f], p ** _MAX_PRECISION
         for x in _fp_roots(fp, p) if fp[-1] else ():
             m, i_m, pik = p, _CERT_ROOTS[p], _CERT_PIS[p]

@@ -321,6 +321,9 @@ def gaussian_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
     over Q(i).  Roots are reported once each (multiplicity dropped) in
     canonical order.
 
+    The squarefree factors are p itself, less its root at zero, when it
+    is squarefree modulo the first certificate prime
+    (solver._squarefree_candidates), and else Yun's.
     Each squarefree factor of degree d >= 2 is cleared to its primitive
     Z[i] coefficients a_0, ..., a_d; a root u/v of sum a_j x^j in lowest
     terms has u | a_0 and v | a_d, so neither norm exceeds the height
@@ -332,19 +335,31 @@ def gaussian_roots(p: Poly) -> Tuple[List[GaussianRational], bool]:
     the primes, the height or the precision cap.
     """
     from .poly import HomPoly
-    from .solver import _primitive, _root_candidates
+    from .solver import _primitive, _root_candidates, _squarefree_candidates
+
+    def primitive(factor: Poly) -> Tuple[List[GInt], int]:
+        d = degree(factor)
+        form = _primitive(HomPoly(2, d, {(j, d - j): c for j, c in enumerate(factor)}))
+        num = [form.get((j, d - j), (0, 0)) for j in range(d + 1)]
+        return num, max(_gi_norm(num[0]), _gi_norm(num[-1]))
+
     if not p:
         raise ValueError("zero polynomial")
     k = next(j for j, c in enumerate(p) if not c.is_zero())  # the root at zero
     roots, fully_split = [ZERO] if k else [], True
-    # the squarefree factors are coprime and prime to x, and monic
-    for factor, _m in squarefree_decomposition(p[k:]):
+    # the squarefree factors are coprime and prime to x: p[k:] itself when
+    # its degree is at most 1 or it is squarefree modulo the first prime
+    q = p[k:]
+    walk = _squarefree_candidates(*primitive(q)) if degree(q) > 1 else None
+    if walk is None and degree(q) > 1:
+        factors = [(g, None) for g, _m in squarefree_decomposition(q)]
+    else:
+        factors = [(q, walk)]
+    for factor, candidates in factors:
         d = degree(factor)
-        found = [-factor[0]] if d == 1 else []
+        found = [-factor[0] / factor[1]] if d == 1 else []
         if d > 1:
-            form = _primitive(HomPoly(2, d, {(j, d - j): c for j, c in enumerate(factor)}))
-            num = [form.get((j, d - j), (0, 0)) for j in range(d + 1)]
-            for r in _root_candidates(num, max(_gi_norm(num[0]), _gi_norm(num[-1]))):
+            for r in candidates or _root_candidates(*primitive(factor)):
                 if r not in found and eval_poly(factor, r).is_zero():
                     found.append(r)
                     if len(found) == d:

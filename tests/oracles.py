@@ -17,14 +17,17 @@ pulling f back by it.  A Gram matrix is moved as U^T G U by 2x2 integer
 products, and the apolar space of a quartic is measured by sympy's rank
 of its catalecticant.  The Q(i) roots of a univariate polynomial are
 read off the linear and quadratic factors over Q of its norm, which
-sympy factors over Z, with no modular step of the package's own.
+sympy factors over Z, with no modular step of the package's own.  The
+Hessian pencil is the package's earlier one, over Q(i): H(y0)^-1 H(y_j)
+by Matrix's inverse, reduced kernels, Faddeev-LeVerrier characteristic
+polynomials, and the roots of the oracle above.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, product
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -330,3 +333,93 @@ def oracle_gaussian_roots(p: Sequence[GaussianRational]
         while rem.is_zero:
             count, (quot, rem) = count + 1, quot.div(lin)
     return sorted(roots, key=lambda z: z.sort_key()), count == f.degree()
+
+
+# -- the Hessian pencil over Q(i) ---------------------------------------------
+
+def _restriction(m: Matrix, basis: List[Tuple]) -> Tuple[Matrix, Matrix]:
+    """(R, D) for the span of basis, a kernel_basis, with B its matrix: R
+    is read off the image m B at the rows t_i where the i-th vector is 1
+    (its last nonzero coordinate, 0 in the other vectors), and D = m B -
+    B R is 0 exactly when m maps the span into itself."""
+    b = Matrix.from_columns(basis)
+    at = [max(t for t in range(4) if not v[t].is_zero()) for v in basis]
+    image = m * b
+    r = Matrix(len(at), len(at), [x for t in at for x in image.row(t)])
+    return r, image - b * r
+
+
+def _span(basis: List[Tuple], coords: List[Tuple]) -> List[Tuple]:
+    b = Matrix.from_columns(basis)
+    return [b.apply(c) for c in coords]
+
+
+def _invariant_kernel(m1: Matrix, m2: Matrix) -> List[Tuple]:
+    """W*, the largest subspace of ker [M1, M2] that M1 and M2 map into
+    itself: W <- {v in W : M1 v, M2 v in W} until W stops shrinking."""
+    basis = (m1 * m2 - m2 * m1).kernel_basis()
+    while basis:
+        (_, d1), (_, d2) = (_restriction(m, basis) for m in (m1, m2))
+        kept = Matrix(8, len(basis), d1.entries + d2.entries).kernel_basis()
+        if len(kept) == len(basis):
+            break
+        basis = _span(basis, kept)
+    return basis
+
+
+def _charpoly(r: Matrix) -> List[GaussianRational]:
+    """det(x I - r), low degree first, by Faddeev-LeVerrier."""
+    n = r.rows
+    coeffs, m = [GaussianRational(1)], Matrix.identity(n)
+    for k in range(1, n + 1):
+        am = r * m
+        c = -sum(am.entries[::n + 1], GaussianRational(0)) / k
+        coeffs.append(c)
+        m = am + Matrix.identity(n).scale(c)
+    return coeffs[::-1]
+
+
+def _eigenlines(ms: Sequence[Matrix], basis: List[Tuple]
+                ) -> Tuple[List[ProjPoint], bool]:
+    """The lines among the joint eigenspaces of ms[0] and ms[1] on the span
+    of basis, for their eigenvalues in Q(i), and whether every eigenvalue
+    lay in Q(i) and every joint eigenspace is a line."""
+    spaces, split = [basis] if basis else [], True
+    for m in ms:
+        parts = []
+        for space in spaces:
+            if len(space) == 1:
+                parts.append(space)
+                continue
+            r = _restriction(m, space)[0]
+            roots, full = oracle_gaussian_roots(_charpoly(r))
+            split = split and full
+            for lam in roots:
+                eigen = (r - Matrix.identity(r.rows).scale(lam)).kernel_basis()
+                parts.append(_span(space, eigen))
+        spaces = parts
+    return ([ProjPoint(s[0]) for s in spaces if len(s) == 1],
+            split and all(len(s) == 1 for s in spaces))
+
+
+def oracle_pencil_lines(f: HomPoly, pencil: Sequence[Sequence[int]]
+                        ) -> Tuple[List[ProjPoint], bool]:
+    """The joint eigenlines of the Hessian pencil of a quartic surface that
+    is not a cone, and whether they are proved complete, over Q(i): the
+    Hessian H(y) is read off f's second partials at y, y0 is the first
+    point of pencil at which it is invertible, y1 and y2 the other two,
+    else y0 walks the grid {1..9}**4; M_j = H(y0)^-1 H(y_j), with the
+    inverse of Matrix and the roots of oracle_gaussian_roots."""
+    second = [partials(d1) for d1 in partials(f)]
+
+    def hessian(y):
+        return Matrix.from_rows([[d2.eval(y) for d2 in row] for row in second])
+
+    hs = [hessian(y) for y in pencil]
+    grid = (hessian(y) for y in product(range(1, 10), repeat=4))
+    for k, h0 in enumerate(chain(hs, grid)):
+        if not h0.det().is_zero():
+            break
+    inv = h0.inverse()
+    m1, m2 = (inv * h for h in (hs[:k] + hs[k + 1:])[:2])
+    return _eigenlines((m1, m2), _invariant_kernel(m1, m2))

@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 
 import pytest
+import sympy
 
 from quartic_galois.errors import (ConsistencyError, InnerPointError,
                                    SingularSurfaceError,
@@ -17,14 +19,14 @@ from quartic_galois.geometry import eigen_decompose_order4, is_smooth_surface
 from quartic_galois.linalg import Matrix
 from quartic_galois.poly import (HomPoly, ProjPoint, parse_poly, partials,
                                  substitute_linear, x_decompose)
-from quartic_galois.univariate import eval_poly, gaussian_roots
+from quartic_galois.univariate import _gi_mul, eval_poly, gaussian_roots
 
 from helpers import (SIGMA1, calls_of, gaussian_matrix, height1_gaussian,
                      lift_form1, lift_form2, pullbacks, rand_gr, rand_invertible,
                      rand_smooth_plane_quartic,
                      rand_squarefree_binary_quartic, zeros_mod_p)
 from oracles import (oracle_apolar_dimension, oracle_is_outer_galois_point,
-                     oracle_preserves)
+                     oracle_pencil_lines, oracle_preserves)
 
 FERMAT = parse_poly("X^4+Y^4+Z^4+W^4", 4)
 FORM1 = parse_poly("X^4+Y^4+Z^4+W^4+Y^2*Z*W", 4)
@@ -413,8 +415,8 @@ def test_enumerate_downgrades_on_lost_point(monkeypatch):
     assert len(full.points) == 4
     candidates, lost = solver._root_candidates, []
 
-    def drop_one(f, bound):
-        for root in candidates(f, bound):
+    def drop_one(f, bound, primes=None):
+        for root in candidates(f, bound, primes):
             exact = eval_poly([GR(*c) for c in f], root).is_zero()
             if exact and not lost:
                 lost.append(root)
@@ -892,10 +894,17 @@ def test_descent_agrees_with_the_search():
 # -- the Hessian pencil --------------------------------------------------------------
 
 def _pencil(f):
-    """M1, M2 and H(y1) of the enumerator, on a surface whose Hessian is
-    invertible at the first point of the pencil."""
+    """adj H(y0) H(y1), adj H(y0) H(y2), H(y1) and det H(y0) of the
+    enumerator, Z[i] matrices, on a surface whose Hessian is invertible at
+    the first point of the pencil."""
     h0, h1, h2 = (galois._hessian(f, y) for y in galois._PENCIL)
-    return h0.inverse() * h1, h0.inverse() * h2, h1
+    adj, det = galois._adjugate(h0)
+    return galois._product(adj, h1), galois._product(adj, h2), h1, det
+
+
+def _qi(m):
+    """A Z[i] matrix of the pencil as a Matrix over Q(i)."""
+    return Matrix.from_rows([[GR(a, b, 1) for a, b in row] for row in m])
 
 
 def test_hessian_is_the_matrix_of_second_partials():
@@ -904,7 +913,7 @@ def test_hessian_is_the_matrix_of_second_partials():
     f = substitute_linear(FORM2.scale(GR(1, 2) / 3), height1_gaussian(19))
     for y in galois._PENCIL + ((1, 1, 1, 9),):
         second = [[d2.eval(y) for d2 in partials(d1)] for d1 in partials(f)]
-        assert galois._hessian(f, y) == Matrix.from_rows(second).scale(f.den)
+        assert _qi(galois._hessian(f, y)) == Matrix.from_rows(second).scale(f.den)
 
 
 @pytest.mark.parametrize("f, dims", [
@@ -914,16 +923,17 @@ def test_invariance_iteration_cuts_the_commutator_kernel(f, dims):
     # H(y0) [M1, M2] = S - S^t with S = H(y1) H(y0)^-1 H(y2) is
     # antisymmetric, of even rank; so ker [M1, M2] has even dimension, and
     # with one Galois point it is a plane of which only the point's line
-    # is mapped into itself by M1 and M2
+    # is mapped into itself by M1 and M2 (here det H(y0) M1 and M2)
     fa = substitute_linear(f, height1_gaussian(19))
-    m1, m2, h1 = _pencil(fa)
-    w0 = (m1 * m2 - m2 * m1).kernel_basis()
+    m1, m2, h1, det = _pencil(fa)
+    q1, q2 = _qi(m1), _qi(m2)
+    w0 = (q1 * q2 - q2 * q1).kernel_basis()
     w = galois._invariant_kernel(m1, m2, h1)
     assert (len(w0), len(w)) == dims
-    lines, complete = galois._eigenlines((m1, m2), w)
+    lines, complete = galois._eigenlines((m1, m2), det, w)
     assert complete and len(lines) == dims[1]
     assert all(Matrix.from_columns([p.coords, m.apply(p.coords)]).rank() == 1
-               for p in lines for m in (m1, m2))
+               for p in lines for m in (q1, q2))
 
 
 def test_cone_in_generic_coordinates_is_refused(monkeypatch):
@@ -932,7 +942,7 @@ def test_cone_in_generic_coordinates_is_refused(monkeypatch):
     # its four partials are linearly dependent, the derivative along the
     # vertex being 0, and that refuses it with no certificate
     f = substitute_linear(parse_poly("X^4+Y^4+Z^4", 4), SHEAR)
-    assert all(galois._hessian(f, y).det() == ZERO for y in galois._PENCIL)
+    assert all(_qi(galois._hessian(f, y)).det() == ZERO for y in galois._PENCIL)
     surfaces = calls_of(monkeypatch, geometry.is_smooth_surface)
     with pytest.raises(SingularSurfaceError):
         enumerate_outer_galois_points(f)
@@ -958,7 +968,7 @@ def _grid_case():
     ell = Matrix.from_rows(galois._PENCIL).kernel_basis()[0]
     a = Matrix.from_rows([ell, list(E2), list(E3), list(E4)])
     f = substitute_linear(FORM1, a)
-    assert all(galois._hessian(f, y).det() == ZERO for y in galois._PENCIL)
+    assert all(_qi(galois._hessian(f, y)).det() == ZERO for y in galois._PENCIL)
     return f, a
 
 
@@ -1005,18 +1015,90 @@ def test_second_matrix_splits_a_repeated_eigenvalue():
     # Fermat in the forms X, l1, Y, W, with l1 chosen so that l1(y1) / l1(y0)
     # = y1_X / y0_X: the Galois points of X and l1 share their eigenvalue
     # of M1, whose eigenspace on W* is a plane, and M2 splits it
-    y0, y1, _ = galois._PENCIL
-    r = GR(y1[0]) / y0[0]
-    v = [b - r * a for a, b in zip(y0, y1)]
-    ell = Matrix.from_rows([v]).kernel_basis()[1]
-    a = Matrix.from_rows([list(E1), ell, list(E2), list(E4)])
-    fa = substitute_linear(FERMAT, a)
-    m1, m2, h1 = _pencil(fa)
+    fa, a = _repeated_eigenvalue_case()
+    m1, m2, h1, det = _pencil(fa)
     w = galois._invariant_kernel(m1, m2, h1)
-    roots, split = gaussian_roots(galois._charpoly(galois._restriction(m1, w)[0]))
+    r, s = galois._restriction(m1, w)[0], _gi_mul(det, galois._scale(w))
+    roots, split = gaussian_roots(galois._eigenpolynomial(r, s))
     assert (len(w), len(roots), split) == (4, 3, True)
     rep = enumerate_outer_galois_points(fa)
     assert (rep.completeness, rep.normal_form) == ("proved-complete", "form-3")
     inv = a.inverse()
     assert set(rep.point_list()) == {ProjPoint(inv.apply(list(e)))
                                      for e in (E1, E2, E3, E4)}
+
+
+def _repeated_eigenvalue_case():
+    """Fermat in the forms X, l1, Y, W, with l1 chosen so that l1(y1) /
+    l1(y0) = y1_X / y0_X, and the matrix of those forms."""
+    y0, y1, _ = galois._PENCIL
+    r = GR(y1[0]) / y0[0]
+    v = [b - r * a for a, b in zip(y0, y1)]
+    ell = Matrix.from_rows([v]).kernel_basis()[1]
+    a = Matrix.from_rows([list(E1), ell, list(E2), list(E4)])
+    return substitute_linear(FERMAT, a), a
+
+
+# the families of the benchmark corpus, perfbench/corpus.py
+CORPUS_FAMILIES = [FERMAT, FORM1, FORM2, parse_poly("X^3*Y+Y^4+Z^4+W^4", 4), XYZW]
+
+
+def test_integer_pencil_agrees_with_the_rational_oracle(monkeypatch):
+    # the Z[i] pencil (adj H(y0), Bareiss kernels, Berkowitz) against the
+    # Q(i) one (H(y0)^-1, reduced kernels, Faddeev-LeVerrier, the roots of
+    # the oracle): the same candidate lines in the same order and the same
+    # completeness, on seeded height-1 conjugates of the corpus families,
+    # the normal forms under SHEAR, a repeated eigenvalue of M1, the grid
+    # case and the sqrt 2 example, which stays candidates-only
+    sqrt2 = parse_poly("2*X^4+24*X^2*Y^2+8*Y^4+Z^4+W^4", 4)
+    cases = ([substitute_linear(f, height1_gaussian(seed))
+              for f in CORPUS_FAMILIES for seed in (101, 102)]
+             + [substitute_linear(f, SHEAR) for f in (FORM1, FORM2, FERMAT)]
+             + [_repeated_eigenvalue_case()[0], _grid_case()[0], sqrt2,
+                substitute_linear(sqrt2, height1_gaussian(19))])
+    candidates = calls_of(monkeypatch, galois._verified_pairs)
+    completeness = []
+    for f in cases:
+        _pairs, complete = galois._pencil(f)
+        assert (candidates[-1][1], complete) == oracle_pencil_lines(f, galois._PENCIL)
+        completeness.append(complete)
+    assert completeness == [True] * (len(cases) - 2) + [False, False]
+
+
+def _zi_matrix(rng, rank):
+    """A seeded 4x4 Z[i] matrix of the given rank, a product of random 4 x
+    rank and rank x 4 factors with small entries, its columns shuffled."""
+    def entry(*_):
+        return rng.randint(-3, 3) + rng.randint(-3, 3) * sympy.I
+
+    while True:
+        left, right = sympy.Matrix(4, rank, entry), sympy.Matrix(rank, 4, entry)
+        m = (left * right).expand() if rank else sympy.zeros(4, 4)
+        if m.rank() == rank:
+            cols = rng.sample(range(4), 4)
+            return m.extract(list(range(4)), cols)
+
+
+def test_berkowitz_and_bareiss_kernel_against_sympy():
+    # Berkowitz's det(x I - a) against sympy's charpoly, and the Bareiss
+    # kernel against sympy's nullspace, whose vectors are 1 at a free
+    # column and 0 at the others: each of ours is those times one scale,
+    # the last pivot, which is a minor of a at the pivot columns
+    rng, x = random.Random(38), sympy.Symbol("x")
+    for rank in (4, 3, 2, 1, 0) * 4:
+        m = _zi_matrix(rng, rank)
+        a = [[(int(sympy.re(e)), int(sympy.im(e))) for e in m.row(r)] for r in range(4)]
+        coeffs = [c[0] + c[1] * sympy.I for c in galois._berkowitz(a)]
+        assert [sympy.expand(c) for c in m.charpoly(x).all_coeffs()[::-1]] == coeffs
+        rows, pivots = galois._echelon(a, 4)
+        if rows:
+            last = rows[-1][pivots[-1]][0] + rows[-1][pivots[-1]][1] * sympy.I
+            assert any(sympy.expand(m.extract(list(sub), pivots).det() - sign * last) == 0
+                       for sub in itertools.combinations(range(4), rank) for sign in (1, -1))
+        kernel, null = galois._kernel(a, 4), m.nullspace()
+        assert len(kernel) == len(null) == 4 - rank
+        for v, w in zip(kernel, null):
+            scale = galois._scale(kernel)
+            got = sympy.Matrix([c[0] + c[1] * sympy.I for c in v])
+            diff = got - (scale[0] + scale[1] * sympy.I) * w
+            assert diff.expand(complex=True) == sympy.zeros(4, 1)

@@ -98,6 +98,35 @@ def test_matrix_product_runs_over_gaussian_integers(monkeypatch):
     assert 0 < counts["init"] <= 16
 
 
+def test_pencil_runs_over_gaussian_integers(monkeypatch):
+    """The Hessian pencil of a Fermat conjugate does no Q(i) arithmetic
+    outside the root finder and the verification of its candidates: the
+    Hessians, the adjugate, the products, the kernels and Berkowitz's
+    characteristic polynomials run on Z[i] tuples."""
+    from quartic_galois import galois
+    from quartic_galois.poly import parse_poly, substitute_linear
+    from helpers import height1_gaussian
+
+    f = substitute_linear(parse_poly("X^4+Y^4+Z^4+W^4", 4), height1_gaussian(19))
+    counts, exempt = _count_gaussian_ops(monkeypatch), []
+
+    def exempted(original):
+        def wrapper(*args):
+            before = counts["arith"]
+            try:
+                return original(*args)
+            finally:
+                exempt.append(counts["arith"] - before)
+                counts["arith"] = before
+        return wrapper
+
+    for name in ("gaussian_roots", "_generator_or_none"):
+        monkeypatch.setattr(galois, name, exempted(getattr(galois, name)))
+    pairs, complete = galois._pencil(f)
+    assert (len(pairs), complete) == (4, True)
+    assert counts["arith"] == 0 and sum(exempt) > 0
+
+
 def test_gaussian_arithmetic_builds_no_fraction(monkeypatch):
     """Q(i) arithmetic, Matrix products and kernels, and HomPoly
     coefficients and values run on the stored ints: no Fraction is

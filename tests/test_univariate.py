@@ -187,6 +187,18 @@ def test_gaussian_roots_stops_at_d_verified_roots(monkeypatch):
     assert walked == list(solver._CERT_PRIMES)
 
 
+def test_yun_runs_only_off_a_squarefree_residue(monkeypatch):
+    # a polynomial squarefree modulo the first prime is its own squarefree
+    # factor, with no call of Yun's decomposition; (x - 1)^2 (x + i) is
+    # not squarefree at any prime, and Yun splits it once
+    yun = calls_of(monkeypatch, uv.squarefree_decomposition)
+    roots, split = uv.gaussian_roots(from_roots(*CONJ_ROOTS))
+    assert split and set(roots) == set(CONJ_ROOTS) and yun == []
+    roots, split = uv.gaussian_roots(from_roots(ONE, ONE, -I))
+    assert split and roots == sorted([ONE, -I], key=GR.sort_key)
+    assert len(yun) == 1
+
+
 def test_gaussian_roots_runs_no_macaulay_step(monkeypatch):
     # one variable needs no matrix: no Macaulay echelon, no zero search by
     # multiplication maps, no multivariate lift
